@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import dynamics, graph, harness
+from . import dynamics, estimator, graph, harness
 
 __all__ = ["main"]
 
@@ -111,6 +111,7 @@ def main(argv=None) -> int:
         graph.GraphSamplingError,
         graph.EigenSolveError,
         dynamics.DivergenceError,
+        estimator.OracleEvaluationError,
         ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -182,28 +182,35 @@ def _advance(
     """One synchronous round; every agent reads only round-k data."""
     iterates = state.iterates
     n, p = iterates.shape
-    mixing = profile.laplacian @ iterates
+    # Per-run constants, looked up once per round rather than once per agent.
+    # The estimator helpers stay module-global lookups so they can be patched.
+    sample, evaluate = problem.sample, problem.evaluate
+    data, coords = streams.data, streams.coords
+    n_c, gamma = params.n_c, params.gamma
+    zeroth_order = algorithm != "dsgd"
+    transform = algorithm == "zoom_pb"
     estimate = forward_estimate if params.estimator == "forward" else central_estimate
     delta = params.smoothing.delta(p, n, state.k)
-    nxt = np.empty_like(iterates)
+    steps = np.empty_like(iterates)
     for i in range(n):
         row = iterates[i]
-        xi = problem.sample(i, streams.data[i])
-        if algorithm == "dsgd":
-            g = problem.stochastic_gradient(i, row, xi)
-        else:
-            coords = sample_coordinates(p, params.n_c, streams.coords[i])
+        xi = sample(i, data[i])
+        if zeroth_order:
             g = estimate(
-                lambda z, agent=i, realization=xi: problem.evaluate(agent, z, realization),
+                lambda z, agent=i, realization=xi: evaluate(agent, z, realization),
                 row,
-                coords,
+                sample_coordinates(p, n_c, coords[i]),
                 delta,
             )
-            if algorithm == "zoom_pb":
-                g = powerball(g, params.gamma)
-        nxt[i] = row - params.alpha * mixing[i] - params.eta * g
-    bad = ~np.isfinite(nxt) | (np.abs(nxt) > DIVERGENCE_LIMIT)
-    if bad.any():
+            if transform:
+                g = powerball(g, gamma)
+        else:
+            g = problem.stochastic_gradient(i, row, xi)
+        steps[i] = g
+    # elementwise the same arithmetic as updating one row at a time
+    nxt = iterates - params.alpha * (profile.laplacian @ iterates) - params.eta * steps
+    if not np.abs(nxt).max() <= DIVERGENCE_LIMIT:  # also true when nxt holds a NaN
+        bad = ~np.isfinite(nxt) | (np.abs(nxt) > DIVERGENCE_LIMIT)
         raise DivergenceError(k=state.k, agent=int(np.argwhere(bad)[0][0]))
     return SwarmState(nxt, state.k + 1)
 

@@ -57,6 +57,13 @@ class CoordinateSample:
             raise ValueError("coordinate indices must be nonnegative")
         object.__setattr__(self, "indices", tuple(sorted(idx)))
 
+    @classmethod
+    def _trusted(cls, indices: tuple[int, ...]) -> "CoordinateSample":
+        """Wrap indices already known to be distinct, nonnegative and sorted."""
+        sample = object.__new__(cls)
+        object.__setattr__(sample, "indices", indices)
+        return sample
+
     @property
     def n_c(self) -> int:
         return len(self.indices)
@@ -96,8 +103,10 @@ def sample_coordinates(p: int, n_c: int, rng: np.random.Generator) -> Coordinate
     if not 1 <= n_c <= p:
         raise ValueError(f"need 1 <= n_c <= p, got n_c={n_c}, p={p}")
     if n_c == 1:
-        return CoordinateSample((int(rng.integers(p)),))
-    return CoordinateSample(tuple(int(i) for i in rng.choice(p, size=n_c, replace=False)))
+        return CoordinateSample._trusted((int(rng.integers(p)),))
+    # choice without replacement already guarantees distinct in-range indices
+    draw = rng.choice(p, size=n_c, replace=False)
+    return CoordinateSample._trusted(tuple(sorted(draw.tolist())))
 
 
 def forward_estimate(
@@ -107,7 +116,9 @@ def forward_estimate(
 
     Returns ``(p / n_c) * sum_{j in S} (F(x + delta e_j) - F(x)) / delta * e_j``,
     zero outside the sampled coordinates.  Costs exactly ``n_c + 1`` oracle
-    evaluations; the base value is shared across coordinates.
+    evaluations; the base value is shared across coordinates.  The shifted
+    points are written into one probe buffer, restored exactly after each
+    probe, so the oracle must not keep a reference to its argument.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
@@ -117,10 +128,12 @@ def forward_estimate(
         raise OracleEvaluationError("oracle returned a non-finite value at the base point")
     scale = x.size / sample.n_c
     estimate = np.zeros(x.size)
+    probe = x.copy()
     for j in sample.indices:
-        shifted = x.copy()
-        shifted[j] += delta
-        value = float(oracle(shifted))
+        xj = probe[j]
+        probe[j] = xj + delta
+        value = float(oracle(probe))
+        probe[j] = xj
         if not math.isfinite(value):
             raise OracleEvaluationError(
                 f"oracle returned a non-finite value probing coordinate {j}", coordinate=j
@@ -136,20 +149,23 @@ def central_estimate(
 
     Returns ``(p / n_c) * sum_{j in S} (F(x + delta e_j) - F(x - delta e_j))
     / (2 delta) * e_j``.  Costs exactly ``2 n_c`` oracle evaluations and is
-    exact on quadratics up to the ``p / n_c`` subsampling scale.
+    exact on quadratics up to the ``p / n_c`` subsampling scale.  Like
+    :func:`forward_estimate` it probes through one reused buffer, so the
+    oracle must not keep a reference to its argument.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     x = np.asarray(x, dtype=float)
     scale = x.size / sample.n_c
     estimate = np.zeros(x.size)
+    probe = x.copy()
     for j in sample.indices:
-        forward = x.copy()
-        forward[j] += delta
-        backward = x.copy()
-        backward[j] -= delta
-        hi = float(oracle(forward))
-        lo = float(oracle(backward))
+        xj = probe[j]
+        probe[j] = xj + delta
+        hi = float(oracle(probe))
+        probe[j] = xj - delta
+        lo = float(oracle(probe))
+        probe[j] = xj
         if not (math.isfinite(hi) and math.isfinite(lo)):
             raise OracleEvaluationError(
                 f"oracle returned a non-finite value probing coordinate {j}", coordinate=j

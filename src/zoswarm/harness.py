@@ -150,14 +150,20 @@ def _coerce(value: str):
 def parse_config(text: str) -> ExperimentConfig:
     """Parse flat ``key = value`` lines into an :class:`ExperimentConfig`."""
     pairs: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        pairs[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in first_line:
+            raise ConfigError(
+                f"line {lineno}: duplicate key {key!r}, first set on line {first_line[key]}"
+            )
+        first_line[key] = lineno
+        pairs[key] = value
 
     cfg = ExperimentConfig()
     defaults: dict[str, str] = {}
@@ -225,18 +231,28 @@ def parse_config(text: str) -> ExperimentConfig:
 def load_config(path: str | Path) -> ExperimentConfig:
     """Load a config from a file path or from the bundled configs by name."""
     candidate = Path(path)
-    if candidate.exists():
+    if candidate.is_file():
         return parse_config(candidate.read_text())
-    return bundled_config(str(path))
+    resource = _bundled_resource(str(path))
+    if not resource.is_file():
+        raise ConfigError(
+            f"neither a config file {str(path)!r} nor a bundled config named "
+            f"{resource.name!r} exists"
+        )
+    return parse_config(resource.read_text())
+
+
+def _bundled_resource(name: str):
+    if not name.endswith(".cfg"):
+        name = name + ".cfg"
+    return importlib.resources.files("zoswarm").joinpath("configs", name)
 
 
 def bundled_config(name: str) -> ExperimentConfig:
     """Load one of the configs shipped inside the package (e.g. ``paper_iv_a``)."""
-    if not name.endswith(".cfg"):
-        name = name + ".cfg"
-    resource = importlib.resources.files("zoswarm").joinpath("configs", name)
+    resource = _bundled_resource(name)
     if not resource.is_file():
-        raise ConfigError(f"no bundled config named {name!r}")
+        raise ConfigError(f"no bundled config named {resource.name!r}")
     return parse_config(resource.read_text())
 
 

@@ -35,16 +35,16 @@ __all__ = [
 
 
 def sigmoid(t):
-    """Overflow-safe logistic function, elementwise."""
-    arr = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.empty_like(arr)
-    pos = arr >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    exp_t = np.exp(arr[~pos])
-    out[~pos] = exp_t / (1.0 + exp_t)
-    if np.ndim(t) == 0:
-        return float(out[0])
-    return out.reshape(np.shape(t))
+    """Overflow-safe logistic function, elementwise.
+
+    ``exp(-|t|)`` never overflows and is ``exp(-t)`` for ``t >= 0`` and
+    ``exp(t)`` below, so each branch computes what a masked evaluation of
+    ``1 / (1 + exp(-t))`` and ``exp(t) / (1 + exp(t))`` would, bit for bit.
+    """
+    arr = np.asarray(t, dtype=float)
+    e = np.exp(-np.abs(arr))
+    out = np.where(arr >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return float(out) if out.ndim == 0 else out
 
 
 def _sigmoid_scalar(t: float) -> float:
@@ -75,7 +75,11 @@ class StochasticProblem(ABC):
 
     @abstractmethod
     def evaluate(self, agent: int, x: np.ndarray, xi) -> float:
-        """Single-sample value ``F_agent(x, xi)``."""
+        """Single-sample value ``F_agent(x, xi)``.
+
+        The estimators call this once per probe and may pass a buffer they
+        reuse for the next probe, so do not keep a reference to ``x``.
+        """
 
     @abstractmethod
     def stochastic_gradient(self, agent: int, x: np.ndarray, xi) -> np.ndarray:
@@ -225,18 +229,32 @@ class ClassificationProblem(StochasticProblem):
         self.shared_pool = bool(shared_pool)
         self.dimension = dataset.d
         self.local_count = dataset.n_agents
-
-    def _slice(self, agent: int) -> slice:
-        if self.shared_pool:
-            return slice(0, self.dataset.n_train)
-        return self.dataset.shard_slice(agent)
+        self._features = dataset.train_features
+        self._labels = dataset.train_labels.astype(float)
+        whole = slice(0, dataset.n_train)
+        self._shards = tuple(
+            whole if self.shared_pool else dataset.shard_slice(i) for i in range(self.local_count)
+        )
+        # row blocks whose products make up the full-batch responses
+        self._blocks = (whole,) if self.shared_pool else self._shards
+        # (x bytes, responses) of the last full-batch pass: a record asks for the
+        # gradient and the loss at the same point.  Replaced whole, never mutated,
+        # so runs sharing this problem across threads read a consistent pair.
+        self._last_responses: tuple[bytes, np.ndarray] | None = None
 
     def sample(self, agent: int, rng: np.random.Generator) -> int:
-        sl = self._slice(agent)
+        sl = self._shards[agent]
         return int(rng.integers(sl.start, sl.stop))
 
     def evaluate(self, agent: int, x: np.ndarray, xi: int) -> float:
-        return nlls_evaluate(self.dataset, agent, x, xi)
+        # nlls_evaluate with the scalar sigmoid inlined: this is the per-probe hot path
+        t = float(self._features[xi].dot(x))
+        if t >= 0.0:
+            phi = 1.0 / (1.0 + math.exp(-t))
+        else:
+            e = math.exp(t)
+            phi = e / (1.0 + e)
+        return (float(self._labels[xi]) - phi) ** 2
 
     def stochastic_gradient(self, agent: int, x: np.ndarray, xi: int) -> np.ndarray:
         a = self.dataset.train_features[xi]
@@ -245,15 +263,44 @@ class ClassificationProblem(StochasticProblem):
         return (-2.0 * (y - phi) * phi * (1.0 - phi)) * a
 
     def true_local_gradient(self, agent: int, x: np.ndarray) -> np.ndarray:
-        sl = self._slice(agent)
-        return _nlls_gradient_over(
-            self.dataset.train_features[sl], self.dataset.train_labels[sl].astype(float), x
-        )
+        sl = self._shards[agent]
+        return _nlls_gradient_over(self._features[sl], self._labels[sl], x)
 
     def local_loss(self, agent: int, x: np.ndarray) -> float:
-        sl = self._slice(agent)
-        return _nlls_loss_over(
-            self.dataset.train_features[sl], self.dataset.train_labels[sl].astype(float), x
+        sl = self._shards[agent]
+        return _nlls_loss_over(self._features[sl], self._labels[sl], x)
+
+    # The full-batch diagnostics run the sigmoid and the elementwise algebra
+    # once over the whole training set, then reduce shard by shard in the
+    # order of the per-agent base-class versions, so they match those bit for
+    # bit.  The product runs per shard: BLAS blocks rows in groups, and one
+    # product over the whole set can round a shard's rows differently.
+
+    def _responses(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        key = x.tobytes()
+        last = self._last_responses
+        if last is not None and last[0] == key:
+            return last[1]
+        t = np.zeros(self.dataset.n_train)
+        for sl in self._blocks:
+            np.matmul(self._features[sl], x, out=t[sl])
+        phi = sigmoid(t)
+        self._last_responses = (key, phi)
+        return phi
+
+    def true_global_gradient(self, x: np.ndarray) -> np.ndarray:
+        phi = self._responses(x)
+        coef = -2.0 * (self._labels - phi) * phi * (1.0 - phi)
+        return np.mean(
+            [coef[sl] @ self._features[sl] / (sl.stop - sl.start) for sl in self._shards], axis=0
+        )
+
+    def full_loss(self, x: np.ndarray) -> float:
+        residual_sq = (self._labels - self._responses(x)) ** 2
+        # np.add.reduce(a) / a.size is exactly what np.mean(a) computes, minus its overhead
+        return float(
+            np.mean([np.add.reduce(residual_sq[sl]) / (sl.stop - sl.start) for sl in self._shards])
         )
 
     def test_accuracy(self, x: np.ndarray) -> float | None:
@@ -275,8 +322,8 @@ class QuadraticToyProblem(StochasticProblem):
         centers = np.asarray(centers, dtype=float)
         if centers.ndim != 2:
             raise ValueError("centers must be an (n_agents, p) matrix")
-        if zeta < 0.0:
-            raise ValueError("noise level zeta must be nonnegative")
+        if not (math.isfinite(zeta) and zeta >= 0.0):
+            raise ValueError(f"noise level zeta must be finite and nonnegative, got {zeta}")
         self.centers = centers
         self.zeta = float(zeta)
         self.local_count, self.dimension = centers.shape
@@ -286,7 +333,7 @@ class QuadraticToyProblem(StochasticProblem):
 
     def evaluate(self, agent: int, x: np.ndarray, z: np.ndarray) -> float:
         diff = x - self.centers[agent]
-        return float(0.5 * diff @ diff + z @ diff)
+        return float((0.5 * diff).dot(diff) + z.dot(diff))
 
     def stochastic_gradient(self, agent: int, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         return (x - self.centers[agent]) + z
@@ -297,6 +344,16 @@ class QuadraticToyProblem(StochasticProblem):
     def local_loss(self, agent: int, x: np.ndarray) -> float:
         diff = x - self.centers[agent]
         return float(0.5 * diff @ diff)
+
+    # Vectorized over agents; each row product and the mean over agents run
+    # in the order of the per-agent base-class versions, bit for bit.
+
+    def true_global_gradient(self, x: np.ndarray) -> np.ndarray:
+        return np.mean(x - self.centers, axis=0)
+
+    def full_loss(self, x: np.ndarray) -> float:
+        diffs = x - self.centers
+        return float(np.mean(np.vecdot(0.5 * diffs, diffs)))
 
     def centroid(self) -> np.ndarray:
         return self.centers.mean(axis=0)

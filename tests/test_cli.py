@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 
 from zoswarm.cli import main
+from zoswarm.problems import QuadraticToyProblem
 
 TOY_CFG = """
 problem.name = quadratic_toy
@@ -54,6 +57,20 @@ def test_run_rejects_bad_config(tmp_path, capsys):
 
 def test_run_unknown_bundled_name(capsys):
     assert main(["run", "--config", "does_not_exist"]) == 2
+
+
+def test_run_missing_config_path(tmp_path, capsys):
+    assert main(["run", "--config", str(tmp_path / "my.cfg")]) == 2
+    err = capsys.readouterr().err
+    assert "neither a config file" in err and "my.cfg" in err
+
+
+def test_run_reports_non_finite_oracle(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(QuadraticToyProblem, "evaluate", lambda self, agent, x, z: math.nan)
+    cfg = write_cfg(tmp_path)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: oracle returned a non-finite value")
 
 
 def test_sweep_subcommand(tmp_path, capsys):

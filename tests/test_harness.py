@@ -78,6 +78,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="key = value"):
             parse_config("just a line\n")
 
+    def test_duplicate_key_rejected_with_both_lines(self):
+        text = "run.T = 5\n# comment\nrun.seeds = 1\n run.T=6  # again\n"
+        with pytest.raises(ConfigError, match=r"line 4: duplicate key 'run.T', first set on line 1"):
+            parse_config(text)
+
     def test_empty_algorithms_fails_validation(self):
         cfg = parse_config("problem.name = quadratic_toy\nrun.seeds = 1\n")
         with pytest.raises(ConfigError, match="algorithm"):

@@ -215,6 +215,11 @@ class TestQuadraticToy:
         assert problem.optimal_value() == 0.5
         assert problem.full_loss(np.array([1.0])) == 0.5
 
+    @pytest.mark.parametrize("zeta", [-0.1, float("nan"), float("inf")])
+    def test_rejects_invalid_noise_level(self, zeta):
+        with pytest.raises(ValueError, match="zeta"):
+            make_quadratic_toy(2, 3, zeta=zeta)
+
     def test_zero_noise_oracle_is_deterministic_loss(self):
         problem = make_quadratic_toy(2, 3, seed=1, zeta=0.0)
         rng = np.random.default_rng(0)
