@@ -14,12 +14,10 @@ from .dynamics import (
     RunStreams,
     SwarmState,
     Trajectory,
-    consensus_term,
     powerball,
     run,
+    step,
     theorem_schedule,
-    zoom_pb_step,
-    zoom_step,
 )
 from .estimator import (
     CoordinateSample,
@@ -37,8 +35,6 @@ from .graph import (
     erdos_renyi,
     is_connected,
     laplacian_spectrum,
-    load_edge_list,
-    save_edge_list,
 )
 from .harness import (
     AlgorithmSpec,
@@ -53,13 +49,7 @@ from .harness import (
     run_battery,
     self_check,
 )
-from .metrics import (
-    AssumptionProbe,
-    IterationRecord,
-    RunSummary,
-    probe_assumptions,
-    summarize,
-)
+from .metrics import IterationRecord, RunSummary, summarize
 from .problems import (
     ClassificationDataset,
     ClassificationProblem,

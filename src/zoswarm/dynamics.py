@@ -38,9 +38,7 @@ __all__ = [
     "DivergenceError",
     "ALGORITHMS",
     "powerball",
-    "consensus_term",
-    "zoom_step",
-    "zoom_pb_step",
+    "step",
     "theorem_schedule",
     "run",
 ]
@@ -166,12 +164,7 @@ def powerball(v: np.ndarray, gamma: float) -> np.ndarray:
     return np.sign(v) * np.abs(v) ** gamma
 
 
-def consensus_term(profile: SpectralProfile, state: SwarmState, i: int) -> np.ndarray:
-    """Laplacian-weighted disagreement ``sum_j L_ij x_{j,k}`` for agent ``i``."""
-    return profile.laplacian[i] @ state.iterates
-
-
-def _advance(
+def step(
     state: SwarmState,
     profile: SpectralProfile,
     params: HyperParams,
@@ -179,7 +172,13 @@ def _advance(
     streams: RunStreams,
     algorithm: str,
 ) -> SwarmState:
-    """One synchronous round; every agent reads only round-k data."""
+    """One synchronous round of ``algorithm``; every agent reads only round-k data.
+
+    ``"zoom_pb"`` passes each estimate through :func:`powerball`, ``"zoom"``
+    uses it as is, and ``"dsgd"`` replaces it with the analytic stochastic
+    gradient.  Draws come from ``streams``, so replaying them with a second
+    ``RunStreams`` of the same seed reproduces the round.
+    """
     iterates = state.iterates
     n, p = iterates.shape
     # Per-run constants, looked up once per round rather than once per agent.
@@ -213,28 +212,6 @@ def _advance(
         bad = ~np.isfinite(nxt) | (np.abs(nxt) > DIVERGENCE_LIMIT)
         raise DivergenceError(k=state.k, agent=int(np.argwhere(bad)[0][0]))
     return SwarmState(nxt, state.k + 1)
-
-
-def zoom_step(
-    state: SwarmState,
-    profile: SpectralProfile,
-    params: HyperParams,
-    problem,
-    streams: RunStreams,
-) -> SwarmState:
-    """One round of the plain coordinate-estimate dynamics."""
-    return _advance(state, profile, params, problem, streams, "zoom")
-
-
-def zoom_pb_step(
-    state: SwarmState,
-    profile: SpectralProfile,
-    params: HyperParams,
-    problem,
-    streams: RunStreams,
-) -> SwarmState:
-    """One round with the estimate passed through the powerball transform."""
-    return _advance(state, profile, params, problem, streams, "zoom_pb")
 
 
 def theorem_schedule(
@@ -329,7 +306,7 @@ def run(
     state = SwarmState(start, 0)
     records = [capture_record(problem, state.iterates, 0, params.gamma, 0, 0.0)]
     for k in range(params.T):
-        state = _advance(state, profile, params, problem, streams, algorithm)
+        state = step(state, profile, params, problem, streams, algorithm)
         done = k + 1
         if done % record_every == 0 or done == params.T:
             wall_ms = (time.perf_counter() - started) * 1000.0

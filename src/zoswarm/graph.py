@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -26,8 +25,6 @@ __all__ = [
     "erdos_renyi",
     "laplacian_spectrum",
     "is_connected",
-    "save_edge_list",
-    "load_edge_list",
 ]
 
 # Eigenvalues below this magnitude are treated as members of the null space
@@ -68,11 +65,6 @@ class Topology:
         if np.any(w < 0.0):
             raise ValueError("weights must be nonnegative")
         object.__setattr__(self, "weights", w)
-
-    @property
-    def degrees(self) -> np.ndarray:
-        """Weighted degree of every agent."""
-        return self.weights.sum(axis=1)
 
     def edges(self) -> list[tuple[int, int, float]]:
         """All edges as ``(i, j, weight)`` with ``i < j``."""
@@ -179,46 +171,3 @@ def laplacian_spectrum(topo: Topology) -> SpectralProfile:
         rho_l2=rho_l2,
         alpha_max=rho2 / (2.0 * rho_l2),
     )
-
-
-def save_edge_list(topo: Topology, path: str | Path) -> None:
-    """Write the topology as a plain-text edge list, one ``i j weight`` line per edge."""
-    lines = [f"# {topo.n} agents"]
-    for i, j, w in topo.edges():
-        lines.append(f"{i} {j} {w!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_edge_list(path: str | Path, n: int | None = None) -> Topology:
-    """Read a plain-text edge list back into a :class:`Topology`.
-
-    Lines are ``i j weight`` with zero-based indices; ``#`` starts a comment.
-    ``n`` may be given explicitly to keep trailing isolated agents; otherwise
-    the agent count is inferred as the largest index seen plus one.
-    """
-    edges: list[tuple[int, int, float]] = []
-    max_index = -1
-    for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"malformed edge line: {raw!r}")
-        i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
-        if i == j:
-            raise ValueError(f"self edge on agent {i} is not allowed")
-        if i < 0 or j < 0:
-            raise ValueError("agent indices must be nonnegative")
-        edges.append((i, j, w))
-        max_index = max(max_index, i, j)
-    count = n if n is not None else max_index + 1
-    if count < 1:
-        raise ValueError("edge list is empty and no agent count was given")
-    weights = np.zeros((count, count))
-    for i, j, w in edges:
-        if i >= count or j >= count:
-            raise ValueError(f"edge ({i}, {j}) exceeds agent count {count}")
-        weights[i, j] = w
-        weights[j, i] = w
-    return Topology(count, weights)

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import importlib.resources
 import math
-import os
 import statistics
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +37,7 @@ __all__ = [
     "run_baseline_dsgd",
     "gamma_sweep",
     "record_csv_fingerprint",
+    "SELF_CHECKS",
     "self_check",
 ]
 
@@ -68,8 +68,6 @@ SWEEP_FIELDS = (
 # the average of per-agent losses.
 _SUMMARY_NOTE = "# losses are full-batch values at the mean iterate"
 
-ALGORITHM_KINDS = ("zoom", "zoom_pb", "dsgd")
-
 
 class ConfigError(ValueError):
     """The experiment configuration is malformed or incomplete."""
@@ -96,7 +94,7 @@ class AlgorithmSpec:
     smoothing: str = "theorem_decay:1.0"
 
     def __post_init__(self) -> None:
-        if self.kind not in ALGORITHM_KINDS:
+        if self.kind not in dynamics.ALGORITHMS:
             raise ConfigError(f"unknown algorithm kind {self.kind!r} for {self.label!r}")
         if self.estimator not in dynamics.ESTIMATORS:
             raise ConfigError(f"unknown estimator {self.estimator!r} for {self.label!r}")
@@ -128,6 +126,17 @@ class ExperimentConfig:
             raise ConfigError("run.record_every must be at least 1")
         if self.jobs < 1:
             raise ConfigError("run.jobs must be at least 1")
+        _reject_duplicates("master seed", self.seeds)
+        _reject_duplicates("algorithm label", [spec.label for spec in self.algorithms])
+
+
+def _reject_duplicates(what: str, items) -> None:
+    # a repeated seed or label would write over the same CSV and double its summary row
+    seen = set()
+    for item in items:
+        if item in seen:
+            raise ConfigError(f"duplicate {what} {item!r}")
+        seen.add(item)
 
 
 def _coerce(value: str):
@@ -147,10 +156,48 @@ def _coerce(value: str):
     return value
 
 
+# run.* keys: ExperimentConfig attribute and value type
+_RUN_KEYS = {
+    "run.T": ("T", int),
+    "run.record_every": ("record_every", int),
+    "run.out": ("out_dir", str),
+    "run.jobs": ("jobs", int),
+    "run.init": ("init", str),
+    "run.init_scale": ("init_scale", float),
+}
+
+
+def _eta(value: str) -> str | float:
+    return value if value == "theorem" else float(value)
+
+
+# AlgorithmSpec fields settable from a config and their value types
+_ALGORITHM_FIELDS = {
+    "estimator": str,
+    "gamma": float,
+    "eta": _eta,
+    "alpha": float,
+    "alpha_frac": float,
+    "n_c": int,
+    "smoothing": str,
+}
+
+_EXPECTED = {int: "an integer", float: "a number", _eta: "'theorem' or a number"}
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse flat ``key = value`` lines into an :class:`ExperimentConfig`."""
     pairs: dict[str, str] = {}
     first_line: dict[str, int] = {}
+
+    def typed(key: str, value: str, kind):
+        try:
+            return kind(value)
+        except ValueError:
+            raise ConfigError(
+                f"line {first_line[key]}: {key} = {value!r} is not {_EXPECTED[kind]}"
+            ) from None
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -166,6 +213,7 @@ def parse_config(text: str) -> ExperimentConfig:
         pairs[key] = value
 
     cfg = ExperimentConfig()
+    # algorithm field -> the key that set it, per label and as a default
     defaults: dict[str, str] = {}
     per_algorithm: dict[str, dict[str, str]] = {}
     labels: list[str] = []
@@ -176,50 +224,33 @@ def parse_config(text: str) -> ExperimentConfig:
         elif key.startswith("topology."):
             cfg.topology[key[len("topology.") :]] = _coerce(value)
         elif key.startswith("defaults."):
-            defaults[key[len("defaults.") :]] = value
+            defaults[key[len("defaults.") :]] = key
         elif key.startswith("algorithm."):
             rest = key[len("algorithm.") :]
             if "." not in rest:
                 raise ConfigError(f"algorithm key {key!r} needs a '<label>.<field>' suffix")
             label, fieldname = rest.split(".", 1)
-            per_algorithm.setdefault(label, {})[fieldname] = value
+            per_algorithm.setdefault(label, {})[fieldname] = key
         elif key == "algorithms":
             labels = [token.strip() for token in value.split(",") if token.strip()]
-        elif key == "run.T":
-            cfg.T = int(value)
-        elif key == "run.record_every":
-            cfg.record_every = int(value)
         elif key == "run.seeds":
-            cfg.seeds = [int(token) for token in value.split(",") if token.strip()]
-        elif key == "run.out":
-            cfg.out_dir = value
-        elif key == "run.jobs":
-            cfg.jobs = int(value)
-        elif key == "run.init":
-            cfg.init = value
-        elif key == "run.init_scale":
-            cfg.init_scale = float(value)
+            tokens = [token.strip() for token in value.split(",")]
+            cfg.seeds = [typed(key, token, int) for token in tokens if token]
+        elif key in _RUN_KEYS:
+            attr, kind = _RUN_KEYS[key]
+            setattr(cfg, attr, typed(key, value, kind))
         else:
             raise ConfigError(f"unknown config key {key!r}")
 
-    converters = {
-        "estimator": str,
-        "gamma": float,
-        "eta": lambda v: v if v == "theorem" else float(v),
-        "alpha": float,
-        "alpha_frac": float,
-        "n_c": int,
-        "smoothing": str,
-    }
     for label in labels:
-        fields = dict(defaults)
-        fields.update(per_algorithm.get(label, {}))
-        kind = fields.pop("kind", label)
+        fields = {**defaults, **per_algorithm.get(label, {})}
+        kind_key = fields.pop("kind", None)
         kwargs = {}
-        for name, value in fields.items():
-            if name not in converters:
+        for name, key in fields.items():
+            if name not in _ALGORITHM_FIELDS:
                 raise ConfigError(f"unknown algorithm field {name!r} for {label!r}")
-            kwargs[name] = converters[name](value)
+            kwargs[name] = typed(key, pairs[key], _ALGORITHM_FIELDS[name])
+        kind = pairs[kind_key] if kind_key else label
         cfg.algorithms.append(AlgorithmSpec(label=label, kind=kind, **kwargs))
 
     stray = set(per_algorithm) - set(labels)
@@ -387,30 +418,29 @@ def _median_or_none(values) -> float | None:
     return float(statistics.median(values))
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "yes" if value else "no"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _median_columns(runs: list[RunResult]) -> dict:
+    """The per-run summary medians shared by battery and sweep rows."""
+    return {
+        "seed_count": len(runs),
+        "median_final_loss": _median_or_none(r.summary.final_loss for r in runs),
+        "median_avg_grad_norm_sq": _median_or_none(r.summary.avg_grad_norm_sq for r in runs),
+        "median_avg_consensus_err": _median_or_none(r.summary.avg_consensus_err for r in runs),
+        "median_accuracy": _median_or_none(r.summary.final_accuracy for r in runs),
+    }
 
 
-def _write_table(path: Path, fields, rows, comments=()) -> None:
-    lines = list(comments) + [",".join(fields)]
-    for row in rows:
-        lines.append(",".join(_format_cell(row[f]) for f in fields))
-    body = "\n".join(lines) + "\n"
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+def _output_dir(path: str | Path | None) -> Path | None:
+    """Create the output directory, or say which path cannot be used."""
+    if path is None:
+        return None
+    target = Path(path)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(body)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        target.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot use {str(target)!r} as output directory: {exc.strerror}"
+        ) from None
+    return target
 
 
 def _execute(tasks, jobs: int):
@@ -440,10 +470,9 @@ def run_battery(
     purely in memory otherwise.  Rerunning with identical config and seeds
     reproduces byte-identical outputs apart from the wall-clock column.
     """
+    if seeds is not None:
+        config = replace(config, seeds=list(seeds))
     config.validate()
-    seeds = list(seeds) if seeds is not None else list(config.seeds)
-    if not seeds:
-        raise ConfigError("at least one master seed is required")
     problem = build_problem(config)
     topo = build_topology(config)
     if problem.local_count != topo.n:
@@ -457,11 +486,7 @@ def run_battery(
         params, faithful = resolve_hyperparams(spec, profile, topo.n, problem.dimension, config.T)
         resolved.append((spec, params, faithful))
 
-    target = Path(out_dir) if out_dir is not None else (
-        Path(config.out_dir) if config.out_dir else None
-    )
-    if target is not None:
-        target.mkdir(parents=True, exist_ok=True)
+    target = _output_dir(out_dir if out_dir is not None else config.out_dir or None)
 
     def make_task(spec: AlgorithmSpec, params: dynamics.HyperParams, seed: int):
         def task() -> RunResult:
@@ -495,7 +520,7 @@ def run_battery(
     tasks = [
         make_task(spec, params, seed)
         for spec, params, _ in resolved
-        for seed in seeds
+        for seed in config.seeds
     ]
     runs = _execute(tasks, jobs if jobs is not None else config.jobs)
 
@@ -508,15 +533,7 @@ def run_battery(
                 "algorithm": spec.label,
                 "gamma": params.gamma,
                 "estimator": spec.estimator if spec.kind != "dsgd" else "-",
-                "seed_count": len(own),
-                "median_final_loss": _median_or_none(r.summary.final_loss for r in own),
-                "median_avg_grad_norm_sq": _median_or_none(
-                    r.summary.avg_grad_norm_sq for r in own
-                ),
-                "median_avg_consensus_err": _median_or_none(
-                    r.summary.avg_consensus_err for r in own
-                ),
-                "median_accuracy": _median_or_none(r.summary.final_accuracy for r in own),
+                **_median_columns(own),
             }
         )
         comments.append(
@@ -535,7 +552,7 @@ def run_battery(
     summary_path = None
     if target is not None:
         summary_path = target / "summary.csv"
-        _write_table(summary_path, SUMMARY_FIELDS, summary_rows, comments)
+        metrics.write_table(summary_path, SUMMARY_FIELDS, summary_rows, comments)
     return BatteryResult(
         runs=runs, summary_rows=summary_rows, out_dir=target, summary_path=summary_path
     )
@@ -587,69 +604,39 @@ def gamma_sweep(
     gammas = list(gammas)
     if not gammas:
         raise ConfigError("gamma sweep needs at least one gamma value")
+    out = _output_dir(out_dir)
     base = config.algorithms[0] if config.algorithms else AlgorithmSpec(label="zoom_pb", kind="zoom_pb")
-    sweep_cfg = replace(
-        config,
-        problem=dict(config.problem),
-        topology=dict(config.topology),
-        algorithms=[],
-        seeds=list(config.seeds),
-    )
-    for gamma in gammas:
-        for est in dynamics.ESTIMATORS:
-            label = f"zoom_pb_g{gamma:g}_{est}"
-            sweep_cfg.algorithms.append(
-                AlgorithmSpec(
-                    label=label,
-                    kind="zoom_pb",
-                    estimator=est,
-                    gamma=float(gamma),
-                    eta=base.eta,
-                    alpha=base.alpha,
-                    alpha_frac=base.alpha_frac,
-                    n_c=base.n_c,
-                    smoothing=base.smoothing,
-                )
-            )
-    battery = run_battery(sweep_cfg, out_dir=None, quiet=True)
+    specs = [
+        replace(base, label=f"zoom_pb_g{g:g}_{est}", kind="zoom_pb", estimator=est, gamma=float(g))
+        for g in gammas
+        for est in dynamics.ESTIMATORS
+    ]
+    battery = run_battery(replace(config, algorithms=specs), out_dir=None, quiet=True)
 
     rows = []
-    for gamma in gammas:
-        for est in dynamics.ESTIMATORS:
-            label = f"zoom_pb_g{gamma:g}_{est}"
-            own = battery.runs_for(label)
-            in_range = 0.5 <= gamma <= 1.0
-            if not in_range and not quiet:
-                print(f"[sweep] gamma={gamma:g} lies outside [0.5, 1] covered by the guarantees")
-            rows.append(
-                {
-                    "gamma": float(gamma),
-                    "estimator": est,
-                    "within_guarantee_range": in_range,
-                    "seed_count": len(own),
-                    "median_initial_loss": _median_or_none(
-                        r.trajectory.records[0].mean_train_loss for r in own
-                    ),
-                    "median_final_loss": _median_or_none(r.summary.final_loss for r in own),
-                    "median_avg_grad_norm_sq": _median_or_none(
-                        r.summary.avg_grad_norm_sq for r in own
-                    ),
-                    "median_avg_consensus_err": _median_or_none(
-                        r.summary.avg_consensus_err for r in own
-                    ),
-                    "median_accuracy": _median_or_none(r.summary.final_accuracy for r in own),
-                }
+    for spec in specs:
+        own = battery.runs_for(spec.label)
+        in_range = 0.5 <= spec.gamma <= 1.0
+        if not in_range and not quiet:
+            print(f"[sweep] gamma={spec.gamma:g} lies outside [0.5, 1] covered by the guarantees")
+        rows.append(
+            {
+                "gamma": spec.gamma,
+                "estimator": spec.estimator,
+                "within_guarantee_range": in_range,
+                "median_initial_loss": _median_or_none(
+                    r.trajectory.records[0].mean_train_loss for r in own
+                ),
+                **_median_columns(own),
+            }
+        )
+        if not quiet:
+            print(
+                f"[sweep] gamma={spec.gamma:g} {spec.estimator}: median final loss "
+                f"{rows[-1]['median_final_loss']:.6g}"
             )
-            if not quiet:
-                row = rows[-1]
-                print(
-                    f"[sweep] gamma={gamma:g} {est}: median final loss "
-                    f"{row['median_final_loss']:.6g}"
-                )
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_table(out / "sweep.csv", SWEEP_FIELDS, rows, [_SUMMARY_NOTE])
+    if out is not None:
+        metrics.write_table(out / "sweep.csv", SWEEP_FIELDS, rows, [_SUMMARY_NOTE])
     return rows
 
 
@@ -667,162 +654,192 @@ def record_csv_fingerprint(path: str | Path) -> str:
     return "\n".join(kept)
 
 
-def _check_spectrum_path3() -> None:
-    topo = graph.Topology(3, np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float))
-    profile = graph.laplacian_spectrum(topo)
-    eigs = np.linalg.eigvalsh(profile.laplacian)
-    assert np.allclose(eigs, [0.0, 1.0, 3.0], atol=1e-10)
-    assert abs(profile.alpha_max - 1.0 / 18.0) < 1e-10
+# Invariant checks behind ``zoswarm check`` and acceptance criteria 03 and
+# 06-09.  Each returns ``(passed, detail)``; the detail reports the measured
+# quantity so a failure says by how much.
 
 
-def _check_spectrum_pair() -> None:
-    topo = graph.Topology(2, np.array([[0.0, 1.0], [1.0, 0.0]]))
-    profile = graph.laplacian_spectrum(topo)
-    assert abs(profile.rho2 - 2.0) < 1e-12
-    assert abs(profile.alpha_max - 0.25) < 1e-12
-
-
-def _check_connectivity() -> None:
+def _check_spectra() -> tuple[bool, str]:
     path3 = graph.Topology(3, np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float))
-    broken = graph.Topology(3, np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=float))
-    assert graph.is_connected(path3)
-    assert not graph.is_connected(broken)
-
-
-def _check_forward_estimate() -> None:
-    sample = estimator.CoordinateSample((0,))
-    got = estimator.forward_estimate(lambda z: float(z @ z), np.array([1.0, 0.0]), sample, 0.1)
-    assert np.allclose(got, [4.2, 0.0], atol=1e-12)
-
-
-def _check_central_quadratic() -> None:
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((4, 4))
-    hessian = a + a.T
-    b = rng.standard_normal(4)
-    x = rng.standard_normal(4)
-    oracle = lambda z: float(0.5 * z @ hessian @ z + b @ z)
-    sample = estimator.CoordinateSample((1, 3))
-    got = estimator.central_estimate(oracle, x, sample, 0.05)
-    grad = hessian @ x + b
-    expected = np.zeros(4)
-    expected[[1, 3]] = (4 / 2) * grad[[1, 3]]
-    assert np.allclose(got, expected, rtol=1e-9)
-
-
-def _check_subset_average() -> None:
-    from itertools import combinations
-
-    rng = np.random.default_rng(2)
-    p, n_c, delta = 4, 2, 0.05
-    x = rng.standard_normal(p)
-    c = rng.standard_normal(p)
-    oracle = lambda z: float(0.5 * np.sum((z - c) ** 2))
-    full = np.array([(oracle(x + delta * np.eye(p)[j]) - oracle(x)) / delta for j in range(p)])
-    total = np.zeros(p)
-    subsets = list(combinations(range(p), n_c))
-    for s in subsets:
-        total += estimator.forward_estimate(oracle, x, estimator.CoordinateSample(s), delta)
-    assert np.allclose(total / len(subsets), full, atol=1e-10)
-
-
-def _check_reduction() -> None:
-    topo = graph.erdos_renyi(4, 0.8, seed=1)
-    problem = problems.make_quadratic_toy(4, 6, seed=3, zeta=0.3)
-    profile = graph.laplacian_spectrum(topo)
-    eta, smoothing = dynamics.theorem_schedule(4, 6, 200)
-    params = dynamics.HyperParams(
-        alpha=0.9 * profile.alpha_max, eta=eta, T=200, gamma=1.0, smoothing=smoothing
+    p3 = graph.laplacian_spectrum(path3)
+    p3_ok = (
+        np.allclose(np.linalg.eigvalsh(p3.laplacian), [0.0, 1.0, 3.0], atol=1e-10)
+        and abs(p3.alpha_max - 1.0 / 18.0) < 1e-10
     )
-    a = dynamics.run(topo, problem, params, algorithm="zoom", seed=11)
-    b = dynamics.run(topo, problem, params, algorithm="zoom_pb", seed=11)
-    assert metrics.records_match(a.records, b.records)
-    assert np.array_equal(a.final_state.iterates, b.final_state.iterates)
+    k2 = graph.laplacian_spectrum(graph.Topology(2, np.array([[0.0, 1.0], [1.0, 0.0]])))
+    k2_ok = abs(k2.rho2 - 2.0) < 1e-12 and abs(k2.alpha_max - 0.25) < 1e-12
+    detail = f"p3 alpha_max={p3.alpha_max:.12g}, k2 alpha_max={k2.alpha_max:.12g}"
+    return p3_ok and k2_ok, detail
 
 
-def _check_consensus_contraction() -> None:
+def _check_central_quadratic() -> tuple[bool, str]:
+    rng = np.random.default_rng(6)
+    worst = 0.0
+    for _ in range(100):
+        p = int(rng.integers(2, 9))
+        raw = rng.standard_normal((p, p))
+        hessian = raw + raw.T
+        b = rng.standard_normal(p)
+        x = rng.standard_normal(p)
+        n_c = int(rng.integers(1, p + 1))
+        indices = tuple(int(i) for i in rng.choice(p, size=n_c, replace=False))
+        delta = float(rng.uniform(1e-3, 1e-1))
+        oracle = lambda z: float(0.5 * z @ hessian @ z + b @ z)
+        got = estimator.central_estimate(oracle, x, estimator.CoordinateSample(indices), delta)
+        expected = np.zeros(p)
+        expected[list(indices)] = (p / n_c) * (hessian @ x + b)[list(indices)]
+        scale = max(float(np.abs(expected).max()), 1.0)
+        worst = max(worst, float(np.abs(got - expected).max()) / scale)
+    return worst < 1e-9, f"worst rel err={worst:.2e}"
+
+
+def _check_subset_average() -> tuple[bool, str]:
+    problem = problems.make_quadratic_toy(1, 6, seed=3, zeta=0.4)
+    rng = np.random.default_rng(0)
+    realization = problem.sample(0, rng)  # fixed for every evaluation
+    oracle = lambda z: problem.evaluate(0, z, realization)
+    x = rng.standard_normal(6)
+    delta = 0.05
+    base = oracle(x)
+    full = np.array([(oracle(x + delta * np.eye(6)[j]) - base) / delta for j in range(6)])
+    subsets = list(combinations(range(6), 2))
+    total = np.zeros(6)
+    for subset in subsets:
+        total += estimator.forward_estimate(oracle, x, estimator.CoordinateSample(subset), delta)
+    worst = float(np.abs(total / len(subsets) - full).max())
+    return len(subsets) == 15 and worst < 1e-10, f"max err={worst:.2e}"
+
+
+def _check_reduction() -> tuple[bool, str]:
+    toy = problems.make_quadratic_toy(4, 6, seed=3, zeta=0.3)
+    benchmark = problems.ClassificationProblem(problems.make_synthetic_classification(seed=7))
+    cases = [
+        ("toy", graph.erdos_renyi(4, 0.8, seed=1), toy, 150),
+        ("benchmark", graph.erdos_renyi(10, 0.4, seed=7), benchmark, 200),
+    ]
+    passed = True
+    details = []
+    for name, topo, problem, horizon in cases:
+        profile = graph.laplacian_spectrum(topo)
+        eta, smoothing = dynamics.theorem_schedule(topo.n, problem.dimension, horizon)
+        for est in dynamics.ESTIMATORS:
+            params = dynamics.HyperParams(
+                alpha=0.9 * profile.alpha_max,
+                eta=eta,
+                T=horizon,
+                gamma=1.0,
+                estimator=est,
+                smoothing=smoothing,
+            )
+            plain = dynamics.run(topo, problem, params, algorithm="zoom", seed=9)
+            transformed = dynamics.run(topo, problem, params, algorithm="zoom_pb", seed=9)
+            identical = metrics.records_match(
+                plain.records, transformed.records
+            ) and np.array_equal(plain.final_state.iterates, transformed.final_state.iterates)
+            passed = passed and identical
+            details.append(f"{name}/{est}={'ok' if identical else 'MISMATCH'}")
+    # Trajectories cannot tell +0.0 from -0.0 in an estimate, so the
+    # transform itself must return its input bit for bit at gamma = 1.
+    probe = np.array([-0.0, 0.0, 5e-324, -2.5, 1e300, -np.inf])
+    if dynamics.powerball(probe, 1.0).tobytes() != probe.tobytes():
+        passed = False
+        details.append("powerball(v, 1) is not v bit for bit")
+    return passed, ", ".join(details)
+
+
+def _check_gradient_vs_differences() -> tuple[bool, str]:
+    worst = 0.0
+    for dataset_seed in (0, 1, 2):
+        dataset = problems.make_synthetic_classification(seed=dataset_seed)
+        rng = np.random.default_rng(100 + dataset_seed)
+        agent = int(rng.integers(dataset.n_agents))
+        sl = dataset.shard_slice(agent)
+        features = dataset.train_features[sl]
+        labels = dataset.train_labels[sl].astype(float)
+        loss = lambda z: float(np.mean((labels - problems.sigmoid(features @ z)) ** 2))
+        for _ in range(5):
+            x = rng.standard_normal(dataset.d)
+            analytic = problems.nlls_true_gradient(dataset, agent, x)
+            finite = np.zeros(dataset.d)
+            for j in range(dataset.d):
+                step = np.zeros(dataset.d)
+                step[j] = 1e-5
+                finite[j] = (loss(x + step) - loss(x - step)) / 2e-5
+            rel = float(np.linalg.norm(finite - analytic) / np.linalg.norm(analytic))
+            worst = max(worst, rel)
+    return worst <= 1e-5, f"worst rel err={worst:.2e}"
+
+
+def _check_consensus_contraction() -> tuple[bool, str]:
+    # with eta = 0 a round is exactly the mixing x <- (I - alpha L) x
     topo = graph.Topology(3, np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float))
     profile = graph.laplacian_spectrum(topo)
     problem = problems.make_quadratic_toy(3, 4, seed=0)
     params = dynamics.HyperParams(alpha=0.9 * profile.alpha_max, eta=0.0, T=1)
     streams = dynamics.RunStreams.from_seed(0, 3)
     state = dynamics.SwarmState(np.random.default_rng(9).standard_normal((3, 4)), 0)
+    mixing = np.eye(3) - params.alpha * profile.laplacian
     previous = metrics.consensus_error(state.iterates)
     for _ in range(300):
-        state = dynamics.zoom_step(state, profile, params, problem, streams)
+        expected = mixing @ state.iterates
+        state = dynamics.step(state, profile, params, problem, streams, "zoom")
         current = metrics.consensus_error(state.iterates)
-        assert current <= previous + 1e-12
+        if not np.allclose(state.iterates, expected, atol=1e-12) or current > previous + 1e-12:
+            return False, f"round {state.k} is not a contracting mixing step"
         previous = current
-    assert previous < 1e-6
+    return previous < 1e-6, f"consensus error {previous:.2e} after 300 rounds"
 
 
-def _check_gradient_vs_differences() -> None:
-    dataset = problems.make_synthetic_classification(40, 10, 6, 2, seed=8)
-    x = np.random.default_rng(3).standard_normal(6)
-    analytic = problems.nlls_true_gradient(dataset, 0, x)
-    sl = dataset.shard_slice(0)
-    feats = dataset.train_features[sl]
-    labels = dataset.train_labels[sl].astype(float)
-    loss = lambda z: float(np.mean((labels - problems.sigmoid(feats @ z)) ** 2))
-    fd = np.zeros(6)
-    for j in range(6):
-        e = np.zeros(6)
-        e[j] = 1e-5
-        fd[j] = (loss(x + e) - loss(x - e)) / 2e-5
-    assert np.linalg.norm(fd - analytic) <= 1e-5 * max(np.linalg.norm(analytic), 1e-12)
-
-
-def _check_mean_drift() -> None:
+def _check_mean_drift() -> tuple[bool, str]:
+    # the mean iterate moves by -eta times the average estimate: mixing cancels
     topo = graph.erdos_renyi(4, 0.9, seed=0)
     profile = graph.laplacian_spectrum(topo)
     problem = problems.make_quadratic_toy(4, 5, seed=1, zeta=0.2)
-    eta, smoothing = dynamics.theorem_schedule(4, 5, 100)
+    eta, smoothing = dynamics.theorem_schedule(4, 5, 200)
     params = dynamics.HyperParams(
-        alpha=0.5 * profile.alpha_max, eta=eta, T=100, gamma=1.0, smoothing=smoothing
+        alpha=0.5 * profile.alpha_max, eta=eta, T=200, smoothing=smoothing
     )
     streams = dynamics.RunStreams.from_seed(4, 4)
-    shadow = dynamics.RunStreams.from_seed(4, 4)
-    state = dynamics.SwarmState(np.zeros((4, 5)), 0)
-    for _ in range(5):
-        nxt = dynamics.zoom_step(state, profile, params, problem, streams)
-        total = np.zeros(5)
+    shadow = dynamics.RunStreams.from_seed(4, 4)  # replays the same draws
+    state = dynamics.SwarmState(np.random.default_rng(2).standard_normal((4, 5)), 0)
+    passed, worst = True, 0.0
+    for _ in range(10):
+        nxt = dynamics.step(state, profile, params, problem, streams, "zoom")
         delta = params.smoothing.delta(5, 4, state.k)
+        total = np.zeros(5)
         for i in range(4):
             xi = problem.sample(i, shadow.data[i])
             coords = estimator.sample_coordinates(5, 1, shadow.coords[i])
             total += estimator.forward_estimate(
                 lambda z, a=i, r=xi: problem.evaluate(a, z, r), state.iterates[i], coords, delta
             )
-        predicted = state.mean_iterate - params.eta / 4 * total
-        assert np.allclose(nxt.mean_iterate, predicted, atol=1e-10)
+        predicted = state.mean_iterate - params.eta / 4.0 * total
+        passed = passed and np.allclose(nxt.mean_iterate, predicted, atol=1e-10)
+        worst = max(worst, float(np.abs(nxt.mean_iterate - predicted).max()))
         state = nxt
+    return passed, f"max mean-iterate err={worst:.2e} over 10 rounds"
 
 
-SELF_CHECKS = (
-    ("path-graph spectrum", _check_spectrum_path3),
-    ("two-agent spectrum", _check_spectrum_pair),
-    ("connectivity detection", _check_connectivity),
-    ("forward difference estimate", _check_forward_estimate),
-    ("central estimate exact on quadratics", _check_central_quadratic),
-    ("subset-average unbiasedness", _check_subset_average),
-    ("powerball gamma=1 reduction", _check_reduction),
-    ("consensus contraction", _check_consensus_contraction),
-    ("analytic gradient vs finite differences", _check_gradient_vs_differences),
-    ("mean-iterate drift identity", _check_mean_drift),
-)
+SELF_CHECKS = {
+    "spectra": _check_spectra,
+    "central estimate on quadratics": _check_central_quadratic,
+    "subset average": _check_subset_average,
+    "gamma = 1 reduction": _check_reduction,
+    "analytic gradient vs finite differences": _check_gradient_vs_differences,
+    "consensus contraction": _check_consensus_contraction,
+    "mean drift": _check_mean_drift,
+}
 
 
 def self_check(quiet: bool = False) -> bool:
-    """Run the invariant self-test battery; True iff every check passes."""
+    """Run every check in ``SELF_CHECKS``; True iff all of them pass."""
     all_passed = True
-    for name, check in SELF_CHECKS:
+    for name, check in SELF_CHECKS.items():
         try:
-            check()
+            passed, detail = check()
         except Exception as exc:  # report and keep going; the CLI surfaces the verdict
-            all_passed = False
-            if not quiet:
-                print(f"FAIL {name}: {exc!r}")
-        else:
-            if not quiet:
-                print(f"PASS {name}")
+            passed, detail = False, repr(exc)
+        all_passed = all_passed and passed
+        if not quiet:
+            print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
     return all_passed

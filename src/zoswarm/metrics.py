@@ -1,4 +1,4 @@
-"""Per-iteration metrics, run summaries, CSV emission, and assumption probes.
+"""Per-iteration metrics, run summaries and CSV emission.
 
 The gradients reported here are the problems' analytic full-batch gradients,
 a simulator privilege the algorithms never see: the convergence statements
@@ -10,14 +10,12 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass
-from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
 __all__ = [
     "IterationRecord",
-    "AssumptionProbe",
     "RunSummary",
     "CSV_FIELDS",
     "holder_norm_sq",
@@ -25,9 +23,8 @@ __all__ = [
     "capture_record",
     "summarize",
     "write_csv",
-    "read_csv",
+    "write_table",
     "records_match",
-    "probe_assumptions",
 ]
 
 CSV_FIELDS = (
@@ -60,22 +57,6 @@ class IterationRecord:
     consensus_err: float
     oracle_calls: int
     wall_ms: float
-
-
-@dataclass(frozen=True)
-class AssumptionProbe:
-    """Empirical lower bounds for the constants the analysis assumes exist.
-
-    Finite samples cannot certify the bounds; these are diagnostics, never
-    pass/fail gates.  ``zeta_hat`` is the largest observed per-coordinate
-    stochastic-gradient deviation, ``sigma2_hat`` the largest observed
-    local-vs-global gradient gap, ``lipschitz_hat`` the steepest observed
-    gradient difference quotient.
-    """
-
-    zeta_hat: float
-    sigma2_hat: float
-    lipschitz_hat: float
 
 
 @dataclass(frozen=True)
@@ -147,7 +128,38 @@ def summarize(trajectory) -> RunSummary:
     )
 
 
+def _write_atomically(path: Path, lines) -> None:
+    # temp file then rename, so readers never see a partial file
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _format_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, float):
+        return repr(value)  # shortest string that reads back to the same float
+    return str(value)
+
+
+def write_table(path: str | Path, fields, rows, comments=()) -> None:
+    """Write mapping ``rows`` as CSV columns ``fields`` below ``comments``, atomically."""
+    lines = [*comments, ",".join(fields)]
+    lines.extend(",".join(_format_cell(row[f]) for f in fields) for row in rows)
+    _write_atomically(Path(path), lines)
+
+
 def _format_row(record: IterationRecord) -> str:
+    # the cells write_table would give, formatted without its per-cell dispatch
     return ",".join(
         (
             str(record.k),
@@ -163,39 +175,7 @@ def _format_row(record: IterationRecord) -> str:
 
 def write_csv(records, path: str | Path) -> None:
     """Write records to ``path`` atomically (temp file then rename)."""
-    path = Path(path)
-    body = "\n".join([",".join(CSV_FIELDS)] + [_format_row(r) for r in records]) + "\n"
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(body)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def read_csv(path: str | Path) -> list[IterationRecord]:
-    """Read back a record CSV written by :func:`write_csv`."""
-    lines = [l for l in Path(path).read_text().splitlines() if l and not l.startswith("#")]
-    if not lines or lines[0] != ",".join(CSV_FIELDS):
-        raise ValueError(f"{path} does not carry the expected record header")
-    records = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        records.append(
-            IterationRecord(
-                k=int(parts[0]),
-                mean_train_loss=float(parts[1]),
-                grad_norm_sq=float(parts[2]),
-                grad_norm_1pg_sq=float(parts[3]),
-                consensus_err=float(parts[4]),
-                oracle_calls=int(parts[5]),
-                wall_ms=float(parts[6]),
-            )
-        )
-    return records
+    _write_atomically(Path(path), [",".join(CSV_FIELDS)] + [_format_row(r) for r in records])
 
 
 def records_match(a, b) -> bool:
@@ -213,48 +193,3 @@ def records_match(a, b) -> bool:
         ):
             return False
     return True
-
-
-def probe_assumptions(
-    problem,
-    sample_points,
-    draws_per_point: int = 4,
-    rng: np.random.Generator | None = None,
-) -> AssumptionProbe:
-    """Empirically probe gradient variance, similarity and smoothness.
-
-    ``zeta_hat`` scans per-coordinate deviations of stochastic gradients
-    from the local full-batch gradient; ``sigma2_hat`` scans local-vs-global
-    gradient gaps; ``lipschitz_hat`` scans difference quotients of the
-    stochastic gradient over all pairs of probe points under a shared
-    realization.
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    points = [np.asarray(x, dtype=float) for x in sample_points]
-    if not points:
-        raise ValueError("need at least one probe point")
-    zeta_hat = 0.0
-    sigma2_hat = 0.0
-    lipschitz_hat = 0.0
-    for x in points:
-        global_grad = problem.true_global_gradient(x)
-        for agent in range(problem.local_count):
-            local_grad = problem.true_local_gradient(agent, x)
-            sigma2_hat = max(sigma2_hat, float(np.linalg.norm(local_grad - global_grad)))
-            for _ in range(draws_per_point):
-                xi = problem.sample(agent, rng)
-                deviation = problem.stochastic_gradient(agent, x, xi) - local_grad
-                zeta_hat = max(zeta_hat, float(np.abs(deviation).max()))
-    for x, y in combinations(points, 2):
-        gap = float(np.linalg.norm(x - y))
-        if gap == 0.0:
-            continue
-        for agent in range(problem.local_count):
-            xi = problem.sample(agent, rng)
-            num = np.linalg.norm(
-                problem.stochastic_gradient(agent, x, xi)
-                - problem.stochastic_gradient(agent, y, xi)
-            )
-            lipschitz_hat = max(lipschitz_hat, float(num) / gap)
-    return AssumptionProbe(zeta_hat=zeta_hat, sigma2_hat=sigma2_hat, lipschitz_hat=lipschitz_hat)

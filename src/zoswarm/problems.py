@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -27,10 +26,6 @@ __all__ = [
     "nlls_true_gradient",
     "make_quadratic_toy",
     "accuracy",
-    "save_samples",
-    "load_samples",
-    "dataset_to_files",
-    "dataset_from_files",
 ]
 
 
@@ -377,33 +372,3 @@ def make_quadratic_toy(
     if centers is None:
         centers = np.random.default_rng(seed).standard_normal((n_agents, p)) * spread
     return QuadraticToyProblem(centers, zeta=zeta)
-
-
-def save_samples(path: str | Path, features: np.ndarray, labels: np.ndarray) -> None:
-    """Write samples as text rows: the feature values then the label."""
-    table = np.column_stack([features, np.asarray(labels, dtype=float)])
-    np.savetxt(path, table, fmt="%.17g")
-
-
-def load_samples(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Read samples written by :func:`save_samples`."""
-    table = np.loadtxt(path, ndmin=2)
-    return table[:, :-1], table[:, -1].astype(np.int64)
-
-
-def dataset_to_files(dataset: ClassificationDataset, train_path, test_path) -> None:
-    save_samples(train_path, dataset.train_features, dataset.train_labels)
-    save_samples(test_path, dataset.test_features, dataset.test_labels)
-
-
-def dataset_from_files(train_path, test_path, n_agents: int) -> ClassificationDataset:
-    train_features, train_labels = load_samples(train_path)
-    test_features, test_labels = load_samples(test_path)
-    n_train = train_features.shape[0]
-    if n_agents > n_train:
-        raise ValueError("cannot shard fewer training samples than agents")
-    base = n_train // n_agents
-    bounds = tuple(
-        (i * base, (i + 1) * base if i < n_agents - 1 else n_train) for i in range(n_agents)
-    )
-    return ClassificationDataset(train_features, train_labels, test_features, test_labels, bounds)

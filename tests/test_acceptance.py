@@ -1,28 +1,28 @@
 """Acceptance battery: one test per criterion, each printing a PASS/FAIL line.
 
 Criteria 1 and 2 share one full-scale benchmark battery (about two to three
-minutes); criteria 4 and 5 share the quadratic-toy trend runs.  Run with
+minutes); criteria 4 and 5 share the quadratic-toy trend runs.  Criteria 3
+and 6-9 run their invariant check from ``zoswarm.harness.SELF_CHECKS``, the
+same checks ``zoswarm check`` runs.  Run with
 ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion lines.
 """
 
 import math
-from itertools import combinations
 
 import numpy as np
 import pytest
 
 from zoswarm.dynamics import HyperParams, run, theorem_schedule
-from zoswarm.estimator import CoordinateSample, SmoothingSchedule, central_estimate, forward_estimate
-from zoswarm.graph import Topology, erdos_renyi, laplacian_spectrum
-from zoswarm.harness import bundled_config, gamma_sweep, record_csv_fingerprint, run_battery
-from zoswarm.metrics import records_match, summarize
-from zoswarm.problems import (
-    ClassificationProblem,
-    make_quadratic_toy,
-    make_synthetic_classification,
-    nlls_true_gradient,
-    sigmoid,
+from zoswarm.graph import erdos_renyi, laplacian_spectrum
+from zoswarm.harness import (
+    SELF_CHECKS,
+    bundled_config,
+    gamma_sweep,
+    record_csv_fingerprint,
+    run_battery,
 )
+from zoswarm.metrics import summarize
+from zoswarm.problems import make_quadratic_toy
 
 
 def _report(number: int, name: str, passed: bool, detail: str = "") -> None:
@@ -94,37 +94,8 @@ def test_criterion_02_acceleration_ordering(benchmark_battery):
 
 
 def test_criterion_03_reduction_identity():
-    toy_topo = erdos_renyi(4, 0.8, seed=1)
-    toy_profile = laplacian_spectrum(toy_topo)
-    toy_problem = make_quadratic_toy(4, 6, seed=3, zeta=0.3)
-    bench_topo = erdos_renyi(10, 0.4, seed=7)
-    bench_profile = laplacian_spectrum(bench_topo)
-    bench_problem = ClassificationProblem(make_synthetic_classification(seed=7))
-    cases = [
-        ("toy", toy_topo, toy_profile, toy_problem, 150),
-        ("benchmark", bench_topo, bench_profile, bench_problem, 200),
-    ]
-    passed = True
-    details = []
-    for name, topo, profile, problem, horizon in cases:
-        for estimator in ("forward", "central"):
-            eta, smoothing = theorem_schedule(topo.n, problem.dimension, horizon)
-            params = HyperParams(
-                alpha=0.9 * profile.alpha_max,
-                eta=eta,
-                T=horizon,
-                gamma=1.0,
-                estimator=estimator,
-                smoothing=smoothing,
-            )
-            plain = run(topo, problem, params, algorithm="zoom", seed=9)
-            transformed = run(topo, problem, params, algorithm="zoom_pb", seed=9)
-            identical = records_match(plain.records, transformed.records) and np.array_equal(
-                plain.final_state.iterates, transformed.final_state.iterates
-            )
-            passed = passed and identical
-            details.append(f"{name}/{estimator}={'ok' if identical else 'MISMATCH'}")
-    _report(3, "gamma=1 powerball trajectory is bit-identical", passed, ", ".join(details))
+    passed, detail = SELF_CHECKS["gamma = 1 reduction"]()
+    _report(3, "gamma=1 powerball trajectory is bit-identical", passed, detail)
 
 
 def test_criterion_04_consensus_error_scaling(toy_trend_summaries):
@@ -144,84 +115,23 @@ def test_criterion_05_stationarity_trend(toy_trend_summaries):
 
 
 def test_criterion_06_estimator_subset_unbiasedness():
-    problem = make_quadratic_toy(1, 6, seed=3, zeta=0.4)
-    rng = np.random.default_rng(0)
-    realization = problem.sample(0, rng)  # fixed for every evaluation
-    oracle = lambda z: problem.evaluate(0, z, realization)
-    x = rng.standard_normal(6)
-    delta = 0.05
-    base = oracle(x)
-    full = np.array([(oracle(x + delta * np.eye(6)[j]) - base) / delta for j in range(6)])
-    subsets = list(combinations(range(6), 2))
-    assert len(subsets) == 15
-    total = np.zeros(6)
-    for subset in subsets:
-        total += forward_estimate(oracle, x, CoordinateSample(subset), delta)
-    worst = float(np.abs(total / len(subsets) - full).max())
-    _report(6, "exhaustive subset average equals full differences", worst < 1e-10, f"max err={worst:.2e}")
+    passed, detail = SELF_CHECKS["subset average"]()
+    _report(6, "exhaustive subset average equals full differences", passed, detail)
 
 
 def test_criterion_07_central_quadratic_exactness():
-    rng = np.random.default_rng(6)
-    worst = 0.0
-    for _ in range(100):
-        p = int(rng.integers(2, 9))
-        raw = rng.standard_normal((p, p))
-        hessian = raw + raw.T
-        b = rng.standard_normal(p)
-        x = rng.standard_normal(p)
-        n_c = int(rng.integers(1, p + 1))
-        indices = tuple(int(i) for i in rng.choice(p, size=n_c, replace=False))
-        delta = float(rng.uniform(1e-3, 1e-1))
-        oracle = lambda z: float(0.5 * z @ hessian @ z + b @ z)
-        got = central_estimate(oracle, x, CoordinateSample(indices), delta)
-        expected = np.zeros(p)
-        expected[list(indices)] = (p / n_c) * (hessian @ x + b)[list(indices)]
-        scale = max(float(np.abs(expected).max()), 1.0)
-        worst = max(worst, float(np.abs(got - expected).max()) / scale)
-    _report(7, "central estimate exact on quadratics (100 trials)", worst < 1e-9, f"worst rel err={worst:.2e}")
+    passed, detail = SELF_CHECKS["central estimate on quadratics"]()
+    _report(7, "central estimate exact on quadratics (100 trials)", passed, detail)
 
 
 def test_criterion_08_spectral_oracle():
-    p3 = Topology(3, np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float))
-    p3_profile = laplacian_spectrum(p3)
-    p3_eigs = np.linalg.eigvalsh(p3_profile.laplacian)
-    p3_ok = (
-        np.allclose(p3_eigs, [0.0, 1.0, 3.0], atol=1e-10)
-        and abs(p3_profile.alpha_max - 1.0 / 18.0) < 1e-10
-    )
-    k2 = Topology(2, np.array([[0.0, 1.0], [1.0, 0.0]]))
-    k2_profile = laplacian_spectrum(k2)
-    k2_ok = abs(k2_profile.alpha_max - 0.25) < 1e-12
-    _report(
-        8,
-        "spectral oracle on the path and pair graphs",
-        p3_ok and k2_ok,
-        f"p3 alpha_max={p3_profile.alpha_max:.12g}, k2 alpha_max={k2_profile.alpha_max:.12g}",
-    )
+    passed, detail = SELF_CHECKS["spectra"]()
+    _report(8, "spectral oracle on the path and pair graphs", passed, detail)
 
 
 def test_criterion_09_gradient_vs_finite_differences():
-    worst = 0.0
-    for dataset_seed in (0, 1, 2):
-        dataset = make_synthetic_classification(seed=dataset_seed)
-        rng = np.random.default_rng(100 + dataset_seed)
-        agent = int(rng.integers(dataset.n_agents))
-        sl = dataset.shard_slice(agent)
-        features = dataset.train_features[sl]
-        labels = dataset.train_labels[sl].astype(float)
-        loss = lambda z: float(np.mean((labels - sigmoid(features @ z)) ** 2))
-        for _ in range(5):
-            x = rng.standard_normal(dataset.d)
-            analytic = nlls_true_gradient(dataset, agent, x)
-            finite = np.zeros(dataset.d)
-            for j in range(dataset.d):
-                step = np.zeros(dataset.d)
-                step[j] = 1e-5
-                finite[j] = (loss(x + step) - loss(x - step)) / 2e-5
-            rel = float(np.linalg.norm(finite - analytic) / np.linalg.norm(analytic))
-            worst = max(worst, rel)
-    _report(9, "analytic gradients match central differences", worst <= 1e-5, f"worst rel err={worst:.2e}")
+    passed, detail = SELF_CHECKS["analytic gradient vs finite differences"]()
+    _report(9, "analytic gradients match central differences", passed, detail)
 
 
 def test_criterion_10_gamma_robustness():

@@ -73,6 +73,39 @@ def test_run_reports_non_finite_oracle(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: oracle returned a non-finite value")
 
 
+def test_run_rejects_unusable_out(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "toy.cfg" / "x"  # below a file, so it cannot be created
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot use") and str(out) in err
+
+
+def test_sweep_rejects_unusable_out(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "toy.cfg" / "x"
+    assert main(["sweep", "--config", str(cfg), "--gammas", "0.7", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot use") and str(out) in err
+
+
+def test_run_rejects_duplicate_seeds_and_malformed_values(tmp_path, capsys):
+    for old, new, message in (
+        ("run.seeds = 1,2", "run.seeds = 1,1", "duplicate master seed 1"),
+        ("run.T = 60", "run.T = twenty", "line 10: run.T = 'twenty' is not an integer"),
+    ):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TOY_CFG.replace(old, new))
+        assert main(["run", "--config", str(bad), "--quiet"]) == 2
+        assert message in capsys.readouterr().err
+
+
+def test_sweep_rejects_duplicate_gammas(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    assert main(["sweep", "--config", str(cfg), "--gammas", "0.5,0.5", "--quiet"]) == 2
+    assert "duplicate algorithm label 'zoom_pb_g0.5_forward'" in capsys.readouterr().err
+
+
 def test_sweep_subcommand(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     code = main(

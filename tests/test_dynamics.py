@@ -1,22 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zoswarm.dynamics import (
     DivergenceError,
     HyperParams,
     RunStreams,
     SwarmState,
-    consensus_term,
     powerball,
     run,
+    step,
     theorem_schedule,
-    zoom_pb_step,
-    zoom_step,
 )
 from zoswarm.estimator import SmoothingSchedule, forward_estimate, sample_coordinates
-from zoswarm.graph import Topology, erdos_renyi, laplacian_spectrum
-from zoswarm.metrics import consensus_error, records_match
+from zoswarm.graph import SpectralProfile, Topology, erdos_renyi, laplacian_spectrum
+from zoswarm.harness import SELF_CHECKS
+from zoswarm.metrics import records_match
 from zoswarm.problems import make_quadratic_toy
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+VECTORS = st.lists(FINITE, min_size=1, max_size=40).map(np.array)
+GAMMAS = st.floats(0.05, 1.0)
 
 
 def path3_profile():
@@ -28,10 +33,13 @@ class TestPowerball:
     def test_square_roots_with_sign(self):
         assert np.array_equal(powerball(np.array([4.0, -4.0, 0.0]), 0.5), [2.0, -2.0, 0.0])
 
-    def test_gamma_one_is_identity(self):
-        v = np.random.default_rng(0).standard_normal(20)
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=40).map(np.array))
+    def test_gamma_one_is_identity(self, v):
+        # bit for bit, with signed zeros, infinities and NaNs always among the entries
+        v = np.append(v, [-0.0, 0.0, -np.inf, np.nan])
         out = powerball(v, 1.0)
-        assert np.array_equal(out, v)
+        assert out.tobytes() == v.tobytes()
         assert out is not v  # no aliasing of the input buffer
 
     def test_unit_entries_are_fixed_points(self):
@@ -46,37 +54,44 @@ class TestPowerball:
             assert np.array_equal(np.sign(out), np.sign(v))
             assert np.allclose(np.abs(out), np.abs(v) ** gamma, atol=1e-14)
 
-    def test_odd_and_monotone(self):
-        rng = np.random.default_rng(2)
-        v = rng.standard_normal(30)
-        assert np.allclose(powerball(-v, 0.7), -powerball(v, 0.7), atol=1e-14)
-        x = np.sort(rng.standard_normal(30))
-        assert np.all(np.diff(powerball(x, 0.6)) >= 0.0)
+    @settings(max_examples=200, deadline=None)
+    @given(VECTORS, GAMMAS)
+    def test_odd_and_monotone(self, v, gamma):
+        assert np.array_equal(powerball(-v, gamma), -powerball(v, gamma))
+        x = np.sort(v)
+        assert np.all(np.diff(powerball(x, gamma)) >= 0.0)
 
 
 class TestConsensusTerm:
+    """The Laplacian mixing part of ``step``, isolated by ``eta = 0``."""
+
+    @staticmethod
+    def mix(profile, iterates, alpha):
+        params = HyperParams(alpha=alpha, eta=0.0, T=1)
+        n, p = iterates.shape
+        problem = make_quadratic_toy(n, p, seed=0)
+        state = SwarmState(iterates, 0)
+        return step(state, profile, params, problem, RunStreams.from_seed(0, n), "zoom").iterates
+
     def test_identical_rows_annihilated(self):
         _, profile = path3_profile()
-        state = SwarmState(np.tile([2.0, -1.0], (3, 1)), 0)
-        for i in range(3):
-            assert np.allclose(consensus_term(profile, state, i), 0.0, atol=1e-12)
+        rows = np.tile([2.0, -1.0], (3, 1))
+        assert np.allclose(self.mix(profile, rows, 0.05), rows, atol=1e-12)
 
     def test_two_agent_hand_value(self):
-        topo = Topology(2, np.array([[0.0, 1.0], [1.0, 0.0]]))
-        profile = laplacian_spectrum(topo)
-        state = SwarmState(np.array([[1.0], [0.0]]), 0)
-        assert consensus_term(profile, state, 0) == np.array([1.0])
-        assert consensus_term(profile, state, 1) == np.array([-1.0])
+        profile = laplacian_spectrum(Topology(2, np.array([[0.0, 1.0], [1.0, 0.0]])))
+        mixed = self.mix(profile, np.array([[1.0], [0.0]]), 0.25)
+        assert np.array_equal(mixed, [[0.75], [0.25]])
 
     def test_isolated_agent_contributes_nothing(self):
         # disconnected in weights; unit-testable even though runs reject it
-        topo = Topology(3, np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=float))
-        lap = np.diag(topo.weights.sum(axis=1)) - topo.weights
-        from zoswarm.graph import SpectralProfile
-
+        weights = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=float)
+        lap = np.diag(weights.sum(axis=1)) - weights
         profile = SpectralProfile(laplacian=lap, rho2=2.0, rho_l2=4.0, alpha_max=0.25)
-        state = SwarmState(np.random.default_rng(0).standard_normal((3, 2)), 0)
-        assert np.array_equal(consensus_term(profile, state, 2), [0.0, 0.0])
+        start = np.random.default_rng(0).standard_normal((3, 2))
+        mixed = self.mix(profile, start, 0.2)
+        assert np.array_equal(mixed[2], start[2])
+        assert not np.array_equal(mixed[0], start[0])
 
 
 class TestHyperParams:
@@ -119,25 +134,12 @@ class TestTheoremSchedule:
 
 class TestSteps:
     def test_eta_zero_is_pure_consensus_contraction(self):
-        topo, profile = path3_profile()
-        problem = make_quadratic_toy(3, 4, seed=0)
-        params = HyperParams(alpha=0.9 * profile.alpha_max, eta=0.0, T=1)
-        streams = RunStreams.from_seed(0, 3)
-        state = SwarmState(np.random.default_rng(5).standard_normal((3, 4)), 0)
-        mixing = np.eye(3) - params.alpha * profile.laplacian
-        previous = consensus_error(state.iterates)
-        for _ in range(50):
-            expected = mixing @ state.iterates
-            state = zoom_step(state, profile, params, problem, streams)
-            assert np.allclose(state.iterates, expected, atol=1e-12)
-            current = consensus_error(state.iterates)
-            assert current <= previous + 1e-12
-            previous = current
+        passed, detail = SELF_CHECKS["consensus contraction"]()
+        assert passed, detail
 
     def test_alpha_zero_single_agent_is_coordinate_descent(self):
         # with one agent and no mixing the update is exactly x - eta * g
         from zoswarm.estimator import central_estimate
-        from zoswarm.graph import SpectralProfile
 
         profile = SpectralProfile(laplacian=np.zeros((1, 1)), rho2=0.0, rho_l2=0.0, alpha_max=0.0)
         problem = make_quadratic_toy(1, 3, seed=2, zeta=0.0)
@@ -145,7 +147,7 @@ class TestSteps:
         streams = RunStreams.from_seed(7, 1)
         shadow = RunStreams.from_seed(7, 1)
         state = SwarmState(np.array([[1.0, -2.0, 0.5]]), 0)
-        nxt = zoom_step(state, profile, params, problem, streams)
+        nxt = step(state, profile, params, problem, streams, "zoom")
         xi = problem.sample(0, shadow.data[0])
         coords = sample_coordinates(3, 1, shadow.coords[0])
         delta = params.smoothing.delta(3, 1, 0)
@@ -165,7 +167,7 @@ class TestSteps:
         streams = RunStreams.from_seed(21, 2)
         shadow = RunStreams.from_seed(21, 2)
         state = SwarmState(np.array([[1.0, 0.0], [0.0, 1.0]]), 0)
-        nxt = zoom_step(state, profile, params, problem, streams)
+        nxt = step(state, profile, params, problem, streams, "zoom")
         delta = params.smoothing.delta(2, 2, 0)
         expected = np.empty((2, 2))
         for i in range(2):
@@ -196,7 +198,7 @@ class TestSteps:
         streams = RunStreams.from_seed(9, 5)
         shadow = RunStreams.from_seed(9, 5)
         state = SwarmState(np.random.default_rng(8).standard_normal((5, 4)), 0)
-        nxt = zoom_step(state, profile, params, problem, streams)
+        nxt = step(state, profile, params, problem, streams, "zoom")
         delta = params.smoothing.delta(4, 5, 0)
         permuted = np.empty((5, 4))
         for i in reversed(range(5)):
@@ -241,14 +243,12 @@ class TestSteps:
                 n_c=2,
                 smoothing=smoothing,
             )
-            nxt = zoom_pb_step(state, profile, params, SignProblem(), RunStreams.from_seed(0, 2))
+            nxt = step(state, profile, params, SignProblem(), RunStreams.from_seed(0, 2), "zoom_pb")
             outputs.append(nxt.iterates)
         assert np.array_equal(outputs[0], outputs[1])
         assert np.array_equal(outputs[0], outputs[2])
 
     def test_single_agent_powerball_halves_a_four(self):
-        from zoswarm.graph import SpectralProfile
-
         class FlatSlope:
             dimension = 1
             local_count = 1
@@ -268,7 +268,7 @@ class TestSteps:
             smoothing=SmoothingSchedule(mode="fixed", fixed_value=0.25),
         )
         state = SwarmState(np.array([[10.0]]), 0)
-        nxt = zoom_pb_step(state, profile, params, FlatSlope(), RunStreams.from_seed(1, 1))
+        nxt = step(state, profile, params, FlatSlope(), RunStreams.from_seed(1, 1), "zoom_pb")
         assert np.allclose(nxt.iterates, [[8.0]], atol=1e-12)  # sigma(4, 0.5) = 2
 
     def test_divergence_guard_reports_iteration_and_agent(self):
@@ -293,37 +293,15 @@ class TestSteps:
         )
         state = SwarmState(np.zeros((2, 2)), 3)
         with pytest.raises(DivergenceError) as info:
-            zoom_step(state, profile, params, Explosive(), RunStreams.from_seed(0, 2))
+            step(state, profile, params, Explosive(), RunStreams.from_seed(0, 2), "zoom")
         assert info.value.k == 3
         assert info.value.agent == 0
 
 
 class TestMeanDynamics:
     def test_mean_iterate_moves_by_average_estimate(self):
-        topo = erdos_renyi(4, 0.9, seed=0)
-        profile = laplacian_spectrum(topo)
-        problem = make_quadratic_toy(4, 5, seed=1, zeta=0.2)
-        eta, smoothing = theorem_schedule(4, 5, 200)
-        params = HyperParams(alpha=0.5 * profile.alpha_max, eta=eta, T=200, smoothing=smoothing)
-        streams = RunStreams.from_seed(4, 4)
-        shadow = RunStreams.from_seed(4, 4)
-        state = SwarmState(np.random.default_rng(2).standard_normal((4, 5)), 0)
-        for _ in range(10):
-            nxt = zoom_step(state, profile, params, problem, streams)
-            delta = params.smoothing.delta(5, 4, state.k)
-            total = np.zeros(5)
-            for i in range(4):
-                xi = problem.sample(i, shadow.data[i])
-                coords = sample_coordinates(5, 1, shadow.coords[i])
-                total += forward_estimate(
-                    lambda z, a=i, r=xi: problem.evaluate(a, z, r),
-                    state.iterates[i],
-                    coords,
-                    delta,
-                )
-            predicted = state.mean_iterate - params.eta / 4.0 * total
-            assert np.allclose(nxt.mean_iterate, predicted, atol=1e-10)
-            state = nxt
+        passed, detail = SELF_CHECKS["mean drift"]()
+        assert passed, detail
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zoswarm.graph import (
     GraphSamplingError,
@@ -7,8 +9,6 @@ from zoswarm.graph import (
     erdos_renyi,
     is_connected,
     laplacian_spectrum,
-    load_edge_list,
-    save_edge_list,
 )
 
 
@@ -39,7 +39,7 @@ class TestTopology:
 
     def test_degrees_and_edges(self):
         topo = path3()
-        assert np.array_equal(topo.degrees, [1.0, 2.0, 1.0])
+        assert np.array_equal(np.diag(laplacian_spectrum(topo).laplacian), [1.0, 2.0, 1.0])
         assert topo.edges() == [(0, 1, 1.0), (1, 2, 1.0)]
 
 
@@ -51,7 +51,7 @@ class TestErdosRenyi:
 
     def test_three_nodes_prob_one_is_complete_triangle(self):
         topo = erdos_renyi(3, 1.0, seed=5)
-        assert np.array_equal(topo.degrees, [2.0, 2.0, 2.0])
+        assert np.array_equal(topo.weights, np.ones((3, 3)) - np.eye(3))
 
     def test_seed_determinism_and_connectivity(self):
         a = erdos_renyi(10, 0.4, seed=7)
@@ -161,26 +161,32 @@ class TestLaplacianSpectrum:
             ) < 1e-15 * max(1.0, profile.alpha_max)
 
 
-class TestEdgeListRoundTrip:
-    def test_roundtrip_preserves_weights(self, tmp_path):
-        topo = erdos_renyi(8, 0.5, seed=4)
-        path = tmp_path / "graph.txt"
-        save_edge_list(topo, path)
-        loaded = load_edge_list(path)
-        assert loaded.n == topo.n
-        assert np.array_equal(loaded.weights, topo.weights)
+@st.composite
+def connected_topologies(draw):
+    """A random spanning tree plus random extra edges, all with positive weights."""
+    n = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weight = st.floats(0.1, 10.0)
+    weights = np.zeros((n, n))
+    order = rng.permutation(n)
+    for k in range(1, n):
+        i, j = order[k], order[rng.integers(k)]
+        weights[i, j] = weights[j, i] = draw(weight)
+    for i, j in zip(*np.triu_indices(n, k=1)):
+        if weights[i, j] == 0.0 and draw(st.booleans()):
+            weights[i, j] = weights[j, i] = draw(weight)
+    return Topology(n, weights)
 
-    def test_comments_and_explicit_n(self, tmp_path):
-        path = tmp_path / "graph.txt"
-        path.write_text("# a comment\n0 1 2.5  # inline note\n\n1 2 1.0\n")
-        topo = load_edge_list(path, n=4)
-        assert topo.n == 4
-        assert topo.weights[0, 1] == 2.5
-        assert topo.weights[2, 1] == 1.0
-        assert topo.weights[3].sum() == 0.0
 
-    def test_rejects_malformed_lines(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("0 1\n")
-        with pytest.raises(ValueError, match="malformed"):
-            load_edge_list(path)
+@settings(max_examples=100, deadline=None)
+@given(connected_topologies())
+def test_laplacian_properties_on_random_connected_graphs(topo):
+    # zero row sums: agents that already agree feel no consensus pull
+    profile = laplacian_spectrum(topo)
+    lap = profile.laplacian
+    scale = topo.weights.sum(axis=1).max()
+    assert np.all(np.abs(lap.sum(axis=1)) <= 1e-12 * scale)
+    assert np.array_equal(lap, lap.T)
+    assert np.linalg.eigvalsh(lap).min() >= -1e-9 * scale
+    assert profile.alpha_max == profile.rho2 / (2.0 * profile.rho_l2)
+    assert profile.alpha_max > 0.0

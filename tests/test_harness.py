@@ -18,7 +18,7 @@ from zoswarm.harness import (
     run_battery,
     self_check,
 )
-from zoswarm.metrics import read_csv, records_match, summarize
+from zoswarm.metrics import records_match, summarize
 
 TOY_CFG = """
 problem.name = quadratic_toy
@@ -82,6 +82,35 @@ class TestConfigParsing:
         text = "run.T = 5\n# comment\nrun.seeds = 1\n run.T=6  # again\n"
         with pytest.raises(ConfigError, match=r"line 4: duplicate key 'run.T', first set on line 1"):
             parse_config(text)
+
+    def test_duplicate_seeds_and_labels_fail_validation(self):
+        cfg = parse_config("run.seeds = 1,2,1\nalgorithms = zoom\n")
+        with pytest.raises(ConfigError, match="duplicate master seed 1"):
+            cfg.validate()
+        cfg = parse_config("run.seeds = 1\nalgorithms = zoom,zoom_pb,zoom\n")
+        with pytest.raises(ConfigError, match="duplicate algorithm label 'zoom'"):
+            cfg.validate()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("run.T = twenty\n", "line 1: run.T = 'twenty' is not an integer"),
+            ("run.seeds = 1, x\n", "line 1: run.seeds = 'x' is not an integer"),
+            ("# note\nrun.init_scale = big\n", "line 2: run.init_scale = 'big' is not a number"),
+            (
+                "algorithms = zoom\nalgorithm.zoom.n_c = two\n",
+                "line 2: algorithm.zoom.n_c = 'two' is not an integer",
+            ),
+            (
+                "defaults.eta = fast\nalgorithms = zoom\n",
+                "line 1: defaults.eta = 'fast' is not 'theorem' or a number",
+            ),
+        ],
+    )
+    def test_malformed_values_name_key_and_line(self, text, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert str(info.value) == message
 
     def test_empty_algorithms_fails_validation(self):
         cfg = parse_config("problem.name = quadratic_toy\nrun.seeds = 1\n")
@@ -230,6 +259,8 @@ class TestBattery:
     def test_seed_override(self):
         result = run_battery(toy_config(), quiet=True, seeds=[9])
         assert {r.seed for r in result.runs} == {9}
+        with pytest.raises(ConfigError, match="duplicate master seed 9"):
+            run_battery(toy_config(), quiet=True, seeds=[9, 9])
 
     def test_agent_count_mismatch_rejected(self):
         cfg = toy_config()
@@ -313,6 +344,11 @@ class TestGammaSweep:
     def test_empty_gamma_list_rejected(self):
         with pytest.raises(ConfigError, match="gamma"):
             gamma_sweep(toy_config(), [])
+
+    def test_repeated_gamma_rejected(self):
+        # both values print as g0.5 and would share one label
+        with pytest.raises(ConfigError, match="duplicate algorithm label 'zoom_pb_g0.5_forward'"):
+            gamma_sweep(toy_config(), [0.5, 0.5000001], quiet=True)
 
     def test_gamma_one_matches_plain_run_summary(self):
         cfg = toy_config()

@@ -4,8 +4,6 @@ import pytest
 from zoswarm.problems import (
     ClassificationProblem,
     accuracy,
-    dataset_from_files,
-    dataset_to_files,
     make_quadratic_toy,
     make_synthetic_classification,
     nlls_evaluate,
@@ -254,15 +252,3 @@ class TestQuadraticToy:
                 e[j] = 1e-5
                 fd[j] = (problem.local_loss(2, x + e) - problem.local_loss(2, x - e)) / 2e-5
             assert np.linalg.norm(fd - analytic) <= 1e-5 * max(1.0, np.linalg.norm(analytic))
-
-
-class TestDatasetFiles:
-    def test_roundtrip(self, tmp_path):
-        ds = make_synthetic_classification(30, 10, 4, 3, seed=9)
-        dataset_to_files(ds, tmp_path / "train.txt", tmp_path / "test.txt")
-        back = dataset_from_files(tmp_path / "train.txt", tmp_path / "test.txt", 3)
-        assert np.array_equal(back.train_features, ds.train_features)
-        assert np.array_equal(back.train_labels, ds.train_labels)
-        assert np.array_equal(back.test_features, ds.test_features)
-        assert np.array_equal(back.test_labels, ds.test_labels)
-        assert back.shard_bounds == ds.shard_bounds
