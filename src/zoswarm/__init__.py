@@ -41,11 +41,9 @@ from .harness import (
     BatteryResult,
     ConfigError,
     ExperimentConfig,
-    bundled_config,
     gamma_sweep,
     load_config,
     parse_config,
-    run_baseline_dsgd,
     run_battery,
     self_check,
 )

@@ -29,7 +29,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_arg(run_p)
     run_p.add_argument("--out", default=None, help="output directory for CSVs")
     run_p.add_argument("--seed", type=int, default=None, help="override the config seed list")
-    run_p.add_argument("--jobs", type=int, default=None, help="parallel (algorithm, seed) runs")
     run_p.add_argument("--quiet", action="store_true")
 
     sweep_p = sub.add_parser("sweep", help="sweep the powerball exponent on a config")
@@ -57,9 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     config = harness.load_config(args.config)
     seeds = [args.seed] if args.seed is not None else None
-    result = harness.run_battery(
-        config, out_dir=args.out, jobs=args.jobs, quiet=args.quiet, seeds=seeds
-    )
+    result = harness.run_battery(config, out_dir=args.out, quiet=args.quiet, seeds=seeds)
     if result.summary_path is not None and not args.quiet:
         print(f"[battery] summary written to {result.summary_path}")
     return 0
@@ -67,7 +64,13 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = harness.load_config(args.config)
-    gammas = [float(tok) for tok in args.gammas.split(",") if tok.strip()]
+    gammas = []
+    for token in (tok.strip() for tok in args.gammas.split(",")):
+        if token:
+            try:
+                gammas.append(float(token))
+            except ValueError:
+                raise harness.ConfigError(f"--gammas: {token!r} is not a number") from None
     harness.gamma_sweep(config, gammas, out_dir=args.out, quiet=args.quiet)
     return 0
 

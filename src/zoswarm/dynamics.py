@@ -8,8 +8,7 @@ moves against both the Laplacian disagreement with its neighbors and the
     x_{i,k+1} = x_{i,k} - alpha * sum_j L_ij x_{j,k} - eta * g~_{i,k}
 
 Randomness is split per (agent, purpose) from one master seed with
-counter-based spawn keys, so results never depend on update order or on the
-degree of parallelism.
+counter-based spawn keys, so results never depend on update order.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ DIVERGENCE_LIMIT = 1e12
 
 _PURPOSE_DATA = 0
 _PURPOSE_COORD = 1
-_PURPOSE_INIT = 2
 
 
 class DivergenceError(RuntimeError):
@@ -121,14 +119,13 @@ class SwarmState:
 class RunStreams:
     """One RNG stream per (agent, purpose), split from a master seed.
 
-    Purposes are data sampling, coordinate sampling, and initialization.
-    The split is counter-based (seed sequence spawn keys), so streams are
-    independent of thread scheduling and of each other.
+    Purposes are data sampling and coordinate sampling.  The split is
+    counter-based (seed sequence spawn keys), so streams are independent of
+    each other.
     """
 
     data: list[np.random.Generator]
     coords: list[np.random.Generator]
-    init: list[np.random.Generator]
 
     @classmethod
     def from_seed(cls, master_seed: int, n_agents: int) -> "RunStreams":
@@ -140,7 +137,6 @@ class RunStreams:
         return cls(
             data=[stream(i, _PURPOSE_DATA) for i in range(n_agents)],
             coords=[stream(i, _PURPOSE_COORD) for i in range(n_agents)],
-            init=[stream(i, _PURPOSE_INIT) for i in range(n_agents)],
         )
 
 
@@ -243,10 +239,8 @@ def run(
     algorithm: str = "zoom",
     seed: int = 0,
     record_every: int = 10,
-    init: str = "zeros",
-    init_scale: float = 1.0,
 ) -> Trajectory:
-    """Execute ``params.T`` synchronous rounds and record metrics along the way.
+    """Execute ``params.T`` synchronous rounds from the origin and record metrics.
 
     Fully deterministic given ``seed``: all randomness flows through
     per-(agent, purpose) streams split from it.  Records are captured at
@@ -264,9 +258,6 @@ def run(
             estimate replaced by the analytic stochastic gradient).
         seed: master seed for the run.
         record_every: metric recording cadence (iterations).
-        init: ``"zeros"`` starts every agent at the origin; ``"gaussian"``
-            draws i.i.d. normal rows scaled by ``init_scale`` from the
-            per-agent init streams.
 
     Returns:
         A :class:`Trajectory` of records plus the final swarm state.
@@ -288,12 +279,6 @@ def run(
         )
     n, p = topo.n, problem.dimension
     streams = RunStreams.from_seed(seed, n)
-    if init == "zeros":
-        start = np.zeros((n, p))
-    elif init == "gaussian":
-        start = np.stack([streams.init[i].standard_normal(p) * init_scale for i in range(n)])
-    else:
-        raise ValueError(f"init must be 'zeros' or 'gaussian', got {init!r}")
 
     if algorithm == "dsgd":
         calls_per_round = n
@@ -303,7 +288,7 @@ def run(
         calls_per_round = n * 2 * params.n_c
 
     started = time.perf_counter()
-    state = SwarmState(start, 0)
+    state = SwarmState(np.zeros((n, p)), 0)
     records = [capture_record(problem, state.iterates, 0, params.gamma, 0, 0.0)]
     for k in range(params.T):
         state = step(state, profile, params, problem, streams, algorithm)

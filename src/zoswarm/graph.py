@@ -5,9 +5,6 @@ consensus step size for the swarm update is governed by two spectral
 quantities of the graph Laplacian ``L``: its smallest positive eigenvalue
 ``rho2`` and the spectral radius of ``L^2``.  ``laplacian_spectrum`` packages
 both together with the Laplacian itself, so callers never recompute them.
-
-All operations here are pure functions on immutable inputs and are safe to
-call concurrently.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Experiment orchestration: config files, batteries, sweeps, baselines.
+"""Experiment orchestration: config files, batteries, sweeps, self checks.
 
 Configs are flat ``key = value`` lines with dotted section prefixes
 (``topology.n = 10``); ``#`` starts a comment.  A battery runs every
@@ -12,7 +12,6 @@ from __future__ import annotations
 import importlib.resources
 import math
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 from pathlib import Path
@@ -29,12 +28,10 @@ __all__ = [
     "BatteryResult",
     "parse_config",
     "load_config",
-    "bundled_config",
     "build_problem",
     "build_topology",
     "resolve_hyperparams",
     "run_battery",
-    "run_baseline_dsgd",
     "gamma_sweep",
     "record_csv_fingerprint",
     "SELF_CHECKS",
@@ -111,9 +108,6 @@ class ExperimentConfig:
     T: int = 1000
     record_every: int = 10
     out_dir: str | None = None
-    jobs: int = 1
-    init: str = "zeros"
-    init_scale: float = 1.0
 
     def validate(self) -> None:
         if not self.algorithms:
@@ -124,8 +118,6 @@ class ExperimentConfig:
             raise ConfigError("run.T must be nonnegative")
         if self.record_every < 1:
             raise ConfigError("run.record_every must be at least 1")
-        if self.jobs < 1:
-            raise ConfigError("run.jobs must be at least 1")
         _reject_duplicates("master seed", self.seeds)
         _reject_duplicates("algorithm label", [spec.label for spec in self.algorithms])
 
@@ -139,31 +131,27 @@ def _reject_duplicates(what: str, items) -> None:
         seen.add(item)
 
 
-def _coerce(value: str):
-    lowered = value.lower()
-    if lowered in ("true", "yes", "on"):
-        return True
-    if lowered in ("false", "no", "off"):
-        return False
-    try:
-        return int(value)
-    except ValueError:
-        pass
-    try:
-        return float(value)
-    except ValueError:
-        pass
-    return value
-
-
 # run.* keys: ExperimentConfig attribute and value type
 _RUN_KEYS = {
     "run.T": ("T", int),
     "run.record_every": ("record_every", int),
     "run.out": ("out_dir", str),
-    "run.jobs": ("jobs", int),
-    "run.init": ("init", str),
-    "run.init_scale": ("init_scale", float),
+}
+
+# problem.* and topology.* settings and their value types; build_problem
+# rejects a setting its problem does not take
+_SETTINGS = {
+    "problem": {
+        "name": str,
+        "n_train": int,
+        "n_test": int,
+        "d": int,
+        "n_agents": int,
+        "seed": int,
+        "p": int,
+        "zeta": float,
+    },
+    "topology": {"n": int, "prob": float, "seed": int},
 }
 
 
@@ -219,10 +207,9 @@ def parse_config(text: str) -> ExperimentConfig:
     labels: list[str] = []
 
     for key, value in pairs.items():
-        if key.startswith("problem."):
-            cfg.problem[key[len("problem.") :]] = _coerce(value)
-        elif key.startswith("topology."):
-            cfg.topology[key[len("topology.") :]] = _coerce(value)
+        section, _, name = key.partition(".")
+        if name in _SETTINGS.get(section, ()):
+            getattr(cfg, section)[name] = typed(key, value, _SETTINGS[section][name])
         elif key.startswith("defaults."):
             defaults[key[len("defaults.") :]] = key
         elif key.startswith("algorithm."):
@@ -279,14 +266,6 @@ def _bundled_resource(name: str):
     return importlib.resources.files("zoswarm").joinpath("configs", name)
 
 
-def bundled_config(name: str) -> ExperimentConfig:
-    """Load one of the configs shipped inside the package (e.g. ``paper_iv_a``)."""
-    resource = _bundled_resource(name)
-    if not resource.is_file():
-        raise ConfigError(f"no bundled config named {resource.name!r}")
-    return parse_config(resource.read_text())
-
-
 def build_problem(cfg: ExperimentConfig) -> problems.StochasticProblem:
     """Instantiate the configured problem."""
     spec = dict(cfg.problem)
@@ -299,17 +278,15 @@ def build_problem(cfg: ExperimentConfig) -> problems.StochasticProblem:
             n_agents=spec.pop("n_agents", 10),
             seed=spec.pop("seed", 0),
         )
-        shared = spec.pop("shared_pool", False)
         if spec:
             raise ConfigError(f"unknown classification settings: {sorted(spec)}")
-        return problems.ClassificationProblem(dataset, shared_pool=shared)
+        return problems.ClassificationProblem(dataset)
     if name == "quadratic_toy":
         toy = problems.make_quadratic_toy(
             n_agents=spec.pop("n_agents", 5),
             p=spec.pop("p", 10),
             seed=spec.pop("seed", 0),
             zeta=spec.pop("zeta", 0.0),
-            spread=spec.pop("spread", 1.0),
         )
         if spec:
             raise ConfigError(f"unknown quadratic_toy settings: {sorted(spec)}")
@@ -443,19 +420,6 @@ def _output_dir(path: str | Path | None) -> Path | None:
     return target
 
 
-def _execute(tasks, jobs: int):
-    """Run the (callable,) task list, optionally on a thread pool.
-
-    Each run owns its RNG streams, so results are independent of the degree
-    of parallelism; only file writes need the per-file atomic rename.
-    """
-    if jobs <= 1 or len(tasks) <= 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(task) for task in tasks]
-        return [f.result() for f in futures]
-
-
 def run_battery(
     config: ExperimentConfig,
     out_dir: str | Path | None = None,
@@ -470,6 +434,9 @@ def run_battery(
     purely in memory otherwise.  Rerunning with identical config and seeds
     reproduces byte-identical outputs apart from the wall-clock column.
     """
+    # only jobs=1 callers remain; ROADMAP item 1 removes the keyword
+    if jobs not in (None, 1):
+        raise ValueError(f"run_battery runs serially; jobs must be None or 1, got {jobs!r}")
     if seeds is not None:
         config = replace(config, seeds=list(seeds))
     config.validate()
@@ -488,8 +455,9 @@ def run_battery(
 
     target = _output_dir(out_dir if out_dir is not None else config.out_dir or None)
 
-    def make_task(spec: AlgorithmSpec, params: dynamics.HyperParams, seed: int):
-        def task() -> RunResult:
+    runs = []
+    for spec, params, _ in resolved:
+        for seed in config.seeds:
             trajectory = dynamics.run(
                 topo,
                 problem,
@@ -497,32 +465,22 @@ def run_battery(
                 algorithm=spec.kind,
                 seed=seed,
                 record_every=config.record_every,
-                init=config.init,
-                init_scale=config.init_scale,
             )
-            summary = metrics.summarize(trajectory)
             csv_path = None
             if target is not None:
                 csv_path = target / f"{spec.label}_seed{seed}.csv"
                 metrics.write_csv(trajectory.records, csv_path)
-            return RunResult(
-                label=spec.label,
-                kind=spec.kind,
-                seed=seed,
-                params=params,
-                trajectory=trajectory,
-                summary=summary,
-                csv_path=csv_path,
+            runs.append(
+                RunResult(
+                    label=spec.label,
+                    kind=spec.kind,
+                    seed=seed,
+                    params=params,
+                    trajectory=trajectory,
+                    summary=metrics.summarize(trajectory),
+                    csv_path=csv_path,
+                )
             )
-
-        return task
-
-    tasks = [
-        make_task(spec, params, seed)
-        for spec, params, _ in resolved
-        for seed in config.seeds
-    ]
-    runs = _execute(tasks, jobs if jobs is not None else config.jobs)
 
     summary_rows = []
     comments = [_SUMMARY_NOTE]
@@ -555,37 +513,6 @@ def run_battery(
         metrics.write_table(summary_path, SUMMARY_FIELDS, summary_rows, comments)
     return BatteryResult(
         runs=runs, summary_rows=summary_rows, out_dir=target, summary_path=summary_path
-    )
-
-
-def run_baseline_dsgd(config: ExperimentConfig, seed: int | None = None) -> dynamics.Trajectory:
-    """Run the first-order reference baseline once.
-
-    Same loop structure and RNG discipline as the zeroth-order runs; only
-    the gradient construction differs (the analytic per-sample gradient
-    replaces the estimate), so the realization draws match those of a
-    zeroth-order run with the same seed.
-    """
-    config.validate()
-    problem = build_problem(config)
-    topo = build_topology(config)
-    profile = graph.laplacian_spectrum(topo)
-    spec = AlgorithmSpec(label="dsgd", kind="dsgd")
-    if config.algorithms:
-        base = config.algorithms[0]
-        spec.eta = base.eta
-        spec.alpha = base.alpha
-        spec.alpha_frac = base.alpha_frac
-    params, _ = resolve_hyperparams(spec, profile, topo.n, problem.dimension, config.T)
-    return dynamics.run(
-        topo,
-        problem,
-        params,
-        algorithm="dsgd",
-        seed=seed if seed is not None else config.seeds[0],
-        record_every=config.record_every,
-        init=config.init,
-        init_scale=config.init_scale,
     )
 
 

@@ -214,27 +214,18 @@ class ClassificationProblem(StochasticProblem):
     """Stochastic view of the classification benchmark, batch size 1.
 
     A realization ``xi`` is a uniformly drawn training index from the
-    agent's own shard (with replacement across iterations).  With
-    ``shared_pool=True`` every agent draws from the whole training set
-    instead, and local statistics coincide with the global ones.
+    agent's own shard (with replacement across iterations).
     """
 
-    def __init__(self, dataset: ClassificationDataset, shared_pool: bool = False):
+    def __init__(self, dataset: ClassificationDataset):
         self.dataset = dataset
-        self.shared_pool = bool(shared_pool)
         self.dimension = dataset.d
         self.local_count = dataset.n_agents
         self._features = dataset.train_features
         self._labels = dataset.train_labels.astype(float)
-        whole = slice(0, dataset.n_train)
-        self._shards = tuple(
-            whole if self.shared_pool else dataset.shard_slice(i) for i in range(self.local_count)
-        )
-        # row blocks whose products make up the full-batch responses
-        self._blocks = (whole,) if self.shared_pool else self._shards
+        self._shards = tuple(dataset.shard_slice(i) for i in range(self.local_count))
         # (x bytes, responses) of the last full-batch pass: a record asks for the
-        # gradient and the loss at the same point.  Replaced whole, never mutated,
-        # so runs sharing this problem across threads read a consistent pair.
+        # gradient and the loss at the same point.
         self._last_responses: tuple[bytes, np.ndarray] | None = None
 
     def sample(self, agent: int, rng: np.random.Generator) -> int:
@@ -278,7 +269,7 @@ class ClassificationProblem(StochasticProblem):
         if last is not None and last[0] == key:
             return last[1]
         t = np.zeros(self.dataset.n_train)
-        for sl in self._blocks:
+        for sl in self._shards:
             np.matmul(self._features[sl], x, out=t[sl])
         phi = sigmoid(t)
         self._last_responses = (key, phi)
@@ -359,16 +350,10 @@ class QuadraticToyProblem(StochasticProblem):
 
 
 def make_quadratic_toy(
-    n_agents: int,
-    p: int,
-    seed: int = 0,
-    zeta: float = 0.0,
-    spread: float = 1.0,
-    centers: np.ndarray | None = None,
+    n_agents: int, p: int, seed: int = 0, zeta: float = 0.0
 ) -> QuadraticToyProblem:
-    """Build a quadratic toy; centers default to seeded normals scaled by ``spread``."""
+    """Build a quadratic toy whose centers are seeded standard normals."""
     if p < 1 or n_agents < 1:
         raise ValueError("n_agents and p must be positive")
-    if centers is None:
-        centers = np.random.default_rng(seed).standard_normal((n_agents, p)) * spread
+    centers = np.random.default_rng(seed).standard_normal((n_agents, p))
     return QuadraticToyProblem(centers, zeta=zeta)

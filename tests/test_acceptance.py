@@ -16,8 +16,8 @@ from zoswarm.dynamics import HyperParams, run, theorem_schedule
 from zoswarm.graph import erdos_renyi, laplacian_spectrum
 from zoswarm.harness import (
     SELF_CHECKS,
-    bundled_config,
     gamma_sweep,
+    load_config,
     record_csv_fingerprint,
     run_battery,
 )
@@ -34,7 +34,7 @@ def _report(number: int, name: str, passed: bool, detail: str = "") -> None:
 
 @pytest.fixture(scope="module")
 def benchmark_battery(tmp_path_factory):
-    config = bundled_config("paper_iv_a")
+    config = load_config("paper_iv_a")
     out = tmp_path_factory.mktemp("paper_iv_a")
     return run_battery(config, out_dir=out, quiet=True), config
 
@@ -135,7 +135,7 @@ def test_criterion_09_gradient_vs_finite_differences():
 
 
 def test_criterion_10_gamma_robustness():
-    config = bundled_config("paper_iv_a")
+    config = load_config("paper_iv_a")
     config.seeds = [1]
     rows = gamma_sweep(config, [0.5, 0.7, 0.9, 1.0], quiet=True)
     passed = True
@@ -151,19 +151,18 @@ def test_criterion_10_gamma_robustness():
     _report(10, "gamma sweep finite and below initial loss", passed, ", ".join(finals))
 
 
-def test_criterion_11_battery_determinism(tmp_path):
-    config = bundled_config("toy_quadratic")
-    run_battery(config, out_dir=tmp_path / "first", jobs=1, quiet=True)
-    run_battery(config, out_dir=tmp_path / "second", jobs=1, quiet=True)
-    run_battery(config, out_dir=tmp_path / "parallel", jobs=4, quiet=True)
+def test_criterion_11_battery_determinism(tmp_path, standalone_runs):
+    config = load_config("toy_quadratic")
+    run_battery(config, out_dir=tmp_path / "first", quiet=True)
+    run_battery(config, out_dir=tmp_path / "second", quiet=True)
+    standalone_runs(config, tmp_path / "standalone")
     passed = True
     for path in sorted((tmp_path / "first").glob("*_seed*.csv")):
         reference = record_csv_fingerprint(path)
         passed = passed and record_csv_fingerprint(tmp_path / "second" / path.name) == reference
-        passed = passed and record_csv_fingerprint(tmp_path / "parallel" / path.name) == reference
-    for other in ("second", "parallel"):
-        passed = passed and (
-            (tmp_path / "first" / "summary.csv").read_bytes()
-            == (tmp_path / other / "summary.csv").read_bytes()
-        )
-    _report(11, "battery reruns byte-identical (sequential and parallel)", passed)
+        passed = passed and record_csv_fingerprint(tmp_path / "standalone" / path.name) == reference
+    passed = passed and (
+        (tmp_path / "first" / "summary.csv").read_bytes()
+        == (tmp_path / "second" / "summary.csv").read_bytes()
+    )
+    _report(11, "battery reruns byte-identical and equal to standalone runs", passed)

@@ -93,6 +93,7 @@ def test_run_rejects_duplicate_seeds_and_malformed_values(tmp_path, capsys):
     for old, new, message in (
         ("run.seeds = 1,2", "run.seeds = 1,1", "duplicate master seed 1"),
         ("run.T = 60", "run.T = twenty", "line 10: run.T = 'twenty' is not an integer"),
+        ("problem.p = 4", "problem.p = four", "line 4: problem.p = 'four' is not an integer"),
     ):
         bad = tmp_path / "bad.cfg"
         bad.write_text(TOY_CFG.replace(old, new))
@@ -104,6 +105,12 @@ def test_sweep_rejects_duplicate_gammas(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     assert main(["sweep", "--config", str(cfg), "--gammas", "0.5,0.5", "--quiet"]) == 2
     assert "duplicate algorithm label 'zoom_pb_g0.5_forward'" in capsys.readouterr().err
+
+
+def test_sweep_rejects_malformed_gammas(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    assert main(["sweep", "--config", str(cfg), "--gammas", "0.5,abc", "--quiet"]) == 2
+    assert "config error: --gammas: 'abc' is not a number" in capsys.readouterr().err
 
 
 def test_sweep_subcommand(tmp_path, capsys):
@@ -141,7 +148,7 @@ def test_check_subcommand_quiet():
     assert main(["check", "--quiet"]) == 0
 
 
-def test_bundled_config_resolves_by_name(tmp_path):
+def test_bundled_name_resolves(tmp_path):
     code = main(["run", "--config", "toy_quadratic", "--out", str(tmp_path / "o"), "--seed", "1", "--quiet"])
     assert code == 0
     assert (tmp_path / "o" / "summary.csv").exists()

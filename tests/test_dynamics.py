@@ -379,14 +379,6 @@ class TestRun:
         with pytest.raises(ValueError, match="agents"):
             run(topo, problem, params)
 
-    def test_gaussian_init_is_seeded_per_agent(self, toy_setup):
-        topo, profile, problem = toy_setup
-        params = HyperParams(alpha=0.5 * profile.alpha_max, eta=0.01, T=0)
-        a = run(topo, problem, params, seed=3, init="gaussian", init_scale=2.0)
-        b = run(topo, problem, params, seed=3, init="gaussian", init_scale=2.0)
-        assert np.array_equal(a.final_state.iterates, b.final_state.iterates)
-        assert not np.array_equal(a.final_state.iterates, np.zeros((4, 6)))
-
     def test_record_cadence_and_final_record(self, toy_setup):
         topo, profile, problem = toy_setup
         eta, smoothing = theorem_schedule(4, 6, 25)

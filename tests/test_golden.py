@@ -10,7 +10,7 @@ numerical change must update them and say so in CHANGES.md.
 
 import hashlib
 
-from zoswarm.harness import bundled_config, gamma_sweep, record_csv_fingerprint, run_battery
+from zoswarm.harness import gamma_sweep, load_config, record_csv_fingerprint, run_battery
 
 PAPER_IV_A_T30_SEED1 = "97f2bf2f28aec9ae92eaf8abba170a1cd68684857b3b4c86cdebc6e12018295c"
 TOY_QUADRATIC = "3614916294eeb1574eadacef3597e4b08e66e85818ece3fdc80e01fec1114c2f"
@@ -18,7 +18,7 @@ TOY_SWEEP_T200 = "789b78e7535962cbd50fd7e6ee9caf648425dad426287beced8727e18b50ef
 
 
 def battery_digest(config, out_dir) -> str:
-    battery = run_battery(config, out_dir=out_dir, jobs=1, quiet=True)
+    battery = run_battery(config, out_dir=out_dir, quiet=True)
     digest = hashlib.sha256()
     for run in battery.runs:
         digest.update(f"{run.label} seed{run.seed}\n".encode())
@@ -29,18 +29,18 @@ def battery_digest(config, out_dir) -> str:
 
 
 def test_paper_iv_a_short_battery_is_pinned(tmp_path):
-    config = bundled_config("paper_iv_a")
+    config = load_config("paper_iv_a")
     config.T = 30
     config.seeds = [1]
     assert battery_digest(config, tmp_path) == PAPER_IV_A_T30_SEED1
 
 
 def test_toy_quadratic_battery_is_pinned(tmp_path):
-    assert battery_digest(bundled_config("toy_quadratic"), tmp_path) == TOY_QUADRATIC
+    assert battery_digest(load_config("toy_quadratic"), tmp_path) == TOY_QUADRATIC
 
 
 def test_toy_quadratic_gamma_sweep_is_pinned(tmp_path):
-    config = bundled_config("toy_quadratic")
+    config = load_config("toy_quadratic")
     config.T = 200
     gamma_sweep(config, [0.5, 0.7, 1.0], out_dir=tmp_path, quiet=True)
     assert hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest() == TOY_SWEEP_T200

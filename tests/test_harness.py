@@ -9,16 +9,14 @@ from zoswarm.harness import (
     ExperimentConfig,
     build_problem,
     build_topology,
-    bundled_config,
     gamma_sweep,
+    load_config,
     parse_config,
     record_csv_fingerprint,
     resolve_hyperparams,
-    run_baseline_dsgd,
     run_battery,
     self_check,
 )
-from zoswarm.metrics import records_match, summarize
 
 TOY_CFG = """
 problem.name = quadratic_toy
@@ -96,7 +94,8 @@ class TestConfigParsing:
         [
             ("run.T = twenty\n", "line 1: run.T = 'twenty' is not an integer"),
             ("run.seeds = 1, x\n", "line 1: run.seeds = 'x' is not an integer"),
-            ("# note\nrun.init_scale = big\n", "line 2: run.init_scale = 'big' is not a number"),
+            ("# note\nproblem.p = four\n", "line 2: problem.p = 'four' is not an integer"),
+            ("topology.prob = dense\n", "line 1: topology.prob = 'dense' is not a number"),
             (
                 "algorithms = zoom\nalgorithm.zoom.n_c = two\n",
                 "line 2: algorithm.zoom.n_c = 'two' is not an integer",
@@ -125,7 +124,7 @@ class TestConfigParsing:
 
 class TestBundledConfigs:
     def test_benchmark_config_matches_protocol(self):
-        cfg = bundled_config("paper_iv_a")
+        cfg = load_config("paper_iv_a")
         assert cfg.problem["n_train"] == 2000
         assert cfg.problem["n_test"] == 200
         assert cfg.problem["d"] == 100
@@ -148,7 +147,7 @@ class TestBundledConfigs:
             assert a.smoothing == "scaled_fixed:10"
 
     def test_benchmark_smoothing_resolves_to_fixed_radius(self):
-        cfg = bundled_config("paper_iv_a")
+        cfg = load_config("paper_iv_a")
         topo = build_topology(cfg)
         profile = laplacian_spectrum(topo)
         params, faithful = resolve_hyperparams(cfg.algorithms[0], profile, 10, 100, cfg.T)
@@ -158,7 +157,7 @@ class TestBundledConfigs:
 
     def test_unknown_bundled_name(self):
         with pytest.raises(ConfigError, match="bundled"):
-            bundled_config("nope")
+            load_config("nope")
 
 
 class TestBuilders:
@@ -236,17 +235,29 @@ class TestBattery:
             tmp_path / "b" / "summary.csv"
         ).read_bytes()
 
-    def test_parallel_execution_matches_sequential(self, tmp_path):
-        cfg = toy_config()
-        run_battery(cfg, out_dir=tmp_path / "seq", jobs=1, quiet=True)
-        run_battery(cfg, out_dir=tmp_path / "par", jobs=4, quiet=True)
-        for path in sorted((tmp_path / "seq").glob("*_seed*.csv")):
+    def test_battery_matches_standalone_runs(self, tmp_path, standalone_runs):
+        # classification, so a record reads the problem's full-batch response cache
+        cfg = parse_config(
+            "problem.name = classification\nproblem.n_train = 200\nproblem.n_test = 40\n"
+            "problem.d = 12\nproblem.n_agents = 4\nproblem.seed = 5\n"
+            "topology.n = 4\ntopology.prob = 0.8\ntopology.seed = 2\n"
+            "run.T = 40\nrun.record_every = 5\nrun.seeds = 1,2,3\n"
+            "defaults.eta = 0.05\ndefaults.n_c = 3\ndefaults.smoothing = fixed:0.01\n"
+            "algorithms = zoom_fd,zoom_pb_cd,dsgd\nalgorithm.zoom_fd.kind = zoom\n"
+            "algorithm.zoom_pb_cd.kind = zoom_pb\nalgorithm.zoom_pb_cd.estimator = central\n"
+        )
+        run_battery(cfg, out_dir=tmp_path / "battery", quiet=True)
+        standalone_runs(cfg, tmp_path / "alone")
+        paths = sorted((tmp_path / "battery").glob("*_seed*.csv"))
+        assert len(paths) == 9
+        for path in paths:
             assert record_csv_fingerprint(path) == record_csv_fingerprint(
-                tmp_path / "par" / path.name
+                tmp_path / "alone" / path.name
             )
-        assert (tmp_path / "seq" / "summary.csv").read_bytes() == (
-            tmp_path / "par" / "summary.csv"
-        ).read_bytes()
+
+    def test_only_serial_execution(self):
+        with pytest.raises(ValueError, match="jobs must be None or 1"):
+            run_battery(toy_config(), quiet=True, jobs=2)
 
     def test_summary_medians_ignore_seed_order(self, tmp_path):
         cfg = toy_config()
@@ -276,19 +287,22 @@ class TestBattery:
 
 
 class TestBaseline:
+    """The first-order baseline runs as a battery entry of kind ``dsgd``."""
+
     def test_monotone_decrease_on_noiseless_toy(self):
         cfg = parse_config(
             "problem.name = quadratic_toy\nproblem.n_agents = 3\nproblem.p = 4\n"
             "problem.seed = 2\nproblem.zeta = 0.0\n"
             "topology.n = 3\ntopology.prob = 1.0\ntopology.seed = 0\n"
             "run.T = 200\nrun.seeds = 1\n"
-            "algorithms = zoom\nalgorithm.zoom.eta = 0.05\n"
+            "algorithms = dsgd\nalgorithm.dsgd.eta = 0.05\n"
         )
-        trajectory = run_baseline_dsgd(cfg)
+        (baseline,) = run_battery(cfg, quiet=True).runs
         problem = build_problem(cfg)
-        losses = [r.mean_train_loss for r in trajectory.records]
+        losses = [r.mean_train_loss for r in baseline.trajectory.records]
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
         assert losses[-1] - problem.optimal_value() < 1e-3
+        assert losses[-1] == 1.6813997998058285  # pinned bit for bit, like tests/test_golden.py
 
     def test_shares_realization_draws_with_zoom(self):
         cfg = toy_config()
@@ -330,14 +344,19 @@ class TestBaseline:
             "topology.n = 5\ntopology.prob = 0.6\ntopology.seed = 3\n"
             "run.T = 600\nrun.record_every = 50\nrun.seeds = 1,2,3,4,5\n"
             "defaults.eta = 0.05\ndefaults.smoothing = scaled_fixed:10\n"
-            "algorithms = zoom\n"
+            "algorithms = zoom,dsgd\n"
         )
         battery = run_battery(cfg, quiet=True)
-        zoom_median = battery.summary_rows[0]["median_final_loss"]
-        baseline_losses = [
-            summarize(run_baseline_dsgd(cfg, seed=s)).final_loss for s in cfg.seeds
+        zoom_row, dsgd_row = battery.summary_rows
+        assert dsgd_row["median_final_loss"] <= zoom_row["median_final_loss"]
+        # pinned bit for bit, like tests/test_golden.py
+        assert [r.summary.final_loss for r in battery.runs_for("dsgd")] == [
+            0.0748314786828805,
+            0.07508833805422328,
+            0.07380502833757613,
+            0.07415710692860644,
+            0.07477571843127229,
         ]
-        assert float(np.median(baseline_losses)) <= zoom_median
 
 
 class TestGammaSweep:

@@ -22,8 +22,8 @@ from zoswarm.estimator import (
 )
 from zoswarm.problems import (
     ClassificationProblem,
+    QuadraticToyProblem,
     StochasticProblem,
-    make_quadratic_toy,
     make_synthetic_classification,
     nlls_evaluate,
     sigmoid,
@@ -48,7 +48,7 @@ def classification_cases(draw):
     n_train = draw(st.integers(n_agents, 70))
     d = draw(st.integers(1, 24))
     dataset = make_synthetic_classification(n_train, 5, d, n_agents, seed=draw(st.integers(0, 99)))
-    problem = ClassificationProblem(dataset, shared_pool=draw(st.booleans()))
+    problem = ClassificationProblem(dataset)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     points = [rng.standard_normal(d) * draw(SCALES) for _ in range(2)]
     return problem, points
@@ -91,23 +91,23 @@ def test_classification_fused_diagnostics_match_per_agent_reductions(case):
 
 def test_classification_fused_diagnostics_on_misaligned_remainder_shard():
     # a fixed case of what the property test explores: a remainder shard
-    # whose rows do not start on a BLAS block boundary, and the shared pool
+    # whose rows do not start on a BLAS block boundary
     dataset = make_synthetic_classification(31, 5, 9, 4, seed=1)
     assert dataset.shard_bounds[-1] == (21, 31)
     x = np.random.default_rng(2).standard_normal(9)
-    for shared in (False, True):
-        problem = ClassificationProblem(dataset, shared_pool=shared)
-        assert (
-            problem.true_global_gradient(x).tobytes()
-            == StochasticProblem.true_global_gradient(problem, x).tobytes()
-        )
-        assert problem.full_loss(x) == StochasticProblem.full_loss(problem, x)
+    problem = ClassificationProblem(dataset)
+    assert (
+        problem.true_global_gradient(x).tobytes()
+        == StochasticProblem.true_global_gradient(problem, x).tobytes()
+    )
+    assert problem.full_loss(x) == StochasticProblem.full_loss(problem, x)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 40), st.integers(1, 30), st.integers(0, 2**32 - 1), SCALES)
 def test_toy_fused_diagnostics_match_per_agent_reductions(n_agents, p, seed, scale):
-    problem = make_quadratic_toy(n_agents, p, seed=seed % 1000, spread=scale)
+    centers = np.random.default_rng(seed % 1000).standard_normal((n_agents, p)) * scale
+    problem = QuadraticToyProblem(centers)
     x = np.random.default_rng(seed).standard_normal(p) * scale
     fused = problem.true_global_gradient(x)
     assert fused.tobytes() == StochasticProblem.true_global_gradient(problem, x).tobytes()

@@ -3,6 +3,7 @@ import pytest
 
 from zoswarm.problems import (
     ClassificationProblem,
+    QuadraticToyProblem,
     accuracy,
     make_quadratic_toy,
     make_synthetic_classification,
@@ -171,12 +172,6 @@ class TestClassificationProblem:
                 xi = problem.sample(agent, rng)
                 assert start <= xi < stop
 
-    def test_shared_pool_samples_whole_set(self, dataset):
-        problem = ClassificationProblem(dataset, shared_pool=True)
-        rng = np.random.default_rng(0)
-        draws = {problem.sample(3, rng) for _ in range(500)}
-        assert min(draws) < 200 and max(draws) >= 1800
-
     def test_global_gradient_is_average_of_locals(self, dataset):
         problem = ClassificationProblem(dataset)
         x = np.random.default_rng(4).standard_normal(100)
@@ -203,12 +198,12 @@ class TestClassificationProblem:
 
 class TestQuadraticToy:
     def test_identical_centers_have_zero_optimum(self):
-        problem = make_quadratic_toy(3, 2, centers=np.ones((3, 2)))
+        problem = QuadraticToyProblem(np.ones((3, 2)))
         assert np.array_equal(problem.centroid(), [1.0, 1.0])
         assert problem.optimal_value() == 0.0
 
     def test_two_agent_closed_form(self):
-        problem = make_quadratic_toy(2, 1, centers=np.array([[0.0], [2.0]]))
+        problem = QuadraticToyProblem(np.array([[0.0], [2.0]]))
         assert problem.centroid() == np.array([1.0])
         assert problem.optimal_value() == 0.5
         assert problem.full_loss(np.array([1.0])) == 0.5
