@@ -7,8 +7,8 @@ moves against both the Laplacian disagreement with its neighbors and the
 
     x_{i,k+1} = x_{i,k} - alpha * sum_j L_ij x_{j,k} - eta * g~_{i,k}
 
-Randomness is split per (agent, purpose) from one master seed with
-counter-based spawn keys, so results never depend on update order.
+Randomness flows through the two streams of :class:`RunStreams`, spawned
+from one master seed, so results depend only on the seed and agent order.
 """
 
 from __future__ import annotations
@@ -48,10 +48,6 @@ ESTIMATORS = ("forward", "central")
 # Any iterate entry beyond this magnitude aborts the run: a mis-set step
 # size with the powerball transform can overflow, and we fail loudly.
 DIVERGENCE_LIMIT = 1e12
-
-_PURPOSE_DATA = 0
-_PURPOSE_COORD = 1
-
 
 class DivergenceError(RuntimeError):
     """An agent iterate went non-finite or beyond the divergence guard."""
@@ -117,27 +113,19 @@ class SwarmState:
 
 @dataclass
 class RunStreams:
-    """One RNG stream per (agent, purpose), split from a master seed.
+    """A run's data and coordinate streams: ``SeedSequence(master_seed).spawn(2)``.
 
-    Purposes are data sampling and coordinate sampling.  The split is
-    counter-based (seed sequence spawn keys), so streams are independent of
-    each other.
+    Agents draw data from ``data`` in index order; ``coords`` yields one
+    coordinate block per round.  Neither depends on the agent count.
     """
 
-    data: list[np.random.Generator]
-    coords: list[np.random.Generator]
+    data: np.random.Generator
+    coords: np.random.Generator
 
     @classmethod
-    def from_seed(cls, master_seed: int, n_agents: int) -> "RunStreams":
-        def stream(agent: int, purpose: int) -> np.random.Generator:
-            return np.random.default_rng(
-                np.random.SeedSequence(master_seed, spawn_key=(agent, purpose))
-            )
-
-        return cls(
-            data=[stream(i, _PURPOSE_DATA) for i in range(n_agents)],
-            coords=[stream(i, _PURPOSE_COORD) for i in range(n_agents)],
-        )
+    def from_seed(cls, master_seed: int) -> "RunStreams":
+        data, coords = np.random.SeedSequence(master_seed).spawn(2)
+        return cls(data=np.random.default_rng(data), coords=np.random.default_rng(coords))
 
 
 @dataclass(frozen=True)
@@ -172,29 +160,29 @@ def step(
 
     ``"zoom_pb"`` passes each estimate through :func:`powerball`, ``"zoom"``
     uses it as is, and ``"dsgd"`` replaces it with the analytic stochastic
-    gradient.  Draws come from ``streams``, so replaying them with a second
-    ``RunStreams`` of the same seed reproduces the round.
+    gradient.  Replaying the round's coordinate block, then the agents' data
+    draws in index order, from a second ``RunStreams`` reproduces the round.
     """
     iterates = state.iterates
     n, p = iterates.shape
     # Per-run constants, looked up once per round rather than once per agent.
     # The estimator helpers stay module-global lookups so they can be patched.
     sample, evaluate = problem.sample, problem.evaluate
-    data, coords = streams.data, streams.coords
-    n_c, gamma = params.n_c, params.gamma
+    data, gamma = streams.data, params.gamma
     zeroth_order = algorithm != "dsgd"
+    coords = sample_coordinates(n, p, params.n_c, streams.coords) if zeroth_order else None
     transform = algorithm == "zoom_pb"
     estimate = forward_estimate if params.estimator == "forward" else central_estimate
     delta = params.smoothing.delta(p, n, state.k)
     steps = np.empty_like(iterates)
     for i in range(n):
         row = iterates[i]
-        xi = sample(i, data[i])
+        xi = sample(i, data)
         if zeroth_order:
             g = estimate(
                 lambda z, agent=i, realization=xi: evaluate(agent, z, realization),
                 row,
-                sample_coordinates(p, n_c, coords[i]),
+                coords[i],
                 delta,
             )
             if transform:
@@ -242,8 +230,8 @@ def run(
 ) -> Trajectory:
     """Execute ``params.T`` synchronous rounds from the origin and record metrics.
 
-    Fully deterministic given ``seed``: all randomness flows through
-    per-(agent, purpose) streams split from it.  Records are captured at
+    Fully deterministic given ``seed``: all randomness flows through the
+    two :class:`RunStreams` spawned from it.  Records are captured at
     iteration 0, every ``record_every`` rounds, and at the final round.
 
     Args:
@@ -254,7 +242,7 @@ def run(
         params: hyperparameters; ``alpha`` must lie in the open interval
             ``(0, alpha_max)`` of this topology's spectrum.
         algorithm: ``"zoom"``, ``"zoom_pb"``, or ``"dsgd"`` (the first-order
-            reference baseline, same loop and RNG discipline with the
+            reference baseline, same loop and data draws with the
             estimate replaced by the analytic stochastic gradient).
         seed: master seed for the run.
         record_every: metric recording cadence (iterations).
@@ -278,7 +266,7 @@ def run(
             f"alpha={params.alpha} must lie in (0, {profile.alpha_max:g}) for this topology"
         )
     n, p = topo.n, problem.dimension
-    streams = RunStreams.from_seed(seed, n)
+    streams = RunStreams.from_seed(seed)
 
     if algorithm == "dsgd":
         calls_per_round = n

@@ -98,15 +98,20 @@ class SmoothingSchedule:
         return self.kappa_delta / float(p * n_agents * (k + 1)) ** 0.25
 
 
-def sample_coordinates(p: int, n_c: int, rng: np.random.Generator) -> CoordinateSample:
-    """Draw ``n_c`` distinct coordinates uniformly from ``0..p-1``."""
+def sample_coordinates(
+    n: int, p: int, n_c: int, rng: np.random.Generator
+) -> list[CoordinateSample]:
+    """Draw ``n`` uniform ``n_c``-subsets of ``0..p-1`` from one ``(n, p)`` block.
+
+    Sample ``i`` is the positions of the ``n_c`` smallest uniforms in row ``i``,
+    which are equally likely to be any ``n_c`` of the ``p`` positions.
+    """
     if not 1 <= n_c <= p:
         raise ValueError(f"need 1 <= n_c <= p, got n_c={n_c}, p={p}")
-    if n_c == 1:
-        return CoordinateSample._trusted((int(rng.integers(p)),))
-    # choice without replacement already guarantees distinct in-range indices
-    draw = rng.choice(p, size=n_c, replace=False)
-    return CoordinateSample._trusted(tuple(sorted(draw.tolist())))
+    block = np.argpartition(rng.random((n, p)), n_c - 1, axis=1)[:, :n_c]
+    block.sort(axis=1)
+    # positions within a row are distinct, in range and now sorted
+    return [CoordinateSample._trusted(tuple(row)) for row in block.tolist()]
 
 
 def forward_estimate(

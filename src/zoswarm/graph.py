@@ -89,14 +89,15 @@ def erdos_renyi(n: int, prob: float, seed: int = 0, max_attempts: int = 100) -> 
     """Sample a connected Erdos-Renyi graph with unit edge weights.
 
     Every unordered pair of agents is linked independently with probability
-    ``prob``.  The sampler is deterministic for a fixed ``seed``; if the
-    draw comes out disconnected it retries with ``seed + 1``, ``seed + 2``,
-    ... up to ``max_attempts`` times before giving up.
+    ``prob``.  The sampler is deterministic for a fixed ``seed``: one
+    generator seeded with it serves the call, and each draw that comes out
+    disconnected is retried with the generator's next block, up to
+    ``max_attempts`` draws before giving up.
 
     Args:
         n: number of agents, at least 2.
         prob: edge probability in (0, 1].
-        seed: base seed for the edge draws.
+        seed: seed of the generator behind the edge draws.
         max_attempts: connectivity retry budget.
 
     Returns:
@@ -110,8 +111,8 @@ def erdos_renyi(n: int, prob: float, seed: int = 0, max_attempts: int = 100) -> 
     if not 0.0 < prob <= 1.0:
         raise ValueError("edge probability must lie in (0, 1]")
     upper = np.triu_indices(n, k=1)
-    for attempt in range(max_attempts):
-        rng = np.random.default_rng(seed + attempt)
+    rng = np.random.default_rng(seed)
+    for _ in range(max_attempts):
         draws = rng.random(n * (n - 1) // 2)
         weights = np.zeros((n, n))
         weights[upper] = (draws < prob).astype(float)
@@ -121,7 +122,7 @@ def erdos_renyi(n: int, prob: float, seed: int = 0, max_attempts: int = 100) -> 
             return topo
     raise GraphSamplingError(
         f"no connected graph of {n} agents at edge probability {prob} "
-        f"within {max_attempts} attempts starting from seed {seed}"
+        f"within {max_attempts} attempts from seed {seed}"
     )
 
 

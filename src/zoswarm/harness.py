@@ -12,6 +12,7 @@ from __future__ import annotations
 import importlib.resources
 import math
 import statistics
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 from pathlib import Path
@@ -118,6 +119,9 @@ class ExperimentConfig:
             raise ConfigError("run.T must be nonnegative")
         if self.record_every < 1:
             raise ConfigError("run.record_every must be at least 1")
+        for seed in self.seeds:
+            if seed < 0:
+                raise ConfigError(f"master seed {seed} is negative (run.seeds or --seed)")
         _reject_duplicates("master seed", self.seeds)
         _reject_duplicates("algorithm label", [spec.label for spec in self.algorithms])
 
@@ -159,6 +163,28 @@ def _eta(value: str) -> str | float:
     return value if value == "theorem" else float(value)
 
 
+def _smoothing_terms(token: str) -> tuple[str, float]:
+    """Mode and number of a smoothing spec; ValueError when it is malformed.
+
+    The grammar is ``theorem_decay[:<kappa>]`` (kappa 1 when left out),
+    ``fixed:<delta>`` or ``scaled_fixed:<c>``, each number positive.
+    """
+    head, _, arg = token.partition(":")
+    if head not in ("theorem_decay", "fixed", "scaled_fixed"):
+        raise ValueError(token)
+    if head == "theorem_decay" and not arg:
+        return head, 1.0
+    value = float(arg)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(token)
+    return head, value
+
+
+def _smoothing(value: str) -> str:
+    _smoothing_terms(value)
+    return value
+
+
 # AlgorithmSpec fields settable from a config and their value types
 _ALGORITHM_FIELDS = {
     "estimator": str,
@@ -167,10 +193,17 @@ _ALGORITHM_FIELDS = {
     "alpha": float,
     "alpha_frac": float,
     "n_c": int,
-    "smoothing": str,
+    "smoothing": _smoothing,
 }
 
-_EXPECTED = {int: "an integer", float: "a number", _eta: "'theorem' or a number"}
+_EXPECTED = {
+    int: "an integer",
+    float: "a number",
+    _eta: "'theorem' or a number",
+    _smoothing: (
+        "theorem_decay[:<kappa>], fixed:<delta> or scaled_fixed:<c> with a positive number"
+    ),
+}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -266,31 +299,41 @@ def _bundled_resource(name: str):
     return importlib.resources.files("zoswarm").joinpath("configs", name)
 
 
+@contextmanager
+def _config_errors(where: str):
+    """Re-raise a ValueError from building ``where`` as a ConfigError naming it."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
 def build_problem(cfg: ExperimentConfig) -> problems.StochasticProblem:
     """Instantiate the configured problem."""
     spec = dict(cfg.problem)
     name = spec.pop("name", None)
-    if name == "classification":
-        dataset = problems.make_synthetic_classification(
-            n_train=spec.pop("n_train", 2000),
-            n_test=spec.pop("n_test", 200),
-            d=spec.pop("d", 100),
-            n_agents=spec.pop("n_agents", 10),
-            seed=spec.pop("seed", 0),
-        )
-        if spec:
-            raise ConfigError(f"unknown classification settings: {sorted(spec)}")
-        return problems.ClassificationProblem(dataset)
-    if name == "quadratic_toy":
-        toy = problems.make_quadratic_toy(
-            n_agents=spec.pop("n_agents", 5),
-            p=spec.pop("p", 10),
-            seed=spec.pop("seed", 0),
-            zeta=spec.pop("zeta", 0.0),
-        )
-        if spec:
-            raise ConfigError(f"unknown quadratic_toy settings: {sorted(spec)}")
-        return toy
+    with _config_errors("problem"):
+        if name == "classification":
+            dataset = problems.make_synthetic_classification(
+                n_train=spec.pop("n_train", 2000),
+                n_test=spec.pop("n_test", 200),
+                d=spec.pop("d", 100),
+                n_agents=spec.pop("n_agents", 10),
+                seed=spec.pop("seed", 0),
+            )
+            if spec:
+                raise ConfigError(f"unknown classification settings: {sorted(spec)}")
+            return problems.ClassificationProblem(dataset)
+        if name == "quadratic_toy":
+            toy = problems.make_quadratic_toy(
+                n_agents=spec.pop("n_agents", 5),
+                p=spec.pop("p", 10),
+                seed=spec.pop("seed", 0),
+                zeta=spec.pop("zeta", 0.0),
+            )
+            if spec:
+                raise ConfigError(f"unknown quadratic_toy settings: {sorted(spec)}")
+            return toy
     raise ConfigError(f"unknown problem name {name!r}")
 
 
@@ -304,27 +347,22 @@ def build_topology(cfg: ExperimentConfig) -> graph.Topology:
         raise ConfigError(f"unknown topology settings: {sorted(spec)}")
     if n is None or prob is None:
         raise ConfigError("topology needs both 'n' and 'prob'")
-    return graph.erdos_renyi(int(n), float(prob), seed=int(seed))
+    with _config_errors("topology"):
+        return graph.erdos_renyi(int(n), float(prob), seed=int(seed))
 
 
 def _parse_smoothing(token: str, p: int, T: int) -> estimator.SmoothingSchedule:
-    head, _, arg = token.partition(":")
+    try:
+        head, value = _smoothing_terms(token)
+    except ValueError:
+        raise ConfigError(f"smoothing {token!r} is not {_EXPECTED[_smoothing]}") from None
     if head == "theorem_decay":
-        kappa = float(arg) if arg else 1.0
-        return estimator.SmoothingSchedule(kappa_delta=kappa, mode="theorem_decay")
-    if head == "fixed":
-        if not arg:
-            raise ConfigError("smoothing 'fixed' needs a value, e.g. fixed:0.01")
-        return estimator.SmoothingSchedule(mode="fixed", fixed_value=float(arg))
+        return estimator.SmoothingSchedule(kappa_delta=value, mode="theorem_decay")
     if head == "scaled_fixed":
-        if not arg:
-            raise ConfigError("smoothing 'scaled_fixed' needs a coefficient, e.g. scaled_fixed:10")
         if T < 1:
             raise ConfigError("scaled_fixed smoothing needs a positive horizon")
-        return estimator.SmoothingSchedule(
-            mode="fixed", fixed_value=float(arg) / math.sqrt(T * p)
-        )
-    raise ConfigError(f"unknown smoothing spec {token!r}")
+        value /= math.sqrt(T * p)
+    return estimator.SmoothingSchedule(mode="fixed", fixed_value=value)
 
 
 def resolve_hyperparams(
@@ -338,26 +376,32 @@ def resolve_hyperparams(
 
     Returns the parameters and a faithfulness label: ``theorem`` when both
     the gradient step and the smoothing follow the schedule from the
-    analysis, ``experiment`` when either is overridden explicitly.
+    analysis, ``experiment`` when either is overridden explicitly.  Any
+    value the run would reject raises a :class:`ConfigError` naming the label.
     """
-    smoothing = _parse_smoothing(spec.smoothing, p, T)
-    if spec.eta == "theorem":
-        eta, _ = dynamics.theorem_schedule(n_agents, p, max(T, 1))
-    else:
-        eta = float(spec.eta)
-    gamma = spec.gamma
-    if gamma is None:
-        gamma = 0.7 if spec.kind == "zoom_pb" else 1.0
-    alpha = spec.alpha if spec.alpha is not None else spec.alpha_frac * profile.alpha_max
-    params = dynamics.HyperParams(
-        alpha=alpha,
-        eta=eta,
-        T=T,
-        gamma=gamma,
-        n_c=spec.n_c,
-        estimator=spec.estimator,
-        smoothing=smoothing,
-    )
+    with _config_errors(f"algorithm {spec.label!r}"):
+        if spec.n_c > p:
+            raise ValueError(f"n_c = {spec.n_c} exceeds the dimension p = {p}")
+        smoothing = _parse_smoothing(spec.smoothing, p, T)
+        if spec.eta == "theorem":
+            eta, _ = dynamics.theorem_schedule(n_agents, p, max(T, 1))
+        else:
+            eta = float(spec.eta)
+        gamma = spec.gamma
+        if gamma is None:
+            gamma = 0.7 if spec.kind == "zoom_pb" else 1.0
+        alpha = spec.alpha if spec.alpha is not None else spec.alpha_frac * profile.alpha_max
+        if not 0.0 < alpha < profile.alpha_max:
+            raise ValueError(f"alpha = {alpha:g} must lie in (0, {profile.alpha_max:g})")
+        params = dynamics.HyperParams(
+            alpha=alpha,
+            eta=eta,
+            T=T,
+            gamma=gamma,
+            n_c=spec.n_c,
+            estimator=spec.estimator,
+            smoothing=smoothing,
+        )
     faithful = "theorem" if spec.eta == "theorem" and smoothing.mode == "theorem_decay" else "experiment"
     return params, faithful
 
@@ -609,12 +653,13 @@ def _check_central_quadratic() -> tuple[bool, str]:
         b = rng.standard_normal(p)
         x = rng.standard_normal(p)
         n_c = int(rng.integers(1, p + 1))
-        indices = tuple(int(i) for i in rng.choice(p, size=n_c, replace=False))
+        (sample,) = estimator.sample_coordinates(1, p, n_c, rng)
         delta = float(rng.uniform(1e-3, 1e-1))
         oracle = lambda z: float(0.5 * z @ hessian @ z + b @ z)
-        got = estimator.central_estimate(oracle, x, estimator.CoordinateSample(indices), delta)
+        got = estimator.central_estimate(oracle, x, sample, delta)
         expected = np.zeros(p)
-        expected[list(indices)] = (p / n_c) * (hessian @ x + b)[list(indices)]
+        indices = list(sample.indices)
+        expected[indices] = (p / n_c) * (hessian @ x + b)[indices]
         scale = max(float(np.abs(expected).max()), 1.0)
         worst = max(worst, float(np.abs(got - expected).max()) / scale)
     return worst < 1e-9, f"worst rel err={worst:.2e}"
@@ -703,7 +748,7 @@ def _check_consensus_contraction() -> tuple[bool, str]:
     profile = graph.laplacian_spectrum(topo)
     problem = problems.make_quadratic_toy(3, 4, seed=0)
     params = dynamics.HyperParams(alpha=0.9 * profile.alpha_max, eta=0.0, T=1)
-    streams = dynamics.RunStreams.from_seed(0, 3)
+    streams = dynamics.RunStreams.from_seed(0)
     state = dynamics.SwarmState(np.random.default_rng(9).standard_normal((3, 4)), 0)
     mixing = np.eye(3) - params.alpha * profile.laplacian
     previous = metrics.consensus_error(state.iterates)
@@ -726,19 +771,19 @@ def _check_mean_drift() -> tuple[bool, str]:
     params = dynamics.HyperParams(
         alpha=0.5 * profile.alpha_max, eta=eta, T=200, smoothing=smoothing
     )
-    streams = dynamics.RunStreams.from_seed(4, 4)
-    shadow = dynamics.RunStreams.from_seed(4, 4)  # replays the same draws
+    streams = dynamics.RunStreams.from_seed(4)
+    shadow = dynamics.RunStreams.from_seed(4)  # replays the same draws
     state = dynamics.SwarmState(np.random.default_rng(2).standard_normal((4, 5)), 0)
     passed, worst = True, 0.0
     for _ in range(10):
         nxt = dynamics.step(state, profile, params, problem, streams, "zoom")
         delta = params.smoothing.delta(5, 4, state.k)
         total = np.zeros(5)
+        coords = estimator.sample_coordinates(4, 5, 1, shadow.coords)
         for i in range(4):
-            xi = problem.sample(i, shadow.data[i])
-            coords = estimator.sample_coordinates(5, 1, shadow.coords[i])
+            xi = problem.sample(i, shadow.data)
             total += estimator.forward_estimate(
-                lambda z, a=i, r=xi: problem.evaluate(a, z, r), state.iterates[i], coords, delta
+                lambda z, a=i, r=xi: problem.evaluate(a, z, r), state.iterates[i], coords[i], delta
             )
         predicted = state.mean_iterate - params.eta / 4.0 * total
         passed = passed and np.allclose(nxt.mean_iterate, predicted, atol=1e-10)

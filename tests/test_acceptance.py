@@ -3,7 +3,8 @@
 Criteria 1 and 2 share one full-scale benchmark battery (about two to three
 minutes); criteria 4 and 5 share the quadratic-toy trend runs.  Criteria 3
 and 6-9 run their invariant check from ``zoswarm.harness.SELF_CHECKS``, the
-same checks ``zoswarm check`` runs.  Run with
+same checks ``zoswarm check`` runs.  Criteria 1, 2 and 10 carry the ``slow``
+marker, so ``pytest -m "not slow"`` is the quick loop.  Run with
 ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion lines.
 """
 
@@ -63,6 +64,7 @@ def toy_trend_summaries():
     return summaries
 
 
+@pytest.mark.slow
 def test_criterion_01_benchmark_accuracy(benchmark_battery):
     battery, _ = benchmark_battery
     rows = {row["algorithm"]: row for row in battery.summary_rows}
@@ -73,6 +75,7 @@ def test_criterion_01_benchmark_accuracy(benchmark_battery):
     _report(1, "benchmark median accuracy >= 90% over 5 seeds", passed, detail)
 
 
+@pytest.mark.slow
 def test_criterion_02_acceleration_ordering(benchmark_battery):
     battery, config = benchmark_battery
     horizon = config.T
@@ -134,6 +137,7 @@ def test_criterion_09_gradient_vs_finite_differences():
     _report(9, "analytic gradients match central differences", passed, detail)
 
 
+@pytest.mark.slow
 def test_criterion_10_gamma_robustness():
     config = load_config("paper_iv_a")
     config.seeds = [1]

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from zoswarm.cli import main
 from zoswarm.problems import QuadraticToyProblem
@@ -99,6 +100,39 @@ def test_run_rejects_duplicate_seeds_and_malformed_values(tmp_path, capsys):
         bad.write_text(TOY_CFG.replace(old, new))
         assert main(["run", "--config", str(bad), "--quiet"]) == 2
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "old, new, flags, message",
+    [
+        ("run.seeds = 1,2", "run.seeds = -1", [], "master seed -1 is negative"),
+        ("run.seeds = 1,2", "run.seeds = 1,2", ["--seed", "-1"], "master seed -1 is negative"),
+        ("problem.n_agents = 3", "problem.n_agents = 0", [], "problem: n_agents and p must"),
+        ("topology.prob = 1.0", "topology.prob = 1.5", [], "topology: edge probability"),
+        ("run.T = 60", "run.T = 60\ndefaults.gamma = -1", [], "algorithm 'zoom': gamma must"),
+        ("run.T = 60", "run.T = 60\ndefaults.eta = -0.1", [], "algorithm 'zoom': eta must"),
+        ("run.T = 60", "run.T = 60\ndefaults.alpha_frac = 2", [], "algorithm 'zoom': alpha = "),
+        (
+            "run.T = 60",
+            "run.T = 60\ndefaults.n_c = 9",
+            [],
+            "algorithm 'zoom': n_c = 9 exceeds the dimension p = 4",
+        ),
+        (
+            "run.T = 60",
+            "run.T = 60\ndefaults.smoothing = fixed:abc",
+            [],
+            "line 11: defaults.smoothing = 'fixed:abc' is not",
+        ),
+    ],
+)
+def test_run_rejects_out_of_range_values_before_any_run(tmp_path, capsys, old, new, flags, message):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(TOY_CFG.replace(old, new))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(bad), "--out", str(out), "--quiet", *flags]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not out.exists()  # set-up failed before the first run wrote anything
 
 
 def test_sweep_rejects_duplicate_gammas(tmp_path, capsys):

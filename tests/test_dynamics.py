@@ -71,7 +71,7 @@ class TestConsensusTerm:
         n, p = iterates.shape
         problem = make_quadratic_toy(n, p, seed=0)
         state = SwarmState(iterates, 0)
-        return step(state, profile, params, problem, RunStreams.from_seed(0, n), "zoom").iterates
+        return step(state, profile, params, problem, RunStreams.from_seed(0), "zoom").iterates
 
     def test_identical_rows_annihilated(self):
         _, profile = path3_profile()
@@ -144,12 +144,12 @@ class TestSteps:
         profile = SpectralProfile(laplacian=np.zeros((1, 1)), rho2=0.0, rho_l2=0.0, alpha_max=0.0)
         problem = make_quadratic_toy(1, 3, seed=2, zeta=0.0)
         params = HyperParams(alpha=0.0, eta=0.1, T=1, estimator="central")
-        streams = RunStreams.from_seed(7, 1)
-        shadow = RunStreams.from_seed(7, 1)
+        streams = RunStreams.from_seed(7)
+        shadow = RunStreams.from_seed(7)
         state = SwarmState(np.array([[1.0, -2.0, 0.5]]), 0)
         nxt = step(state, profile, params, problem, streams, "zoom")
-        xi = problem.sample(0, shadow.data[0])
-        coords = sample_coordinates(3, 1, shadow.coords[0])
+        (coords,) = sample_coordinates(1, 3, 1, shadow.coords)
+        xi = problem.sample(0, shadow.data)
         delta = params.smoothing.delta(3, 1, 0)
         g = central_estimate(
             lambda z: problem.evaluate(0, z, xi), state.iterates[0], coords, delta
@@ -164,19 +164,19 @@ class TestSteps:
         params = HyperParams(
             alpha=0.8 * profile.alpha_max, eta=eta, T=50, smoothing=smoothing
         )
-        streams = RunStreams.from_seed(21, 2)
-        shadow = RunStreams.from_seed(21, 2)
+        streams = RunStreams.from_seed(21)
+        shadow = RunStreams.from_seed(21)
         state = SwarmState(np.array([[1.0, 0.0], [0.0, 1.0]]), 0)
         nxt = step(state, profile, params, problem, streams, "zoom")
         delta = params.smoothing.delta(2, 2, 0)
         expected = np.empty((2, 2))
+        coords = sample_coordinates(2, 2, 1, shadow.coords)  # one block per round
         for i in range(2):
-            xi = problem.sample(i, shadow.data[i])
-            coords = sample_coordinates(2, 1, shadow.coords[i])
+            xi = problem.sample(i, shadow.data)  # agents draw data in index order
             g = forward_estimate(
                 lambda z, a=i, r=xi: problem.evaluate(a, z, r),
                 state.iterates[i],
-                coords,
+                coords[i],
                 delta,
             )
             expected[i] = (
@@ -188,26 +188,27 @@ class TestSteps:
         assert nxt.k == 1
 
     def test_update_order_does_not_matter(self):
-        # replaying agents in reversed order reproduces the step exactly:
-        # every agent reads only round-k data and its own streams
+        # with the round's draws taken in index order, computing the agent
+        # updates in reversed order reproduces the step exactly: every agent
+        # reads only round-k iterates and its own draws
         topo = erdos_renyi(5, 0.7, seed=1)
         profile = laplacian_spectrum(topo)
         problem = make_quadratic_toy(5, 4, seed=4, zeta=0.3)
         eta, smoothing = theorem_schedule(5, 4, 100)
         params = HyperParams(alpha=0.5 * profile.alpha_max, eta=eta, T=100, smoothing=smoothing)
-        streams = RunStreams.from_seed(9, 5)
-        shadow = RunStreams.from_seed(9, 5)
+        streams = RunStreams.from_seed(9)
+        shadow = RunStreams.from_seed(9)
         state = SwarmState(np.random.default_rng(8).standard_normal((5, 4)), 0)
         nxt = step(state, profile, params, problem, streams, "zoom")
         delta = params.smoothing.delta(4, 5, 0)
+        coords = sample_coordinates(5, 4, 1, shadow.coords)
+        draws = [problem.sample(i, shadow.data) for i in range(5)]
         permuted = np.empty((5, 4))
         for i in reversed(range(5)):
-            xi = problem.sample(i, shadow.data[i])
-            coords = sample_coordinates(4, 1, shadow.coords[i])
             g = forward_estimate(
-                lambda z, a=i, r=xi: problem.evaluate(a, z, r),
+                lambda z, a=i, r=draws[i]: problem.evaluate(a, z, r),
                 state.iterates[i],
-                coords,
+                coords[i],
                 delta,
             )
             permuted[i] = (
@@ -243,7 +244,7 @@ class TestSteps:
                 n_c=2,
                 smoothing=smoothing,
             )
-            nxt = step(state, profile, params, SignProblem(), RunStreams.from_seed(0, 2), "zoom_pb")
+            nxt = step(state, profile, params, SignProblem(), RunStreams.from_seed(0), "zoom_pb")
             outputs.append(nxt.iterates)
         assert np.array_equal(outputs[0], outputs[1])
         assert np.array_equal(outputs[0], outputs[2])
@@ -268,7 +269,7 @@ class TestSteps:
             smoothing=SmoothingSchedule(mode="fixed", fixed_value=0.25),
         )
         state = SwarmState(np.array([[10.0]]), 0)
-        nxt = step(state, profile, params, FlatSlope(), RunStreams.from_seed(1, 1), "zoom_pb")
+        nxt = step(state, profile, params, FlatSlope(), RunStreams.from_seed(1), "zoom_pb")
         assert np.allclose(nxt.iterates, [[8.0]], atol=1e-12)  # sigma(4, 0.5) = 2
 
     def test_divergence_guard_reports_iteration_and_agent(self):
@@ -293,9 +294,35 @@ class TestSteps:
         )
         state = SwarmState(np.zeros((2, 2)), 3)
         with pytest.raises(DivergenceError) as info:
-            step(state, profile, params, Explosive(), RunStreams.from_seed(0, 2), "zoom")
+            step(state, profile, params, Explosive(), RunStreams.from_seed(0), "zoom")
         assert info.value.k == 3
         assert info.value.agent == 0
+
+
+class TestRunStreams:
+    @pytest.mark.parametrize("n_agents", [2, 4, 9])
+    def test_from_seed_draws_the_spawned_children(self, n_agents):
+        # data is SeedSequence(seed).spawn(2)[0], spawn key (0,); coords is the
+        # second child, spawn key (1,); a round draws from exactly these two
+        seed = 31
+        children = np.random.SeedSequence(seed).spawn(2)
+        keyed = [np.random.SeedSequence(seed, spawn_key=(key,)) for key in range(2)]
+        for child, same in zip(children, keyed):
+            assert np.array_equal(
+                np.random.default_rng(child).random(6), np.random.default_rng(same).random(6)
+            )
+        profile = laplacian_spectrum(erdos_renyi(n_agents, 1.0))
+        problem = make_quadratic_toy(n_agents, 5, seed=2, zeta=0.3)
+        params = HyperParams(alpha=0.5 * profile.alpha_max, eta=0.1, T=3, n_c=2)
+        spawned = RunStreams(*(np.random.default_rng(child) for child in children))
+        ours = RunStreams.from_seed(seed)
+        a = b = SwarmState(np.random.default_rng(3).standard_normal((n_agents, 5)), 0)
+        for _ in range(3):
+            a = step(a, profile, params, problem, ours, "zoom")
+            b = step(b, profile, params, problem, spawned, "zoom")
+        assert np.array_equal(a.iterates, b.iterates)
+        assert ours.data.random() == spawned.data.random()
+        assert ours.coords.random() == spawned.coords.random()
 
 
 class TestMeanDynamics:
@@ -385,6 +412,17 @@ class TestRun:
         params = HyperParams(alpha=0.5 * profile.alpha_max, eta=eta, T=25, smoothing=smoothing)
         trajectory = run(topo, problem, params, seed=0, record_every=10)
         assert [r.k for r in trajectory.records] == [0, 10, 20, 25]
+
+    def test_dsgd_never_draws_coordinates(self, toy_setup, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("dsgd drew coordinates")
+
+        monkeypatch.setattr("zoswarm.dynamics.sample_coordinates", refuse)
+        topo, profile, problem = toy_setup
+        params = HyperParams(alpha=0.5 * profile.alpha_max, eta=0.01, T=20, n_c=3)
+        assert run(topo, problem, params, algorithm="dsgd", seed=2).final_state.k == 20
+        with pytest.raises(AssertionError, match="drew coordinates"):
+            run(topo, problem, params, algorithm="zoom", seed=2)
 
     def test_oracle_call_accounting(self, toy_setup):
         topo, profile, problem = toy_setup

@@ -31,25 +31,25 @@ class CountingOracle:
 class TestCoordinateSample:
     def test_full_set(self):
         rng = np.random.default_rng(0)
-        assert sample_coordinates(5, 5, rng).indices == (0, 1, 2, 3, 4)
+        assert sample_coordinates(1, 5, 5, rng)[0].indices == (0, 1, 2, 3, 4)
 
     def test_single_dimension(self):
         rng = np.random.default_rng(0)
-        assert sample_coordinates(1, 1, rng).indices == (0,)
+        assert sample_coordinates(1, 1, 1, rng)[0].indices == (0,)
 
     def test_seeded_replay(self):
-        first = sample_coordinates(100, 10, np.random.default_rng(42))
-        second = sample_coordinates(100, 10, np.random.default_rng(42))
-        assert first.indices == second.indices
-        assert first.n_c == 10
-        assert all(0 <= j < 100 for j in first.indices)
+        first = sample_coordinates(3, 100, 10, np.random.default_rng(42))
+        second = sample_coordinates(3, 100, 10, np.random.default_rng(42))
+        assert first == second
+        assert [sample.n_c for sample in first] == [10, 10, 10]
+        assert all(0 <= j < 100 for sample in first for j in sample.indices)
 
     def test_rejects_bad_sizes(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            sample_coordinates(5, 6, rng)
+            sample_coordinates(1, 5, 6, rng)
         with pytest.raises(ValueError):
-            sample_coordinates(5, 0, rng)
+            sample_coordinates(1, 5, 0, rng)
 
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError, match="distinct"):
@@ -58,8 +58,8 @@ class TestCoordinateSample:
     def test_uniform_coverage(self):
         rng = np.random.default_rng(1)
         counts = np.zeros(6)
-        for _ in range(3000):
-            for j in sample_coordinates(6, 2, rng).indices:
+        for sample in sample_coordinates(3000, 6, 2, rng):
+            for j in sample.indices:
                 counts[j] += 1
         # each coordinate appears with frequency ~ n_c/p = 1/3
         assert np.all(np.abs(counts / 3000 - 1 / 3) < 0.05)
@@ -79,7 +79,7 @@ class TestForwardEstimate:
         c = rng.standard_normal(6)
         oracle = lambda z: float(c @ z)
         for delta in (1.0, 0.1, 1e-4):
-            sample = sample_coordinates(6, 3, rng)
+            sample = sample_coordinates(1, 6, 3, rng)[0]
             got = forward_estimate(oracle, rng.standard_normal(6), sample, delta)
             expected = np.zeros(6)
             expected[list(sample.indices)] = (6 / 3) * c[list(sample.indices)]
@@ -87,7 +87,7 @@ class TestForwardEstimate:
 
     def test_zero_outside_sampled_support(self):
         rng = np.random.default_rng(3)
-        sample = sample_coordinates(10, 3, rng)
+        sample = sample_coordinates(1, 10, 3, rng)[0]
         got = forward_estimate(sphere, rng.standard_normal(10), sample, 0.05)
         outside = [j for j in range(10) if j not in sample.indices]
         assert np.all(got[outside] == 0.0)
@@ -122,14 +122,14 @@ class TestCentralEstimate:
 
     def test_constant_function_gives_zero(self):
         rng = np.random.default_rng(4)
-        sample = sample_coordinates(7, 4, rng)
+        sample = sample_coordinates(1, 7, 4, rng)[0]
         got = central_estimate(lambda z: 3.25, rng.standard_normal(7), sample, 0.2)
         assert np.all(got == 0.0)
 
     def test_exact_on_linear_functions(self):
         rng = np.random.default_rng(5)
         c = rng.standard_normal(5)
-        sample = sample_coordinates(5, 2, rng)
+        sample = sample_coordinates(1, 5, 2, rng)[0]
         x = rng.standard_normal(5)
         got = central_estimate(lambda z: float(c @ z), x, sample, 0.3)
         expected = np.zeros(5)
@@ -145,7 +145,7 @@ class TestCentralEstimate:
             b = rng.standard_normal(p)
             x = rng.standard_normal(p)
             n_c = int(rng.integers(1, p + 1))
-            sample = sample_coordinates(p, n_c, rng)
+            sample = sample_coordinates(1, p, n_c, rng)[0]
             delta = float(rng.uniform(1e-3, 1e-1))
             oracle = lambda z: float(0.5 * z @ hessian @ z + b @ z)
             got = central_estimate(oracle, x, sample, delta)

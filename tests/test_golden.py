@@ -3,8 +3,8 @@
 Each battery digest is the SHA-256 over every run's record-CSV fingerprint
 (wall clock stripped) plus the bytes of ``summary.csv``; the sweep digest is
 the SHA-256 of ``sweep.csv``.  The pinned values were
-taken before the scalar oracle path was streamlined, so they guard the
-promise that those optimisations changed no record bit.  A deliberate
+taken when each run moved to one data and one coordinate stream; they guard
+the promise that an optimisation changes no record bit.  A deliberate
 numerical change must update them and say so in CHANGES.md.
 """
 
@@ -12,9 +12,9 @@ import hashlib
 
 from zoswarm.harness import gamma_sweep, load_config, record_csv_fingerprint, run_battery
 
-PAPER_IV_A_T30_SEED1 = "97f2bf2f28aec9ae92eaf8abba170a1cd68684857b3b4c86cdebc6e12018295c"
-TOY_QUADRATIC = "3614916294eeb1574eadacef3597e4b08e66e85818ece3fdc80e01fec1114c2f"
-TOY_SWEEP_T200 = "789b78e7535962cbd50fd7e6ee9caf648425dad426287beced8727e18b50efd9"
+PAPER_IV_A_T30_SEED1 = "5e9583f1a65cb0358900e49c72a90cb11841c5dc6d2c030d0cdc7304f43b2498"
+TOY_QUADRATIC = "4bb25d154e8d8f821be64f2eaf92d331f0386ccda03d17cd66d518f20f4b0f6e"
+TOY_SWEEP_T200 = "f06803b3be67be9fdad3626a67b6550add995cbf8547b671357ab9a75cd6e99a"
 
 
 def battery_digest(config, out_dir) -> str:

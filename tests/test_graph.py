@@ -60,11 +60,12 @@ class TestErdosRenyi:
         assert is_connected(a)
 
     def test_matches_seeded_sampler_replay(self):
-        # replay the documented draw order: upper-triangle pairs, row-major
-        n, prob, seed = 10, 0.4, 7
+        # replay the documented draw order: upper-triangle pairs, row-major,
+        # each retry taking the next block of the one seeded generator
+        n, prob, seed = 10, 0.2, 7
         topo = erdos_renyi(n, prob, seed=seed)
+        rng = np.random.default_rng(seed)
         for attempt in range(100):
-            rng = np.random.default_rng(seed + attempt)
             draws = rng.random(n * (n - 1) // 2)
             expected = np.zeros((n, n))
             expected[np.triu_indices(n, k=1)] = (draws < prob).astype(float)
@@ -72,6 +73,13 @@ class TestErdosRenyi:
             if is_connected(Topology(n, expected)):
                 break
         assert np.array_equal(topo.weights, expected)
+        assert attempt > 0  # the replay covers retries, not only a first draw
+
+    def test_neighbouring_seeds_do_not_share_retries(self):
+        # both seeds retry at this density; a retry must not replay the next seed
+        assert not np.array_equal(
+            erdos_renyi(10, 0.2, seed=7).weights, erdos_renyi(10, 0.2, seed=8).weights
+        )
 
     def test_invariants_on_many_samples(self):
         for seed in range(12):

@@ -104,6 +104,14 @@ class TestConfigParsing:
                 "defaults.eta = fast\nalgorithms = zoom\n",
                 "line 1: defaults.eta = 'fast' is not 'theorem' or a number",
             ),
+            *(
+                (
+                    f"algorithms = zoom\ndefaults.smoothing = {spec}\n",
+                    f"line 2: defaults.smoothing = {spec!r} is not theorem_decay[:<kappa>], "
+                    "fixed:<delta> or scaled_fixed:<c> with a positive number",
+                )
+                for spec in ("fixed:abc", "fixed:-1", "theorem_decay:x")
+            ),
         ],
     )
     def test_malformed_values_name_key_and_line(self, text, message):
@@ -183,6 +191,14 @@ class TestBuilders:
         assert 0.0 < params.alpha < profile.alpha_max
         assert faithful == "theorem"
         assert params.gamma == 1.0  # plain variant reports the 2-norm
+
+
+    def test_spec_built_in_code_is_checked_with_its_label(self):
+        cfg = toy_config()
+        profile = laplacian_spectrum(build_topology(cfg))
+        spec = AlgorithmSpec(label="z", kind="zoom", smoothing="fixed:abc")
+        with pytest.raises(ConfigError, match=r"^algorithm 'z': smoothing 'fixed:abc' is not"):
+            resolve_hyperparams(spec, profile, 4, 6, 120)
 
 
 class TestBattery:
@@ -351,11 +367,11 @@ class TestBaseline:
         assert dsgd_row["median_final_loss"] <= zoom_row["median_final_loss"]
         # pinned bit for bit, like tests/test_golden.py
         assert [r.summary.final_loss for r in battery.runs_for("dsgd")] == [
-            0.0748314786828805,
-            0.07508833805422328,
-            0.07380502833757613,
-            0.07415710692860644,
-            0.07477571843127229,
+            0.07514417390600871,
+            0.07435620678356718,
+            0.07461038395610023,
+            0.07364729932343685,
+            0.07356988909841027,
         ]
 
 
