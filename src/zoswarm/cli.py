@@ -80,6 +80,16 @@ def _cmd_spectra(args) -> int:
         config = harness.load_config(args.config)
         topo = harness.build_topology(config)
     elif args.n is not None and args.prob is not None:
+        if args.n < 2:
+            raise harness.ConfigError(
+                f"--n: an Erdos-Renyi topology needs at least 2 agents, got {args.n}"
+            )
+        if not 0.0 < args.prob <= 1.0:
+            raise harness.ConfigError(
+                f"--prob: edge probability must lie in (0, 1], got {args.prob}"
+            )
+        if args.seed < 0:
+            raise harness.ConfigError(f"--seed: must be nonnegative, got {args.seed}")
         topo = graph.erdos_renyi(args.n, args.prob, seed=args.seed)
     else:
         raise harness.ConfigError("spectra needs either --config or both --n and --prob")

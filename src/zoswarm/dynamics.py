@@ -115,8 +115,10 @@ class SwarmState:
 class RunStreams:
     """A run's data and coordinate streams: ``SeedSequence(master_seed).spawn(2)``.
 
-    Agents draw data from ``data`` in index order; ``coords`` yields one
-    coordinate block per round.  Neither depends on the agent count.
+    ``data`` yields one block of realizations per round through
+    ``problem.sample_round``, the same draws as the agents' ``sample`` calls
+    in index order; ``coords`` yields one coordinate block per round.
+    Neither depends on the agent count.
     """
 
     data: np.random.Generator
@@ -158,38 +160,38 @@ def step(
 ) -> SwarmState:
     """One synchronous round of ``algorithm``; every agent reads only round-k data.
 
-    ``"zoom_pb"`` passes each estimate through :func:`powerball`, ``"zoom"``
-    uses it as is, and ``"dsgd"`` replaces it with the analytic stochastic
-    gradient.  Replaying the round's coordinate block, then the agents' data
-    draws in index order, from a second ``RunStreams`` reproduces the round.
+    ``"zoom_pb"`` passes the estimates through :func:`powerball`, ``"zoom"``
+    uses them as is, and ``"dsgd"`` replaces them with the analytic
+    stochastic gradient.  The round draws one coordinate block and one
+    ``problem.sample_round`` block of realizations, and the transform runs
+    once on the whole steps matrix.  Replaying the coordinate block, then
+    the agents' data draws in index order, from a second ``RunStreams``
+    reproduces the round.
     """
     iterates = state.iterates
     n, p = iterates.shape
-    # Per-run constants, looked up once per round rather than once per agent.
     # The estimator helpers stay module-global lookups so they can be patched.
-    sample, evaluate = problem.sample, problem.evaluate
-    data, gamma = streams.data, params.gamma
+    evaluate = problem.evaluate
     zeroth_order = algorithm != "dsgd"
     coords = sample_coordinates(n, p, params.n_c, streams.coords) if zeroth_order else None
-    transform = algorithm == "zoom_pb"
+    draws = problem.sample_round(streams.data)
     estimate = forward_estimate if params.estimator == "forward" else central_estimate
     delta = params.smoothing.delta(p, n, state.k)
     steps = np.empty_like(iterates)
     for i in range(n):
         row = iterates[i]
-        xi = sample(i, data)
+        xi = draws[i]
         if zeroth_order:
-            g = estimate(
+            steps[i] = estimate(
                 lambda z, agent=i, realization=xi: evaluate(agent, z, realization),
                 row,
                 coords[i],
                 delta,
             )
-            if transform:
-                g = powerball(g, gamma)
         else:
-            g = problem.stochastic_gradient(i, row, xi)
-        steps[i] = g
+            steps[i] = problem.stochastic_gradient(i, row, xi)
+    if algorithm == "zoom_pb":
+        steps = powerball(steps, params.gamma)  # elementwise: the same bits as row by row
     # elementwise the same arithmetic as updating one row at a time
     nxt = iterates - params.alpha * (profile.laplacian @ iterates) - params.eta * steps
     if not np.abs(nxt).max() <= DIVERGENCE_LIMIT:  # also true when nxt holds a NaN

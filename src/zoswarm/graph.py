@@ -4,13 +4,13 @@ Agents exchange iterates over an undirected weighted graph.  The admissible
 consensus step size for the swarm update is governed by two spectral
 quantities of the graph Laplacian ``L``: its smallest positive eigenvalue
 ``rho2`` and the spectral radius of ``L^2``.  ``laplacian_spectrum`` packages
-both together with the Laplacian itself, so callers never recompute them.
+both together with the Laplacian itself and keeps the result on the
+topology, so every run on one graph shares a single eigen-solve.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,15 +44,19 @@ class Topology:
     ``weights[i, j] > 0`` exactly when agents ``i`` and ``j`` can talk to
     each other; the matrix is symmetric with a zero diagonal (no self
     loops).  Weights are dimensionless mixing coefficients, not distances.
+    The topology keeps a read-only copy of them, so the spectrum it
+    memoizes can never go stale; the caller's array stays writeable.
     """
 
     n: int
     weights: np.ndarray
+    # set once by laplacian_spectrum
+    _spectrum: SpectralProfile | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("agent count must be positive")
-        w = np.asarray(self.weights, dtype=float)
+        w = np.array(self.weights, dtype=float)
         if w.shape != (self.n, self.n):
             raise ValueError(f"weights must be {self.n}x{self.n}, got {w.shape}")
         if not np.array_equal(w, w.T):
@@ -61,6 +65,7 @@ class Topology:
             raise ValueError("self weights must be zero")
         if np.any(w < 0.0):
             raise ValueError("weights must be nonnegative")
+        w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 
     def edges(self) -> list[tuple[int, int, float]]:
@@ -76,7 +81,7 @@ class SpectralProfile:
     ``alpha_max = rho2 / (2 * rho_l2)`` is the upper end of the open
     interval of admissible consensus step sizes; ``rho2`` is the smallest
     positive Laplacian eigenvalue and ``rho_l2`` the spectral radius of
-    ``L^2``.
+    ``L^2``.  ``laplacian_spectrum`` hands out ``laplacian`` read-only.
     """
 
     laplacian: np.ndarray
@@ -127,24 +132,28 @@ def erdos_renyi(n: int, prob: float, seed: int = 0, max_attempts: int = 100) -> 
 
 
 def is_connected(topo: Topology) -> bool:
-    """True iff a traversal from agent 0 over positive-weight edges reaches everyone."""
+    """True iff a traversal from agent 0 over positive-weight edges reaches everyone.
+
+    The traversal is a breadth-first search that expands a whole level at
+    once: the next frontier is every unseen agent linked to the current one.
+    """
+    linked = topo.weights > 0.0
     seen = np.zeros(topo.n, dtype=bool)
     seen[0] = True
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        for j in np.nonzero(topo.weights[i] > 0.0)[0]:
-            if not seen[j]:
-                seen[j] = True
-                queue.append(int(j))
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = linked[frontier].any(axis=0) & ~seen
+        seen |= frontier
     return bool(seen.all())
 
 
 def laplacian_spectrum(topo: Topology) -> SpectralProfile:
-    """Compute the Laplacian ``L = Deg - A`` and its step-bounding spectrum.
+    """The Laplacian ``L = Deg - A`` and its step-bounding spectrum, memoized per topology.
 
-    Uses a dense symmetric eigen-decomposition: topologies here stay small,
-    so exactness wins over scalability.
+    The first call on a topology runs a dense symmetric eigen-solve and
+    stores the profile on it; later calls on the same object return that
+    profile.  A topology's weights are read-only, so the stored profile
+    cannot go stale.
 
     Raises:
         EigenSolveError: if the eigenvalue iteration does not converge.
@@ -152,8 +161,15 @@ def laplacian_spectrum(topo: Topology) -> SpectralProfile:
             (i.e. no edges at all), in which case no consensus step bound
             exists.
     """
+    if topo._spectrum is None:
+        object.__setattr__(topo, "_spectrum", _solve_spectrum(topo))
+    return topo._spectrum
+
+
+def _solve_spectrum(topo: Topology) -> SpectralProfile:
     adjacency = topo.weights
     laplacian = np.diag(adjacency.sum(axis=1)) - adjacency
+    laplacian.flags.writeable = False
     try:
         eigenvalues = np.linalg.eigvalsh(laplacian)
     except np.linalg.LinAlgError as exc:

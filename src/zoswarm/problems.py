@@ -66,7 +66,15 @@ class StochasticProblem(ABC):
 
     @abstractmethod
     def sample(self, agent: int, rng: np.random.Generator):
-        """Draw one realization ``xi`` for this agent from its own stream."""
+        """Draw one realization ``xi`` for this agent from ``rng``."""
+
+    def sample_round(self, rng: np.random.Generator):
+        """One round's realizations, indexable by agent: ``sample(i, rng)`` in index order.
+
+        Overrides may draw the whole round in one call, but must return the
+        same values and leave ``rng`` in the same state as this default.
+        """
+        return [self.sample(i, rng) for i in range(self.local_count)]
 
     @abstractmethod
     def evaluate(self, agent: int, x: np.ndarray, xi) -> float:
@@ -224,6 +232,8 @@ class ClassificationProblem(StochasticProblem):
         self._features = dataset.train_features
         self._labels = dataset.train_labels.astype(float)
         self._shards = tuple(dataset.shard_slice(i) for i in range(self.local_count))
+        self._starts = np.array([sl.start for sl in self._shards])
+        self._stops = np.array([sl.stop for sl in self._shards])
         # (x bytes, responses) of the last full-batch pass: a record asks for the
         # gradient and the loss at the same point.
         self._last_responses: tuple[bytes, np.ndarray] | None = None
@@ -231,6 +241,10 @@ class ClassificationProblem(StochasticProblem):
     def sample(self, agent: int, rng: np.random.Generator) -> int:
         sl = self._shards[agent]
         return int(rng.integers(sl.start, sl.stop))
+
+    def sample_round(self, rng: np.random.Generator) -> np.ndarray:
+        # elementwise bounds draw what per-agent scalar calls draw, in that order
+        return rng.integers(self._starts, self._stops)
 
     def evaluate(self, agent: int, x: np.ndarray, xi: int) -> float:
         # nlls_evaluate with the scalar sigmoid inlined: this is the per-probe hot path
@@ -316,6 +330,10 @@ class QuadraticToyProblem(StochasticProblem):
 
     def sample(self, agent: int, rng: np.random.Generator) -> np.ndarray:
         return rng.standard_normal(self.dimension) * self.zeta
+
+    def sample_round(self, rng: np.random.Generator) -> np.ndarray:
+        # a block fills row by row, drawing what per-agent calls draw
+        return rng.standard_normal((self.local_count, self.dimension)) * self.zeta
 
     def evaluate(self, agent: int, x: np.ndarray, z: np.ndarray) -> float:
         diff = x - self.centers[agent]

@@ -178,6 +178,21 @@ def test_spectra_needs_arguments(capsys):
     assert main(["spectra"]) == 2
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--n", "1", "--prob", "0.5"], "--n: an Erdos-Renyi topology needs at least 2 agents"),
+        (["--n", "5", "--prob", "0"], "--prob: edge probability must lie in (0, 1]"),
+        (["--n", "5", "--prob", "1.5"], "--prob: edge probability must lie in (0, 1]"),
+        (["--n", "5", "--prob", "nan"], "--prob: edge probability must lie in (0, 1]"),
+        (["--n", "5", "--prob", "0.5", "--seed", "-1"], "--seed: must be nonnegative"),
+    ],
+)
+def test_spectra_rejects_out_of_range_flags(capsys, flags, message):
+    assert main(["spectra", *flags]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
 def test_check_subcommand_quiet():
     assert main(["check", "--quiet"]) == 0
 

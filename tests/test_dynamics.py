@@ -227,6 +227,9 @@ class TestSteps:
             def sample(self, agent, rng):
                 return rng.integers(10)
 
+            def sample_round(self, rng):
+                return [self.sample(i, rng) for i in range(self.local_count)]
+
             def evaluate(self, agent, x, xi):
                 return float(np.sum(x))  # linear: slope 1 on every coordinate
 
@@ -257,6 +260,9 @@ class TestSteps:
             def sample(self, agent, rng):
                 return rng.integers(10)
 
+            def sample_round(self, rng):
+                return [self.sample(i, rng) for i in range(self.local_count)]
+
             def evaluate(self, agent, x, xi):
                 return 4.0 * float(x[0])  # gradient estimate is exactly (4,)
 
@@ -279,6 +285,9 @@ class TestSteps:
 
             def sample(self, agent, rng):
                 return None
+
+            def sample_round(self, rng):
+                return [None] * self.local_count
 
             def evaluate(self, agent, x, xi):
                 return 1e14 * float(x[0])  # slope large enough to trip the guard

@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -198,3 +200,47 @@ def test_laplacian_properties_on_random_connected_graphs(topo):
     assert np.linalg.eigvalsh(lap).min() >= -1e-9 * scale
     assert profile.alpha_max == profile.rho2 / (2.0 * profile.rho_l2)
     assert profile.alpha_max > 0.0
+
+
+def queue_bfs_connected(weights: np.ndarray) -> bool:
+    """Reference traversal: one agent at a time from a FIFO queue."""
+    n = weights.shape[0]
+    seen = {0}
+    queue = deque([0])
+    while queue:
+        i = queue.popleft()
+        for j in range(n):
+            if weights[i, j] > 0.0 and j not in seen:
+                seen.add(j)
+                queue.append(j)
+    return len(seen) == n
+
+
+@st.composite
+def weighted_graphs(draw):
+    """Symmetric weighted graphs of any density, often disconnected, from n = 1 up."""
+    n = draw(st.integers(1, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.05, 0.15, 0.3, 0.6, 1.0]))
+    upper = np.triu(rng.random((n, n)) < density, k=1)
+    weights = np.where(upper, rng.uniform(0.01, 5.0, (n, n)), 0.0)
+    return Topology(n, weights + weights.T)
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_graphs())
+def test_is_connected_matches_a_queue_bfs(topo):
+    assert is_connected(topo) == queue_bfs_connected(topo.weights)
+
+
+@pytest.mark.parametrize(
+    "weights, connected",
+    [
+        ([[0.0]], True),
+        ([[0.0, 0.0], [0.0, 0.0]], False),
+        ([[0.0, 0.3], [0.3, 0.0]], True),
+    ],
+)
+def test_is_connected_on_one_and_two_agents(weights, connected):
+    topo = Topology(len(weights), np.array(weights))
+    assert is_connected(topo) is connected is queue_bfs_connected(topo.weights)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from zoswarm.dynamics import run
-from zoswarm.graph import laplacian_spectrum
+from zoswarm.graph import Topology, laplacian_spectrum
 from zoswarm.harness import (
     AlgorithmSpec,
     ConfigError,
@@ -334,10 +334,10 @@ class TestBaseline:
                 self.local_count = inner.local_count
                 self.draws = []
 
-            def sample(self, agent, rng):
-                xi = self.inner.sample(agent, rng)
-                self.draws.append((agent, tuple(np.atleast_1d(xi))))
-                return xi
+            def sample_round(self, rng):
+                draws = self.inner.sample_round(rng)
+                self.draws.append([tuple(np.atleast_1d(xi)) for xi in draws])
+                return draws
 
             def __getattr__(self, name):
                 return getattr(self.inner, name)
@@ -350,6 +350,7 @@ class TestBaseline:
         )
         run(topo, recorder_zoom, params30, algorithm="zoom", seed=4)
         run(topo, recorder_dsgd, params30, algorithm="dsgd", seed=4)
+        assert len(recorder_zoom.draws) == 30  # one block per round
         assert recorder_zoom.draws == recorder_dsgd.draws
 
     def test_first_order_dominates_zeroth_order_on_benchmark(self):
@@ -426,3 +427,31 @@ class TestGammaSweep:
 
 def test_self_check_battery_passes():
     assert self_check(quiet=True)
+
+
+def test_battery_solves_the_spectrum_once_and_keeps_it_read_only(monkeypatch):
+    solves = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        solves.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    battery = run_battery(toy_config(), quiet=True)
+    assert len(battery.runs) == 6  # two algorithms x three seeds, each calling run
+    assert solves == [(4, 4)]
+
+    # the memo cannot go stale: neither the weights nor the Laplacian take writes
+    topo = build_topology(toy_config())
+    profile = laplacian_spectrum(topo)
+    assert laplacian_spectrum(topo) is profile
+    with pytest.raises(ValueError, match="read-only"):
+        topo.weights[0, 1] = 5.0
+    with pytest.raises(ValueError, match="read-only"):
+        profile.laplacian[0, 0] = 5.0
+    # ... while the caller's array is copied, not frozen
+    w = np.array([[0.0, 1.0], [1.0, 0.0]])
+    Topology(2, w)
+    w[0, 1] = w[1, 0] = 2.0
+    assert w.flags.writeable

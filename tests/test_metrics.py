@@ -28,6 +28,9 @@ class CountingProblem:
     def sample(self, agent, rng):
         return self.inner.sample(agent, rng)
 
+    def sample_round(self, rng):
+        return self.inner.sample_round(rng)
+
     def evaluate(self, agent, x, xi):
         self.evaluations += 1
         return self.inner.evaluate(agent, x, xi)

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zoswarm.problems import (
+    ClassificationDataset,
     ClassificationProblem,
     QuadraticToyProblem,
+    StochasticProblem,
     accuracy,
     make_quadratic_toy,
     make_synthetic_classification,
@@ -247,3 +251,38 @@ class TestQuadraticToy:
                 e[j] = 1e-5
                 fd[j] = (problem.local_loss(2, x + e) - problem.local_loss(2, x - e)) / 2e-5
             assert np.linalg.norm(fd - analytic) <= 1e-5 * max(1.0, np.linalg.norm(analytic))
+
+
+@st.composite
+def shipped_problems(draw):
+    """A quadratic toy or a classification problem with arbitrary shard sizes."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        p = draw(st.integers(1, 8))
+        zeta = draw(st.sampled_from([0.0, 1e-3, 0.5, 3.0]))
+        return QuadraticToyProblem(rng.standard_normal((n, p)), zeta=zeta)
+    sizes = draw(st.lists(st.integers(1, 40), min_size=n, max_size=n))
+    stops = np.cumsum(sizes)
+    bounds = tuple((int(stop - size), int(stop)) for size, stop in zip(sizes, stops))
+    features = rng.standard_normal((int(stops[-1]), 3))
+    labels = rng.integers(0, 2, int(stops[-1]))
+    return ClassificationProblem(ClassificationDataset(features, labels, features, labels, bounds))
+
+
+@settings(max_examples=150, deadline=None)
+@given(shipped_problems(), st.integers(0, 2**63 - 1), st.integers(1, 4))
+def test_sample_round_replays_per_agent_draws(problem, seed, rounds):
+    # the override, the base-class default and per-agent calls agree bit for bit
+    # and leave their generators in the same state
+    override, default, single = (np.random.default_rng(seed) for _ in range(3))
+    for _ in range(rounds):
+        block = problem.sample_round(override)
+        listed = StochasticProblem.sample_round(problem, default)
+        one_by_one = [problem.sample(i, single) for i in range(problem.local_count)]
+        assert len(block) == len(listed) == problem.local_count
+        for i, expected in enumerate(one_by_one):
+            assert np.asarray(block[i]).tobytes() == np.asarray(expected).tobytes()
+            assert np.asarray(listed[i]).tobytes() == np.asarray(expected).tobytes()
+    assert override.bit_generator.state == single.bit_generator.state
+    assert default.bit_generator.state == single.bit_generator.state
