@@ -78,6 +78,9 @@ class HyperParams:
     smoothing: SmoothingSchedule = field(default_factory=SmoothingSchedule)
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "eta", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.alpha < 0.0:
             raise ValueError("alpha must be nonnegative")
         if self.eta < 0.0:
@@ -95,7 +98,7 @@ class HyperParams:
                 f"gamma={self.gamma} lies outside [0.5, 1], the range covered by the "
                 "convergence guarantees",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass-generated __init__ to its caller
             )
 
 

@@ -37,7 +37,7 @@ class EigenSolveError(RuntimeError):
     """The symmetric eigenvalue solver failed to converge."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Topology:
     """Undirected weighted communication graph over agents ``0..n-1``.
 
@@ -46,12 +46,13 @@ class Topology:
     loops).  Weights are dimensionless mixing coefficients, not distances.
     The topology keeps a read-only copy of them, so the spectrum it
     memoizes can never go stale; the caller's array stays writeable.
+    Equality and hashing go by identity, as the spectrum memo does.
     """
 
     n: int
     weights: np.ndarray
     # set once by laplacian_spectrum
-    _spectrum: SpectralProfile | None = field(default=None, init=False, repr=False, compare=False)
+    _spectrum: SpectralProfile | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -74,7 +75,7 @@ class Topology:
         return [(int(i), int(j), float(self.weights[i, j])) for i, j in zip(rows, cols)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralProfile:
     """Laplacian of a topology plus the spectral bounds derived from it.
 
@@ -82,6 +83,7 @@ class SpectralProfile:
     interval of admissible consensus step sizes; ``rho2`` is the smallest
     positive Laplacian eigenvalue and ``rho_l2`` the spectral radius of
     ``L^2``.  ``laplacian_spectrum`` hands out ``laplacian`` read-only.
+    Equality goes by identity, like the topology's.
     """
 
     laplacian: np.ndarray

@@ -142,19 +142,24 @@ _RUN_KEYS = {
     "run.out": ("out_dir", str),
 }
 
+# problem.name -> the factory that builds it and the settings the factory
+# takes, with their value types; every default is the factory's own
+_PROBLEMS = {
+    "classification": (
+        problems.make_synthetic_classification,
+        {"n_train": int, "n_test": int, "d": int, "n_agents": int, "seed": int},
+    ),
+    "quadratic_toy": (
+        problems.make_quadratic_toy,
+        {"n_agents": int, "p": int, "seed": int, "zeta": float},
+    ),
+}
+
 # problem.* and topology.* settings and their value types; build_problem
 # rejects a setting its problem does not take
 _SETTINGS = {
-    "problem": {
-        "name": str,
-        "n_train": int,
-        "n_test": int,
-        "d": int,
-        "n_agents": int,
-        "seed": int,
-        "p": int,
-        "zeta": float,
-    },
+    "problem": {"name": str}
+    | {name: kind for _, settings in _PROBLEMS.values() for name, kind in settings.items()},
     "topology": {"n": int, "prob": float, "seed": int},
 }
 
@@ -309,46 +314,33 @@ def _config_errors(where: str):
 
 
 def build_problem(cfg: ExperimentConfig) -> problems.StochasticProblem:
-    """Instantiate the configured problem."""
+    """Instantiate the configured problem; an unset setting takes its factory's default."""
     spec = dict(cfg.problem)
     name = spec.pop("name", None)
+    if name not in _PROBLEMS:
+        raise ConfigError(f"unknown problem name {name!r}")
+    factory, settings = _PROBLEMS[name]
     with _config_errors("problem"):
-        if name == "classification":
-            dataset = problems.make_synthetic_classification(
-                n_train=spec.pop("n_train", 2000),
-                n_test=spec.pop("n_test", 200),
-                d=spec.pop("d", 100),
-                n_agents=spec.pop("n_agents", 10),
-                seed=spec.pop("seed", 0),
-            )
-            if spec:
-                raise ConfigError(f"unknown classification settings: {sorted(spec)}")
-            return problems.ClassificationProblem(dataset)
-        if name == "quadratic_toy":
-            toy = problems.make_quadratic_toy(
-                n_agents=spec.pop("n_agents", 5),
-                p=spec.pop("p", 10),
-                seed=spec.pop("seed", 0),
-                zeta=spec.pop("zeta", 0.0),
-            )
-            if spec:
-                raise ConfigError(f"unknown quadratic_toy settings: {sorted(spec)}")
-            return toy
-    raise ConfigError(f"unknown problem name {name!r}")
+        unknown = sorted(set(spec) - set(settings))
+        if unknown:
+            raise ValueError(f"unknown {name} settings: {unknown}")
+        built = factory(**spec)
+        # the classification factory makes the dataset its problem samples from
+        if isinstance(built, problems.ClassificationDataset):
+            built = problems.ClassificationProblem(built)
+    return built
 
 
 def build_topology(cfg: ExperimentConfig) -> graph.Topology:
     """Instantiate the configured communication graph."""
     spec = dict(cfg.topology)
-    n = spec.pop("n", None)
-    prob = spec.pop("prob", None)
-    seed = spec.pop("seed", 0)
-    if spec:
-        raise ConfigError(f"unknown topology settings: {sorted(spec)}")
-    if n is None or prob is None:
+    unknown = sorted(set(spec) - set(_SETTINGS["topology"]))
+    if unknown:
+        raise ConfigError(f"unknown topology settings: {unknown}")
+    if "n" not in spec or "prob" not in spec:
         raise ConfigError("topology needs both 'n' and 'prob'")
     with _config_errors("topology"):
-        return graph.erdos_renyi(int(n), float(prob), seed=int(seed))
+        return graph.erdos_renyi(**spec)
 
 
 def _parse_smoothing(token: str, p: int, T: int) -> estimator.SmoothingSchedule:
@@ -439,17 +431,6 @@ def _median_or_none(values) -> float | None:
     return float(statistics.median(values))
 
 
-def _median_columns(runs: list[RunResult]) -> dict:
-    """The per-run summary medians shared by battery and sweep rows."""
-    return {
-        "seed_count": len(runs),
-        "median_final_loss": _median_or_none(r.summary.final_loss for r in runs),
-        "median_avg_grad_norm_sq": _median_or_none(r.summary.avg_grad_norm_sq for r in runs),
-        "median_avg_consensus_err": _median_or_none(r.summary.avg_consensus_err for r in runs),
-        "median_accuracy": _median_or_none(r.summary.final_accuracy for r in runs),
-    }
-
-
 def _output_dir(path: str | Path | None) -> Path | None:
     """Create the output directory, or say which path cannot be used."""
     if path is None:
@@ -529,13 +510,17 @@ def run_battery(
     summary_rows = []
     comments = [_SUMMARY_NOTE]
     for spec, params, faithful in resolved:
-        own = [r for r in runs if r.label == spec.label]
+        own = [r.summary for r in runs if r.label == spec.label]
         summary_rows.append(
             {
                 "algorithm": spec.label,
                 "gamma": params.gamma,
                 "estimator": spec.estimator if spec.kind != "dsgd" else "-",
-                **_median_columns(own),
+                "seed_count": len(own),
+                "median_final_loss": _median_or_none(s.final_loss for s in own),
+                "median_avg_grad_norm_sq": _median_or_none(s.avg_grad_norm_sq for s in own),
+                "median_avg_consensus_err": _median_or_none(s.avg_consensus_err for s in own),
+                "median_accuracy": _median_or_none(s.final_accuracy for s in own),
             }
         )
         comments.append(
@@ -568,9 +553,10 @@ def gamma_sweep(
 ) -> list[dict]:
     """Run the powerball variant across ``gammas`` for both estimators.
 
-    One battery row per (gamma, estimator), median over the config's seeds.
-    Gammas outside ``[1/2, 1]`` still run but are flagged as outside the
-    range the convergence guarantees cover.
+    One row per (gamma, estimator): the battery's summary row for that label,
+    medians over the config's seeds, plus ``median_initial_loss`` and
+    ``within_guarantee_range``.  Gammas outside ``[1/2, 1]`` still run but
+    are flagged there as outside the range the convergence guarantees cover.
     """
     gammas = list(gammas)
     if not gammas:
@@ -584,27 +570,16 @@ def gamma_sweep(
     ]
     battery = run_battery(replace(config, algorithms=specs), out_dir=None, quiet=True)
 
-    rows = []
-    for spec in specs:
-        own = battery.runs_for(spec.label)
-        in_range = 0.5 <= spec.gamma <= 1.0
-        if not in_range and not quiet:
-            print(f"[sweep] gamma={spec.gamma:g} lies outside [0.5, 1] covered by the guarantees")
-        rows.append(
-            {
-                "gamma": spec.gamma,
-                "estimator": spec.estimator,
-                "within_guarantee_range": in_range,
-                "median_initial_loss": _median_or_none(
-                    r.trajectory.records[0].mean_train_loss for r in own
-                ),
-                **_median_columns(own),
-            }
+    rows = battery.summary_rows
+    for row in rows:
+        row["within_guarantee_range"] = 0.5 <= row["gamma"] <= 1.0
+        row["median_initial_loss"] = _median_or_none(
+            r.trajectory.records[0].mean_train_loss for r in battery.runs_for(row["algorithm"])
         )
         if not quiet:
             print(
-                f"[sweep] gamma={spec.gamma:g} {spec.estimator}: median final loss "
-                f"{rows[-1]['median_final_loss']:.6g}"
+                f"[sweep] gamma={row['gamma']:g} {row['estimator']}: median final loss "
+                f"{row['median_final_loss']:.6g}"
             )
     if out is not None:
         metrics.write_table(out / "sweep.csv", SWEEP_FIELDS, rows, [_SUMMARY_NOTE])

@@ -128,19 +128,6 @@ def summarize(trajectory) -> RunSummary:
     )
 
 
-def _write_atomically(path: Path, lines) -> None:
-    # temp file then rename, so readers never see a partial file
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _format_cell(value) -> str:
     if value is None:
         return ""
@@ -153,29 +140,24 @@ def _format_cell(value) -> str:
 
 def write_table(path: str | Path, fields, rows, comments=()) -> None:
     """Write mapping ``rows`` as CSV columns ``fields`` below ``comments``, atomically."""
+    path = Path(path)
     lines = [*comments, ",".join(fields)]
     lines.extend(",".join(_format_cell(row[f]) for f in fields) for row in rows)
-    _write_atomically(Path(path), lines)
-
-
-def _format_row(record: IterationRecord) -> str:
-    # the cells write_table would give, formatted without its per-cell dispatch
-    return ",".join(
-        (
-            str(record.k),
-            repr(record.mean_train_loss),
-            repr(record.grad_norm_sq),
-            repr(record.grad_norm_1pg_sq),
-            repr(record.consensus_err),
-            str(record.oracle_calls),
-            repr(record.wall_ms),
-        )
-    )
+    # temp file then rename, so readers never see a partial file
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def write_csv(records, path: str | Path) -> None:
-    """Write records to ``path`` atomically (temp file then rename)."""
-    _write_atomically(Path(path), [",".join(CSV_FIELDS)] + [_format_row(r) for r in records])
+    """Write records to ``path`` as :data:`CSV_FIELDS` columns, atomically."""
+    write_table(path, CSV_FIELDS, [vars(r) for r in records])
 
 
 def records_match(a, b) -> bool:

@@ -368,7 +368,7 @@ class QuadraticToyProblem(StochasticProblem):
 
 
 def make_quadratic_toy(
-    n_agents: int, p: int, seed: int = 0, zeta: float = 0.0
+    n_agents: int = 5, p: int = 10, seed: int = 0, zeta: float = 0.0
 ) -> QuadraticToyProblem:
     """Build a quadratic toy whose centers are seeded standard normals."""
     if p < 1 or n_agents < 1:

@@ -4,15 +4,17 @@ The benchmark's tracer patches named functions in ``zoswarm``'s modules and
 the ``evaluate`` method of the problem instance, then checks that every
 probe is one ``evaluate`` call.  ``mock.patch.object`` fails when a patched
 name is gone, so running a battery under the tracer also guards those
-names.  This test only imports from ``benchmarks/``; it changes nothing
-there.
+names.  The workloads' generated configs must also keep passing the
+config layer's set-up.  These tests only import from ``benchmarks/``; they
+change nothing there.
 """
 
 from pathlib import Path
 
 import pytest
 
-from zoswarm import harness
+import zoswarm
+from zoswarm import graph, harness
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -68,3 +70,19 @@ def test_traced_battery_counts_one_evaluate_per_probe(tracer_module, tmp_path):
     assert layers["estimator.estimate_calls"] == 8 * 12 * 4
     assert layers["metrics.capture_record_calls"] == 8 * 4
     assert all(run.csv_path.exists() for run in battery.runs)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_every_workload_config_sets_up(monkeypatch, seed):
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import workloads
+
+    configs = Path(zoswarm.__file__).parent / "configs"
+    for workload in workloads.WORKLOADS.values():
+        config = harness.parse_config(workloads.config_text(workload, seed, configs))
+        problem = harness.build_problem(config)
+        topo = harness.build_topology(config)
+        assert problem.local_count == topo.n, workload.name
+        profile = graph.laplacian_spectrum(topo)
+        for spec in config.algorithms:
+            harness.resolve_hyperparams(spec, profile, topo.n, problem.dimension, config.T)

@@ -111,6 +111,20 @@ def test_run_rejects_duplicate_seeds_and_malformed_values(tmp_path, capsys):
         ("topology.prob = 1.0", "topology.prob = 1.5", [], "topology: edge probability"),
         ("run.T = 60", "run.T = 60\ndefaults.gamma = -1", [], "algorithm 'zoom': gamma must"),
         ("run.T = 60", "run.T = 60\ndefaults.eta = -0.1", [], "algorithm 'zoom': eta must"),
+        ("run.T = 60", "run.T = 60\ndefaults.eta = nan", [], "algorithm 'zoom': eta must be finite"),
+        ("run.T = 60", "run.T = 60\ndefaults.eta = inf", [], "algorithm 'zoom': eta must be finite"),
+        (
+            "run.T = 60",
+            "run.T = 60\ndefaults.gamma = nan",
+            [],
+            "algorithm 'zoom': gamma must be finite",
+        ),
+        (
+            "algorithm.zoom_pb.gamma = 0.7",
+            "algorithm.zoom_pb.gamma = nan",
+            [],
+            "algorithm 'zoom_pb': gamma must be finite, got nan",
+        ),
         ("run.T = 60", "run.T = 60\ndefaults.alpha_frac = 2", [], "algorithm 'zoom': alpha = "),
         (
             "run.T = 60",
@@ -145,6 +159,15 @@ def test_sweep_rejects_malformed_gammas(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     assert main(["sweep", "--config", str(cfg), "--gammas", "0.5,abc", "--quiet"]) == 2
     assert "config error: --gammas: 'abc' is not a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("gamma", ["nan", "inf"])
+def test_sweep_rejects_non_finite_gammas(tmp_path, capsys, gamma):
+    cfg = write_cfg(tmp_path)
+    assert main(["sweep", "--config", str(cfg), "--gammas", gamma, "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: algorithm 'zoom_pb_g{gamma}_forward': gamma must be finite, got {gamma}"
+    )
 
 
 def test_sweep_subcommand(tmp_path, capsys):

@@ -107,10 +107,18 @@ class TestHyperParams:
         with pytest.raises(ValueError):
             HyperParams(alpha=0.1, eta=0.1, T=10, n_c=0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", ["alpha", "eta", "gamma"])
+    def test_non_finite_step_sizes_rejected_by_name(self, name, value):
+        kwargs = {"alpha": 0.1, "eta": 0.1, "gamma": 0.7, name: value}
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got {value!r}$"):
+            HyperParams(T=10, **kwargs)
+
     def test_gamma_outside_guarantee_range_warns_but_runs(self):
-        with pytest.warns(RuntimeWarning, match="outside"):
+        with pytest.warns(RuntimeWarning, match="outside") as caught:
             params = HyperParams(alpha=0.1, eta=0.1, T=10, gamma=0.3)
         assert params.gamma == 0.3
+        assert caught[0].filename == __file__  # names the caller, not the generated __init__
 
 
 class TestTheoremSchedule:

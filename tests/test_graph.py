@@ -44,6 +44,15 @@ class TestTopology:
         assert np.array_equal(np.diag(laplacian_spectrum(topo).laplacian), [1.0, 2.0, 1.0])
         assert topo.edges() == [(0, 1, 1.0), (1, 2, 1.0)]
 
+    def test_equality_and_hash_go_by_identity(self):
+        # equal weights would make an array comparison ambiguous; the spectrum memo is per object
+        topo, twin = pair(), pair()
+        assert topo != twin
+        assert topo == topo
+        assert {topo: 1}[topo] == 1 and hash(topo) == hash(topo)
+        profile, other = laplacian_spectrum(topo), laplacian_spectrum(twin)
+        assert profile != other and profile == laplacian_spectrum(topo)
+
 
 class TestErdosRenyi:
     def test_two_nodes_prob_one_forces_the_edge(self):

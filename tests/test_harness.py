@@ -1,6 +1,9 @@
+import inspect
+
 import numpy as np
 import pytest
 
+from zoswarm import harness
 from zoswarm.dynamics import run
 from zoswarm.graph import Topology, laplacian_spectrum
 from zoswarm.harness import (
@@ -176,6 +179,23 @@ class TestBuilders:
         assert problem.local_count == 4
         assert problem.dimension == 6
         assert topo.n == 4
+
+    @pytest.mark.parametrize("name", sorted(harness._PROBLEMS))
+    def test_problem_registry_matches_factory_signatures(self, name):
+        factory, settings = harness._PROBLEMS[name]
+        assert set(settings) == set(inspect.signature(factory).parameters)
+
+    @pytest.mark.parametrize(
+        "name, agents, dimension", [("classification", 10, 100), ("quadratic_toy", 5, 10)]
+    )
+    def test_name_alone_builds_the_factory_default(self, name, agents, dimension):
+        problem = build_problem(parse_config(f"problem.name = {name}"))
+        assert (problem.local_count, problem.dimension) == (agents, dimension)
+
+    def test_unknown_setting_rejected_with_problem_name(self):
+        cfg = parse_config("problem.name = quadratic_toy\nproblem.d = 3")
+        with pytest.raises(ConfigError, match=r"^problem: unknown quadratic_toy settings: \['d'\]$"):
+            build_problem(cfg)
 
     def test_unknown_problem_rejected(self):
         cfg = ExperimentConfig(problem={"name": "mystery"})
