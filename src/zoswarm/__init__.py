@@ -57,7 +57,6 @@ from .problems import (
     make_quadratic_toy,
     make_synthetic_classification,
     nlls_evaluate,
-    nlls_true_gradient,
     sigmoid,
 )
 

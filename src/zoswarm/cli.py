@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from . import dynamics, estimator, graph, harness
 
@@ -55,8 +56,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     config = harness.load_config(args.config)
-    seeds = [args.seed] if args.seed is not None else None
-    result = harness.run_battery(config, out_dir=args.out, quiet=args.quiet, seeds=seeds)
+    if args.seed is not None:
+        config = replace(config, seeds=[args.seed])
+    result = harness.run_battery(config, out_dir=args.out, quiet=args.quiet)
     if result.summary_path is not None and not args.quiet:
         print(f"[battery] summary written to {result.summary_path}")
     return 0

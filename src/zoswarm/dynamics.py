@@ -60,24 +60,30 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class HyperParams:
-    """Step sizes and estimator settings for one run.
+    """The algorithm, step sizes and estimator settings of one run.
 
-    ``alpha`` must lie inside ``(0, alpha_max)`` of the run's topology; that
-    is enforced by :func:`run` where the spectral profile is known.  Values
-    of ``gamma`` outside ``[1/2, 1]`` are accepted for robustness
-    experiments but flagged, since the convergence guarantees do not cover
-    them.
+    ``algorithm`` is one of :data:`ALGORITHMS` (see :func:`step`).  An unset
+    ``gamma`` is 0.7 for ``"zoom_pb"`` and 1.0 otherwise.  ``alpha`` must lie
+    inside ``(0, alpha_max)`` of the run's topology; that is enforced by
+    :func:`run` where the spectral profile is known.  Values of ``gamma``
+    outside ``[1/2, 1]`` are accepted for robustness experiments but
+    flagged, since the convergence guarantees do not cover them.
     """
 
     alpha: float
     eta: float
     T: int
-    gamma: float = 0.7
+    algorithm: str = "zoom"
+    gamma: float | None = None
     n_c: int = 1
     estimator: str = "forward"
     smoothing: SmoothingSchedule = field(default_factory=SmoothingSchedule)
 
     def __post_init__(self) -> None:
+        if self.algorithm not in ALGORITHMS:
+            raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
+        if self.gamma is None:
+            object.__setattr__(self, "gamma", 0.7 if self.algorithm == "zoom_pb" else 1.0)
         for name in ("alpha", "eta", "gamma"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -139,7 +145,6 @@ class Trajectory:
 
     records: tuple[IterationRecord, ...]
     final_state: SwarmState
-    algorithm: str
     params: HyperParams
     seed: int
     final_accuracy: float | None = None
@@ -159,9 +164,8 @@ def step(
     params: HyperParams,
     problem,
     streams: RunStreams,
-    algorithm: str,
 ) -> SwarmState:
-    """One synchronous round of ``algorithm``; every agent reads only round-k data.
+    """One synchronous round of ``params.algorithm``; every agent reads only round-k data.
 
     ``"zoom_pb"`` passes the estimates through :func:`powerball`, ``"zoom"``
     uses them as is, and ``"dsgd"`` replaces them with the analytic
@@ -175,6 +179,7 @@ def step(
     n, p = iterates.shape
     # The estimator helpers stay module-global lookups so they can be patched.
     evaluate = problem.evaluate
+    algorithm = params.algorithm
     zeroth_order = algorithm != "dsgd"
     coords = sample_coordinates(n, p, params.n_c, streams.coords) if zeroth_order else None
     draws = problem.sample_round(streams.data)
@@ -229,7 +234,6 @@ def run(
     topo: Topology,
     problem,
     params: HyperParams,
-    algorithm: str = "zoom",
     seed: int = 0,
     record_every: int = 10,
 ) -> Trajectory:
@@ -244,19 +248,15 @@ def run(
             rejected because the dynamics assume connectivity.
         problem: a :class:`~zoswarm.problems.StochasticProblem` with
             ``local_count == topo.n``.
-        params: hyperparameters; ``alpha`` must lie in the open interval
-            ``(0, alpha_max)`` of this topology's spectrum.
-        algorithm: ``"zoom"``, ``"zoom_pb"``, or ``"dsgd"`` (the first-order
-            reference baseline, same loop and data draws with the
-            estimate replaced by the analytic stochastic gradient).
+        params: the algorithm and its hyperparameters; ``alpha`` must lie
+            in the open interval ``(0, alpha_max)`` of this topology's
+            spectrum.
         seed: master seed for the run.
         record_every: metric recording cadence (iterations).
 
     Returns:
         A :class:`Trajectory` of records plus the final swarm state.
     """
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
     if record_every < 1:
         raise ValueError("record_every must be at least 1")
     if not is_connected(topo):
@@ -273,7 +273,7 @@ def run(
     n, p = topo.n, problem.dimension
     streams = RunStreams.from_seed(seed)
 
-    if algorithm == "dsgd":
+    if params.algorithm == "dsgd":
         calls_per_round = n
     elif params.estimator == "forward":
         calls_per_round = n * (params.n_c + 1)
@@ -284,7 +284,7 @@ def run(
     state = SwarmState(np.zeros((n, p)), 0)
     records = [capture_record(problem, state.iterates, 0, params.gamma, 0, 0.0)]
     for k in range(params.T):
-        state = step(state, profile, params, problem, streams, algorithm)
+        state = step(state, profile, params, problem, streams)
         done = k + 1
         if done % record_every == 0 or done == params.T:
             wall_ms = (time.perf_counter() - started) * 1000.0
@@ -297,7 +297,6 @@ def run(
     return Trajectory(
         records=tuple(records),
         final_state=state,
-        algorithm=algorithm,
         params=params,
         seed=seed,
         final_accuracy=final_accuracy,

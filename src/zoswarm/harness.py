@@ -124,6 +124,10 @@ class ExperimentConfig:
                 raise ConfigError(f"master seed {seed} is negative (run.seeds or --seed)")
         _reject_duplicates("master seed", self.seeds)
         _reject_duplicates("algorithm label", [spec.label for spec in self.algorithms])
+        for spec in self.algorithms:
+            # a label names its record CSVs, which must stay inside the output directory
+            if "/" in spec.label or "\\" in spec.label:
+                raise ConfigError(f"algorithm label {spec.label!r} contains a path separator")
 
 
 def _reject_duplicates(what: str, items) -> None:
@@ -288,7 +292,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
     """Load a config from a file path or from the bundled configs by name."""
     candidate = Path(path)
     if candidate.is_file():
-        return parse_config(candidate.read_text())
+        try:
+            text = candidate.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {str(path)!r} is not UTF-8: {exc}") from None
+        return parse_config(text)
     resource = _bundled_resource(str(path))
     if not resource.is_file():
         raise ConfigError(
@@ -379,9 +387,6 @@ def resolve_hyperparams(
             eta, _ = dynamics.theorem_schedule(n_agents, p, max(T, 1))
         else:
             eta = float(spec.eta)
-        gamma = spec.gamma
-        if gamma is None:
-            gamma = 0.7 if spec.kind == "zoom_pb" else 1.0
         alpha = spec.alpha if spec.alpha is not None else spec.alpha_frac * profile.alpha_max
         if not 0.0 < alpha < profile.alpha_max:
             raise ValueError(f"alpha = {alpha:g} must lie in (0, {profile.alpha_max:g})")
@@ -389,7 +394,8 @@ def resolve_hyperparams(
             alpha=alpha,
             eta=eta,
             T=T,
-            gamma=gamma,
+            algorithm=spec.kind,
+            gamma=spec.gamma,
             n_c=spec.n_c,
             estimator=spec.estimator,
             smoothing=smoothing,
@@ -417,7 +423,6 @@ class BatteryResult:
 
     runs: list[RunResult]
     summary_rows: list[dict]
-    out_dir: Path | None = None
     summary_path: Path | None = None
 
     def runs_for(self, label: str) -> list[RunResult]:
@@ -450,7 +455,6 @@ def run_battery(
     out_dir: str | Path | None = None,
     jobs: int | None = None,
     quiet: bool = False,
-    seeds: list[int] | None = None,
 ) -> BatteryResult:
     """Run every configured (algorithm, seed) pair and aggregate medians.
 
@@ -462,8 +466,6 @@ def run_battery(
     # only jobs=1 callers remain; ROADMAP item 1 removes the keyword
     if jobs not in (None, 1):
         raise ValueError(f"run_battery runs serially; jobs must be None or 1, got {jobs!r}")
-    if seeds is not None:
-        config = replace(config, seeds=list(seeds))
     config.validate()
     problem = build_problem(config)
     topo = build_topology(config)
@@ -484,12 +486,7 @@ def run_battery(
     for spec, params, _ in resolved:
         for seed in config.seeds:
             trajectory = dynamics.run(
-                topo,
-                problem,
-                params,
-                algorithm=spec.kind,
-                seed=seed,
-                record_every=config.record_every,
+                topo, problem, params, seed=seed, record_every=config.record_every
             )
             csv_path = None
             if target is not None:
@@ -540,9 +537,7 @@ def run_battery(
     if target is not None:
         summary_path = target / "summary.csv"
         metrics.write_table(summary_path, SUMMARY_FIELDS, summary_rows, comments)
-    return BatteryResult(
-        runs=runs, summary_rows=summary_rows, out_dir=target, summary_path=summary_path
-    )
+    return BatteryResult(runs=runs, summary_rows=summary_rows, summary_path=summary_path)
 
 
 def gamma_sweep(
@@ -561,7 +556,6 @@ def gamma_sweep(
     gammas = list(gammas)
     if not gammas:
         raise ConfigError("gamma sweep needs at least one gamma value")
-    out = _output_dir(out_dir)
     base = config.algorithms[0] if config.algorithms else AlgorithmSpec(label="zoom_pb", kind="zoom_pb")
     specs = [
         replace(base, label=f"zoom_pb_g{g:g}_{est}", kind="zoom_pb", estimator=est, gamma=float(g))
@@ -581,6 +575,8 @@ def gamma_sweep(
                 f"[sweep] gamma={row['gamma']:g} {row['estimator']}: median final loss "
                 f"{row['median_final_loss']:.6g}"
             )
+    # created only now, so a sweep whose set-up or runs fail leaves no directory
+    out = _output_dir(out_dir)
     if out is not None:
         metrics.write_table(out / "sweep.csv", SWEEP_FIELDS, rows, [_SUMMARY_NOTE])
     return rows
@@ -678,11 +674,11 @@ def _check_reduction() -> tuple[bool, str]:
                 estimator=est,
                 smoothing=smoothing,
             )
-            plain = dynamics.run(topo, problem, params, algorithm="zoom", seed=9)
-            transformed = dynamics.run(topo, problem, params, algorithm="zoom_pb", seed=9)
-            identical = metrics.records_match(
-                plain.records, transformed.records
-            ) and np.array_equal(plain.final_state.iterates, transformed.final_state.iterates)
+            plain = dynamics.run(topo, problem, params, seed=9)
+            transformed = dynamics.run(topo, problem, replace(params, algorithm="zoom_pb"), seed=9)
+            identical = plain.records == transformed.records and np.array_equal(
+                plain.final_state.iterates, transformed.final_state.iterates
+            )
             passed = passed and identical
             details.append(f"{name}/{est}={'ok' if identical else 'MISMATCH'}")
     # Trajectories cannot tell +0.0 from -0.0 in an estimate, so the
@@ -698,6 +694,7 @@ def _check_gradient_vs_differences() -> tuple[bool, str]:
     worst = 0.0
     for dataset_seed in (0, 1, 2):
         dataset = problems.make_synthetic_classification(seed=dataset_seed)
+        problem = problems.ClassificationProblem(dataset)
         rng = np.random.default_rng(100 + dataset_seed)
         agent = int(rng.integers(dataset.n_agents))
         sl = dataset.shard_slice(agent)
@@ -706,7 +703,7 @@ def _check_gradient_vs_differences() -> tuple[bool, str]:
         loss = lambda z: float(np.mean((labels - problems.sigmoid(features @ z)) ** 2))
         for _ in range(5):
             x = rng.standard_normal(dataset.d)
-            analytic = problems.nlls_true_gradient(dataset, agent, x)
+            analytic = problem.true_local_gradient(agent, x)
             finite = np.zeros(dataset.d)
             for j in range(dataset.d):
                 step = np.zeros(dataset.d)
@@ -729,7 +726,7 @@ def _check_consensus_contraction() -> tuple[bool, str]:
     previous = metrics.consensus_error(state.iterates)
     for _ in range(300):
         expected = mixing @ state.iterates
-        state = dynamics.step(state, profile, params, problem, streams, "zoom")
+        state = dynamics.step(state, profile, params, problem, streams)
         current = metrics.consensus_error(state.iterates)
         if not np.allclose(state.iterates, expected, atol=1e-12) or current > previous + 1e-12:
             return False, f"round {state.k} is not a contracting mixing step"
@@ -751,7 +748,7 @@ def _check_mean_drift() -> tuple[bool, str]:
     state = dynamics.SwarmState(np.random.default_rng(2).standard_normal((4, 5)), 0)
     passed, worst = True, 0.0
     for _ in range(10):
-        nxt = dynamics.step(state, profile, params, problem, streams, "zoom")
+        nxt = dynamics.step(state, profile, params, problem, streams)
         delta = params.smoothing.delta(5, 4, state.k)
         total = np.zeros(5)
         coords = estimator.sample_coordinates(4, 5, 1, shadow.coords)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,18 +24,7 @@ __all__ = [
     "summarize",
     "write_csv",
     "write_table",
-    "records_match",
 ]
-
-CSV_FIELDS = (
-    "k",
-    "mean_train_loss",
-    "grad_norm_sq",
-    "grad_norm_1pg_sq",
-    "consensus_err",
-    "oracle_calls",
-    "wall_ms",
-)
 
 
 @dataclass(frozen=True)
@@ -46,8 +35,8 @@ class IterationRecord:
     gradient at the mean iterate; with ``gamma = 1`` it coincides exactly
     with ``grad_norm_sq``.  ``oracle_calls`` counts cumulative black-box
     evaluations made by the algorithm (never by the diagnostics).
-    ``wall_ms`` is elapsed wall-clock time and is the one field excluded
-    from determinism comparisons.
+    ``wall_ms`` is elapsed wall-clock time and is the one field ``==``
+    leaves out, so equal records are the determinism comparison.
     """
 
     k: int
@@ -56,7 +45,10 @@ class IterationRecord:
     grad_norm_1pg_sq: float
     consensus_err: float
     oracle_calls: int
-    wall_ms: float
+    wall_ms: float = field(compare=False)
+
+
+CSV_FIELDS = tuple(f.name for f in fields(IterationRecord))
 
 
 @dataclass(frozen=True)
@@ -159,19 +151,3 @@ def write_csv(records, path: str | Path) -> None:
     """Write records to ``path`` as :data:`CSV_FIELDS` columns, atomically."""
     write_table(path, CSV_FIELDS, [vars(r) for r in records])
 
-
-def records_match(a, b) -> bool:
-    """Exact equality of two record sequences, ignoring wall-clock timing."""
-    if len(a) != len(b):
-        return False
-    for ra, rb in zip(a, b):
-        if (
-            ra.k != rb.k
-            or ra.mean_train_loss != rb.mean_train_loss
-            or ra.grad_norm_sq != rb.grad_norm_sq
-            or ra.grad_norm_1pg_sq != rb.grad_norm_1pg_sq
-            or ra.consensus_err != rb.consensus_err
-            or ra.oracle_calls != rb.oracle_calls
-        ):
-            return False
-    return True

@@ -23,7 +23,6 @@ __all__ = [
     "sigmoid",
     "make_synthetic_classification",
     "nlls_evaluate",
-    "nlls_true_gradient",
     "make_quadratic_toy",
     "accuracy",
 ]
@@ -198,14 +197,6 @@ def _nlls_gradient_over(features: np.ndarray, labels: np.ndarray, x: np.ndarray)
 def _nlls_loss_over(features: np.ndarray, labels: np.ndarray, x: np.ndarray) -> float:
     phi = sigmoid(features @ x)
     return float(np.mean((labels - phi) ** 2))
-
-
-def nlls_true_gradient(dataset: ClassificationDataset, agent: int, x: np.ndarray) -> np.ndarray:
-    """Full-shard analytic gradient, ``mean of -2 (y - phi) phi (1 - phi) a``."""
-    sl = dataset.shard_slice(agent)
-    return _nlls_gradient_over(
-        dataset.train_features[sl], dataset.train_labels[sl].astype(float), x
-    )
 
 
 def accuracy(dataset: ClassificationDataset, x: np.ndarray) -> float:

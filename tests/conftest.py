@@ -20,14 +20,7 @@ def _standalone_runs(config, out_dir):
     for spec in reversed(config.algorithms):
         params, _ = resolve_hyperparams(spec, profile, topo.n, problem.dimension, config.T)
         for seed in reversed(config.seeds):
-            trajectory = run(
-                topo,
-                problem,
-                params,
-                algorithm=spec.kind,
-                seed=seed,
-                record_every=config.record_every,
-            )
+            trajectory = run(topo, problem, params, seed=seed, record_every=config.record_every)
             write_csv(trajectory.records, out_dir / f"{spec.label}_seed{seed}.csv")
 
 

@@ -58,7 +58,7 @@ def toy_trend_summaries():
             smoothing=smoothing,
         )
         summaries[horizon] = [
-            summarize(run(topo, problem, params, algorithm="zoom", seed=seed))
+            summarize(run(topo, problem, params, seed=seed))
             for seed in range(1, 6)
         ]
     return summaries

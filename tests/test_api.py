@@ -4,6 +4,7 @@ used, and the set of options is pinned."""
 
 import argparse
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -109,9 +110,16 @@ def test_option_surface_is_pinned():
     }
     assert flags == CLI_FLAGS
 
+    # a run is described by its HyperParams alone
     assert list(inspect.signature(dynamics.run).parameters) == [
-        "topo", "problem", "params", "algorithm", "seed", "record_every"
+        "topo", "problem", "params", "seed", "record_every"
+    ]
+    assert list(inspect.signature(dynamics.step).parameters) == [
+        "state", "profile", "params", "problem", "streams"
+    ]
+    assert [f.name for f in dataclasses.fields(dynamics.HyperParams)] == [
+        "alpha", "eta", "T", "algorithm", "gamma", "n_c", "estimator", "smoothing"
     ]
     assert list(inspect.signature(harness.run_battery).parameters) == [
-        "config", "out_dir", "jobs", "quiet", "seeds"
+        "config", "out_dir", "jobs", "quiet"
     ]

@@ -56,6 +56,32 @@ def test_run_rejects_bad_config(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("label", ["../escaped", "sub/x", "sub\\x"])
+def test_run_rejects_labels_with_path_separators(tmp_path, capsys, label):
+    cfg = tmp_path / "toy.cfg"
+    cfg.write_text(
+        TOY_CFG.replace(
+            "algorithms = zoom,zoom_pb\nalgorithm.zoom_pb.gamma = 0.7",
+            f"defaults.kind = zoom\nalgorithms = {label}",
+        )
+    )
+    out = tmp_path / "work" / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: algorithm label {label!r} contains a path separator"
+    )
+    # nothing inside --out, and nothing next to it
+    assert [p.name for p in tmp_path.rglob("*")] == ["toy.cfg"]
+
+
+def test_run_rejects_config_that_is_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(TOY_CFG.encode() + b"# caf\xe9\n")
+    assert main(["run", "--config", str(bad), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config file {str(bad)!r} is not UTF-8")
+
+
 def test_run_unknown_bundled_name(capsys):
     assert main(["run", "--config", "does_not_exist"]) == 2
 
@@ -164,10 +190,12 @@ def test_sweep_rejects_malformed_gammas(tmp_path, capsys):
 @pytest.mark.parametrize("gamma", ["nan", "inf"])
 def test_sweep_rejects_non_finite_gammas(tmp_path, capsys, gamma):
     cfg = write_cfg(tmp_path)
-    assert main(["sweep", "--config", str(cfg), "--gammas", gamma, "--quiet"]) == 2
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", str(cfg), "--gammas", gamma, "--out", str(out), "--quiet"]) == 2
     assert capsys.readouterr().err.startswith(
         f"config error: algorithm 'zoom_pb_g{gamma}_forward': gamma must be finite, got {gamma}"
     )
+    assert not out.exists()  # set-up failed before the sweep wrote anything
 
 
 def test_sweep_subcommand(tmp_path, capsys):

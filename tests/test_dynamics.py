@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,6 @@ from zoswarm.dynamics import (
 from zoswarm.estimator import SmoothingSchedule, forward_estimate, sample_coordinates
 from zoswarm.graph import SpectralProfile, Topology, erdos_renyi, laplacian_spectrum
 from zoswarm.harness import SELF_CHECKS
-from zoswarm.metrics import records_match
 from zoswarm.problems import make_quadratic_toy
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -71,7 +72,7 @@ class TestConsensusTerm:
         n, p = iterates.shape
         problem = make_quadratic_toy(n, p, seed=0)
         state = SwarmState(iterates, 0)
-        return step(state, profile, params, problem, RunStreams.from_seed(0), "zoom").iterates
+        return step(state, profile, params, problem, RunStreams.from_seed(0)).iterates
 
     def test_identical_rows_annihilated(self):
         _, profile = path3_profile()
@@ -106,6 +107,15 @@ class TestHyperParams:
             HyperParams(alpha=0.1, eta=0.1, T=10, estimator="secant")
         with pytest.raises(ValueError):
             HyperParams(alpha=0.1, eta=0.1, T=10, n_c=0)
+        with pytest.raises(ValueError, match="algorithm must be one of"):
+            HyperParams(alpha=0.1, eta=0.1, T=10, algorithm="sgd")
+
+    @pytest.mark.parametrize(
+        ("algorithm", "gamma"), [("zoom", 1.0), ("zoom_pb", 0.7), ("dsgd", 1.0)]
+    )
+    def test_unset_gamma_resolves_by_algorithm(self, algorithm, gamma):
+        assert HyperParams(alpha=0.1, eta=0.1, T=10, algorithm=algorithm).gamma == gamma
+        assert HyperParams(alpha=0.1, eta=0.1, T=10, algorithm=algorithm, gamma=0.5).gamma == 0.5
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("name", ["alpha", "eta", "gamma"])
@@ -155,7 +165,7 @@ class TestSteps:
         streams = RunStreams.from_seed(7)
         shadow = RunStreams.from_seed(7)
         state = SwarmState(np.array([[1.0, -2.0, 0.5]]), 0)
-        nxt = step(state, profile, params, problem, streams, "zoom")
+        nxt = step(state, profile, params, problem, streams)
         (coords,) = sample_coordinates(1, 3, 1, shadow.coords)
         xi = problem.sample(0, shadow.data)
         delta = params.smoothing.delta(3, 1, 0)
@@ -175,7 +185,7 @@ class TestSteps:
         streams = RunStreams.from_seed(21)
         shadow = RunStreams.from_seed(21)
         state = SwarmState(np.array([[1.0, 0.0], [0.0, 1.0]]), 0)
-        nxt = step(state, profile, params, problem, streams, "zoom")
+        nxt = step(state, profile, params, problem, streams)
         delta = params.smoothing.delta(2, 2, 0)
         expected = np.empty((2, 2))
         coords = sample_coordinates(2, 2, 1, shadow.coords)  # one block per round
@@ -207,7 +217,7 @@ class TestSteps:
         streams = RunStreams.from_seed(9)
         shadow = RunStreams.from_seed(9)
         state = SwarmState(np.random.default_rng(8).standard_normal((5, 4)), 0)
-        nxt = step(state, profile, params, problem, streams, "zoom")
+        nxt = step(state, profile, params, problem, streams)
         delta = params.smoothing.delta(4, 5, 0)
         coords = sample_coordinates(5, 4, 1, shadow.coords)
         draws = [problem.sample(i, shadow.data) for i in range(5)]
@@ -251,11 +261,12 @@ class TestSteps:
                 alpha=0.1 * profile.alpha_max,
                 eta=0.3,
                 T=1,
+                algorithm="zoom_pb",
                 gamma=gamma,
                 n_c=2,
                 smoothing=smoothing,
             )
-            nxt = step(state, profile, params, SignProblem(), RunStreams.from_seed(0), "zoom_pb")
+            nxt = step(state, profile, params, SignProblem(), RunStreams.from_seed(0))
             outputs.append(nxt.iterates)
         assert np.array_equal(outputs[0], outputs[1])
         assert np.array_equal(outputs[0], outputs[2])
@@ -279,11 +290,12 @@ class TestSteps:
             alpha=0.0,
             eta=1.0,
             T=1,
+            algorithm="zoom_pb",
             gamma=0.5,
             smoothing=SmoothingSchedule(mode="fixed", fixed_value=0.25),
         )
         state = SwarmState(np.array([[10.0]]), 0)
-        nxt = step(state, profile, params, FlatSlope(), RunStreams.from_seed(1), "zoom_pb")
+        nxt = step(state, profile, params, FlatSlope(), RunStreams.from_seed(1))
         assert np.allclose(nxt.iterates, [[8.0]], atol=1e-12)  # sigma(4, 0.5) = 2
 
     def test_divergence_guard_reports_iteration_and_agent(self):
@@ -311,7 +323,7 @@ class TestSteps:
         )
         state = SwarmState(np.zeros((2, 2)), 3)
         with pytest.raises(DivergenceError) as info:
-            step(state, profile, params, Explosive(), RunStreams.from_seed(0), "zoom")
+            step(state, profile, params, Explosive(), RunStreams.from_seed(0))
         assert info.value.k == 3
         assert info.value.agent == 0
 
@@ -335,8 +347,8 @@ class TestRunStreams:
         ours = RunStreams.from_seed(seed)
         a = b = SwarmState(np.random.default_rng(3).standard_normal((n_agents, 5)), 0)
         for _ in range(3):
-            a = step(a, profile, params, problem, ours, "zoom")
-            b = step(b, profile, params, problem, spawned, "zoom")
+            a = step(a, profile, params, problem, ours)
+            b = step(b, profile, params, problem, spawned)
         assert np.array_equal(a.iterates, b.iterates)
         assert ours.data.random() == spawned.data.random()
         assert ours.coords.random() == spawned.coords.random()
@@ -373,7 +385,7 @@ class TestRun:
         )
         a = run(topo, problem, params, seed=5)
         b = run(topo, problem, params, seed=5)
-        assert records_match(a.records, b.records)
+        assert a.records == b.records
         assert np.array_equal(a.final_state.iterates, b.final_state.iterates)
 
     def test_different_seeds_differ(self, toy_setup):
@@ -396,9 +408,9 @@ class TestRun:
                 estimator=estimator,
                 smoothing=smoothing,
             )
-            a = run(topo, problem, params, algorithm="zoom", seed=11)
-            b = run(topo, problem, params, algorithm="zoom_pb", seed=11)
-            assert records_match(a.records, b.records)
+            a = run(topo, problem, params, seed=11)
+            b = run(topo, problem, replace(params, algorithm="zoom_pb"), seed=11)
+            assert a.records == b.records
             assert np.array_equal(a.final_state.iterates, b.final_state.iterates)
 
     def test_rejects_disconnected_topology(self):
@@ -437,9 +449,9 @@ class TestRun:
         monkeypatch.setattr("zoswarm.dynamics.sample_coordinates", refuse)
         topo, profile, problem = toy_setup
         params = HyperParams(alpha=0.5 * profile.alpha_max, eta=0.01, T=20, n_c=3)
-        assert run(topo, problem, params, algorithm="dsgd", seed=2).final_state.k == 20
+        assert run(topo, problem, replace(params, algorithm="dsgd"), seed=2).final_state.k == 20
         with pytest.raises(AssertionError, match="drew coordinates"):
-            run(topo, problem, params, algorithm="zoom", seed=2)
+            run(topo, problem, params, seed=2)
 
     def test_oracle_call_accounting(self, toy_setup):
         topo, profile, problem = toy_setup

@@ -1,10 +1,11 @@
 import inspect
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from zoswarm import harness
-from zoswarm.dynamics import run
+from zoswarm.dynamics import HyperParams, run
 from zoswarm.graph import Topology, laplacian_spectrum
 from zoswarm.harness import (
     AlgorithmSpec,
@@ -304,10 +305,26 @@ class TestBattery:
         assert forward.summary_rows == backward.summary_rows
 
     def test_seed_override(self):
-        result = run_battery(toy_config(), quiet=True, seeds=[9])
+        result = run_battery(replace(toy_config(), seeds=[9]), quiet=True)
         assert {r.seed for r in result.runs} == {9}
         with pytest.raises(ConfigError, match="duplicate master seed 9"):
-            run_battery(toy_config(), quiet=True, seeds=[9, 9])
+            run_battery(replace(toy_config(), seeds=[9, 9]), quiet=True)
+
+    def test_standalone_zoom_run_records_what_the_battery_records(self):
+        # one gamma default: a zoom run left without gamma reports plain squared norms
+        cfg = replace(toy_config(), seeds=[1])
+        (battery_run,) = run_battery(cfg, quiet=True).runs_for("zoom")
+        resolved = battery_run.params
+        params = HyperParams(
+            alpha=resolved.alpha,
+            eta=resolved.eta,
+            T=cfg.T,
+            algorithm="zoom",
+            smoothing=resolved.smoothing,
+        )
+        trajectory = run(build_topology(cfg), build_problem(cfg), params, seed=1)
+        assert all(r.grad_norm_1pg_sq == r.grad_norm_sq for r in trajectory.records)
+        assert trajectory.records == battery_run.trajectory.records
 
     def test_agent_count_mismatch_rejected(self):
         cfg = toy_config()
@@ -364,12 +381,8 @@ class TestBaseline:
 
         recorder_zoom = RecordingProblem(problem)
         recorder_dsgd = RecordingProblem(problem)
-        params30 = type(params)(
-            alpha=params.alpha, eta=params.eta, T=30, gamma=1.0,
-            n_c=params.n_c, estimator=params.estimator, smoothing=params.smoothing,
-        )
-        run(topo, recorder_zoom, params30, algorithm="zoom", seed=4)
-        run(topo, recorder_dsgd, params30, algorithm="dsgd", seed=4)
+        run(topo, recorder_zoom, params, seed=4)
+        run(topo, recorder_dsgd, replace(params, algorithm="dsgd"), seed=4)
         assert len(recorder_zoom.draws) == 30  # one block per round
         assert recorder_zoom.draws == recorder_dsgd.draws
 
@@ -413,7 +426,7 @@ class TestGammaSweep:
         plain_text = TOY_CFG.replace("algorithms = zoom,zoom_pb", "algorithms = zoom").replace(
             "algorithm.zoom_pb.gamma = 0.7", ""
         )
-        battery = run_battery(parse_config(plain_text), quiet=True, seeds=[2])
+        battery = run_battery(replace(parse_config(plain_text), seeds=[2]), quiet=True)
         plain = battery.summary_rows[0]
         forward_row = next(r for r in rows if r["estimator"] == "forward")
         assert forward_row["median_final_loss"] == plain["median_final_loss"]

@@ -12,7 +12,6 @@ from zoswarm.problems import (
     make_quadratic_toy,
     make_synthetic_classification,
     nlls_evaluate,
-    nlls_true_gradient,
     sigmoid,
 )
 
@@ -112,14 +111,14 @@ class TestNllsGradient:
             feats = dataset.train_features[sl]
             labels = dataset.train_labels[sl].astype(float)
             expected = np.mean(-(labels - 0.5)[:, None] * feats / 2.0, axis=0)
-            got = nlls_true_gradient(dataset, agent, np.zeros(100))
+            got = ClassificationProblem(dataset).true_local_gradient(agent, np.zeros(100))
             assert np.allclose(got, expected, atol=1e-12)
 
     def test_single_sample_matches_central_differences(self):
         ds = make_synthetic_classification(1, 1, 8, 1, seed=5)
         rng = np.random.default_rng(1)
         x = rng.standard_normal(8)
-        analytic = nlls_true_gradient(ds, 0, x)
+        analytic = ClassificationProblem(ds).true_local_gradient(0, x)
         feats = ds.train_features
         labels = ds.train_labels.astype(float)
         loss = lambda z: float(np.mean((labels - sigmoid(feats @ z)) ** 2))
@@ -136,9 +135,10 @@ class TestNllsGradient:
         feats = dataset.train_features[sl]
         labels = dataset.train_labels[sl].astype(float)
         loss = lambda z: float(np.mean((labels - sigmoid(feats @ z)) ** 2))
+        problem = ClassificationProblem(dataset)
         for _ in range(5):
             x = rng.standard_normal(100)
-            analytic = nlls_true_gradient(dataset, 3, x)
+            analytic = problem.true_local_gradient(3, x)
             fd = np.zeros(100)
             for j in range(100):
                 e = np.zeros(100)
