@@ -62,6 +62,9 @@ SWEEP_FIELDS = (
     "median_accuracy",
 )
 
+# the longest file name, in bytes, that common file systems accept
+MAX_FILE_NAME_BYTES = 255
+
 # Loss values in summaries are the full-batch loss at the mean iterate, not
 # the average of per-agent losses.
 _SUMMARY_NOTE = "# losses are full-batch values at the mean iterate"
@@ -125,9 +128,18 @@ class ExperimentConfig:
         _reject_duplicates("master seed", self.seeds)
         _reject_duplicates("algorithm label", [spec.label for spec in self.algorithms])
         for spec in self.algorithms:
-            # a label names its record CSVs, which must stay inside the output directory
+            # a label names its record CSVs, which must stay inside the output
+            # directory and be names the file system accepts
             if "/" in spec.label or "\\" in spec.label:
                 raise ConfigError(f"algorithm label {spec.label!r} contains a path separator")
+            if "\0" in spec.label:
+                raise ConfigError(f"algorithm label {spec.label!r} contains a NUL byte")
+            longest = max(len(f"{spec.label}_seed{seed}.csv".encode()) for seed in self.seeds)
+            if longest > MAX_FILE_NAME_BYTES:
+                raise ConfigError(
+                    f"algorithm label {spec.label!r} makes a record file name of {longest} "
+                    f"bytes, longer than the {MAX_FILE_NAME_BYTES} a file name may hold"
+                )
 
 
 def _reject_duplicates(what: str, items) -> None:

@@ -135,8 +135,9 @@ def write_table(path: str | Path, fields, rows, comments=()) -> None:
     path = Path(path)
     lines = [*comments, ",".join(fields)]
     lines.extend(",".join(_format_cell(row[f]) for f in fields) for row in rows)
-    # temp file then rename, so readers never see a partial file
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    # temp file then rename, so readers never see a partial file; the temp
+    # name stays short, so any name the file system accepts can be written
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write("\n".join(lines) + "\n")

@@ -119,7 +119,9 @@ class ClassificationDataset:
     the all-ones reference vector is at least one half, which for standard
     normal features is the same as the feature sum being nonnegative.
     ``shard_bounds[i] = (start, stop)`` is agent ``i``'s contiguous block of
-    training indices.
+    training indices.  The shards partition the training set in order:
+    non-empty, each starting where the one before stops, the first at 0 and
+    the last stopping at ``n_train``.
     """
 
     train_features: np.ndarray
@@ -127,6 +129,27 @@ class ClassificationDataset:
     test_features: np.ndarray
     test_labels: np.ndarray
     shard_bounds: tuple[tuple[int, int], ...]
+
+    def __post_init__(self) -> None:
+        # the full-batch diagnostics sum each shard from its start to the next
+        # shard's, which miscounts silently unless the shards tile the set
+        if not self.shard_bounds:
+            raise ValueError("a dataset needs at least one shard")
+        expected = 0
+        for agent, (start, stop) in enumerate(self.shard_bounds):
+            if start != expected:
+                raise ValueError(
+                    f"shard {agent} is ({start}, {stop}) but must start at {expected}: "
+                    "shards partition the training set in order"
+                )
+            if stop <= start:
+                raise ValueError(f"shard {agent} is ({start}, {stop}) and holds no sample")
+            expected = stop
+        if expected != self.n_train:
+            raise ValueError(
+                f"shard {len(self.shard_bounds) - 1} stops at {expected}, "
+                f"not at n_train = {self.n_train}"
+            )
 
     @property
     def d(self) -> int:
@@ -225,6 +248,9 @@ class ClassificationProblem(StochasticProblem):
         self._shards = tuple(dataset.shard_slice(i) for i in range(self.local_count))
         self._starts = np.array([sl.start for sl in self._shards])
         self._stops = np.array([sl.stop for sl in self._shards])
+        self._sizes = self._stops - self._starts
+        # a row's weight in the mean over agents of their shard means
+        self._row_weight = np.repeat(1.0 / (self._sizes * self.local_count), self._sizes)
         # (x bytes, responses) of the last full-batch pass: a record asks for the
         # gradient and the loss at the same point.
         self._last_responses: tuple[bytes, np.ndarray] | None = None
@@ -261,11 +287,11 @@ class ClassificationProblem(StochasticProblem):
         sl = self._shards[agent]
         return _nlls_loss_over(self._features[sl], self._labels[sl], x)
 
-    # The full-batch diagnostics run the sigmoid and the elementwise algebra
-    # once over the whole training set, then reduce shard by shard in the
-    # order of the per-agent base-class versions, so they match those bit for
-    # bit.  The product runs per shard: BLAS blocks rows in groups, and one
-    # product over the whole set can round a shard's rows differently.
+    # The full-batch diagnostics make one pass over the whole training set,
+    # which the shards partition in order (ClassificationDataset checks it):
+    # one product for the responses, shard sums at the shard starts and one
+    # weighted product for the gradient.  They agree with the per-agent
+    # base-class versions up to summation order.
 
     def _responses(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -273,26 +299,18 @@ class ClassificationProblem(StochasticProblem):
         last = self._last_responses
         if last is not None and last[0] == key:
             return last[1]
-        t = np.zeros(self.dataset.n_train)
-        for sl in self._shards:
-            np.matmul(self._features[sl], x, out=t[sl])
-        phi = sigmoid(t)
+        phi = sigmoid(self._features @ x)
         self._last_responses = (key, phi)
         return phi
 
     def true_global_gradient(self, x: np.ndarray) -> np.ndarray:
         phi = self._responses(x)
         coef = -2.0 * (self._labels - phi) * phi * (1.0 - phi)
-        return np.mean(
-            [coef[sl] @ self._features[sl] / (sl.stop - sl.start) for sl in self._shards], axis=0
-        )
+        return (coef * self._row_weight) @ self._features
 
     def full_loss(self, x: np.ndarray) -> float:
         residual_sq = (self._labels - self._responses(x)) ** 2
-        # np.add.reduce(a) / a.size is exactly what np.mean(a) computes, minus its overhead
-        return float(
-            np.mean([np.add.reduce(residual_sq[sl]) / (sl.stop - sl.start) for sl in self._shards])
-        )
+        return float(np.mean(np.add.reduceat(residual_sq, self._starts) / self._sizes))
 
     def test_accuracy(self, x: np.ndarray) -> float | None:
         return accuracy(self.dataset, x)

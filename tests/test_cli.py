@@ -29,6 +29,19 @@ def write_cfg(tmp_path):
     return path
 
 
+def write_labelled_cfg(tmp_path, label):
+    """The toy config with one algorithm of kind zoom, named ``label``."""
+    path = tmp_path / "toy.cfg"
+    path.write_text(
+        TOY_CFG.replace(
+            "algorithms = zoom,zoom_pb\nalgorithm.zoom_pb.gamma = 0.7",
+            f"defaults.kind = zoom\nalgorithms = {label}",
+        ),
+        encoding="utf-8",
+    )
+    return path
+
+
 def test_run_subcommand_writes_outputs(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
@@ -58,13 +71,7 @@ def test_run_rejects_bad_config(tmp_path, capsys):
 
 @pytest.mark.parametrize("label", ["../escaped", "sub/x", "sub\\x"])
 def test_run_rejects_labels_with_path_separators(tmp_path, capsys, label):
-    cfg = tmp_path / "toy.cfg"
-    cfg.write_text(
-        TOY_CFG.replace(
-            "algorithms = zoom,zoom_pb\nalgorithm.zoom_pb.gamma = 0.7",
-            f"defaults.kind = zoom\nalgorithms = {label}",
-        )
-    )
+    cfg = write_labelled_cfg(tmp_path, label)
     out = tmp_path / "work" / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
     assert capsys.readouterr().err.startswith(
@@ -72,6 +79,33 @@ def test_run_rejects_labels_with_path_separators(tmp_path, capsys, label):
     )
     # nothing inside --out, and nothing next to it
     assert [p.name for p in tmp_path.rglob("*")] == ["toy.cfg"]
+
+
+@pytest.mark.parametrize(
+    "label, message",
+    [
+        ("zo\0om", "contains a NUL byte"),
+        ("z" * 300, "makes a record file name of 310 bytes, longer than the 255"),
+        # 123 two-byte characters: 256 bytes in UTF-8 with the suffix, 133 characters
+        ("é" * 123, "makes a record file name of 256 bytes, longer than the 255"),
+    ],
+    ids=["nul", "long", "long-utf8"],
+)
+def test_run_rejects_labels_that_cannot_name_a_file(tmp_path, capsys, label, message):
+    cfg = write_labelled_cfg(tmp_path, label)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: algorithm label {label!r}") and message in err
+    assert not out.exists()
+
+
+def test_run_writes_a_record_file_name_of_255_bytes(tmp_path):
+    label = "z" * (255 - len("_seed10.csv"))
+    cfg = write_labelled_cfg(tmp_path, label)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--seed", "10", "--quiet"]) == 0
+    assert sorted(len(p.name) for p in out.iterdir()) == [len("summary.csv"), 255]
 
 
 def test_run_rejects_config_that_is_not_utf8(tmp_path, capsys):

@@ -405,7 +405,7 @@ class TestBaseline:
             0.07435620678356718,
             0.07461038395610023,
             0.07364729932343685,
-            0.07356988909841027,
+            0.07356988909841025,
         ]
 
 

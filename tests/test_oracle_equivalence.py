@@ -1,12 +1,14 @@
 """The streamlined oracle path against straightforward reference versions.
 
-Each fast path here promises results identical bit for bit to a plainer
-computation: the per-sample oracle to ``nlls_evaluate``, the fused
-full-batch diagnostics to the base class's per-agent reductions, the
-branch-free sigmoid to a masked evaluation, the buffered estimators to
-one fresh copy per probe, and ``sample_coordinates`` to sorting the
+Each fast path here is checked against a plainer computation: the
+per-sample oracle against ``nlls_evaluate``, the fused full-batch
+diagnostics against the base class's per-agent reductions, the branch-free
+sigmoid against a masked evaluation, the buffered estimators against one
+fresh copy per probe, and ``sample_coordinates`` against sorting the
 positions of the smallest uniforms of the same draw.  Every comparison is
-exact equality.
+exact equality except the classification diagnostics, which sum over the
+whole training set in one pass and are held to a bound set by the float64
+rounding of their summands.
 """
 
 import math
@@ -77,30 +79,49 @@ def test_classification_evaluate_matches_nlls_evaluate(case, data):
             assert problem.evaluate(agent, x, xi) == nlls_evaluate(problem.dataset, agent, x, xi)
 
 
+def assert_fused_close_to_per_agent(problem, x):
+    """The one-pass diagnostics against the per-agent base-class reductions.
+
+    They sum in another order, so each gradient entry and the loss may
+    differ by 1e-12 times the sum of the absolute values of their summands
+    (``coef_r a_rj`` and the squared residuals, each over its shard size
+    times the agent count).
+    """
+    dataset = problem.dataset
+    labels = dataset.train_labels.astype(float)
+    phi = sigmoid(dataset.train_features @ x)
+    weight = np.concatenate(
+        [
+            np.full(stop - start, 1.0 / ((stop - start) * problem.local_count))
+            for start, stop in dataset.shard_bounds
+        ]
+    )
+    coef = -2.0 * (labels - phi) * phi * (1.0 - phi)
+    gradient_scale = (np.abs(coef) * weight) @ np.abs(dataset.train_features)
+    loss_scale = float((labels - phi) ** 2 @ weight)
+    fused = problem.true_global_gradient(x)
+    reference = StochasticProblem.true_global_gradient(problem, x)
+    assert np.all(np.abs(fused - reference) <= 1e-12 * gradient_scale)
+    loss_gap = abs(problem.full_loss(x) - StochasticProblem.full_loss(problem, x))
+    assert loss_gap <= 1e-12 * loss_scale
+
+
 @settings(max_examples=80, deadline=None)
 @given(classification_cases())
 def test_classification_fused_diagnostics_match_per_agent_reductions(case):
     problem, points = case
     # alternate the points so a stale shared pass would show
     for x in points + points[::-1]:
-        fused = problem.true_global_gradient(x)
-        reference = StochasticProblem.true_global_gradient(problem, x)
-        assert fused.tobytes() == reference.tobytes()
-        assert problem.full_loss(x) == StochasticProblem.full_loss(problem, x)
+        assert_fused_close_to_per_agent(problem, x)
 
 
 def test_classification_fused_diagnostics_on_misaligned_remainder_shard():
     # a fixed case of what the property test explores: a remainder shard
-    # whose rows do not start on a BLAS block boundary
+    # larger than the others, whose rows do not start on a BLAS block boundary
     dataset = make_synthetic_classification(31, 5, 9, 4, seed=1)
     assert dataset.shard_bounds[-1] == (21, 31)
     x = np.random.default_rng(2).standard_normal(9)
-    problem = ClassificationProblem(dataset)
-    assert (
-        problem.true_global_gradient(x).tobytes()
-        == StochasticProblem.true_global_gradient(problem, x).tobytes()
-    )
-    assert problem.full_loss(x) == StochasticProblem.full_loss(problem, x)
+    assert_fused_close_to_per_agent(ClassificationProblem(dataset), x)
 
 
 @settings(max_examples=80, deadline=None)

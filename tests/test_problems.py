@@ -71,6 +71,24 @@ class TestSyntheticDataset:
         sizes = [stop - start for start, stop in ds.shard_bounds]
         assert sizes == [10] * 9 + [13]
 
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            (((0, 3), (3, 3), (3, 6)), r"shard 1 is \(3, 3\) and holds no sample"),
+            (((0, 2), (3, 6)), r"shard 1 is \(3, 6\) but must start at 2"),
+            (((0, 4), (3, 6)), r"shard 1 is \(3, 6\) but must start at 4"),
+            (((3, 6), (0, 3)), r"shard 0 is \(3, 6\) but must start at 0"),
+            (((0, 3), (3, 5)), r"shard 1 stops at 5, not at n_train = 6"),
+            ((), "at least one shard"),
+        ],
+        ids=["empty", "gap", "overlap", "unordered", "short", "none"],
+    )
+    def test_shards_must_partition_train_set(self, bounds, message):
+        features = np.zeros((6, 2))
+        labels = np.zeros(6, dtype=np.int64)
+        with pytest.raises(ValueError, match=message):
+            ClassificationDataset(features, labels, features, labels, bounds)
+
 
 class TestNllsEvaluate:
     def test_zero_point_gives_quarter_loss(self, dataset):
