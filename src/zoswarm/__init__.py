@@ -56,7 +56,6 @@ from .problems import (
     accuracy,
     make_quadratic_toy,
     make_synthetic_classification,
-    nlls_evaluate,
     sigmoid,
 )
 

@@ -128,6 +128,7 @@ def main(argv=None) -> int:
         dynamics.DivergenceError,
         estimator.OracleEvaluationError,
         ValueError,
+        OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

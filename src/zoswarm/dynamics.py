@@ -42,7 +42,7 @@ __all__ = [
     "run",
 ]
 
-ALGORITHMS = ("zoom", "zoom_pb", "dsgd")
+ALGORITHMS = ("zoom", "zoom_pb")
 ESTIMATORS = ("forward", "central")
 
 # Any iterate entry beyond this magnitude aborts the run: a mis-set step
@@ -167,9 +167,8 @@ def step(
 ) -> SwarmState:
     """One synchronous round of ``params.algorithm``; every agent reads only round-k data.
 
-    ``"zoom_pb"`` passes the estimates through :func:`powerball`, ``"zoom"``
-    uses them as is, and ``"dsgd"`` replaces them with the analytic
-    stochastic gradient.  The round draws one coordinate block and one
+    ``"zoom_pb"`` passes the estimates through :func:`powerball` and
+    ``"zoom"`` uses them as is.  The round draws one coordinate block and one
     ``problem.sample_round`` block of realizations, and the transform runs
     once on the whole steps matrix.  Replaying the coordinate block, then
     the agents' data draws in index order, from a second ``RunStreams``
@@ -179,26 +178,19 @@ def step(
     n, p = iterates.shape
     # The estimator helpers stay module-global lookups so they can be patched.
     evaluate = problem.evaluate
-    algorithm = params.algorithm
-    zeroth_order = algorithm != "dsgd"
-    coords = sample_coordinates(n, p, params.n_c, streams.coords) if zeroth_order else None
+    coords = sample_coordinates(n, p, params.n_c, streams.coords)
     draws = problem.sample_round(streams.data)
     estimate = forward_estimate if params.estimator == "forward" else central_estimate
     delta = params.smoothing.delta(p, n, state.k)
     steps = np.empty_like(iterates)
     for i in range(n):
-        row = iterates[i]
-        xi = draws[i]
-        if zeroth_order:
-            steps[i] = estimate(
-                lambda z, agent=i, realization=xi: evaluate(agent, z, realization),
-                row,
-                coords[i],
-                delta,
-            )
-        else:
-            steps[i] = problem.stochastic_gradient(i, row, xi)
-    if algorithm == "zoom_pb":
+        steps[i] = estimate(
+            lambda z, agent=i, realization=draws[i]: evaluate(agent, z, realization),
+            iterates[i],
+            coords[i],
+            delta,
+        )
+    if params.algorithm == "zoom_pb":
         steps = powerball(steps, params.gamma)  # elementwise: the same bits as row by row
     # elementwise the same arithmetic as updating one row at a time
     nxt = iterates - params.alpha * (profile.laplacian @ iterates) - params.eta * steps
@@ -273,9 +265,7 @@ def run(
     n, p = topo.n, problem.dimension
     streams = RunStreams.from_seed(seed)
 
-    if params.algorithm == "dsgd":
-        calls_per_round = n
-    elif params.estimator == "forward":
+    if params.estimator == "forward":
         calls_per_round = n * (params.n_c + 1)
     else:
         calls_per_round = n * 2 * params.n_c

@@ -308,6 +308,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
             text = candidate.read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config file {str(path)!r} is not UTF-8: {exc}") from None
+        except OSError as exc:
+            raise ConfigError(f"config file {str(path)!r} cannot be read: {exc}") from None
         return parse_config(text)
     resource = _bundled_resource(str(path))
     if not resource.is_file():
@@ -524,7 +526,7 @@ def run_battery(
             {
                 "algorithm": spec.label,
                 "gamma": params.gamma,
-                "estimator": spec.estimator if spec.kind != "dsgd" else "-",
+                "estimator": spec.estimator,
                 "seed_count": len(own),
                 "median_final_loss": _median_or_none(s.final_loss for s in own),
                 "median_avg_grad_norm_sq": _median_or_none(s.avg_grad_norm_sq for s in own),

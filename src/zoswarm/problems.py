@@ -2,9 +2,8 @@
 
 Two problem families live here: the synthetic non-linear least-squares
 binary classification benchmark, and a quadratic toy with a known minimizer
-used as a test oracle.  Both expose analytic gradients for diagnostics and
-for the first-order reference baseline; the zeroth-order algorithms only
-ever see function values.
+used as a test oracle.  Both expose full-batch gradients and losses for the
+diagnostics; the algorithms only ever see function values.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ __all__ = [
     "QuadraticToyProblem",
     "sigmoid",
     "make_synthetic_classification",
-    "nlls_evaluate",
     "make_quadratic_toy",
     "accuracy",
 ]
@@ -41,23 +39,15 @@ def sigmoid(t):
     return float(out) if out.ndim == 0 else out
 
 
-def _sigmoid_scalar(t: float) -> float:
-    # scalar fast path for the per-sample oracle; math.exp beats np.exp here
-    if t >= 0.0:
-        return 1.0 / (1.0 + math.exp(-t))
-    e = math.exp(t)
-    return e / (1.0 + e)
-
-
 class StochasticProblem(ABC):
     """Black-box objective ``f(x) = (1/n) sum_i E_xi[F_i(x, xi)]``.
 
-    Subclasses set ``dimension`` and ``local_count`` and implement the
-    per-agent sampling/evaluation surface.  ``evaluate`` must be
+    Subclasses set ``dimension`` and ``local_count`` and implement
+    ``sample``, ``evaluate``, ``true_local_gradient`` and ``local_loss``.
+    ``evaluate`` is the only thing the dynamics query, and it must be
     deterministic given ``(agent, x, xi)`` so that several probes within one
     gradient estimate share the same realization.  The ``true_*`` gradients
-    and full-batch losses are simulator privileges used only for diagnostics
-    and the first-order baseline.
+    and full-batch losses are simulator privileges used only for diagnostics.
     """
 
     dimension: int
@@ -82,10 +72,6 @@ class StochasticProblem(ABC):
         The estimators call this once per probe and may pass a buffer they
         reuse for the next probe, so do not keep a reference to ``x``.
         """
-
-    @abstractmethod
-    def stochastic_gradient(self, agent: int, x: np.ndarray, xi) -> np.ndarray:
-        """Analytic per-sample gradient of ``F_agent(., xi)`` at ``x``."""
 
     @abstractmethod
     def true_local_gradient(self, agent: int, x: np.ndarray) -> np.ndarray:
@@ -203,14 +189,6 @@ def make_synthetic_classification(
     return ClassificationDataset(train, train_labels, test, test_labels, bounds)
 
 
-def nlls_evaluate(dataset: ClassificationDataset, agent: int, x: np.ndarray, xi: int) -> float:
-    """Squared logistic residual ``(y - phi(x; a))^2`` for one sampled pair."""
-    a = dataset.train_features[xi]
-    y = float(dataset.train_labels[xi])
-    phi = _sigmoid_scalar(float(a @ x))
-    return (y - phi) ** 2
-
-
 def _nlls_gradient_over(features: np.ndarray, labels: np.ndarray, x: np.ndarray) -> np.ndarray:
     phi = sigmoid(features @ x)
     coef = -2.0 * (labels - phi) * phi * (1.0 - phi)
@@ -264,7 +242,8 @@ class ClassificationProblem(StochasticProblem):
         return rng.integers(self._starts, self._stops)
 
     def evaluate(self, agent: int, x: np.ndarray, xi: int) -> float:
-        # nlls_evaluate with the scalar sigmoid inlined: this is the per-probe hot path
+        # the squared logistic residual (y - phi(a . x))^2 of one sampled pair, with
+        # a scalar sigmoid inlined: math.exp beats np.exp on this per-probe hot path
         t = float(self._features[xi].dot(x))
         if t >= 0.0:
             phi = 1.0 / (1.0 + math.exp(-t))
@@ -272,12 +251,6 @@ class ClassificationProblem(StochasticProblem):
             e = math.exp(t)
             phi = e / (1.0 + e)
         return (float(self._labels[xi]) - phi) ** 2
-
-    def stochastic_gradient(self, agent: int, x: np.ndarray, xi: int) -> np.ndarray:
-        a = self.dataset.train_features[xi]
-        y = float(self.dataset.train_labels[xi])
-        phi = _sigmoid_scalar(float(a @ x))
-        return (-2.0 * (y - phi) * phi * (1.0 - phi)) * a
 
     def true_local_gradient(self, agent: int, x: np.ndarray) -> np.ndarray:
         sl = self._shards[agent]
@@ -320,10 +293,11 @@ class QuadraticToyProblem(StochasticProblem):
     """Per-agent quadratics ``f_i(x) = 0.5 ||x - c_i||^2`` with a known optimum.
 
     The stochastic oracle is ``F_i(x, z) = f_i(x) + z . (x - c_i)`` with
-    ``z ~ N(0, zeta^2 I)``, so each coordinate of the stochastic gradient
-    deviates from the true one with standard deviation exactly ``zeta``.
-    A plain additive noise term would cancel in finite differences and leave
-    the gradients noiseless, which is not what a variance knob is for.
+    ``z ~ N(0, zeta^2 I)``, so each coordinate of the per-sample gradient
+    ``(x - c_i) + z`` deviates from the true one with standard deviation
+    exactly ``zeta``.  A plain additive noise term would cancel in finite
+    differences and leave the gradients noiseless, which is not what a
+    variance knob is for.
     The global minimizer is the centroid of the centers.
     """
 
@@ -347,9 +321,6 @@ class QuadraticToyProblem(StochasticProblem):
     def evaluate(self, agent: int, x: np.ndarray, z: np.ndarray) -> float:
         diff = x - self.centers[agent]
         return float((0.5 * diff).dot(diff) + z.dot(diff))
-
-    def stochastic_gradient(self, agent: int, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        return (x - self.centers[agent]) + z
 
     def true_local_gradient(self, agent: int, x: np.ndarray) -> np.ndarray:
         return x - self.centers[agent]

@@ -6,12 +6,27 @@ a dense Laplacian product for the mixing, and the run's two streams from
 ``SeedSequence(seed).spawn(2)`` (data, then coordinates).  Its diagnostics
 come from the ``StochasticProblem`` base-class per-agent methods.  Only the
 tests import it, so an optimisation in ``src/`` that reorders floating
-point sums can be told from one that changes the algorithm.
+point sums can be told from one that changes the algorithm.  It also holds
+``nlls_evaluate``, the plain per-sample classification oracle that
+``ClassificationProblem.evaluate`` must equal bit for bit.
 """
+
+import math
 
 import numpy as np
 
 from zoswarm.problems import StochasticProblem
+
+
+def nlls_evaluate(dataset, agent, x, xi):
+    """Squared logistic residual ``(y - phi(x; a))^2`` for one sampled pair."""
+    t = float(dataset.train_features[xi] @ x)
+    if t >= 0.0:
+        phi = 1.0 / (1.0 + math.exp(-t))
+    else:
+        e = math.exp(t)
+        phi = e / (1.0 + e)
+    return (float(dataset.train_labels[xi]) - phi) ** 2
 
 
 def coordinate_rows(rng, n, p, n_c):

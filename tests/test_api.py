@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import zoswarm
-from zoswarm import cli, dynamics, harness
+from zoswarm import cli, dynamics, harness, problems
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(zoswarm.__path__))
 
@@ -88,7 +88,8 @@ CLI_FLAGS = {
 
 
 def test_option_surface_is_pinned():
-    # adding, renaming or removing an option is a deliberate change to this test
+    # adding, renaming or removing an option, an algorithm kind or a required
+    # problem method is a deliberate change to this test
     tables = (
         set(harness._RUN_KEYS)
         | {f"{section}.{name}" for section, names in harness._SETTINGS.items() for name in names}
@@ -123,3 +124,9 @@ def test_option_surface_is_pinned():
     assert list(inspect.signature(harness.run_battery).parameters) == [
         "config", "out_dir", "jobs", "quiet"
     ]
+
+    # zeroth-order only: two algorithm kinds, and a problem answers function values
+    assert dynamics.ALGORITHMS == ("zoom", "zoom_pb")
+    assert problems.StochasticProblem.__abstractmethods__ == {
+        "sample", "evaluate", "true_local_gradient", "local_loss"
+    }

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,6 +115,47 @@ def test_run_rejects_config_that_is_not_utf8(tmp_path, capsys):
     assert main(["run", "--config", str(bad), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: config file {str(bad)!r} is not UTF-8")
+
+
+def test_run_rejects_config_that_cannot_be_read(tmp_path, capsys, monkeypatch):
+    # root reads a mode-000 file, so the refused read is patched in
+    cfg = write_cfg(tmp_path)
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    assert main(["run", "--config", str(cfg), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config file {str(cfg)!r} cannot be read")
+    assert "Permission denied" in err
+
+
+@pytest.mark.parametrize(
+    "algorithms, label",
+    [("algorithms = x\nalgorithm.x.kind = dsgd", "x"), ("algorithms = dsgd", "dsgd")],
+    ids=["kind", "label"],
+)
+def test_run_rejects_the_first_order_kind(tmp_path, capsys, algorithms, label):
+    cfg = tmp_path / "toy.cfg"
+    cfg.write_text(
+        TOY_CFG.replace("algorithms = zoom,zoom_pb\nalgorithm.zoom_pb.gamma = 0.7", algorithms)
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: unknown algorithm kind 'dsgd' for {label!r}")
+    assert not out.exists()
+
+
+def test_run_reports_a_record_file_it_cannot_write(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    (out / "zoom_seed1.csv").mkdir(parents=True)
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "zoom_seed1.csv" in err
+    assert [p.name for p in out.iterdir()] == ["zoom_seed1.csv"]  # no temp file left
 
 
 def test_run_unknown_bundled_name(capsys):

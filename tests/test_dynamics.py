@@ -110,9 +110,7 @@ class TestHyperParams:
         with pytest.raises(ValueError, match="algorithm must be one of"):
             HyperParams(alpha=0.1, eta=0.1, T=10, algorithm="sgd")
 
-    @pytest.mark.parametrize(
-        ("algorithm", "gamma"), [("zoom", 1.0), ("zoom_pb", 0.7), ("dsgd", 1.0)]
-    )
+    @pytest.mark.parametrize(("algorithm", "gamma"), [("zoom", 1.0), ("zoom_pb", 0.7)])
     def test_unset_gamma_resolves_by_algorithm(self, algorithm, gamma):
         assert HyperParams(alpha=0.1, eta=0.1, T=10, algorithm=algorithm).gamma == gamma
         assert HyperParams(alpha=0.1, eta=0.1, T=10, algorithm=algorithm, gamma=0.5).gamma == 0.5
@@ -442,16 +440,20 @@ class TestRun:
         trajectory = run(topo, problem, params, seed=0, record_every=10)
         assert [r.k for r in trajectory.records] == [0, 10, 20, 25]
 
-    def test_dsgd_never_draws_coordinates(self, toy_setup, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("dsgd drew coordinates")
+    def test_draws_one_data_block_per_round(self, toy_setup):
+        topo, profile, _ = toy_setup
+        problem = make_quadratic_toy(4, 6, seed=3, zeta=0.3)
+        blocks = []
+        draw = problem.sample_round
 
-        monkeypatch.setattr("zoswarm.dynamics.sample_coordinates", refuse)
-        topo, profile, problem = toy_setup
-        params = HyperParams(alpha=0.5 * profile.alpha_max, eta=0.01, T=20, n_c=3)
-        assert run(topo, problem, replace(params, algorithm="dsgd"), seed=2).final_state.k == 20
-        with pytest.raises(AssertionError, match="drew coordinates"):
-            run(topo, problem, params, seed=2)
+        def recording(rng):
+            blocks.append(draw(rng))
+            return blocks[-1]
+
+        problem.sample_round = recording
+        params = HyperParams(alpha=0.5 * profile.alpha_max, eta=0.01, T=30, n_c=3)
+        run(topo, problem, params, seed=4)
+        assert len(blocks) == 30
 
     def test_oracle_call_accounting(self, toy_setup):
         topo, profile, problem = toy_setup

@@ -280,8 +280,9 @@ class TestBattery:
             "topology.n = 4\ntopology.prob = 0.8\ntopology.seed = 2\n"
             "run.T = 40\nrun.record_every = 5\nrun.seeds = 1,2,3\n"
             "defaults.eta = 0.05\ndefaults.n_c = 3\ndefaults.smoothing = fixed:0.01\n"
-            "algorithms = zoom_fd,zoom_pb_cd,dsgd\nalgorithm.zoom_fd.kind = zoom\n"
+            "algorithms = zoom_fd,zoom_pb_cd,zoom_cd\nalgorithm.zoom_fd.kind = zoom\n"
             "algorithm.zoom_pb_cd.kind = zoom_pb\nalgorithm.zoom_pb_cd.estimator = central\n"
+            "algorithm.zoom_cd.kind = zoom\nalgorithm.zoom_cd.estimator = central\n"
         )
         run_battery(cfg, out_dir=tmp_path / "battery", quiet=True)
         standalone_runs(cfg, tmp_path / "alone")
@@ -337,76 +338,6 @@ class TestBattery:
         cfg.algorithms = []
         with pytest.raises(ConfigError):
             run_battery(cfg, quiet=True)
-
-
-class TestBaseline:
-    """The first-order baseline runs as a battery entry of kind ``dsgd``."""
-
-    def test_monotone_decrease_on_noiseless_toy(self):
-        cfg = parse_config(
-            "problem.name = quadratic_toy\nproblem.n_agents = 3\nproblem.p = 4\n"
-            "problem.seed = 2\nproblem.zeta = 0.0\n"
-            "topology.n = 3\ntopology.prob = 1.0\ntopology.seed = 0\n"
-            "run.T = 200\nrun.seeds = 1\n"
-            "algorithms = dsgd\nalgorithm.dsgd.eta = 0.05\n"
-        )
-        (baseline,) = run_battery(cfg, quiet=True).runs
-        problem = build_problem(cfg)
-        losses = [r.mean_train_loss for r in baseline.trajectory.records]
-        assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
-        assert losses[-1] - problem.optimal_value() < 1e-3
-        assert losses[-1] == 1.6813997998058285  # pinned bit for bit, like tests/test_golden.py
-
-    def test_shares_realization_draws_with_zoom(self):
-        cfg = toy_config()
-        problem = build_problem(cfg)
-        topo = build_topology(cfg)
-        profile = laplacian_spectrum(topo)
-        params, _ = resolve_hyperparams(cfg.algorithms[0], profile, 4, 6, 30)
-
-        class RecordingProblem:
-            def __init__(self, inner):
-                self.inner = inner
-                self.dimension = inner.dimension
-                self.local_count = inner.local_count
-                self.draws = []
-
-            def sample_round(self, rng):
-                draws = self.inner.sample_round(rng)
-                self.draws.append([tuple(np.atleast_1d(xi)) for xi in draws])
-                return draws
-
-            def __getattr__(self, name):
-                return getattr(self.inner, name)
-
-        recorder_zoom = RecordingProblem(problem)
-        recorder_dsgd = RecordingProblem(problem)
-        run(topo, recorder_zoom, params, seed=4)
-        run(topo, recorder_dsgd, replace(params, algorithm="dsgd"), seed=4)
-        assert len(recorder_zoom.draws) == 30  # one block per round
-        assert recorder_zoom.draws == recorder_dsgd.draws
-
-    def test_first_order_dominates_zeroth_order_on_benchmark(self):
-        # reduced-scale benchmark: same seeds, median final loss comparison
-        cfg = parse_config(
-            "problem.name = classification\nproblem.n_train = 300\nproblem.n_test = 60\n"
-            "problem.d = 30\nproblem.n_agents = 5\nproblem.seed = 7\n"
-            "topology.n = 5\ntopology.prob = 0.6\ntopology.seed = 3\n"
-            "run.T = 600\nrun.record_every = 50\nrun.seeds = 1,2,3,4,5\n"
-            "defaults.eta = 0.05\ndefaults.smoothing = scaled_fixed:10\n"
-            "algorithms = zoom,dsgd\n"
-        )
-        battery = run_battery(cfg, quiet=True)
-        zoom_row, dsgd_row = battery.summary_rows
-        assert dsgd_row["median_final_loss"] <= zoom_row["median_final_loss"]
-        # pinned bit for bit, like tests/test_golden.py
-        assert [r.summary.final_loss for r in battery.runs_for("dsgd")] == [
-            0.07514417390600871,
-            0.07435620678356718,
-            0.07461038395610023,
-            0.07364729932343685,
-            0.07356988909841025,
-        ]
 
 
 class TestGammaSweep:

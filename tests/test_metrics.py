@@ -34,9 +34,6 @@ class CountingProblem:
         self.evaluations += 1
         return self.inner.evaluate(agent, x, xi)
 
-    def stochastic_gradient(self, agent, x, xi):
-        return self.inner.stochastic_gradient(agent, x, xi)
-
     def true_local_gradient(self, agent, x):
         return self.inner.true_local_gradient(agent, x)
 

@@ -1,11 +1,11 @@
 """The streamlined oracle path against straightforward reference versions.
 
 Each fast path here is checked against a plainer computation: the
-per-sample oracle against ``nlls_evaluate``, the fused full-batch
-diagnostics against the base class's per-agent reductions, the branch-free
-sigmoid against a masked evaluation, the buffered estimators against one
-fresh copy per probe, and ``sample_coordinates`` against sorting the
-positions of the smallest uniforms of the same draw.  Every comparison is
+per-sample oracle against ``reference_engine.nlls_evaluate``, the fused
+full-batch diagnostics against the base class's per-agent reductions, the
+branch-free sigmoid against a masked evaluation, the buffered estimators
+against one fresh copy per probe, and ``sample_coordinates`` against
+sorting the positions of the smallest uniforms of the same draw.  Every comparison is
 exact equality except the classification diagnostics, which sum over the
 whole training set in one pass and are held to a bound set by the float64
 rounding of their summands.
@@ -17,6 +17,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_engine import nlls_evaluate
 from zoswarm.estimator import (
     central_estimate,
     forward_estimate,
@@ -27,7 +28,6 @@ from zoswarm.problems import (
     QuadraticToyProblem,
     StochasticProblem,
     make_synthetic_classification,
-    nlls_evaluate,
     sigmoid,
 )
 

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zoswarm as zs
+from reference_engine import nlls_evaluate
 from zoswarm.problems import (
     ClassificationDataset,
     ClassificationProblem,
@@ -11,7 +13,6 @@ from zoswarm.problems import (
     accuracy,
     make_quadratic_toy,
     make_synthetic_classification,
-    nlls_evaluate,
     sigmoid,
 )
 
@@ -122,6 +123,22 @@ class TestNllsEvaluate:
 
 
 class TestNllsGradient:
+    def test_gradient_vanishes_on_saturated_samples(self, dataset):
+        # a one-sample shard's gradient is that sample's gradient
+        x = 100.0 * np.ones(100)
+        sums = dataset.train_features.sum(axis=1)
+        xi = int(np.argmax(np.abs(sums)))
+        single = ClassificationDataset(
+            dataset.train_features[xi : xi + 1],
+            dataset.train_labels[xi : xi + 1],
+            dataset.test_features,
+            dataset.test_labels,
+            ((0, 1),),
+        )
+        problem = ClassificationProblem(single)
+        assert np.linalg.norm(problem.true_local_gradient(0, x)) < 1e-8
+        assert np.linalg.norm(problem.true_global_gradient(x)) < 1e-8
+
     def test_closed_form_at_zero(self, dataset):
         # at x = 0 every per-sample gradient is -(y - 1/2) a / 2
         for agent in (0, 4, 9):
@@ -164,13 +181,6 @@ class TestNllsGradient:
                 fd[j] = (loss(x + e) - loss(x - e)) / 2e-5
             assert np.linalg.norm(fd - analytic) <= 1e-5 * np.linalg.norm(analytic)
 
-    def test_gradient_vanishes_on_saturated_samples(self, dataset):
-        x = 100.0 * np.ones(100)
-        problem = ClassificationProblem(dataset)
-        sums = dataset.train_features.sum(axis=1)
-        xi = int(np.argmax(np.abs(sums)))
-        assert np.linalg.norm(problem.stochastic_gradient(0, x, xi)) < 1e-8
-
 
 class TestAccuracy:
     def test_reference_vector_is_perfect(self, dataset):
@@ -202,21 +212,6 @@ class TestClassificationProblem:
             problem.true_global_gradient(x), np.mean(locals_, axis=0), atol=1e-10
         )
 
-    def test_stochastic_gradient_matches_finite_difference(self, dataset):
-        problem = ClassificationProblem(dataset)
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal(100)
-        xi = 42
-        analytic = problem.stochastic_gradient(0, x, xi)
-        fd = np.zeros(100)
-        for j in range(100):
-            e = np.zeros(100)
-            e[j] = 1e-6
-            fd[j] = (
-                problem.evaluate(0, x + e, xi) - problem.evaluate(0, x - e, xi)
-            ) / 2e-6
-        assert np.linalg.norm(fd - analytic) <= 1e-4
-
 
 class TestQuadraticToy:
     def test_identical_centers_have_zero_optimum(self):
@@ -244,18 +239,23 @@ class TestQuadraticToy:
         assert problem.evaluate(0, x, z) == problem.local_loss(0, x)
 
     def test_noise_is_zero_mean_with_std_zeta(self):
+        # central differences of the quadratic oracle are exact: (x - c_i)_j + z_j
         problem = make_quadratic_toy(1, 4, seed=2, zeta=0.5)
         rng = np.random.default_rng(3)
         x = np.ones(4)
-        deviations = np.array(
-            [
-                problem.stochastic_gradient(0, x, problem.sample(0, rng))
-                - problem.true_local_gradient(0, x)
-                for _ in range(4000)
-            ]
-        )
-        assert abs(deviations.mean()) < 0.02
-        assert abs(deviations.std() - 0.5) < 0.02
+        h = 0.5
+        deviations = []
+        for _ in range(4000):
+            z = problem.sample(0, rng)
+            shifts = h * np.eye(4)
+            central = np.array(
+                [problem.evaluate(0, x + e, z) - problem.evaluate(0, x - e, z) for e in shifts]
+            )
+            deviation = central / (2.0 * h) - problem.true_local_gradient(0, x)
+            assert np.allclose(deviation, z, rtol=0.0, atol=1e-12)
+            deviations.append(deviation)
+        assert abs(np.mean(deviations)) < 0.02
+        assert abs(np.std(deviations) - 0.5) < 0.02
 
     def test_gradient_matches_central_differences(self):
         problem = make_quadratic_toy(4, 6, seed=3, zeta=0.0)
@@ -269,6 +269,35 @@ class TestQuadraticToy:
                 e[j] = 1e-5
                 fd[j] = (problem.local_loss(2, x + e) - problem.local_loss(2, x - e)) / 2e-5
             assert np.linalg.norm(fd - analytic) <= 1e-5 * max(1.0, np.linalg.norm(analytic))
+
+
+def test_black_box_problem_needs_only_function_values():
+    # a problem supplies no per-sample gradient: the dynamics only query evaluate
+    class NoisyTargets(StochasticProblem):
+        dimension = 3
+        local_count = 2
+
+        def sample(self, agent, rng):
+            return rng.standard_normal()
+
+        def evaluate(self, agent, x, xi):
+            return float(np.sum((x - agent - xi) ** 2))
+
+        def true_local_gradient(self, agent, x):
+            return 2.0 * (x - agent)
+
+        def local_loss(self, agent, x):
+            return float(np.sum((x - agent) ** 2)) + 3.0  # E[xi^2] = 1 per coordinate
+
+    topo = zs.erdos_renyi(2, 1.0, seed=0)
+    params = zs.HyperParams(
+        alpha=0.5 * zs.laplacian_spectrum(topo).alpha_max, eta=0.05, T=200, n_c=2
+    )
+    trajectory = zs.run(topo, NoisyTargets(), params, seed=1)
+    assert trajectory.final_state.k == 200
+    assert trajectory.records[-1].oracle_calls == 200 * 2 * 3
+    # from 4.5 at the origin toward f* = 3.75 at the mean target (0.5, 0.5, 0.5)
+    assert trajectory.records[-1].mean_train_loss < 3.9
 
 
 @st.composite
