@@ -37,42 +37,83 @@ class EigenSolveError(RuntimeError):
     """The symmetric eigenvalue solver failed to converge."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Topology:
     """Undirected weighted communication graph over agents ``0..n-1``.
 
-    ``weights[i, j] > 0`` exactly when agents ``i`` and ``j`` can talk to
-    each other; the matrix is symmetric with a zero diagonal (no self
-    loops).  Weights are dimensionless mixing coefficients, not distances.
-    The topology keeps a read-only copy of them, so the spectrum it
-    memoizes can never go stale; the caller's array stays writeable.
+    ``Topology(n, weights)`` takes a dense matrix with ``weights[i, j] > 0``
+    exactly when agents ``i`` and ``j`` can talk to each other; it must be
+    finite, symmetric and nonnegative with a zero diagonal (no self loops).
+    Weights are dimensionless mixing coefficients, not distances.
+
+    The graph is kept in compressed sparse row form: agent ``i``'s
+    neighbours are ``columns[row_starts[i]:row_starts[i + 1]]``, in
+    ascending order, with the matching ``edge_weights``; ``degrees`` holds
+    the weighted row sums.  No dense copy is kept: ``weights`` rebuilds the
+    matrix on each access.  Every array is read-only, so the spectrum the
+    topology memoizes can never go stale; the caller's matrix is only read.
     Equality and hashing go by identity, as the spectrum memo does.
     """
 
     n: int
-    weights: np.ndarray
+    row_starts: np.ndarray
+    columns: np.ndarray
+    edge_weights: np.ndarray
+    degrees: np.ndarray
     # set once by laplacian_spectrum
-    _spectrum: SpectralProfile | None = field(default=None, init=False, repr=False)
+    _spectrum: SpectralProfile | None = field(default=None, repr=False)
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, weights: np.ndarray) -> None:
+        if n < 1:
             raise ValueError("agent count must be positive")
-        w = np.array(self.weights, dtype=float)
-        if w.shape != (self.n, self.n):
-            raise ValueError(f"weights must be {self.n}x{self.n}, got {w.shape}")
+        w = np.asarray(weights, dtype=float)
+        if w.shape != (n, n):
+            raise ValueError(f"weights must be {n}x{n}, got {w.shape}")
+        if not np.isfinite(w).all():
+            raise ValueError("weights must be finite")
         if not np.array_equal(w, w.T):
             raise ValueError("weights must be symmetric")
         if np.any(np.diag(w) != 0.0):
             raise ValueError("self weights must be zero")
         if np.any(w < 0.0):
             raise ValueError("weights must be nonnegative")
+        rows, columns = np.nonzero(w)
+        arrays = {
+            "row_starts": np.searchsorted(rows, np.arange(n + 1)),
+            "columns": columns,
+            "edge_weights": w[rows, columns],
+            "degrees": w.sum(axis=1),
+        }
+        object.__setattr__(self, "n", n)
+        for name, array in arrays.items():
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The dense symmetric weight matrix, rebuilt read-only on each access."""
+        w = self._dense(self.edge_weights)
         w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
+        return w
 
     def edges(self) -> list[tuple[int, int, float]]:
-        """All edges as ``(i, j, weight)`` with ``i < j``."""
-        rows, cols = np.nonzero(np.triu(self.weights, k=1))
-        return [(int(i), int(j), float(self.weights[i, j])) for i, j in zip(rows, cols)]
+        """All edges as ``(i, j, weight)`` with ``i < j``, row by row."""
+        rows = self._edge_rows()
+        upper = rows < self.columns
+        return [
+            (int(i), int(j), float(weight))
+            for i, j, weight in zip(rows[upper], self.columns[upper], self.edge_weights[upper])
+        ]
+
+    def _edge_rows(self) -> np.ndarray:
+        """The row of each stored entry, aligned with ``columns``."""
+        return np.repeat(np.arange(self.n), np.diff(self.row_starts))
+
+    def _dense(self, values: np.ndarray) -> np.ndarray:
+        """A fresh n x n matrix holding ``values`` at the stored entries, zero elsewhere."""
+        dense = np.zeros((self.n, self.n))
+        dense[self._edge_rows(), self.columns] = values
+        return dense
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,14 +158,14 @@ def erdos_renyi(n: int, prob: float, seed: int = 0, max_attempts: int = 100) -> 
         raise ValueError("an Erdos-Renyi topology needs at least 2 agents")
     if not 0.0 < prob <= 1.0:
         raise ValueError("edge probability must lie in (0, 1]")
-    upper = np.triu_indices(n, k=1)
+    if max_attempts < 1:
+        raise ValueError("max_attempts must be at least 1")
+    # position in the draw block of the first pair (i, i + 1) of each row i
+    row = np.arange(n - 1)
+    offsets = row * (2 * n - 1 - row) // 2
     rng = np.random.default_rng(seed)
     for _ in range(max_attempts):
-        draws = rng.random(n * (n - 1) // 2)
-        weights = np.zeros((n, n))
-        weights[upper] = (draws < prob).astype(float)
-        weights = weights + weights.T
-        topo = Topology(n, weights)
+        topo = _draw_topology(n, (rng.random(n * (n - 1) // 2) < prob).nonzero()[0], offsets)
         if is_connected(topo):
             return topo
     raise GraphSamplingError(
@@ -133,18 +174,31 @@ def erdos_renyi(n: int, prob: float, seed: int = 0, max_attempts: int = 100) -> 
     )
 
 
+def _draw_topology(n: int, hits: np.ndarray, offsets: np.ndarray) -> Topology:
+    """The 0/1 topology whose upper-triangle pairs, row-major, are ``hits``."""
+    i = np.searchsorted(offsets, hits, side="right") - 1
+    j = hits - offsets[i] + i + 1
+    weights = np.zeros((n, n))
+    weights[i, j] = 1.0
+    weights[j, i] = 1.0
+    return Topology(n, weights)
+
+
 def is_connected(topo: Topology) -> bool:
     """True iff a traversal from agent 0 over positive-weight edges reaches everyone.
 
     The traversal is a breadth-first search that expands a whole level at
-    once: the next frontier is every unseen agent linked to the current one.
+    once: the next frontier is every unseen agent at the end of an edge
+    leaving the current one.
     """
-    linked = topo.weights > 0.0
+    degree = np.diff(topo.row_starts)
     seen = np.zeros(topo.n, dtype=bool)
     seen[0] = True
     frontier = seen.copy()
     while frontier.any():
-        frontier = linked[frontier].any(axis=0) & ~seen
+        reached = np.zeros(topo.n, dtype=bool)
+        reached[topo.columns[np.repeat(frontier, degree)]] = True
+        frontier = reached & ~seen
         seen |= frontier
     return bool(seen.all())
 
@@ -154,14 +208,15 @@ def laplacian_spectrum(topo: Topology) -> SpectralProfile:
 
     The first call on a topology runs a dense symmetric eigen-solve and
     stores the profile on it; later calls on the same object return that
-    profile.  A topology's weights are read-only, so the stored profile
+    profile.  A topology's arrays are read-only, so the stored profile
     cannot go stale.
 
     Raises:
         EigenSolveError: if the eigenvalue iteration does not converge.
         ValueError: if the graph has no positive Laplacian eigenvalue
             (i.e. no edges at all), in which case no consensus step bound
-            exists.
+            exists, or if ``rho2``, ``rho_l2`` or ``alpha_max`` comes out
+            non-finite (weights too large for the float eigen-solve).
     """
     if topo._spectrum is None:
         object.__setattr__(topo, "_spectrum", _solve_spectrum(topo))
@@ -169,8 +224,10 @@ def laplacian_spectrum(topo: Topology) -> SpectralProfile:
 
 
 def _solve_spectrum(topo: Topology) -> SpectralProfile:
-    adjacency = topo.weights
-    laplacian = np.diag(adjacency.sum(axis=1)) - adjacency
+    # the bits of np.diag(degrees) - weights in one n x n array: stored
+    # weights are positive, so -w is 0.0 - w, and the diagonal is deg - 0.0
+    laplacian = topo._dense(-topo.edge_weights)
+    np.fill_diagonal(laplacian, topo.degrees)
     laplacian.flags.writeable = False
     try:
         eigenvalues = np.linalg.eigvalsh(laplacian)
@@ -181,9 +238,11 @@ def _solve_spectrum(topo: Topology) -> SpectralProfile:
         raise ValueError("graph has no edges; the Laplacian spectrum is all zero")
     rho2 = float(positive.min())
     rho_l2 = float(np.abs(eigenvalues).max() ** 2)
-    return SpectralProfile(
-        laplacian=laplacian,
-        rho2=rho2,
-        rho_l2=rho_l2,
-        alpha_max=rho2 / (2.0 * rho_l2),
-    )
+    bounds = {"rho2": rho2, "rho_l2": rho_l2, "alpha_max": rho2 / (2.0 * rho_l2)}
+    for name, value in bounds.items():
+        if not np.isfinite(value):
+            raise ValueError(
+                f"Laplacian spectrum has {name} = {value}; the weights are too large "
+                "for a float eigen-solve"
+            )
+    return SpectralProfile(laplacian=laplacian, **bounds)

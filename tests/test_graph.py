@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -35,6 +36,11 @@ class TestTopology:
         with pytest.raises(ValueError, match="nonnegative"):
             Topology(2, np.array([[0.0, -1.0], [-1.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            Topology(2, np.array([[0.0, bad], [bad, 0.0]]))
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="2x2"):
             Topology(2, np.zeros((3, 3)))
@@ -70,10 +76,10 @@ class TestErdosRenyi:
         assert np.array_equal(a.weights, b.weights)
         assert is_connected(a)
 
-    def test_matches_seeded_sampler_replay(self):
+    @pytest.mark.parametrize("n, prob, seed", [(10, 0.2, 7), (1000, 0.0207, 2)])
+    def test_matches_seeded_sampler_replay(self, n, prob, seed):
         # replay the documented draw order: upper-triangle pairs, row-major,
         # each retry taking the next block of the one seeded generator
-        n, prob, seed = 10, 0.2, 7
         topo = erdos_renyi(n, prob, seed=seed)
         rng = np.random.default_rng(seed)
         for attempt in range(100):
@@ -84,7 +90,8 @@ class TestErdosRenyi:
             if is_connected(Topology(n, expected)):
                 break
         assert np.array_equal(topo.weights, expected)
-        assert attempt > 0  # the replay covers retries, not only a first draw
+        if n == 10:
+            assert attempt > 0  # the replay covers retries, not only a first draw
 
     def test_neighbouring_seeds_do_not_share_retries(self):
         # both seeds retry at this density; a retry must not replay the next seed
@@ -107,6 +114,24 @@ class TestErdosRenyi:
             erdos_renyi(5, 0.0)
         with pytest.raises(ValueError):
             erdos_renyi(5, 1.5)
+
+    @pytest.mark.parametrize("max_attempts", [0, -1])
+    def test_rejects_empty_retry_budget(self, max_attempts):
+        with pytest.raises(ValueError, match="max_attempts"):
+            erdos_renyi(5, 0.5, max_attempts=max_attempts)
+
+    def test_keeps_no_dense_matrix(self):
+        n = 1000
+        erdos_renyi(10, 0.5, seed=0)  # lazy imports stay out of the trace
+        tracemalloc.start()
+        try:
+            topo = erdos_renyi(n, 0.0207, seed=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = sum(v.nbytes for v in vars(topo).values() if isinstance(v, np.ndarray))
+        assert kept < 1_000_000  # a dense n x n copy alone is 8 MB
+        assert peak < 2.5 * 8 * n * n
 
     def test_reports_failure_when_budget_exhausted(self):
         # 30 agents at vanishing edge probability essentially never connect
@@ -144,6 +169,11 @@ class TestLaplacianSpectrum:
         assert abs(profile.rho2 - 2.0) < 1e-12
         assert abs(profile.rho_l2 - 4.0) < 1e-12
         assert abs(profile.alpha_max - 0.25) < 1e-12
+
+    def test_rejects_weights_too_large_for_the_spectrum(self):
+        huge = np.array([[0.0, 1e308], [1e308, 0.0]])
+        with pytest.raises(ValueError, match=r"(rho2|rho_l2|alpha_max) = (inf|nan)"):
+            laplacian_spectrum(Topology(2, huge))
 
     def test_rejects_edgeless_graph(self):
         with pytest.raises(ValueError, match="no edges"):
@@ -203,7 +233,14 @@ def test_laplacian_properties_on_random_connected_graphs(topo):
     # zero row sums: agents that already agree feel no consensus pull
     profile = laplacian_spectrum(topo)
     lap = profile.laplacian
-    scale = topo.weights.sum(axis=1).max()
+    w = topo.weights
+    scale = w.sum(axis=1).max()
+    # bit for bit the dense construction, degrees summed in the same order
+    assert np.array_equal(lap, np.diag(w.sum(axis=1)) - w)
+    eigs = np.linalg.eigvalsh(lap)
+    rho2, rho_l2 = eigs[eigs > 1e-9].min(), np.abs(eigs).max() ** 2
+    assert (profile.rho2, profile.rho_l2) == (rho2, rho_l2)
+    assert profile.alpha_max == rho2 / (2.0 * rho_l2)
     assert np.all(np.abs(lap.sum(axis=1)) <= 1e-12 * scale)
     assert np.array_equal(lap, lap.T)
     assert np.linalg.eigvalsh(lap).min() >= -1e-9 * scale
