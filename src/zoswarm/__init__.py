@@ -49,11 +49,9 @@ from .harness import (
 )
 from .metrics import IterationRecord, RunSummary, summarize
 from .problems import (
-    ClassificationDataset,
     ClassificationProblem,
     QuadraticToyProblem,
     StochasticProblem,
-    accuracy,
     make_quadratic_toy,
     make_synthetic_classification,
     sigmoid,

@@ -96,15 +96,6 @@ class Topology:
         w.flags.writeable = False
         return w
 
-    def edges(self) -> list[tuple[int, int, float]]:
-        """All edges as ``(i, j, weight)`` with ``i < j``, row by row."""
-        rows = self._edge_rows()
-        upper = rows < self.columns
-        return [
-            (int(i), int(j), float(weight))
-            for i, j, weight in zip(rows[upper], self.columns[upper], self.edge_weights[upper])
-        ]
-
     def _edge_rows(self) -> np.ndarray:
         """The row of each stored entry, aligned with ``columns``."""
         return np.repeat(np.arange(self.n), np.diff(self.row_starts))

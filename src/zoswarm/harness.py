@@ -228,7 +228,10 @@ _EXPECTED = {
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse flat ``key = value`` lines into an :class:`ExperimentConfig`."""
+    """Parse flat ``key = value`` lines into an :class:`ExperimentConfig`.
+
+    A leading UTF-8 byte-order mark is ignored.
+    """
     pairs: dict[str, str] = {}
     first_line: dict[str, int] = {}
 
@@ -240,7 +243,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 f"line {first_line[key]}: {key} = {value!r} is not {_EXPECTED[kind]}"
             ) from None
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -317,7 +320,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
             f"neither a config file {str(path)!r} nor a bundled config named "
             f"{resource.name!r} exists"
         )
-    return parse_config(resource.read_text())
+    return parse_config(resource.read_text(encoding="utf-8"))
 
 
 def _bundled_resource(name: str):
@@ -346,11 +349,7 @@ def build_problem(cfg: ExperimentConfig) -> problems.StochasticProblem:
         unknown = sorted(set(spec) - set(settings))
         if unknown:
             raise ValueError(f"unknown {name} settings: {unknown}")
-        built = factory(**spec)
-        # the classification factory makes the dataset its problem samples from
-        if isinstance(built, problems.ClassificationDataset):
-            built = problems.ClassificationProblem(built)
-    return built
+        return factory(**spec)
 
 
 def build_topology(cfg: ExperimentConfig) -> graph.Topology:
@@ -669,7 +668,7 @@ def _check_subset_average() -> tuple[bool, str]:
 
 def _check_reduction() -> tuple[bool, str]:
     toy = problems.make_quadratic_toy(4, 6, seed=3, zeta=0.3)
-    benchmark = problems.ClassificationProblem(problems.make_synthetic_classification(seed=7))
+    benchmark = problems.make_synthetic_classification(seed=7)
     cases = [
         ("toy", graph.erdos_renyi(4, 0.8, seed=1), toy, 150),
         ("benchmark", graph.erdos_renyi(10, 0.4, seed=7), benchmark, 200),
@@ -707,22 +706,21 @@ def _check_reduction() -> tuple[bool, str]:
 def _check_gradient_vs_differences() -> tuple[bool, str]:
     worst = 0.0
     for dataset_seed in (0, 1, 2):
-        dataset = problems.make_synthetic_classification(seed=dataset_seed)
-        problem = problems.ClassificationProblem(dataset)
+        problem = problems.make_synthetic_classification(seed=dataset_seed)
+        labels = problem.train_labels.astype(float)
+
+        def loss(z):
+            # the mean over agents of each shard's mean squared residual
+            residual_sq = (labels - problems.sigmoid(problem.train_features @ z)) ** 2
+            return float(np.mean([residual_sq[a:b].mean() for a, b in problem.shard_bounds]))
+
         rng = np.random.default_rng(100 + dataset_seed)
-        agent = int(rng.integers(dataset.n_agents))
-        sl = dataset.shard_slice(agent)
-        features = dataset.train_features[sl]
-        labels = dataset.train_labels[sl].astype(float)
-        loss = lambda z: float(np.mean((labels - problems.sigmoid(features @ z)) ** 2))
+        rng.integers(problem.local_count)  # an agent index precedes the pinned points
         for _ in range(5):
-            x = rng.standard_normal(dataset.d)
-            analytic = problem.true_local_gradient(agent, x)
-            finite = np.zeros(dataset.d)
-            for j in range(dataset.d):
-                step = np.zeros(dataset.d)
-                step[j] = 1e-5
-                finite[j] = (loss(x + step) - loss(x - step)) / 2e-5
+            x = rng.standard_normal(problem.dimension)
+            analytic = problem.true_global_gradient(x)
+            steps = 1e-5 * np.eye(problem.dimension)
+            finite = np.array([(loss(x + step) - loss(x - step)) / 2e-5 for step in steps])
             rel = float(np.linalg.norm(finite - analytic) / np.linalg.norm(analytic))
             worst = max(worst, rel)
     return worst <= 1e-5, f"worst rel err={worst:.2e}"

@@ -10,19 +10,16 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "StochasticProblem",
-    "ClassificationDataset",
     "ClassificationProblem",
     "QuadraticToyProblem",
     "sigmoid",
     "make_synthetic_classification",
     "make_quadratic_toy",
-    "accuracy",
 ]
 
 
@@ -43,11 +40,11 @@ class StochasticProblem(ABC):
     """Black-box objective ``f(x) = (1/n) sum_i E_xi[F_i(x, xi)]``.
 
     Subclasses set ``dimension`` and ``local_count`` and implement
-    ``sample``, ``evaluate``, ``true_local_gradient`` and ``local_loss``.
+    ``sample``, ``evaluate``, ``true_global_gradient`` and ``full_loss``.
     ``evaluate`` is the only thing the dynamics query, and it must be
     deterministic given ``(agent, x, xi)`` so that several probes within one
-    gradient estimate share the same realization.  The ``true_*`` gradients
-    and full-batch losses are simulator privileges used only for diagnostics.
+    gradient estimate share the same realization.  The full-batch gradient
+    and loss are simulator privileges used only for diagnostics.
     """
 
     dimension: int
@@ -74,19 +71,12 @@ class StochasticProblem(ABC):
         """
 
     @abstractmethod
-    def true_local_gradient(self, agent: int, x: np.ndarray) -> np.ndarray:
-        """Full-batch gradient of ``f_agent`` at ``x``."""
+    def true_global_gradient(self, x: np.ndarray) -> np.ndarray:
+        """Full-batch gradient of ``f`` at ``x``."""
 
     @abstractmethod
-    def local_loss(self, agent: int, x: np.ndarray) -> float:
-        """Full-batch value of ``f_agent`` at ``x``."""
-
-    def true_global_gradient(self, x: np.ndarray) -> np.ndarray:
-        grads = [self.true_local_gradient(i, x) for i in range(self.local_count)]
-        return np.mean(grads, axis=0)
-
     def full_loss(self, x: np.ndarray) -> float:
-        return float(np.mean([self.local_loss(i, x) for i in range(self.local_count)]))
+        """Full-batch value of ``f`` at ``x``."""
 
     def test_accuracy(self, x: np.ndarray) -> float | None:
         """Held-out accuracy at ``x``, or ``None`` when there is no test set."""
@@ -97,9 +87,8 @@ class StochasticProblem(ABC):
         return None
 
 
-@dataclass(frozen=True)
-class ClassificationDataset:
-    """Synthetic binary classification data plus its per-agent partition.
+class ClassificationProblem(StochasticProblem):
+    """Synthetic binary classification split across agents, batch size 1.
 
     Labels follow the generating rule ``y = 1`` iff the logistic response at
     the all-ones reference vector is at least one half, which for standard
@@ -107,22 +96,44 @@ class ClassificationDataset:
     ``shard_bounds[i] = (start, stop)`` is agent ``i``'s contiguous block of
     training indices.  The shards partition the training set in order:
     non-empty, each starting where the one before stops, the first at 0 and
-    the last stopping at ``n_train``.
+    the last stopping at ``n_train``.  A realization ``xi`` is a uniformly
+    drawn training index from the agent's own shard (with replacement
+    across iterations).
     """
 
-    train_features: np.ndarray
-    train_labels: np.ndarray
-    test_features: np.ndarray
-    test_labels: np.ndarray
-    shard_bounds: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        train_features: np.ndarray,
+        train_labels: np.ndarray,
+        test_features: np.ndarray,
+        test_labels: np.ndarray,
+        shard_bounds: tuple[tuple[int, int], ...],
+    ):
+        train_features = np.asarray(train_features, dtype=float)
+        test_features = np.asarray(test_features, dtype=float)
+        train_labels, test_labels = np.asarray(train_labels), np.asarray(test_labels)
+        shard_bounds = tuple(shard_bounds)
+        for name, features in (
+            ("train_features", train_features),
+            ("test_features", test_features),
+        ):
+            if features.ndim != 2:
+                raise ValueError(f"{name} must be 2-D, got shape {features.shape}")
+        n_train, d = train_features.shape
+        if test_features.shape[1] != d:
+            raise ValueError(f"test_features has {test_features.shape[1]} columns, not d = {d}")
+        for name, labels, rows in (
+            ("train_labels", train_labels, n_train),
+            ("test_labels", test_labels, test_features.shape[0]),
+        ):
+            if len(labels) != rows:
+                raise ValueError(f"{name} holds {len(labels)} labels for {rows} feature rows")
         # the full-batch diagnostics sum each shard from its start to the next
         # shard's, which miscounts silently unless the shards tile the set
-        if not self.shard_bounds:
+        if not shard_bounds:
             raise ValueError("a dataset needs at least one shard")
         expected = 0
-        for agent, (start, stop) in enumerate(self.shard_bounds):
+        for agent, (start, stop) in enumerate(shard_bounds):
             if start != expected:
                 raise ValueError(
                     f"shard {agent} is ({start}, {stop}) but must start at {expected}: "
@@ -131,31 +142,77 @@ class ClassificationDataset:
             if stop <= start:
                 raise ValueError(f"shard {agent} is ({start}, {stop}) and holds no sample")
             expected = stop
-        if expected != self.n_train:
+        if expected != n_train:
             raise ValueError(
-                f"shard {len(self.shard_bounds) - 1} stops at {expected}, "
-                f"not at n_train = {self.n_train}"
+                f"shard {len(shard_bounds) - 1} stops at {expected}, not at n_train = {n_train}"
             )
+        self.train_features = train_features
+        self.train_labels = train_labels
+        self.test_features = test_features
+        self.test_labels = test_labels
+        self.shard_bounds = shard_bounds
+        self.dimension = d
+        self.local_count = len(shard_bounds)
+        self._labels = train_labels.astype(float)
+        self._starts, self._stops = np.array(shard_bounds).T.copy()
+        self._sizes = self._stops - self._starts
+        # a row's weight in the mean over agents of their shard means
+        self._row_weight = np.repeat(1.0 / (self._sizes * self.local_count), self._sizes)
+        # (x bytes, responses) of the last full-batch pass: a record asks for the
+        # gradient and the loss at the same point.
+        self._last_responses: tuple[bytes, np.ndarray] | None = None
 
-    @property
-    def d(self) -> int:
-        return self.train_features.shape[1]
-
-    @property
-    def n_train(self) -> int:
-        return self.train_features.shape[0]
-
-    @property
-    def n_test(self) -> int:
-        return self.test_features.shape[0]
-
-    @property
-    def n_agents(self) -> int:
-        return len(self.shard_bounds)
-
-    def shard_slice(self, agent: int) -> slice:
+    def sample(self, agent: int, rng: np.random.Generator) -> int:
         start, stop = self.shard_bounds[agent]
-        return slice(start, stop)
+        return int(rng.integers(start, stop))
+
+    def sample_round(self, rng: np.random.Generator) -> np.ndarray:
+        # elementwise bounds draw what per-agent scalar calls draw, in that order
+        return rng.integers(self._starts, self._stops)
+
+    def evaluate(self, agent: int, x: np.ndarray, xi: int) -> float:
+        # the squared logistic residual (y - phi(a . x))^2 of one sampled pair, with
+        # a scalar sigmoid inlined: math.exp beats np.exp on this per-probe hot path
+        t = float(self.train_features[xi].dot(x))
+        if t >= 0.0:
+            phi = 1.0 / (1.0 + math.exp(-t))
+        else:
+            e = math.exp(t)
+            phi = e / (1.0 + e)
+        return (float(self._labels[xi]) - phi) ** 2
+
+    # The full-batch diagnostics are the mean over agents of their shard means,
+    # made in one pass over the whole training set, which the shards partition
+    # in order: one product for the responses, shard sums at the shard starts
+    # and one weighted product for the gradient.
+
+    def _responses(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        key = x.tobytes()
+        last = self._last_responses
+        if last is not None and last[0] == key:
+            return last[1]
+        phi = sigmoid(self.train_features @ x)
+        self._last_responses = (key, phi)
+        return phi
+
+    def true_global_gradient(self, x: np.ndarray) -> np.ndarray:
+        phi = self._responses(x)
+        coef = -2.0 * (self._labels - phi) * phi * (1.0 - phi)
+        return (coef * self._row_weight) @ self.train_features
+
+    def full_loss(self, x: np.ndarray) -> float:
+        residual_sq = (self._labels - self._responses(x)) ** 2
+        return float(np.mean(np.add.reduceat(residual_sq, self._starts) / self._sizes))
+
+    def test_accuracy(self, x: np.ndarray) -> float:
+        """Fraction of test samples whose thresholded response matches the label.
+
+        Responses exactly at one half classify as positive, matching the
+        generation rule.
+        """
+        predicted = sigmoid(self.test_features @ x) >= 0.5
+        return float(np.mean(predicted == (self.test_labels == 1)))
 
 
 def make_synthetic_classification(
@@ -164,8 +221,8 @@ def make_synthetic_classification(
     d: int = 100,
     n_agents: int = 10,
     seed: int = 0,
-) -> ClassificationDataset:
-    """Generate the synthetic benchmark dataset.
+) -> ClassificationProblem:
+    """Generate the synthetic benchmark problem.
 
     Features are i.i.d. standard normal; labels come from thresholding the
     logistic response at the all-ones vector.  Training indices are split
@@ -186,107 +243,7 @@ def make_synthetic_classification(
     bounds = tuple(
         (i * base, (i + 1) * base if i < n_agents - 1 else n_train) for i in range(n_agents)
     )
-    return ClassificationDataset(train, train_labels, test, test_labels, bounds)
-
-
-def _nlls_gradient_over(features: np.ndarray, labels: np.ndarray, x: np.ndarray) -> np.ndarray:
-    phi = sigmoid(features @ x)
-    coef = -2.0 * (labels - phi) * phi * (1.0 - phi)
-    return coef @ features / labels.size
-
-
-def _nlls_loss_over(features: np.ndarray, labels: np.ndarray, x: np.ndarray) -> float:
-    phi = sigmoid(features @ x)
-    return float(np.mean((labels - phi) ** 2))
-
-
-def accuracy(dataset: ClassificationDataset, x: np.ndarray) -> float:
-    """Fraction of test samples whose thresholded response matches the label.
-
-    Responses exactly at one half classify as positive, matching the
-    generation rule.
-    """
-    predicted = sigmoid(dataset.test_features @ x) >= 0.5
-    return float(np.mean(predicted == (dataset.test_labels == 1)))
-
-
-class ClassificationProblem(StochasticProblem):
-    """Stochastic view of the classification benchmark, batch size 1.
-
-    A realization ``xi`` is a uniformly drawn training index from the
-    agent's own shard (with replacement across iterations).
-    """
-
-    def __init__(self, dataset: ClassificationDataset):
-        self.dataset = dataset
-        self.dimension = dataset.d
-        self.local_count = dataset.n_agents
-        self._features = dataset.train_features
-        self._labels = dataset.train_labels.astype(float)
-        self._shards = tuple(dataset.shard_slice(i) for i in range(self.local_count))
-        self._starts = np.array([sl.start for sl in self._shards])
-        self._stops = np.array([sl.stop for sl in self._shards])
-        self._sizes = self._stops - self._starts
-        # a row's weight in the mean over agents of their shard means
-        self._row_weight = np.repeat(1.0 / (self._sizes * self.local_count), self._sizes)
-        # (x bytes, responses) of the last full-batch pass: a record asks for the
-        # gradient and the loss at the same point.
-        self._last_responses: tuple[bytes, np.ndarray] | None = None
-
-    def sample(self, agent: int, rng: np.random.Generator) -> int:
-        sl = self._shards[agent]
-        return int(rng.integers(sl.start, sl.stop))
-
-    def sample_round(self, rng: np.random.Generator) -> np.ndarray:
-        # elementwise bounds draw what per-agent scalar calls draw, in that order
-        return rng.integers(self._starts, self._stops)
-
-    def evaluate(self, agent: int, x: np.ndarray, xi: int) -> float:
-        # the squared logistic residual (y - phi(a . x))^2 of one sampled pair, with
-        # a scalar sigmoid inlined: math.exp beats np.exp on this per-probe hot path
-        t = float(self._features[xi].dot(x))
-        if t >= 0.0:
-            phi = 1.0 / (1.0 + math.exp(-t))
-        else:
-            e = math.exp(t)
-            phi = e / (1.0 + e)
-        return (float(self._labels[xi]) - phi) ** 2
-
-    def true_local_gradient(self, agent: int, x: np.ndarray) -> np.ndarray:
-        sl = self._shards[agent]
-        return _nlls_gradient_over(self._features[sl], self._labels[sl], x)
-
-    def local_loss(self, agent: int, x: np.ndarray) -> float:
-        sl = self._shards[agent]
-        return _nlls_loss_over(self._features[sl], self._labels[sl], x)
-
-    # The full-batch diagnostics make one pass over the whole training set,
-    # which the shards partition in order (ClassificationDataset checks it):
-    # one product for the responses, shard sums at the shard starts and one
-    # weighted product for the gradient.  They agree with the per-agent
-    # base-class versions up to summation order.
-
-    def _responses(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        key = x.tobytes()
-        last = self._last_responses
-        if last is not None and last[0] == key:
-            return last[1]
-        phi = sigmoid(self._features @ x)
-        self._last_responses = (key, phi)
-        return phi
-
-    def true_global_gradient(self, x: np.ndarray) -> np.ndarray:
-        phi = self._responses(x)
-        coef = -2.0 * (self._labels - phi) * phi * (1.0 - phi)
-        return (coef * self._row_weight) @ self._features
-
-    def full_loss(self, x: np.ndarray) -> float:
-        residual_sq = (self._labels - self._responses(x)) ** 2
-        return float(np.mean(np.add.reduceat(residual_sq, self._starts) / self._sizes))
-
-    def test_accuracy(self, x: np.ndarray) -> float | None:
-        return accuracy(self.dataset, x)
+    return ClassificationProblem(train, train_labels, test, test_labels, bounds)
 
 
 class QuadraticToyProblem(StochasticProblem):
@@ -322,15 +279,8 @@ class QuadraticToyProblem(StochasticProblem):
         diff = x - self.centers[agent]
         return float((0.5 * diff).dot(diff) + z.dot(diff))
 
-    def true_local_gradient(self, agent: int, x: np.ndarray) -> np.ndarray:
-        return x - self.centers[agent]
-
-    def local_loss(self, agent: int, x: np.ndarray) -> float:
-        diff = x - self.centers[agent]
-        return float(0.5 * diff @ diff)
-
-    # Vectorized over agents; each row product and the mean over agents run
-    # in the order of the per-agent base-class versions, bit for bit.
+    # Vectorized over agents: the mean over agents of ``x - c_i`` and of
+    # ``0.5 ||x - c_i||^2``, each row product and the mean in agent order.
 
     def true_global_gradient(self, x: np.ndarray) -> np.ndarray:
         return np.mean(x - self.centers, axis=0)

@@ -4,29 +4,63 @@ It is a plain copy of the per-agent round: one scalar ``problem.evaluate``
 per probe, its own forward and central estimators and powerball transform,
 a dense Laplacian product for the mixing, and the run's two streams from
 ``SeedSequence(seed).spawn(2)`` (data, then coordinates).  Its diagnostics
-come from the ``StochasticProblem`` base-class per-agent methods.  Only the
-tests import it, so an optimisation in ``src/`` that reorders floating
-point sums can be told from one that changes the algorithm.  It also holds
-``nlls_evaluate``, the plain per-sample classification oracle that
-``ClassificationProblem.evaluate`` must equal bit for bit.
+are per-agent reductions: the mean over agents of each agent's full-batch
+gradient and loss.  Only the tests import it, so an optimisation in
+``src/`` that reorders floating point sums can be told from one that
+changes the algorithm.  It also holds ``nlls_evaluate``, the plain
+per-sample classification oracle that ``ClassificationProblem.evaluate``
+must equal bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from zoswarm.problems import StochasticProblem
+from zoswarm.problems import QuadraticToyProblem, sigmoid
 
 
-def nlls_evaluate(dataset, agent, x, xi):
+def nlls_evaluate(problem, agent, x, xi):
     """Squared logistic residual ``(y - phi(x; a))^2`` for one sampled pair."""
-    t = float(dataset.train_features[xi] @ x)
+    t = float(problem.train_features[xi] @ x)
     if t >= 0.0:
         phi = 1.0 / (1.0 + math.exp(-t))
     else:
         e = math.exp(t)
         phi = e / (1.0 + e)
-    return (float(dataset.train_labels[xi]) - phi) ** 2
+    return (float(problem.train_labels[xi]) - phi) ** 2
+
+
+def local_gradient(problem, agent, x):
+    """Full-batch gradient of ``f_agent``: ``x - c_i`` on the toy, else the shard mean."""
+    if isinstance(problem, QuadraticToyProblem):
+        return x - problem.centers[agent]
+    start, stop = problem.shard_bounds[agent]
+    features = problem.train_features[start:stop]
+    labels = problem.train_labels[start:stop].astype(float)
+    phi = sigmoid(features @ x)
+    coef = -2.0 * (labels - phi) * phi * (1.0 - phi)
+    return coef @ features / labels.size
+
+
+def local_loss(problem, agent, x):
+    """Full-batch value of ``f_agent``: ``0.5 ||x - c_i||^2`` on the toy, else the shard mean."""
+    if isinstance(problem, QuadraticToyProblem):
+        diff = x - problem.centers[agent]
+        return float(0.5 * diff @ diff)
+    start, stop = problem.shard_bounds[agent]
+    labels = problem.train_labels[start:stop].astype(float)
+    phi = sigmoid(problem.train_features[start:stop] @ x)
+    return float(np.mean((labels - phi) ** 2))
+
+
+def global_gradient(problem, x):
+    """The mean over agents of their full-batch gradients."""
+    return np.mean([local_gradient(problem, i, x) for i in range(problem.local_count)], axis=0)
+
+
+def full_loss(problem, x):
+    """The mean over agents of their full-batch losses."""
+    return float(np.mean([local_loss(problem, i, x) for i in range(problem.local_count)]))
 
 
 def coordinate_rows(rng, n, p, n_c):
@@ -67,11 +101,11 @@ def smoothing_radius(schedule, p, n, k):
 def record(problem, iterates, k, gamma, oracle_calls):
     """``(k, loss, |g|^2, |g|_{1+gamma}^2, consensus error, oracle calls)`` at the mean."""
     mean = iterates.mean(axis=0)
-    grad = StochasticProblem.true_global_gradient(problem, mean)
+    grad = global_gradient(problem, mean)
     q = 1.0 + gamma
     return (
         k,
-        StochasticProblem.full_loss(problem, mean),
+        full_loss(problem, mean),
         float(np.sum(grad**2)),
         float(np.sum(np.abs(grad) ** q) ** (2.0 / q)),
         float(np.mean(np.sum((iterates - mean) ** 2, axis=1))),

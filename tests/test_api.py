@@ -128,5 +128,5 @@ def test_option_surface_is_pinned():
     # zeroth-order only: two algorithm kinds, and a problem answers function values
     assert dynamics.ALGORITHMS == ("zoom", "zoom_pb")
     assert problems.StochasticProblem.__abstractmethods__ == {
-        "sample", "evaluate", "true_local_gradient", "local_loss"
+        "sample", "evaluate", "true_global_gradient", "full_loss"
     }

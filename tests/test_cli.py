@@ -1,3 +1,4 @@
+import importlib.resources
 import math
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from zoswarm.cli import main
+from zoswarm.harness import load_config
 from zoswarm.problems import QuadraticToyProblem
 
 TOY_CFG = """
@@ -115,6 +117,14 @@ def test_run_rejects_config_that_is_not_utf8(tmp_path, capsys):
     assert main(["run", "--config", str(bad), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: config file {str(bad)!r} is not UTF-8")
+
+
+def test_config_with_a_byte_order_mark_parses_like_one_without(tmp_path):
+    plain = load_config("toy_quadratic")
+    marked = tmp_path / "toy_quadratic.cfg"
+    bundled = importlib.resources.files("zoswarm").joinpath("configs", "toy_quadratic.cfg")
+    marked.write_bytes(b"\xef\xbb\xbf" + bundled.read_bytes())
+    assert load_config(marked) == plain
 
 
 def test_run_rejects_config_that_cannot_be_read(tmp_path, capsys, monkeypatch):

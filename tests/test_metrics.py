@@ -12,7 +12,7 @@ from zoswarm.metrics import (
     summarize,
     write_csv,
 )
-from zoswarm.problems import ClassificationProblem, make_quadratic_toy, make_synthetic_classification
+from zoswarm.problems import make_quadratic_toy, make_synthetic_classification
 
 
 class CountingProblem:
@@ -34,14 +34,8 @@ class CountingProblem:
         self.evaluations += 1
         return self.inner.evaluate(agent, x, xi)
 
-    def true_local_gradient(self, agent, x):
-        return self.inner.true_local_gradient(agent, x)
-
     def true_global_gradient(self, x):
         return self.inner.true_global_gradient(x)
-
-    def local_loss(self, agent, x):
-        return self.inner.local_loss(agent, x)
 
     def full_loss(self, x):
         return self.inner.full_loss(x)
@@ -199,8 +193,7 @@ class TestRecordContents:
             assert record.grad_norm_1pg_sq == record.grad_norm_sq
 
     def test_benchmark_run_records_accuracy(self):
-        dataset = make_synthetic_classification(60, 20, 5, 3, seed=4)
-        problem = ClassificationProblem(dataset)
+        problem = make_synthetic_classification(60, 20, 5, 3, seed=4)
         topo = erdos_renyi(3, 1.0, seed=0)
         profile = laplacian_spectrum(topo)
         eta, smoothing = theorem_schedule(3, 5, 50)

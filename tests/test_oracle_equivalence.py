@@ -2,7 +2,7 @@
 
 Each fast path here is checked against a plainer computation: the
 per-sample oracle against ``reference_engine.nlls_evaluate``, the fused
-full-batch diagnostics against the base class's per-agent reductions, the
+full-batch diagnostics against the reference engine's per-agent reductions, the
 branch-free sigmoid against a masked evaluation, the buffered estimators
 against one fresh copy per probe, and ``sample_coordinates`` against
 sorting the positions of the smallest uniforms of the same draw.  Every comparison is
@@ -17,19 +17,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_engine
 from reference_engine import nlls_evaluate
 from zoswarm.estimator import (
     central_estimate,
     forward_estimate,
     sample_coordinates,
 )
-from zoswarm.problems import (
-    ClassificationProblem,
-    QuadraticToyProblem,
-    StochasticProblem,
-    make_synthetic_classification,
-    sigmoid,
-)
+from zoswarm.problems import QuadraticToyProblem, make_synthetic_classification, sigmoid
 
 SCALES = st.sampled_from([1e-3, 0.1, 1.0, 5.0, 50.0])
 
@@ -49,8 +44,7 @@ def classification_cases(draw):
     n_agents = draw(st.integers(1, 6))
     n_train = draw(st.integers(n_agents, 70))
     d = draw(st.integers(1, 24))
-    dataset = make_synthetic_classification(n_train, 5, d, n_agents, seed=draw(st.integers(0, 99)))
-    problem = ClassificationProblem(dataset)
+    problem = make_synthetic_classification(n_train, 5, d, n_agents, seed=draw(st.integers(0, 99)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     points = [rng.standard_normal(d) * draw(SCALES) for _ in range(2)]
     return problem, points
@@ -73,36 +67,35 @@ def test_sigmoid_matches_masked_evaluation(seed, size, scale):
 @given(classification_cases(), st.data())
 def test_classification_evaluate_matches_nlls_evaluate(case, data):
     problem, points = case
-    xi = data.draw(st.integers(0, problem.dataset.n_train - 1))
+    xi = data.draw(st.integers(0, len(problem.train_labels) - 1))
     for x in points:
         for agent in range(problem.local_count):
-            assert problem.evaluate(agent, x, xi) == nlls_evaluate(problem.dataset, agent, x, xi)
+            assert problem.evaluate(agent, x, xi) == nlls_evaluate(problem, agent, x, xi)
 
 
 def assert_fused_close_to_per_agent(problem, x):
-    """The one-pass diagnostics against the per-agent base-class reductions.
+    """The one-pass diagnostics against the reference engine's per-agent reductions.
 
     They sum in another order, so each gradient entry and the loss may
     differ by 1e-12 times the sum of the absolute values of their summands
     (``coef_r a_rj`` and the squared residuals, each over its shard size
     times the agent count).
     """
-    dataset = problem.dataset
-    labels = dataset.train_labels.astype(float)
-    phi = sigmoid(dataset.train_features @ x)
+    labels = problem.train_labels.astype(float)
+    phi = sigmoid(problem.train_features @ x)
     weight = np.concatenate(
         [
             np.full(stop - start, 1.0 / ((stop - start) * problem.local_count))
-            for start, stop in dataset.shard_bounds
+            for start, stop in problem.shard_bounds
         ]
     )
     coef = -2.0 * (labels - phi) * phi * (1.0 - phi)
-    gradient_scale = (np.abs(coef) * weight) @ np.abs(dataset.train_features)
+    gradient_scale = (np.abs(coef) * weight) @ np.abs(problem.train_features)
     loss_scale = float((labels - phi) ** 2 @ weight)
     fused = problem.true_global_gradient(x)
-    reference = StochasticProblem.true_global_gradient(problem, x)
+    reference = reference_engine.global_gradient(problem, x)
     assert np.all(np.abs(fused - reference) <= 1e-12 * gradient_scale)
-    loss_gap = abs(problem.full_loss(x) - StochasticProblem.full_loss(problem, x))
+    loss_gap = abs(problem.full_loss(x) - reference_engine.full_loss(problem, x))
     assert loss_gap <= 1e-12 * loss_scale
 
 
@@ -118,10 +111,10 @@ def test_classification_fused_diagnostics_match_per_agent_reductions(case):
 def test_classification_fused_diagnostics_on_misaligned_remainder_shard():
     # a fixed case of what the property test explores: a remainder shard
     # larger than the others, whose rows do not start on a BLAS block boundary
-    dataset = make_synthetic_classification(31, 5, 9, 4, seed=1)
-    assert dataset.shard_bounds[-1] == (21, 31)
+    problem = make_synthetic_classification(31, 5, 9, 4, seed=1)
+    assert problem.shard_bounds[-1] == (21, 31)
     x = np.random.default_rng(2).standard_normal(9)
-    assert_fused_close_to_per_agent(ClassificationProblem(dataset), x)
+    assert_fused_close_to_per_agent(problem, x)
 
 
 @settings(max_examples=80, deadline=None)
@@ -131,8 +124,8 @@ def test_toy_fused_diagnostics_match_per_agent_reductions(n_agents, p, seed, sca
     problem = QuadraticToyProblem(centers)
     x = np.random.default_rng(seed).standard_normal(p) * scale
     fused = problem.true_global_gradient(x)
-    assert fused.tobytes() == StochasticProblem.true_global_gradient(problem, x).tobytes()
-    assert problem.full_loss(x) == StochasticProblem.full_loss(problem, x)
+    assert fused.tobytes() == reference_engine.global_gradient(problem, x).tobytes()
+    assert problem.full_loss(x) == reference_engine.full_loss(problem, x)
 
 
 @settings(max_examples=80, deadline=None)

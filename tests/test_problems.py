@@ -3,14 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_engine
 import zoswarm as zs
 from reference_engine import nlls_evaluate
 from zoswarm.problems import (
-    ClassificationDataset,
     ClassificationProblem,
     QuadraticToyProblem,
     StochasticProblem,
-    accuracy,
     make_quadratic_toy,
     make_synthetic_classification,
     sigmoid,
@@ -18,8 +17,18 @@ from zoswarm.problems import (
 
 
 @pytest.fixture(scope="module")
-def dataset():
+def synthetic():
     return make_synthetic_classification(seed=7)
+
+
+def central_differences(loss, x, h=1e-5):
+    """``(loss(x + h e_j) - loss(x - h e_j)) / 2h`` for every coordinate ``j``."""
+    fd = np.zeros(x.size)
+    for j in range(x.size):
+        e = np.zeros(x.size)
+        e[j] = h
+        fd[j] = (loss(x + e) - loss(x - e)) / (2.0 * h)
+    return fd
 
 
 class TestSigmoid:
@@ -35,12 +44,12 @@ class TestSigmoid:
 
 
 class TestSyntheticDataset:
-    def test_default_sizes_match_benchmark(self, dataset):
-        assert dataset.n_train == 2000
-        assert dataset.n_test == 200
-        assert dataset.d == 100
-        assert dataset.n_agents == 10
-        assert all(stop - start == 200 for start, stop in dataset.shard_bounds)
+    def test_default_sizes_match_benchmark(self, synthetic):
+        assert synthetic.train_features.shape == (2000, 100)
+        assert synthetic.test_features.shape == (200, 100)
+        assert synthetic.dimension == 100
+        assert synthetic.local_count == 10
+        assert all(stop - start == 200 for start, stop in synthetic.shard_bounds)
 
     def test_deterministic_per_seed(self):
         a = make_synthetic_classification(50, 10, 5, 2, seed=3)
@@ -48,12 +57,12 @@ class TestSyntheticDataset:
         assert np.array_equal(a.train_features, b.train_features)
         assert np.array_equal(a.test_labels, b.test_labels)
 
-    def test_label_rule_equivalence(self, dataset):
+    def test_label_rule_equivalence(self, synthetic):
         # sigmoid is monotone with threshold at argument zero, so the label
         # is exactly the sign of the feature sum
         for feats, labels in (
-            (dataset.train_features, dataset.train_labels),
-            (dataset.test_features, dataset.test_labels),
+            (synthetic.train_features, synthetic.train_labels),
+            (synthetic.test_features, synthetic.test_labels),
         ):
             assert np.array_equal(labels == 1, feats.sum(axis=1) >= 0)
 
@@ -61,11 +70,11 @@ class TestSyntheticDataset:
         assert sigmoid(np.ones(100) @ np.ones(100)) >= 0.5
         assert sigmoid(-np.ones(100) @ np.ones(100)) < 0.5
 
-    def test_shards_partition_train_indices(self, dataset):
+    def test_shards_partition_train_indices(self, synthetic):
         seen = []
-        for start, stop in dataset.shard_bounds:
+        for start, stop in synthetic.shard_bounds:
             seen.extend(range(start, stop))
-        assert sorted(seen) == list(range(dataset.n_train))
+        assert sorted(seen) == list(range(len(synthetic.train_labels)))
 
     def test_remainder_goes_to_last_agent(self):
         ds = make_synthetic_classification(103, 10, 4, 10, seed=0)
@@ -73,28 +82,53 @@ class TestSyntheticDataset:
         assert sizes == [10] * 9 + [13]
 
     @pytest.mark.parametrize(
-        "bounds, message",
+        "changed, message",
         [
-            (((0, 3), (3, 3), (3, 6)), r"shard 1 is \(3, 3\) and holds no sample"),
-            (((0, 2), (3, 6)), r"shard 1 is \(3, 6\) but must start at 2"),
-            (((0, 4), (3, 6)), r"shard 1 is \(3, 6\) but must start at 4"),
-            (((3, 6), (0, 3)), r"shard 0 is \(3, 6\) but must start at 0"),
-            (((0, 3), (3, 5)), r"shard 1 stops at 5, not at n_train = 6"),
-            ((), "at least one shard"),
+            (
+                {"shard_bounds": ((0, 3), (3, 3), (3, 6))},
+                r"shard 1 is \(3, 3\) and holds no sample",
+            ),
+            ({"shard_bounds": ((0, 2), (3, 6))}, r"shard 1 is \(3, 6\) but must start at 2"),
+            ({"shard_bounds": ((0, 4), (3, 6))}, r"shard 1 is \(3, 6\) but must start at 4"),
+            ({"shard_bounds": ((3, 6), (0, 3))}, r"shard 0 is \(3, 6\) but must start at 0"),
+            ({"shard_bounds": ((0, 3), (3, 5))}, r"shard 1 stops at 5, not at n_train = 6"),
+            ({"shard_bounds": ()}, "at least one shard"),
+            ({"train_features": np.zeros(6)}, r"train_features must be 2-D, got shape \(6,\)"),
+            ({"test_features": np.zeros((4, 2, 1))}, "test_features must be 2-D"),
+            ({"test_features": np.zeros((4, 3))}, "test_features has 3 columns, not d = 2"),
+            ({"train_labels": np.zeros(5)}, "train_labels holds 5 labels for 6 feature rows"),
+            ({"test_labels": np.zeros(6)}, "test_labels holds 6 labels for 4 feature rows"),
         ],
-        ids=["empty", "gap", "overlap", "unordered", "short", "none"],
+        ids=[
+            "empty",
+            "gap",
+            "overlap",
+            "unordered",
+            "short",
+            "none",
+            "train-not-2d",
+            "test-not-2d",
+            "test-columns",
+            "train-labels",
+            "test-labels",
+        ],
     )
-    def test_shards_must_partition_train_set(self, bounds, message):
-        features = np.zeros((6, 2))
-        labels = np.zeros(6, dtype=np.int64)
+    def test_shards_must_partition_train_set(self, changed, message):
+        arrays = {
+            "train_features": np.zeros((6, 2)),
+            "train_labels": np.zeros(6, dtype=np.int64),
+            "test_features": np.zeros((4, 2)),
+            "test_labels": np.zeros(4, dtype=np.int64),
+            "shard_bounds": ((0, 3), (3, 6)),
+        }
         with pytest.raises(ValueError, match=message):
-            ClassificationDataset(features, labels, features, labels, bounds)
+            ClassificationProblem(**(arrays | changed))
 
 
 class TestNllsEvaluate:
-    def test_zero_point_gives_quarter_loss(self, dataset):
+    def test_zero_point_gives_quarter_loss(self, synthetic):
         for xi in (0, 57, 1999):
-            assert nlls_evaluate(dataset, 0, np.zeros(100), xi) == 0.25
+            assert nlls_evaluate(synthetic, 0, np.zeros(100), xi) == 0.25
 
     def test_single_sample_hand_value(self):
         ds = make_synthetic_classification(4, 2, 3, 1, seed=0)
@@ -107,110 +141,82 @@ class TestNllsEvaluate:
         assert abs(got - (1.0 - 1.0 / (1.0 + np.exp(-1.0))) ** 2) < 1e-12
         assert abs(got - 0.07232948812851325) < 1e-10
 
-    def test_saturated_sample_near_zero_loss(self, dataset):
+    def test_saturated_sample_near_zero_loss(self, synthetic):
         x = 50.0 * np.ones(100)
-        sums = dataset.train_features.sum(axis=1)
+        sums = synthetic.train_features.sum(axis=1)
         xi = int(np.argmax(np.abs(sums)))
-        assert nlls_evaluate(dataset, 0, x, xi) < 1e-6
+        assert nlls_evaluate(synthetic, 0, x, xi) < 1e-6
 
-    def test_loss_bounds(self, dataset):
+    def test_loss_bounds(self, synthetic):
         rng = np.random.default_rng(0)
         for _ in range(50):
             x = rng.standard_normal(100)
             xi = int(rng.integers(2000))
-            value = nlls_evaluate(dataset, 0, x, xi)
+            value = nlls_evaluate(synthetic, 0, x, xi)
             assert 0.0 <= value <= 1.0
 
 
 class TestNllsGradient:
-    def test_gradient_vanishes_on_saturated_samples(self, dataset):
+    def test_gradient_vanishes_on_saturated_samples(self, synthetic):
         # a one-sample shard's gradient is that sample's gradient
         x = 100.0 * np.ones(100)
-        sums = dataset.train_features.sum(axis=1)
+        sums = synthetic.train_features.sum(axis=1)
         xi = int(np.argmax(np.abs(sums)))
-        single = ClassificationDataset(
-            dataset.train_features[xi : xi + 1],
-            dataset.train_labels[xi : xi + 1],
-            dataset.test_features,
-            dataset.test_labels,
+        problem = ClassificationProblem(
+            synthetic.train_features[xi : xi + 1],
+            synthetic.train_labels[xi : xi + 1],
+            synthetic.test_features,
+            synthetic.test_labels,
             ((0, 1),),
         )
-        problem = ClassificationProblem(single)
-        assert np.linalg.norm(problem.true_local_gradient(0, x)) < 1e-8
         assert np.linalg.norm(problem.true_global_gradient(x)) < 1e-8
 
-    def test_closed_form_at_zero(self, dataset):
-        # at x = 0 every per-sample gradient is -(y - 1/2) a / 2
-        for agent in (0, 4, 9):
-            sl = dataset.shard_slice(agent)
-            feats = dataset.train_features[sl]
-            labels = dataset.train_labels[sl].astype(float)
-            expected = np.mean(-(labels - 0.5)[:, None] * feats / 2.0, axis=0)
-            got = ClassificationProblem(dataset).true_local_gradient(agent, np.zeros(100))
-            assert np.allclose(got, expected, atol=1e-12)
+    def test_closed_form_at_zero(self, synthetic):
+        # at x = 0 every per-sample gradient is -(y - 1/2) a / 2; the shards are equal,
+        # so the mean over agents of the shard means is the mean over all samples
+        labels = synthetic.train_labels.astype(float)
+        expected = np.mean(-(labels - 0.5)[:, None] * synthetic.train_features / 2.0, axis=0)
+        got = synthetic.true_global_gradient(np.zeros(100))
+        assert np.allclose(got, expected, atol=1e-12)
 
     def test_single_sample_matches_central_differences(self):
-        ds = make_synthetic_classification(1, 1, 8, 1, seed=5)
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal(8)
-        analytic = ClassificationProblem(ds).true_local_gradient(0, x)
-        feats = ds.train_features
-        labels = ds.train_labels.astype(float)
-        loss = lambda z: float(np.mean((labels - sigmoid(feats @ z)) ** 2))
-        fd = np.zeros(8)
-        for j in range(8):
-            e = np.zeros(8)
-            e[j] = 1e-5
-            fd[j] = (loss(x + e) - loss(x - e)) / 2e-5
+        problem = make_synthetic_classification(1, 1, 8, 1, seed=5)
+        x = np.random.default_rng(1).standard_normal(8)
+        analytic = problem.true_global_gradient(x)
+        feats = problem.train_features
+        labels = problem.train_labels.astype(float)
+        fd = central_differences(lambda z: float(np.mean((labels - sigmoid(feats @ z)) ** 2)), x)
         assert np.linalg.norm(fd - analytic) <= 1e-6 * max(1.0, np.linalg.norm(analytic))
 
-    def test_full_shard_matches_central_differences(self, dataset):
+    def test_full_batch_matches_central_differences(self, synthetic):
         rng = np.random.default_rng(2)
-        sl = dataset.shard_slice(3)
-        feats = dataset.train_features[sl]
-        labels = dataset.train_labels[sl].astype(float)
-        loss = lambda z: float(np.mean((labels - sigmoid(feats @ z)) ** 2))
-        problem = ClassificationProblem(dataset)
         for _ in range(5):
             x = rng.standard_normal(100)
-            analytic = problem.true_local_gradient(3, x)
-            fd = np.zeros(100)
-            for j in range(100):
-                e = np.zeros(100)
-                e[j] = 1e-5
-                fd[j] = (loss(x + e) - loss(x - e)) / 2e-5
+            analytic = synthetic.true_global_gradient(x)
+            fd = central_differences(lambda z: reference_engine.full_loss(synthetic, z), x)
             assert np.linalg.norm(fd - analytic) <= 1e-5 * np.linalg.norm(analytic)
 
 
 class TestAccuracy:
-    def test_reference_vector_is_perfect(self, dataset):
-        assert accuracy(dataset, np.ones(100)) == 1.0
+    def test_reference_vector_is_perfect(self, synthetic):
+        assert synthetic.test_accuracy(np.ones(100)) == 1.0
 
-    def test_flipped_reference_is_near_zero(self, dataset):
-        assert accuracy(dataset, -np.ones(100)) <= 0.01
+    def test_flipped_reference_is_near_zero(self, synthetic):
+        assert synthetic.test_accuracy(-np.ones(100)) <= 0.01
 
-    def test_zero_vector_predicts_all_positive(self, dataset):
-        expected = float(np.mean(dataset.test_labels == 1))
-        assert accuracy(dataset, np.zeros(100)) == expected
+    def test_zero_vector_predicts_all_positive(self, synthetic):
+        expected = float(np.mean(synthetic.test_labels == 1))
+        assert synthetic.test_accuracy(np.zeros(100)) == expected
 
 
 class TestClassificationProblem:
-    def test_samples_stay_in_shard(self, dataset):
-        problem = ClassificationProblem(dataset)
+    def test_samples_stay_in_shard(self, synthetic):
         rng = np.random.default_rng(0)
         for agent in range(10):
-            start, stop = dataset.shard_bounds[agent]
+            start, stop = synthetic.shard_bounds[agent]
             for _ in range(20):
-                xi = problem.sample(agent, rng)
+                xi = synthetic.sample(agent, rng)
                 assert start <= xi < stop
-
-    def test_global_gradient_is_average_of_locals(self, dataset):
-        problem = ClassificationProblem(dataset)
-        x = np.random.default_rng(4).standard_normal(100)
-        locals_ = [problem.true_local_gradient(i, x) for i in range(10)]
-        assert np.allclose(
-            problem.true_global_gradient(x), np.mean(locals_, axis=0), atol=1e-10
-        )
 
 
 class TestQuadraticToy:
@@ -236,7 +242,7 @@ class TestQuadraticToy:
         x = rng.standard_normal(3)
         z = problem.sample(0, rng)
         assert np.all(z == 0.0)
-        assert problem.evaluate(0, x, z) == problem.local_loss(0, x)
+        assert problem.evaluate(0, x, z) == reference_engine.local_loss(problem, 0, x)
 
     def test_noise_is_zero_mean_with_std_zeta(self):
         # central differences of the quadratic oracle are exact: (x - c_i)_j + z_j
@@ -251,7 +257,7 @@ class TestQuadraticToy:
             central = np.array(
                 [problem.evaluate(0, x + e, z) - problem.evaluate(0, x - e, z) for e in shifts]
             )
-            deviation = central / (2.0 * h) - problem.true_local_gradient(0, x)
+            deviation = central / (2.0 * h) - problem.true_global_gradient(x)
             assert np.allclose(deviation, z, rtol=0.0, atol=1e-12)
             deviations.append(deviation)
         assert abs(np.mean(deviations)) < 0.02
@@ -262,12 +268,8 @@ class TestQuadraticToy:
         rng = np.random.default_rng(4)
         for _ in range(5):
             x = rng.standard_normal(6)
-            analytic = problem.true_local_gradient(2, x)
-            fd = np.zeros(6)
-            for j in range(6):
-                e = np.zeros(6)
-                e[j] = 1e-5
-                fd[j] = (problem.local_loss(2, x + e) - problem.local_loss(2, x - e)) / 2e-5
+            analytic = problem.true_global_gradient(x)
+            fd = central_differences(problem.full_loss, x)
             assert np.linalg.norm(fd - analytic) <= 1e-5 * max(1.0, np.linalg.norm(analytic))
 
 
@@ -283,11 +285,12 @@ def test_black_box_problem_needs_only_function_values():
         def evaluate(self, agent, x, xi):
             return float(np.sum((x - agent - xi) ** 2))
 
-        def true_local_gradient(self, agent, x):
-            return 2.0 * (x - agent)
+        def true_global_gradient(self, x):
+            return np.mean([2.0 * (x - agent) for agent in range(2)], axis=0)
 
-        def local_loss(self, agent, x):
-            return float(np.sum((x - agent) ** 2)) + 3.0  # E[xi^2] = 1 per coordinate
+        def full_loss(self, x):
+            # E[xi^2] = 1 per coordinate
+            return float(np.mean([np.sum((x - agent) ** 2) for agent in range(2)])) + 3.0
 
     topo = zs.erdos_renyi(2, 1.0, seed=0)
     params = zs.HyperParams(
@@ -314,7 +317,7 @@ def shipped_problems(draw):
     bounds = tuple((int(stop - size), int(stop)) for size, stop in zip(sizes, stops))
     features = rng.standard_normal((int(stops[-1]), 3))
     labels = rng.integers(0, 2, int(stops[-1]))
-    return ClassificationProblem(ClassificationDataset(features, labels, features, labels, bounds))
+    return ClassificationProblem(features, labels, features, labels, bounds)
 
 
 @settings(max_examples=150, deadline=None)
