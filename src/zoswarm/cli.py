@@ -102,6 +102,7 @@ def _cmd_spectra(args) -> int:
     print(f"rho2 (smallest positive eigenvalue): {profile.rho2:.10g}")
     print(f"rho(L^2) (spectral radius of L squared): {profile.rho_l2:.10g}")
     print(f"alpha_max (admissible consensus step bound): {profile.alpha_max:.10g}")
+    print(f"alpha_max (hex, for comparing machines): {profile.alpha_max.hex()}")
     return 0
 
 

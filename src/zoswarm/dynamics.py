@@ -192,8 +192,10 @@ def step(
         )
     if params.algorithm == "zoom_pb":
         steps = powerball(steps, params.gamma)  # elementwise: the same bits as row by row
-    # elementwise the same arithmetic as updating one row at a time
-    nxt = iterates - params.alpha * (profile.laplacian @ iterates) - params.eta * steps
+    # row i of L @ X from agent i's neighbour table, summed in a fixed order
+    # without BLAS: elementwise the same arithmetic as updating one row at a time
+    mixed = np.einsum("ij,ijk->ik", profile.coefficients, iterates[profile.neighbours])
+    nxt = iterates - params.alpha * mixed - params.eta * steps
     if not np.abs(nxt).max() <= DIVERGENCE_LIMIT:  # also true when nxt holds a NaN
         bad = ~np.isfinite(nxt) | (np.abs(nxt) > DIVERGENCE_LIMIT)
         raise DivergenceError(k=state.k, agent=int(np.argwhere(bad)[0][0]))

@@ -4,12 +4,14 @@ Agents exchange iterates over an undirected weighted graph.  The admissible
 consensus step size for the swarm update is governed by two spectral
 quantities of the graph Laplacian ``L``: its smallest positive eigenvalue
 ``rho2`` and the spectral radius of ``L^2``.  ``laplacian_spectrum`` packages
-both together with the Laplacian itself and keeps the result on the
-topology, so every run on one graph shares a single eigen-solve.
+both together with the Laplacian's rows as a padded neighbour table and
+keeps the result on the topology, so every run on one graph shares a single
+eigen-solve.  The dense Laplacian exists only inside that solve.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +29,10 @@ __all__ = [
 # Eigenvalues below this magnitude are treated as members of the null space
 # when locating the smallest positive eigenvalue.
 ZERO_EIGENVALUE_TOL = 1e-9
+
+# alpha_max is rounded down to this many significant bits, so the last bits
+# of a multithreaded eigen-solve do not reach the records.
+ALPHA_MAX_BITS = 40
 
 
 class GraphSamplingError(RuntimeError):
@@ -78,11 +84,21 @@ class Topology:
         if np.any(w < 0.0):
             raise ValueError("weights must be nonnegative")
         rows, columns = np.nonzero(w)
+        self._assign(n, rows, columns, w[rows, columns], w.sum(axis=1))
+
+    @classmethod
+    def _from_entries(cls, n, rows, columns, edge_weights, degrees) -> Topology:
+        """A topology from stored entries sorted by row, then column, without a dense pass."""
+        topo = cls.__new__(cls)
+        topo._assign(n, rows, columns, edge_weights, degrees)
+        return topo
+
+    def _assign(self, n, rows, columns, edge_weights, degrees) -> None:
         arrays = {
             "row_starts": np.searchsorted(rows, np.arange(n + 1)),
             "columns": columns,
-            "edge_weights": w[rows, columns],
-            "degrees": w.sum(axis=1),
+            "edge_weights": edge_weights,
+            "degrees": degrees,
         }
         object.__setattr__(self, "n", n)
         for name, array in arrays.items():
@@ -92,7 +108,8 @@ class Topology:
     @property
     def weights(self) -> np.ndarray:
         """The dense symmetric weight matrix, rebuilt read-only on each access."""
-        w = self._dense(self.edge_weights)
+        w = np.zeros((self.n, self.n))
+        w[self._edge_rows(), self.columns] = self.edge_weights
         w.flags.writeable = False
         return w
 
@@ -100,28 +117,73 @@ class Topology:
         """The row of each stored entry, aligned with ``columns``."""
         return np.repeat(np.arange(self.n), np.diff(self.row_starts))
 
-    def _dense(self, values: np.ndarray) -> np.ndarray:
-        """A fresh n x n matrix holding ``values`` at the stored entries, zero elsewhere."""
-        dense = np.zeros((self.n, self.n))
-        dense[self._edge_rows(), self.columns] = values
-        return dense
-
 
 @dataclass(frozen=True, eq=False)
 class SpectralProfile:
-    """Laplacian of a topology plus the spectral bounds derived from it.
+    """Laplacian rows of a topology plus the spectral bounds derived from it.
 
-    ``alpha_max = rho2 / (2 * rho_l2)`` is the upper end of the open
-    interval of admissible consensus step sizes; ``rho2`` is the smallest
+    Row ``i`` of the Laplacian ``L = Deg - W`` is kept as a padded neighbour
+    table: ``neighbours[i]`` lists agent ``i`` itself, then its neighbours in
+    ascending order, then ``i`` again as padding up to the largest degree
+    plus one; ``coefficients[i]`` holds the weighted degree, then ``-w_ij``
+    for each neighbour, then ``0.0`` for the padding.  So
+    ``(L @ X)[i] = coefficients[i] @ X[neighbours[i]]``, and no n x n array
+    is kept.  ``laplacian_spectrum`` hands out both arrays read-only.
+
+    ``alpha_max`` is the upper end of the open interval of admissible
+    consensus step sizes, ``rho2 / (2 * rho_l2)`` rounded down to
+    :data:`ALPHA_MAX_BITS` significant bits; ``rho2`` is the smallest
     positive Laplacian eigenvalue and ``rho_l2`` the spectral radius of
-    ``L^2``.  ``laplacian_spectrum`` hands out ``laplacian`` read-only.
-    Equality goes by identity, like the topology's.
+    ``L^2``.  Equality goes by identity, like the topology's.
     """
 
-    laplacian: np.ndarray
+    neighbours: np.ndarray
+    coefficients: np.ndarray
     rho2: float
     rho_l2: float
     alpha_max: float
+
+    @property
+    def laplacian(self) -> np.ndarray:
+        """The dense Laplacian ``np.diag(deg) - W``, rebuilt read-only on each access."""
+        lap = _dense_laplacian(self.neighbours, self.coefficients)
+        lap.flags.writeable = False
+        return lap
+
+
+def _neighbour_table(topo: Topology) -> tuple[np.ndarray, np.ndarray]:
+    """The padded ``(neighbours, coefficients)`` table of the topology's Laplacian rows."""
+    n = topo.n
+    rows = topo._edge_rows()
+    # slot 0 is the agent itself; its stored entries follow in column order
+    slots = np.arange(topo.columns.size) - topo.row_starts[rows] + 1
+    width = int(np.diff(topo.row_starts).max()) + 1
+    neighbours = np.repeat(np.arange(n)[:, None], width, axis=1)
+    neighbours[rows, slots] = topo.columns
+    coefficients = np.zeros((n, width))
+    coefficients[:, 0] = topo.degrees
+    coefficients[rows, slots] = -topo.edge_weights
+    return neighbours, coefficients
+
+
+def _dense_laplacian(neighbours: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """The bits of ``np.diag(deg) - W`` in a fresh n x n array, from a neighbour table.
+
+    Stored weights are positive, so ``-w`` is ``0.0 - w``, and the diagonal
+    is ``deg - 0.0``.  The padding slots point at the diagonal, which is
+    written last.
+    """
+    n = neighbours.shape[0]
+    lap = np.zeros((n, n))
+    lap[np.arange(n)[:, None], neighbours] = coefficients
+    np.fill_diagonal(lap, coefficients[:, 0])
+    return lap
+
+
+def _snap_down(value: float) -> float:
+    """``value`` rounded down onto the grid of :data:`ALPHA_MAX_BITS`-bit mantissas."""
+    mantissa, exponent = math.frexp(value)
+    return math.ldexp(math.floor(math.ldexp(mantissa, ALPHA_MAX_BITS)), exponent - ALPHA_MAX_BITS)
 
 
 def erdos_renyi(n: int, prob: float, seed: int = 0, max_attempts: int = 100) -> Topology:
@@ -169,10 +231,12 @@ def _draw_topology(n: int, hits: np.ndarray, offsets: np.ndarray) -> Topology:
     """The 0/1 topology whose upper-triangle pairs, row-major, are ``hits``."""
     i = np.searchsorted(offsets, hits, side="right") - 1
     j = hits - offsets[i] + i + 1
-    weights = np.zeros((n, n))
-    weights[i, j] = 1.0
-    weights[j, i] = 1.0
-    return Topology(n, weights)
+    rows, columns = np.concatenate([i, j]), np.concatenate([j, i])
+    order = np.lexsort((columns, rows))
+    rows, columns = rows[order], columns[order]
+    # exact neighbour counts: the row sums of a 0/1 matrix, bit for bit
+    degrees = np.bincount(rows, minlength=n).astype(float)
+    return Topology._from_entries(n, rows, columns, np.ones(rows.size), degrees)
 
 
 def is_connected(topo: Topology) -> bool:
@@ -195,12 +259,19 @@ def is_connected(topo: Topology) -> bool:
 
 
 def laplacian_spectrum(topo: Topology) -> SpectralProfile:
-    """The Laplacian ``L = Deg - A`` and its step-bounding spectrum, memoized per topology.
+    """The Laplacian rows of ``L = Deg - A`` and their spectrum, memoized per topology.
 
-    The first call on a topology runs a dense symmetric eigen-solve and
-    stores the profile on it; later calls on the same object return that
-    profile.  A topology's arrays are read-only, so the stored profile
-    cannot go stale.
+    The first call on a topology runs a dense symmetric eigen-solve on a
+    transient n x n Laplacian and stores the profile on it; later calls on
+    the same object return that profile.  A topology's arrays are
+    read-only, so the stored profile cannot go stale.
+
+    LAPACK may move the last bits of the eigenvalues with the BLAS thread
+    count.  ``rho2`` and ``rho_l2`` are reported raw; ``alpha_max`` is
+    rounded down onto a grid of :data:`ALPHA_MAX_BITS`-bit mantissas, which
+    keeps every step below the raw bound admissible and makes the bound,
+    and so every resolved ``alpha``, the same on any thread count unless
+    the jitter happens to straddle a grid point.
 
     Raises:
         EigenSolveError: if the eigenvalue iteration does not converge.
@@ -215,13 +286,11 @@ def laplacian_spectrum(topo: Topology) -> SpectralProfile:
 
 
 def _solve_spectrum(topo: Topology) -> SpectralProfile:
-    # the bits of np.diag(degrees) - weights in one n x n array: stored
-    # weights are positive, so -w is 0.0 - w, and the diagonal is deg - 0.0
-    laplacian = topo._dense(-topo.edge_weights)
-    np.fill_diagonal(laplacian, topo.degrees)
-    laplacian.flags.writeable = False
+    neighbours, coefficients = _neighbour_table(topo)
+    neighbours.flags.writeable = False
+    coefficients.flags.writeable = False
     try:
-        eigenvalues = np.linalg.eigvalsh(laplacian)
+        eigenvalues = np.linalg.eigvalsh(_dense_laplacian(neighbours, coefficients))
     except np.linalg.LinAlgError as exc:
         raise EigenSolveError(f"eigenvalue solver failed on a {topo.n}-agent Laplacian") from exc
     positive = eigenvalues[eigenvalues > ZERO_EIGENVALUE_TOL]
@@ -236,4 +305,5 @@ def _solve_spectrum(topo: Topology) -> SpectralProfile:
                 f"Laplacian spectrum has {name} = {value}; the weights are too large "
                 "for a float eigen-solve"
             )
-    return SpectralProfile(laplacian=laplacian, **bounds)
+    bounds["alpha_max"] = _snap_down(bounds["alpha_max"])
+    return SpectralProfile(neighbours=neighbours, coefficients=coefficients, **bounds)

@@ -8,7 +8,7 @@ are phrased in true gradients while the dynamics stay zeroth-order.
 from __future__ import annotations
 
 import os
-import tempfile
+import secrets
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -136,8 +136,10 @@ def write_table(path: str | Path, fields, rows, comments=()) -> None:
     lines = [*comments, ",".join(fields)]
     lines.extend(",".join(_format_cell(row[f]) for f in fields) for row in rows)
     # temp file then rename, so readers never see a partial file; the temp
-    # name stays short, so any name the file system accepts can be written
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".", suffix=".tmp")
+    # name stays short, so any name the file system accepts can be written,
+    # and the file is created 0666 so the kernel applies the umask
+    tmp = path.parent / f".{secrets.token_hex(8)}.tmp"
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write("\n".join(lines) + "\n")

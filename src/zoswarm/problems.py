@@ -122,18 +122,25 @@ class ClassificationProblem(StochasticProblem):
         n_train, d = train_features.shape
         if test_features.shape[1] != d:
             raise ValueError(f"test_features has {test_features.shape[1]} columns, not d = {d}")
+        if test_features.shape[0] == 0:
+            raise ValueError("test_features holds no rows; test accuracy needs at least one")
         for name, labels, rows in (
             ("train_labels", train_labels, n_train),
             ("test_labels", test_labels, test_features.shape[0]),
         ):
             if len(labels) != rows:
                 raise ValueError(f"{name} holds {len(labels)} labels for {rows} feature rows")
+            outside = labels[~np.isin(labels, (0, 1))]
+            if outside.size:
+                raise ValueError(f"{name} must be 0 or 1, got {outside[0].item()!r}")
         # the full-batch diagnostics sum each shard from its start to the next
         # shard's, which miscounts silently unless the shards tile the set
         if not shard_bounds:
             raise ValueError("a dataset needs at least one shard")
         expected = 0
         for agent, (start, stop) in enumerate(shard_bounds):
+            if not all(isinstance(bound, (int, np.integer)) for bound in (start, stop)):
+                raise ValueError(f"shard {agent} is ({start}, {stop}); bounds must be integers")
             if start != expected:
                 raise ValueError(
                     f"shard {agent} is ({start}, {stop}) but must start at {expected}: "

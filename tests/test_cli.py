@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from zoswarm.cli import main
+from zoswarm.graph import erdos_renyi, laplacian_spectrum
 from zoswarm.harness import load_config
 from zoswarm.problems import QuadraticToyProblem
 
@@ -303,6 +304,10 @@ def test_spectra_from_flags(capsys):
     # complete triangle: rho2 = 3, rho(L^2) = 9, bound = 1/6
     assert "alpha_max" in out
     assert f"{1/6:.10g}" in out
+    # every bit of the bound, for comparing two machines
+    bound = laplacian_spectrum(erdos_renyi(3, 1.0, seed=0)).alpha_max
+    assert f"alpha_max (hex, for comparing machines): {bound.hex()}\n" in out
+    assert abs(bound - 1 / 6) < 1e-12
 
 
 def test_spectra_from_config(tmp_path, capsys):

@@ -25,6 +25,11 @@ VECTORS = st.lists(FINITE, min_size=1, max_size=40).map(np.array)
 GAMMAS = st.floats(0.05, 1.0)
 
 
+def mixing_row(profile, iterates, i):
+    """Row i of ``L @ X`` as ``step`` sums it: agent i's table entries, in slot order."""
+    return np.einsum("j,jk->k", profile.coefficients[i], iterates[profile.neighbours[i]])
+
+
 def path3_profile():
     topo = Topology(3, np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float))
     return topo, laplacian_spectrum(topo)
@@ -87,8 +92,10 @@ class TestConsensusTerm:
     def test_isolated_agent_contributes_nothing(self):
         # disconnected in weights; unit-testable even though runs reject it
         weights = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=float)
-        lap = np.diag(weights.sum(axis=1)) - weights
-        profile = SpectralProfile(laplacian=lap, rho2=2.0, rho_l2=4.0, alpha_max=0.25)
+        profile = laplacian_spectrum(Topology(3, weights))
+        # the isolated agent's row is all padding: itself with coefficient 0.0
+        assert profile.neighbours[2].tolist() == [2, 2]
+        assert profile.coefficients[2].tolist() == [0.0, 0.0]
         start = np.random.default_rng(0).standard_normal((3, 2))
         mixed = self.mix(profile, start, 0.2)
         assert np.array_equal(mixed[2], start[2])
@@ -157,7 +164,13 @@ class TestSteps:
         # with one agent and no mixing the update is exactly x - eta * g
         from zoswarm.estimator import central_estimate
 
-        profile = SpectralProfile(laplacian=np.zeros((1, 1)), rho2=0.0, rho_l2=0.0, alpha_max=0.0)
+        profile = SpectralProfile(
+            neighbours=np.zeros((1, 1), dtype=int),
+            coefficients=np.zeros((1, 1)),
+            rho2=0.0,
+            rho_l2=0.0,
+            alpha_max=0.0,
+        )
         problem = make_quadratic_toy(1, 3, seed=2, zeta=0.0)
         params = HyperParams(alpha=0.0, eta=0.1, T=1, estimator="central")
         streams = RunStreams.from_seed(7)
@@ -197,7 +210,7 @@ class TestSteps:
             )
             expected[i] = (
                 state.iterates[i]
-                - params.alpha * (profile.laplacian[i] @ state.iterates)
+                - params.alpha * mixing_row(profile, state.iterates, i)
                 - params.eta * g
             )
         assert np.array_equal(nxt.iterates, expected)
@@ -229,7 +242,7 @@ class TestSteps:
             )
             permuted[i] = (
                 state.iterates[i]
-                - params.alpha * (profile.laplacian[i] @ state.iterates)
+                - params.alpha * mixing_row(profile, state.iterates, i)
                 - params.eta * g
             )
         assert np.array_equal(nxt.iterates, permuted)
@@ -283,7 +296,13 @@ class TestSteps:
             def evaluate(self, agent, x, xi):
                 return 4.0 * float(x[0])  # gradient estimate is exactly (4,)
 
-        profile = SpectralProfile(laplacian=np.zeros((1, 1)), rho2=0.0, rho_l2=0.0, alpha_max=0.0)
+        profile = SpectralProfile(
+            neighbours=np.zeros((1, 1), dtype=int),
+            coefficients=np.zeros((1, 1)),
+            rho2=0.0,
+            rho_l2=0.0,
+            alpha_max=0.0,
+        )
         params = HyperParams(
             alpha=0.0,
             eta=1.0,

@@ -2,14 +2,13 @@
 
 Each battery digest is the SHA-256 over every run's record-CSV fingerprint
 (wall clock stripped) plus the bytes of ``summary.csv``; the sweep digest is
-the SHA-256 of ``sweep.csv``.  The toy values were taken when each run
-moved to one data and one coordinate stream, the paper_iv_a value when the
-classification diagnostics moved to one pass over the training set; they
-guard the promise that an optimisation changes no record bit.  A deliberate
-numerical change must pass ``test_reference_engine.py``, update them and
-say so in CHANGES.md.  The last
-test runs the paper_iv_a battery on one and on two BLAS threads and asks
-for the same records.
+the SHA-256 of ``sweep.csv``.  All three were taken when consensus mixing
+moved to the profile's neighbour table and ``alpha_max`` to a 40-bit
+mantissa grid; they guard the promise that an optimisation changes no
+record bit.  A deliberate numerical change must pass
+``test_reference_engine.py``, update them and say so in CHANGES.md.  The
+last two tests run a paper_iv_a battery and a 1000-agent toy battery on one
+and on two BLAS threads and ask for the same records.
 """
 
 import hashlib
@@ -21,9 +20,9 @@ from pathlib import Path
 import zoswarm
 from zoswarm.harness import gamma_sweep, load_config, record_csv_fingerprint, run_battery
 
-PAPER_IV_A_T30_SEED1 = "1c4ad1e1b7604d2ed5be4d7dbc00e48b8936ba0d31369d79e9d07ce3e68c4304"
-TOY_QUADRATIC = "4bb25d154e8d8f821be64f2eaf92d331f0386ccda03d17cd66d518f20f4b0f6e"
-TOY_SWEEP_T200 = "f06803b3be67be9fdad3626a67b6550add995cbf8547b671357ab9a75cd6e99a"
+PAPER_IV_A_T30_SEED1 = "a2c13c877567e111a2c942005775c98f3a2fb1b32754ec752199102aee4f5666"
+TOY_QUADRATIC = "1c204008870ede1ee1f3a0246592774ca6e2c3b77c67164671e68ed15a67f621"
+TOY_SWEEP_T200 = "7a2334c5f8cbd049ee43750b41810dbfcb88cd95c167ea4d09aa78e100a8a9c4"
 
 
 def battery_digest(config, out_dir) -> str:
@@ -68,10 +67,40 @@ with tempfile.TemporaryDirectory() as out:
         print(run.label, hashlib.sha256(fingerprint).hexdigest())
 """
 
+# the same for a 1000-agent toy battery shaped like the toy_swarm_1k benchmark
+# workload, cut to three rounds, then the topology's alpha_max in hex
+_SWARM_FINGERPRINTS = """
+import hashlib, tempfile
+from zoswarm.graph import laplacian_spectrum
+from zoswarm.harness import build_topology, parse_config, record_csv_fingerprint, run_battery
+config = parse_config('''
+problem.name = quadratic_toy
+problem.n_agents = 1000
+problem.p = 10
+problem.seed = 11
+problem.zeta = 0.5
+topology.n = 1000
+topology.prob = 0.0207
+topology.seed = 2
+run.T = 3
+run.record_every = 1
+run.seeds = 1
+defaults.estimator = central
+defaults.n_c = 1
+defaults.eta = 0.02
+algorithms = zoom,zoom_pb
+algorithm.zoom_pb.gamma = 0.7
+''')
+with tempfile.TemporaryDirectory() as out:
+    for run in run_battery(config, out_dir=out, quiet=True).runs:
+        fingerprint = record_csv_fingerprint(run.csv_path).encode()
+        print(run.label, hashlib.sha256(fingerprint).hexdigest())
+print(laplacian_spectrum(build_topology(config)).alpha_max.hex())
+"""
 
-def test_paper_iv_a_records_do_not_depend_on_blas_threads():
-    # the diagnostics' whole-training-set products are large enough for
-    # OpenBLAS to split across threads; the benchmark pins one thread
+
+def outputs_on_one_and_two_blas_threads(script: str) -> list[str]:
+    """Standard output of ``script`` in two fresh processes, on one and on two BLAS threads."""
     src = str(Path(zoswarm.__file__).resolve().parent.parent)
     outputs = []
     for threads in ("1", "2"):
@@ -82,7 +111,7 @@ def test_paper_iv_a_records_do_not_depend_on_blas_threads():
             "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
         }
         done = subprocess.run(
-            [sys.executable, "-c", _FINGERPRINTS],
+            [sys.executable, "-c", script],
             env=env,
             capture_output=True,
             text=True,
@@ -90,5 +119,20 @@ def test_paper_iv_a_records_do_not_depend_on_blas_threads():
         )
         assert done.returncode == 0, done.stderr
         outputs.append(done.stdout)
+    return outputs
+
+
+def test_paper_iv_a_records_do_not_depend_on_blas_threads():
+    # the diagnostics' whole-training-set products are large enough for
+    # OpenBLAS to split across threads; the benchmark pins one thread
+    outputs = outputs_on_one_and_two_blas_threads(_FINGERPRINTS)
     assert len(outputs[0].splitlines()) == 4
+    assert outputs[0] == outputs[1]
+
+
+def test_swarm_records_do_not_depend_on_blas_threads():
+    # at n = 1000 both a BLAS Laplacian product and the last bits of
+    # LAPACK's eigenvalues move with the thread count
+    outputs = outputs_on_one_and_two_blas_threads(_SWARM_FINGERPRINTS)
+    assert len(outputs[0].splitlines()) == 3
     assert outputs[0] == outputs[1]

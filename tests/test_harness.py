@@ -406,14 +406,15 @@ def test_battery_solves_the_spectrum_once_and_keeps_it_read_only(monkeypatch):
     assert len(battery.runs) == 6  # two algorithms x three seeds, each calling run
     assert solves == [(4, 4)]
 
-    # the memo cannot go stale: neither the weights nor the Laplacian take writes
+    # the memo cannot go stale: neither the weights nor the Laplacian's table take writes
     topo = build_topology(toy_config())
     profile = laplacian_spectrum(topo)
     assert laplacian_spectrum(topo) is profile
     with pytest.raises(ValueError, match="read-only"):
         topo.weights[0, 1] = 5.0
-    with pytest.raises(ValueError, match="read-only"):
-        profile.laplacian[0, 0] = 5.0
+    for table in (profile.neighbours, profile.coefficients, profile.laplacian):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 5
     # ... while the caller's array is copied, not frozen
     w = np.array([[0.0, 1.0], [1.0, 0.0]])
     Topology(2, w)

@@ -1,3 +1,6 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -176,6 +179,17 @@ class TestCsv:
         body = path.read_text()
         assert "," not in body.replace(",", "", 6 * 2)  # only the 6 field separators per row
         assert "123456.789" in body
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027])
+    def test_file_mode_follows_the_umask(self, tmp_path, umask):
+        path = tmp_path / "records.csv"
+        previous = os.umask(umask)
+        try:
+            write_csv([IterationRecord(0, 0.1, 0.2, 0.2, 0.0, 0, 0.0)], path)
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+        assert [p.name for p in tmp_path.iterdir()] == ["records.csv"]  # no temp file left
 
     def test_records_compare_without_wall_time(self):
         a = (IterationRecord(0, 0.1, 0.2, 0.2, 0.0, 0, 1.0),)

@@ -98,6 +98,16 @@ class TestSyntheticDataset:
             ({"test_features": np.zeros((4, 3))}, "test_features has 3 columns, not d = 2"),
             ({"train_labels": np.zeros(5)}, "train_labels holds 5 labels for 6 feature rows"),
             ({"test_labels": np.zeros(6)}, "test_labels holds 6 labels for 4 feature rows"),
+            (
+                {"test_features": np.zeros((0, 2)), "test_labels": np.zeros(0, dtype=np.int64)},
+                "test_features holds no rows",
+            ),
+            ({"train_labels": np.array([0, 1, 2, 0, 1, 0])}, "train_labels must be 0 or 1, got 2"),
+            ({"test_labels": np.array([0.0, 1.0, 0.5, 1.0])}, "test_labels must be 0 or 1, got 0.5"),
+            (
+                {"shard_bounds": ((0, 3.0), (3.0, 6))},
+                r"shard 0 is \(0, 3.0\); bounds must be integers",
+            ),
         ],
         ids=[
             "empty",
@@ -111,6 +121,10 @@ class TestSyntheticDataset:
             "test-columns",
             "train-labels",
             "test-labels",
+            "test-empty",
+            "train-label-value",
+            "test-label-value",
+            "shard-not-int",
         ],
     )
     def test_shards_must_partition_train_set(self, changed, message):
