@@ -1,7 +1,7 @@
 """Experiment orchestration: config files, batteries, sweeps, self checks.
 
-Configs are flat ``key = value`` lines with dotted section prefixes
-(``topology.n = 10``); ``#`` starts a comment.  A battery runs every
+Configs are flat ``key = value`` lines (``topology.n = 10``) whose keys are
+the rows of ``CONFIG_SCHEMA``; ``#`` starts a comment.  A battery runs every
 configured algorithm over every master seed, writes one record CSV per
 (algorithm, seed) plus a ``summary.csv`` of per-algorithm medians, and is
 reproducible byte for byte apart from the wall-clock column.
@@ -10,6 +10,7 @@ reproducible byte for byte apart from the wall-clock column.
 from __future__ import annotations
 
 import importlib.resources
+import inspect
 import math
 import statistics
 from contextlib import contextmanager
@@ -151,32 +152,11 @@ def _reject_duplicates(what: str, items) -> None:
         seen.add(item)
 
 
-# run.* keys: ExperimentConfig attribute and value type
-_RUN_KEYS = {
-    "run.T": ("T", int),
-    "run.record_every": ("record_every", int),
-    "run.out": ("out_dir", str),
-}
-
-# problem.name -> the factory that builds it and the settings the factory
-# takes, with their value types; every default is the factory's own
+# problem.name -> the factory that builds it; the factory's parameters are
+# the settings the problem takes, and every default is the factory's own
 _PROBLEMS = {
-    "classification": (
-        problems.make_synthetic_classification,
-        {"n_train": int, "n_test": int, "d": int, "n_agents": int, "seed": int},
-    ),
-    "quadratic_toy": (
-        problems.make_quadratic_toy,
-        {"n_agents": int, "p": int, "seed": int, "zeta": float},
-    ),
-}
-
-# problem.* and topology.* settings and their value types; build_problem
-# rejects a setting its problem does not take
-_SETTINGS = {
-    "problem": {"name": str}
-    | {name: kind for _, settings in _PROBLEMS.values() for name, kind in settings.items()},
-    "topology": {"n": int, "prob": float, "seed": int},
+    "classification": problems.make_synthetic_classification,
+    "quadratic_toy": problems.make_quadratic_toy,
 }
 
 
@@ -206,24 +186,46 @@ def _smoothing(value: str) -> str:
     return value
 
 
-# AlgorithmSpec fields settable from a config and their value types
-_ALGORITHM_FIELDS = {
-    "estimator": str,
-    "gamma": float,
-    "eta": _eta,
-    "alpha": float,
-    "alpha_frac": float,
-    "n_c": int,
-    "smoothing": _smoothing,
-}
-
-_EXPECTED = {
-    int: "an integer",
-    float: "a number",
-    _eta: "'theorem' or a number",
-    _smoothing: (
-        "theorem_decay[:<kappa>], fixed:<delta> or scaled_fixed:<c> with a positive number"
-    ),
+# The config schema: section -> setting -> (reader, what a malformed value
+# "is not"); a reader raises ValueError on malformed text, and ``[reader]``
+# reads a comma-separated list.  Every key but ``algorithms`` names a row as
+# ``<section>.<setting>``, an algorithm row as ``defaults.<setting>`` or
+# ``algorithm.<label>.<setting>``; ``run.out`` sets ``ExperimentConfig.out_dir``.
+CONFIG_SCHEMA = {
+    "run": {
+        "T": (int, "an integer"),
+        "record_every": (int, "an integer"),
+        "seeds": ([int], "an integer"),
+        "out": (str, "text"),
+    },
+    "problem": {
+        "name": (str, "text"),
+        "n_train": (int, "an integer"),
+        "n_test": (int, "an integer"),
+        "d": (int, "an integer"),
+        "n_agents": (int, "an integer"),
+        "seed": (int, "an integer"),
+        "p": (int, "an integer"),
+        "zeta": (float, "a number"),
+    },
+    "topology": {
+        "n": (int, "an integer"),
+        "prob": (float, "a number"),
+        "seed": (int, "an integer"),
+    },
+    "algorithm": {
+        "kind": (str, "text"),
+        "estimator": (str, "text"),
+        "gamma": (float, "a number"),
+        "eta": (_eta, "'theorem' or a number"),
+        "alpha": (float, "a number"),
+        "alpha_frac": (float, "a number"),
+        "n_c": (int, "an integer"),
+        "smoothing": (
+            _smoothing,
+            "theorem_decay[:<kappa>], fixed:<delta> or scaled_fixed:<c> with a positive number",
+        ),
+    },
 }
 
 
@@ -232,15 +234,18 @@ def parse_config(text: str) -> ExperimentConfig:
 
     A leading UTF-8 byte-order mark is ignored.
     """
-    pairs: dict[str, str] = {}
-    first_line: dict[str, int] = {}
+    # key -> the line that set it and its value
+    pairs: dict[str, tuple[int, str]] = {}
 
-    def typed(key: str, value: str, kind):
+    def typed(key: str, value: str, read, expected: str):
+        if isinstance(read, list):
+            items = (token.strip() for token in value.split(","))
+            return [typed(key, item, read[0], expected) for item in items if item]
         try:
-            return kind(value)
+            return read(value)
         except ValueError:
             raise ConfigError(
-                f"line {first_line[key]}: {key} = {value!r} is not {_EXPECTED[kind]}"
+                f"line {pairs[key][0]}: {key} = {value!r} is not {expected}"
             ) from None
 
     for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
@@ -250,12 +255,11 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key in first_line:
+        if key in pairs:
             raise ConfigError(
-                f"line {lineno}: duplicate key {key!r}, first set on line {first_line[key]}"
+                f"line {lineno}: duplicate key {key!r}, first set on line {pairs[key][0]}"
             )
-        first_line[key] = lineno
-        pairs[key] = value
+        pairs[key] = lineno, value
 
     cfg = ExperimentConfig()
     # algorithm field -> the key that set it, per label and as a default
@@ -263,39 +267,33 @@ def parse_config(text: str) -> ExperimentConfig:
     per_algorithm: dict[str, dict[str, str]] = {}
     labels: list[str] = []
 
-    for key, value in pairs.items():
-        section, _, name = key.partition(".")
-        if name in _SETTINGS.get(section, ()):
-            getattr(cfg, section)[name] = typed(key, value, _SETTINGS[section][name])
-        elif key.startswith("defaults."):
-            defaults[key[len("defaults.") :]] = key
-        elif key.startswith("algorithm."):
-            rest = key[len("algorithm.") :]
-            if "." not in rest:
+    for key, (_, value) in pairs.items():
+        section, dot, name = key.partition(".")
+        if key == "algorithms":
+            labels = typed(key, value, [str], "text")
+        elif dot and section == "defaults":
+            defaults[name] = key
+        elif dot and section == "algorithm":
+            # a label may contain a dot; a setting name never does
+            label, dot, name = name.rpartition(".")
+            if not dot:
                 raise ConfigError(f"algorithm key {key!r} needs a '<label>.<field>' suffix")
-            label, fieldname = rest.split(".", 1)
-            per_algorithm.setdefault(label, {})[fieldname] = key
-        elif key == "algorithms":
-            labels = [token.strip() for token in value.split(",") if token.strip()]
-        elif key == "run.seeds":
-            tokens = [token.strip() for token in value.split(",")]
-            cfg.seeds = [typed(key, token, int) for token in tokens if token]
-        elif key in _RUN_KEYS:
-            attr, kind = _RUN_KEYS[key]
-            setattr(cfg, attr, typed(key, value, kind))
+            per_algorithm.setdefault(label, {})[name] = key
+        elif section in ("problem", "topology") and name in CONFIG_SCHEMA[section]:
+            getattr(cfg, section)[name] = typed(key, value, *CONFIG_SCHEMA[section][name])
+        elif section == "run" and name in CONFIG_SCHEMA["run"]:
+            setting = typed(key, value, *CONFIG_SCHEMA["run"][name])
+            setattr(cfg, "out_dir" if name == "out" else name, setting)
         else:
             raise ConfigError(f"unknown config key {key!r}")
 
     for label in labels:
-        fields = {**defaults, **per_algorithm.get(label, {})}
-        kind_key = fields.pop("kind", None)
-        kwargs = {}
-        for name, key in fields.items():
-            if name not in _ALGORITHM_FIELDS:
+        fields = {}
+        for name, key in {**defaults, **per_algorithm.get(label, {})}.items():
+            if name not in CONFIG_SCHEMA["algorithm"]:
                 raise ConfigError(f"unknown algorithm field {name!r} for {label!r}")
-            kwargs[name] = typed(key, pairs[key], _ALGORITHM_FIELDS[name])
-        kind = pairs[kind_key] if kind_key else label
-        cfg.algorithms.append(AlgorithmSpec(label=label, kind=kind, **kwargs))
+            fields[name] = typed(key, pairs[key][1], *CONFIG_SCHEMA["algorithm"][name])
+        cfg.algorithms.append(AlgorithmSpec(label=label, kind=fields.pop("kind", label), **fields))
 
     stray = set(per_algorithm) - set(labels)
     if stray:
@@ -344,9 +342,9 @@ def build_problem(cfg: ExperimentConfig) -> problems.StochasticProblem:
     name = spec.pop("name", None)
     if name not in _PROBLEMS:
         raise ConfigError(f"unknown problem name {name!r}")
-    factory, settings = _PROBLEMS[name]
+    factory = _PROBLEMS[name]
     with _config_errors("problem"):
-        unknown = sorted(set(spec) - set(settings))
+        unknown = sorted(set(spec) - set(inspect.signature(factory).parameters))
         if unknown:
             raise ValueError(f"unknown {name} settings: {unknown}")
         return factory(**spec)
@@ -355,7 +353,7 @@ def build_problem(cfg: ExperimentConfig) -> problems.StochasticProblem:
 def build_topology(cfg: ExperimentConfig) -> graph.Topology:
     """Instantiate the configured communication graph."""
     spec = dict(cfg.topology)
-    unknown = sorted(set(spec) - set(_SETTINGS["topology"]))
+    unknown = sorted(set(spec) - set(CONFIG_SCHEMA["topology"]))
     if unknown:
         raise ConfigError(f"unknown topology settings: {unknown}")
     if "n" not in spec or "prob" not in spec:
@@ -368,7 +366,8 @@ def _parse_smoothing(token: str, p: int, T: int) -> estimator.SmoothingSchedule:
     try:
         head, value = _smoothing_terms(token)
     except ValueError:
-        raise ConfigError(f"smoothing {token!r} is not {_EXPECTED[_smoothing]}") from None
+        _, expected = CONFIG_SCHEMA["algorithm"]["smoothing"]
+        raise ConfigError(f"smoothing {token!r} is not {expected}") from None
     if head == "theorem_decay":
         return estimator.SmoothingSchedule(kappa_delta=value, mode="theorem_decay")
     if head == "scaled_fixed":

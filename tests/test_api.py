@@ -8,6 +8,7 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -90,13 +91,12 @@ CLI_FLAGS = {
 def test_option_surface_is_pinned():
     # adding, renaming or removing an option, an algorithm kind or a required
     # problem method is a deliberate change to this test
-    tables = (
-        set(harness._RUN_KEYS)
-        | {f"{section}.{name}" for section, names in harness._SETTINGS.items() for name in names}
-        | {f"algorithm.a.{name}" for name in harness._ALGORITHM_FIELDS}
-        | {"run.seeds", "algorithms", "algorithm.a.kind"}
-    )
-    assert tables == set(CONFIG_KEYS)
+    schema = {
+        f"{'algorithm.a' if section == 'algorithm' else section}.{name}"
+        for section, rows in harness.CONFIG_SCHEMA.items()
+        for name in rows
+    }
+    assert schema | {"algorithms"} == set(CONFIG_KEYS)
     assert len(CONFIG_KEYS) == 24
     parsed = harness.parse_config("".join(f"{k} = {v}\n" for k, v in CONFIG_KEYS.items()))
     assert parsed.problem["zeta"] == 0.1 and parsed.topology["prob"] == 1.0
@@ -130,3 +130,18 @@ def test_option_surface_is_pinned():
     assert problems.StochasticProblem.__abstractmethods__ == {
         "sample", "evaluate", "true_global_gradient", "full_loss"
     }
+
+
+def test_readme_config_format_names_every_key():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Config format", 1)[1].split("\n## ", 1)[0]
+    missing = []
+    for group, rows in harness.CONFIG_SCHEMA.items():
+        for name in rows:
+            if group == "algorithm":
+                pattern = rf"(algorithm\.\S+\.|defaults\.){name}\b"
+            else:
+                pattern = rf"\b{group}\.{name}\b"
+            if not re.search(pattern, section):
+                missing.append(f"{group}.{name}")
+    assert missing == []

@@ -7,8 +7,11 @@ moved to the profile's neighbour table and ``alpha_max`` to a 40-bit
 mantissa grid; they guard the promise that an optimisation changes no
 record bit.  A deliberate numerical change must pass
 ``test_reference_engine.py``, update them and say so in CHANGES.md.  The
-last two tests run a paper_iv_a battery and a 1000-agent toy battery on one
-and on two BLAS threads and ask for the same records.
+parse digests pin ``repr(parse_config(text))`` of the bundled configs and
+of the benchmark workloads' generated configs, so a refactor of the config
+layer reads every one of them as before.  The last two tests run a
+paper_iv_a battery and a 1000-agent toy battery on one and on two BLAS
+threads and ask for the same records.
 """
 
 import hashlib
@@ -18,11 +21,30 @@ import sys
 from pathlib import Path
 
 import zoswarm
-from zoswarm.harness import gamma_sweep, load_config, record_csv_fingerprint, run_battery
+from zoswarm.harness import (
+    gamma_sweep,
+    load_config,
+    parse_config,
+    record_csv_fingerprint,
+    run_battery,
+)
 
 PAPER_IV_A_T30_SEED1 = "a2c13c877567e111a2c942005775c98f3a2fb1b32754ec752199102aee4f5666"
 TOY_QUADRATIC = "1c204008870ede1ee1f3a0246592774ca6e2c3b77c67164671e68ed15a67f621"
 TOY_SWEEP_T200 = "7a2334c5f8cbd049ee43750b41810dbfcb88cd95c167ea4d09aa78e100a8a9c4"
+
+# config -> sha256 of repr(parse_config(text)); "<workload>@<seed>" is the
+# config the benchmark generates for that workload and workload seed
+PARSE_DIGESTS = {
+    "paper_iv_a": "dfa247c3f047db0712033a7d6746314f678de97900a214826e47b9aa1b0ec34a",
+    "toy_quadratic": "25a0c3a481f418e86081b35ccae70a216fdbc66fd7b1990be18495c1963119ef",
+    "iv_a_battery@0": "f516b6921a60e9acd40a0329c42a39a090e5c59d273895dc275a567aeb78514b",
+    "iv_a_battery@1": "b9cba8c88d6c1f387ffb93d81b021b91c0b86250b3bd9fbc1da90f41f5274ef6",
+    "iv_a_dense_record@0": "5c5f85a8674a994fba7e78cb6daf5db40ecb6119a9fd9e041981fdf7c7d813a2",
+    "iv_a_dense_record@1": "8fd2d07d5a380ce0bd7f7a44d65173418dae550f5f5981a9cc545a04312d50c5",
+    "toy_swarm_1k@0": "524eb6c952c9d620929bfd32c6965606a9eeb19e8fffb930b0c4ef923df2efa8",
+    "toy_swarm_1k@1": "fa6f25fa6fd8136f7c1a7e2fadd17e1f00867242dcd04a8c236f6a7fff2598c2",
+}
 
 
 def battery_digest(config, out_dir) -> str:
@@ -34,6 +56,22 @@ def battery_digest(config, out_dir) -> str:
         digest.update(b"\n")
     digest.update(battery.summary_path.read_bytes())
     return digest.hexdigest()
+
+
+def test_parsed_configs_are_pinned(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmarks"))
+    import workloads  # read only
+
+    configs = Path(zoswarm.__file__).parent / "configs"
+    texts = {name: (configs / f"{name}.cfg").read_text() for name in ("paper_iv_a", "toy_quadratic")}
+    for workload in workloads.WORKLOADS.values():
+        for seed in (0, 1):
+            texts[f"{workload.name}@{seed}"] = workloads.config_text(workload, seed, configs)
+    digests = {
+        name: hashlib.sha256(repr(parse_config(text)).encode()).hexdigest()
+        for name, text in texts.items()
+    }
+    assert digests == PARSE_DIGESTS
 
 
 def test_paper_iv_a_short_battery_is_pinned(tmp_path):

@@ -3,8 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zoswarm import harness
+from zoswarm import dynamics, harness
 from zoswarm.dynamics import HyperParams, run
 from zoswarm.graph import Topology, laplacian_spectrum
 from zoswarm.harness import (
@@ -38,6 +40,66 @@ defaults.eta = theorem
 algorithms = zoom,zoom_pb
 algorithm.zoom_pb.gamma = 0.7
 """
+
+
+def _malformed_row_cases():
+    """A malformed value for every schema row that is not text, in each key form."""
+    for section, rows in harness.CONFIG_SCHEMA.items():
+        for name, (read, expected) in rows.items():
+            if read is str:
+                continue
+            if read in (int, float):  # the literal cases pin the other readers' texts
+                expected = {int: "an integer", float: "a number"}[read]
+            if section == "algorithm":
+                keys = [f"defaults.{name}", f"algorithm.zoom.{name}"]
+            else:
+                keys = [f"{section}.{name}"]
+            for key in keys:
+                yield (
+                    f"algorithms = zoom\n{key} = nonsense\n",
+                    f"line 2: {key} = 'nonsense' is not {expected}",
+                )
+
+
+MALFORMED_ROW_CASES = list(_malformed_row_cases())
+
+
+def _as_text(values, to_text=str):
+    """(config text, parsed value) pairs for the values a strategy draws."""
+    return values.map(lambda value: (to_text(value), value))
+
+
+NUMBERS = st.floats(allow_nan=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+SMOOTHING = st.one_of(
+    st.just("theorem_decay"),
+    st.builds("{}:{!r}".format, st.sampled_from(["theorem_decay", "fixed", "scaled_fixed"]), POSITIVE),
+)
+# (text, value) pairs valid for a row: by row where its reader alone does not
+# say what is valid (AlgorithmSpec checks the kind and the estimator), else
+# by reader
+ROW_VALUES = {
+    ("algorithm", "kind"): _as_text(st.sampled_from(dynamics.ALGORITHMS)),
+    ("algorithm", "estimator"): _as_text(st.sampled_from(dynamics.ESTIMATORS)),
+    ("algorithm", "eta"): _as_text(st.one_of(st.just("theorem"), NUMBERS)),
+    ("algorithm", "smoothing"): _as_text(SMOOTHING),
+}
+READER_VALUES = {
+    int: _as_text(st.integers()),
+    float: _as_text(NUMBERS, repr),
+    str: _as_text(
+        st.text(st.characters(codec="ascii", categories=["L", "N", "P", "S"], exclude_characters="#"))
+    ),
+}
+SEEDS = _as_text(st.lists(st.integers()), lambda seeds: ", ".join(map(str, seeds)))
+FILLER = st.sampled_from(["", "   ", "# a comment", "# key = value"])
+
+
+def _row_values(section, name):
+    if (section, name) in ROW_VALUES:
+        return ROW_VALUES[section, name]
+    read, _ = harness.CONFIG_SCHEMA[section][name]
+    return SEEDS if read == [int] else READER_VALUES[read]
 
 
 def toy_config():
@@ -75,6 +137,42 @@ class TestConfigParsing:
             parse_config("algorithms = zoom\nalgorithm.zoom.step = 5\n")
         with pytest.raises(ConfigError, match="unknown algorithm kind"):
             parse_config("algorithms = sneaky\n")
+
+    def test_label_may_contain_a_dot(self):
+        cfg = parse_config("algorithms = zoom.v2\nalgorithm.zoom.v2.kind = zoom\n")
+        assert [(a.label, a.kind) for a in cfg.algorithms] == [("zoom.v2", "zoom")]
+        with pytest.raises(ConfigError, match=r"^algorithm key 'algorithm.zoom' needs a"):
+            parse_config("algorithms = zoom\nalgorithm.zoom = 1\n")
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_drawn_values_parse_back_exactly(self, data):
+        rows = [(section, name) for section, names in harness.CONFIG_SCHEMA.items() for name in names]
+        chosen = data.draw(st.lists(st.sampled_from(rows), unique=True))
+        label = data.draw(st.sampled_from([*dynamics.ALGORITHMS, "a", "b.c"]))
+        if label not in dynamics.ALGORITHMS and ("algorithm", "kind") not in chosen:
+            chosen.append(("algorithm", "kind"))  # only a label that is a kind may leave it out
+        expected = ExperimentConfig()
+        fields = {}
+        lines = [f"algorithms = {label}"]
+        for section, name in chosen:
+            text, value = data.draw(_row_values(section, name))
+            if section == "algorithm":
+                key = data.draw(st.sampled_from([f"defaults.{name}", f"algorithm.{label}.{name}"]))
+                fields[name] = value
+            elif section == "run":
+                key = f"run.{name}"
+                setattr(expected, "out_dir" if name == "out" else name, value)
+            else:
+                key = f"{section}.{name}"
+                getattr(expected, section)[name] = value
+            lines.append(f"{key} = {text}" + data.draw(st.sampled_from(["", "  # note"])))
+        expected.algorithms = [AlgorithmSpec(label=label, kind=fields.pop("kind", label), **fields)]
+        lines = data.draw(st.permutations(lines))
+        for _ in range(data.draw(st.integers(0, 3))):
+            lines.insert(data.draw(st.integers(0, len(lines))), data.draw(FILLER))
+        bom = data.draw(st.sampled_from(["", "\ufeff"]))
+        assert parse_config(bom + "\n".join(lines)) == expected
 
     def test_malformed_line_rejected(self):
         with pytest.raises(ConfigError, match="key = value"):
@@ -116,6 +214,7 @@ class TestConfigParsing:
                 )
                 for spec in ("fixed:abc", "fixed:-1", "theorem_decay:x")
             ),
+            *MALFORMED_ROW_CASES,
         ],
     )
     def test_malformed_values_name_key_and_line(self, text, message):
@@ -181,10 +280,13 @@ class TestBuilders:
         assert problem.dimension == 6
         assert topo.n == 4
 
-    @pytest.mark.parametrize("name", sorted(harness._PROBLEMS))
-    def test_problem_registry_matches_factory_signatures(self, name):
-        factory, settings = harness._PROBLEMS[name]
-        assert set(settings) == set(inspect.signature(factory).parameters)
+    def test_problem_rows_are_the_factories_parameters_plus_name(self):
+        parameters = {
+            name
+            for factory in harness._PROBLEMS.values()
+            for name in inspect.signature(factory).parameters
+        }
+        assert set(harness.CONFIG_SCHEMA["problem"]) == parameters | {"name"}
 
     @pytest.mark.parametrize(
         "name, agents, dimension", [("classification", 10, 100), ("quadratic_toy", 5, 10)]
