@@ -97,7 +97,7 @@ def _cmd_spectra(args) -> int:
         raise harness.ConfigError("spectra needs either --config or both --n and --prob")
     profile = graph.laplacian_spectrum(topo)
     print(f"agents: {topo.n}")
-    print(f"edges: {topo.columns.size // 2}")
+    print(f"edges: {int((topo.coefficients[:, 1:] < 0.0).sum()) // 2}")
     print(f"connected: {graph.is_connected(topo)}")
     print(f"rho2 (smallest positive eigenvalue): {profile.rho2:.10g}")
     print(f"rho(L^2) (spectral radius of L squared): {profile.rho_l2:.10g}")

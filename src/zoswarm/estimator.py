@@ -86,6 +86,10 @@ class SmoothingSchedule:
     def __post_init__(self) -> None:
         if self.mode not in SMOOTHING_MODES:
             raise ValueError(f"mode must be one of {SMOOTHING_MODES}, got {self.mode!r}")
+        for name in ("kappa_delta", "fixed_value"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.kappa_delta <= 0.0:
             raise ValueError("kappa_delta must be positive")
         if self.mode == "fixed" and (self.fixed_value is None or self.fixed_value <= 0.0):

@@ -3,10 +3,11 @@
 Agents exchange iterates over an undirected weighted graph.  The admissible
 consensus step size for the swarm update is governed by two spectral
 quantities of the graph Laplacian ``L``: its smallest positive eigenvalue
-``rho2`` and the spectral radius of ``L^2``.  ``laplacian_spectrum`` packages
-both together with the Laplacian's rows as a padded neighbour table and
-keeps the result on the topology, so every run on one graph shares a single
-eigen-solve.  The dense Laplacian exists only inside that solve.
+``rho2`` and the spectral radius of ``L^2``.  A topology keeps the
+Laplacian's rows as a padded neighbour table; ``laplacian_spectrum`` packages
+that table with both bounds and keeps the result on the topology, so every
+run on one graph shares a single eigen-solve.  The dense Laplacian exists
+only inside that solve.
 """
 
 from __future__ import annotations
@@ -52,20 +53,21 @@ class Topology:
     finite, symmetric and nonnegative with a zero diagonal (no self loops).
     Weights are dimensionless mixing coefficients, not distances.
 
-    The graph is kept in compressed sparse row form: agent ``i``'s
-    neighbours are ``columns[row_starts[i]:row_starts[i + 1]]``, in
-    ascending order, with the matching ``edge_weights``; ``degrees`` holds
-    the weighted row sums.  No dense copy is kept: ``weights`` rebuilds the
-    matrix on each access.  Every array is read-only, so the spectrum the
-    topology memoizes can never go stale; the caller's matrix is only read.
-    Equality and hashing go by identity, as the spectrum memo does.
+    The graph is kept as the rows of its Laplacian ``L = Deg - W``, in a
+    padded neighbour table: ``neighbours[i]`` lists agent ``i`` itself, then
+    its neighbours in ascending order, then ``i`` again as padding up to the
+    largest degree plus one; ``coefficients[i]`` holds the weighted degree,
+    then ``-w_ij`` for each neighbour, then ``0.0`` for the padding.  So
+    ``(L @ X)[i] = coefficients[i] @ X[neighbours[i]]``.  No dense copy is
+    kept: ``weights`` rebuilds the matrix on each access.  Both arrays are
+    read-only, so the spectrum the topology memoizes can never go stale; the
+    caller's matrix is only read.  Equality and hashing go by identity, as
+    the spectrum memo does.
     """
 
     n: int
-    row_starts: np.ndarray
-    columns: np.ndarray
-    edge_weights: np.ndarray
-    degrees: np.ndarray
+    neighbours: np.ndarray
+    coefficients: np.ndarray
     # set once by laplacian_spectrum
     _spectrum: SpectralProfile | None = field(default=None, repr=False)
 
@@ -87,48 +89,47 @@ class Topology:
         self._assign(n, rows, columns, w[rows, columns], w.sum(axis=1))
 
     @classmethod
-    def _from_entries(cls, n, rows, columns, edge_weights, degrees) -> Topology:
+    def _from_entries(cls, n, rows, columns, values, degrees) -> Topology:
         """A topology from stored entries sorted by row, then column, without a dense pass."""
         topo = cls.__new__(cls)
-        topo._assign(n, rows, columns, edge_weights, degrees)
+        topo._assign(n, rows, columns, values, degrees)
         return topo
 
-    def _assign(self, n, rows, columns, edge_weights, degrees) -> None:
-        arrays = {
-            "row_starts": np.searchsorted(rows, np.arange(n + 1)),
-            "columns": columns,
-            "edge_weights": edge_weights,
-            "degrees": degrees,
-        }
+    def _assign(self, n, rows, columns, values, degrees) -> None:
+        starts = np.searchsorted(rows, np.arange(n + 1))
+        # slot 0 is the agent itself; its stored entries follow in column order
+        slots = np.arange(columns.size) - starts[rows] + 1
+        width = int(np.diff(starts).max()) + 1
+        neighbours = np.repeat(np.arange(n)[:, None], width, axis=1)
+        neighbours[rows, slots] = columns
+        coefficients = np.zeros((n, width))
+        coefficients[:, 0] = degrees
+        coefficients[rows, slots] = -values
         object.__setattr__(self, "n", n)
-        for name, array in arrays.items():
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
+        for name, table in (("neighbours", neighbours), ("coefficients", coefficients)):
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
 
     @property
     def weights(self) -> np.ndarray:
-        """The dense symmetric weight matrix, rebuilt read-only on each access."""
+        """The dense symmetric weight matrix, rebuilt read-only on each access.
+
+        ``-(-w)`` is ``w`` exactly.  Slot 0 and the padding write the
+        diagonal, which is zeroed last.
+        """
         w = np.zeros((self.n, self.n))
-        w[self._edge_rows(), self.columns] = self.edge_weights
+        w[np.arange(self.n)[:, None], self.neighbours] = -self.coefficients
+        np.fill_diagonal(w, 0.0)
         w.flags.writeable = False
         return w
-
-    def _edge_rows(self) -> np.ndarray:
-        """The row of each stored entry, aligned with ``columns``."""
-        return np.repeat(np.arange(self.n), np.diff(self.row_starts))
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralProfile:
     """Laplacian rows of a topology plus the spectral bounds derived from it.
 
-    Row ``i`` of the Laplacian ``L = Deg - W`` is kept as a padded neighbour
-    table: ``neighbours[i]`` lists agent ``i`` itself, then its neighbours in
-    ascending order, then ``i`` again as padding up to the largest degree
-    plus one; ``coefficients[i]`` holds the weighted degree, then ``-w_ij``
-    for each neighbour, then ``0.0`` for the padding.  So
-    ``(L @ X)[i] = coefficients[i] @ X[neighbours[i]]``, and no n x n array
-    is kept.  ``laplacian_spectrum`` hands out both arrays read-only.
+    ``neighbours`` and ``coefficients`` are the topology's own read-only
+    table (see :class:`Topology`), so no n x n array is kept.
 
     ``alpha_max`` is the upper end of the open interval of admissible
     consensus step sizes, ``rho2 / (2 * rho_l2)`` rounded down to
@@ -149,21 +150,6 @@ class SpectralProfile:
         lap = _dense_laplacian(self.neighbours, self.coefficients)
         lap.flags.writeable = False
         return lap
-
-
-def _neighbour_table(topo: Topology) -> tuple[np.ndarray, np.ndarray]:
-    """The padded ``(neighbours, coefficients)`` table of the topology's Laplacian rows."""
-    n = topo.n
-    rows = topo._edge_rows()
-    # slot 0 is the agent itself; its stored entries follow in column order
-    slots = np.arange(topo.columns.size) - topo.row_starts[rows] + 1
-    width = int(np.diff(topo.row_starts).max()) + 1
-    neighbours = np.repeat(np.arange(n)[:, None], width, axis=1)
-    neighbours[rows, slots] = topo.columns
-    coefficients = np.zeros((n, width))
-    coefficients[:, 0] = topo.degrees
-    coefficients[rows, slots] = -topo.edge_weights
-    return neighbours, coefficients
 
 
 def _dense_laplacian(neighbours: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
@@ -246,25 +232,26 @@ def is_connected(topo: Topology) -> bool:
     once: the next frontier is every unseen agent at the end of an edge
     leaving the current one.
     """
-    degree = np.diff(topo.row_starts)
     seen = np.zeros(topo.n, dtype=bool)
     seen[0] = True
     frontier = seen.copy()
     while frontier.any():
         reached = np.zeros(topo.n, dtype=bool)
-        reached[topo.columns[np.repeat(frontier, degree)]] = True
+        # slot 0 and the padding point at frontier agents, which are already seen
+        reached[topo.neighbours[frontier]] = True
         frontier = reached & ~seen
         seen |= frontier
     return bool(seen.all())
 
 
 def laplacian_spectrum(topo: Topology) -> SpectralProfile:
-    """The Laplacian rows of ``L = Deg - A`` and their spectrum, memoized per topology.
+    """The spectrum of ``L = Deg - A`` with its rows, memoized per topology.
 
     The first call on a topology runs a dense symmetric eigen-solve on a
-    transient n x n Laplacian and stores the profile on it; later calls on
-    the same object return that profile.  A topology's arrays are
-    read-only, so the stored profile cannot go stale.
+    transient n x n Laplacian, built from the topology's table, and stores
+    the profile on it; later calls on the same object return that profile.
+    The profile shares the topology's read-only table, so it cannot go
+    stale.
 
     LAPACK may move the last bits of the eigenvalues with the BLAS thread
     count.  ``rho2`` and ``rho_l2`` are reported raw; ``alpha_max`` is
@@ -286,11 +273,8 @@ def laplacian_spectrum(topo: Topology) -> SpectralProfile:
 
 
 def _solve_spectrum(topo: Topology) -> SpectralProfile:
-    neighbours, coefficients = _neighbour_table(topo)
-    neighbours.flags.writeable = False
-    coefficients.flags.writeable = False
     try:
-        eigenvalues = np.linalg.eigvalsh(_dense_laplacian(neighbours, coefficients))
+        eigenvalues = np.linalg.eigvalsh(_dense_laplacian(topo.neighbours, topo.coefficients))
     except np.linalg.LinAlgError as exc:
         raise EigenSolveError(f"eigenvalue solver failed on a {topo.n}-agent Laplacian") from exc
     positive = eigenvalues[eigenvalues > ZERO_EIGENVALUE_TOL]
@@ -306,4 +290,4 @@ def _solve_spectrum(topo: Topology) -> SpectralProfile:
                 "for a float eigen-solve"
             )
     bounds["alpha_max"] = _snap_down(bounds["alpha_max"])
-    return SpectralProfile(neighbours=neighbours, coefficients=coefficients, **bounds)
+    return SpectralProfile(neighbours=topo.neighbours, coefficients=topo.coefficients, **bounds)

@@ -298,6 +298,11 @@ def parse_config(text: str) -> ExperimentConfig:
     stray = set(per_algorithm) - set(labels)
     if stray:
         raise ConfigError(f"algorithm settings for unlisted labels: {sorted(stray)}")
+    # a default that every label overrides, or that no label exists to use, is still checked
+    for name, key in defaults.items():
+        if name not in CONFIG_SCHEMA["algorithm"]:
+            raise ConfigError(f"unknown config key {key!r}")
+        typed(key, pairs[key][1], *CONFIG_SCHEMA["algorithm"][name])
     return cfg
 
 

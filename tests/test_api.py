@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import zoswarm
-from zoswarm import cli, dynamics, harness, problems
+from zoswarm import cli, dynamics, graph, harness, problems
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(zoswarm.__path__))
 
@@ -123,6 +123,14 @@ def test_option_surface_is_pinned():
     ]
     assert list(inspect.signature(harness.run_battery).parameters) == [
         "config", "out_dir", "jobs", "quiet"
+    ]
+
+    # a graph is kept in one form, the Laplacian's padded neighbour table
+    assert [f.name for f in dataclasses.fields(graph.Topology)] == [
+        "n", "neighbours", "coefficients", "_spectrum"
+    ]
+    assert [f.name for f in dataclasses.fields(graph.SpectralProfile)] == [
+        "neighbours", "coefficients", "rho2", "rho_l2", "alpha_max"
     ]
 
     # zeroth-order only: two algorithm kinds, and a problem answers function values

@@ -7,7 +7,7 @@ import pytest
 
 from zoswarm.cli import main
 from zoswarm.graph import erdos_renyi, laplacian_spectrum
-from zoswarm.harness import load_config
+from zoswarm.harness import build_topology, load_config
 from zoswarm.problems import QuadraticToyProblem
 
 TOY_CFG = """
@@ -300,6 +300,7 @@ def test_spectra_from_flags(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "agents: 3" in out
+    assert "edges: 3\n" in out
     assert "connected: True" in out
     # complete triangle: rho2 = 3, rho(L^2) = 9, bound = 1/6
     assert "alpha_max" in out
@@ -314,6 +315,16 @@ def test_spectra_from_config(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     assert main(["spectra", "--config", str(cfg)]) == 0
     assert "agents: 3" in capsys.readouterr().out
+
+
+def test_spectra_counts_the_edges_of_a_sparse_config(tmp_path, capsys):
+    cfg = tmp_path / "sparse.cfg"
+    text = TOY_CFG.replace("topology.n = 3", "topology.n = 12")
+    cfg.write_text(text.replace("topology.prob = 1.0", "topology.prob = 0.3"))
+    assert main(["spectra", "--config", str(cfg)]) == 0
+    edges = np.count_nonzero(build_topology(load_config(cfg)).weights) // 2
+    assert 11 <= edges < 66  # connected, not complete
+    assert f"edges: {edges}\n" in capsys.readouterr().out
 
 
 def test_spectra_needs_arguments(capsys):

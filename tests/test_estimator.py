@@ -232,3 +232,16 @@ class TestSmoothingSchedule:
             SmoothingSchedule(mode="fixed")
         with pytest.raises(ValueError):
             SmoothingSchedule(mode="nope")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "name, make",
+        [
+            ("kappa_delta", lambda v: SmoothingSchedule(kappa_delta=v)),
+            ("fixed_value", lambda v: SmoothingSchedule(mode="fixed", fixed_value=v)),
+        ],
+    )
+    def test_rejects_non_finite_radius(self, name, make, bad):
+        # a non-finite radius would otherwise surface as an oracle failure mid-run
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            make(bad)

@@ -58,9 +58,8 @@ class TestTopology:
     def test_degrees_and_edges(self):
         topo = path3()
         assert np.array_equal(np.diag(laplacian_spectrum(topo).laplacian), [1.0, 2.0, 1.0])
-        assert topo.row_starts.tolist() == [0, 1, 3, 4]
-        assert topo.columns.tolist() == [1, 0, 2, 1]
-        assert topo.edge_weights.tolist() == [1.0, 1.0, 1.0, 1.0]
+        assert topo.neighbours.tolist() == [[0, 1, 0], [1, 0, 2], [2, 1, 2]]
+        assert topo.coefficients.tolist() == [[1, -1, 0], [2, -1, -1], [1, -1, 0]]
 
     def test_equality_and_hash_go_by_identity(self):
         # equal weights would make an array comparison ambiguous; the spectrum memo is per object
@@ -102,11 +101,11 @@ class TestErdosRenyi:
             if is_connected(Topology(n, expected)):
                 break
         assert np.array_equal(topo.weights, expected)
-        # the draw's CSR arrays are those of the dense constructor, bit for bit
+        # the draw's table is the dense constructor's, bit for bit
         dense = Topology(n, expected)
-        for name in ("row_starts", "columns", "edge_weights", "degrees"):
+        for name in ("neighbours", "coefficients"):
             got, want = getattr(topo, name), getattr(dense, name)
-            assert got.dtype == want.dtype and np.array_equal(got, want), name
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
         if n == 10:
             assert attempt > 0  # the replay covers retries, not only a first draw
 
@@ -215,7 +214,7 @@ class TestLaplacianSpectrum:
             w = np.triu((rng.random((n, n)) < 0.25).astype(float), k=1)
             w = w + w.T
             topo = Topology(n, w)
-            if not topo.columns.size:
+            if not np.any(topo.coefficients[:, 1:]):
                 continue
             eigs = np.linalg.eigvalsh(laplacian_spectrum(topo).laplacian)
             multiplicity = int(np.sum(np.abs(eigs) < 1e-9))
@@ -292,19 +291,32 @@ def queue_bfs_connected(weights: np.ndarray) -> bool:
 
 @st.composite
 def weighted_graphs(draw):
-    """Symmetric weighted graphs of any density, often disconnected, from n = 1 up."""
+    """Symmetric weight matrices of any density, often disconnected, from n = 1 up."""
     n = draw(st.integers(1, 14))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     density = draw(st.sampled_from([0.0, 0.05, 0.15, 0.3, 0.6, 1.0]))
     upper = np.triu(rng.random((n, n)) < density, k=1)
     weights = np.where(upper, rng.uniform(0.01, 5.0, (n, n)), 0.0)
-    return Topology(n, weights + weights.T)
+    return weights + weights.T
 
 
 @settings(max_examples=300, deadline=None)
 @given(weighted_graphs())
-def test_is_connected_matches_a_queue_bfs(topo):
-    assert is_connected(topo) == queue_bfs_connected(topo.weights)
+def test_is_connected_matches_a_queue_bfs(w):
+    assert is_connected(Topology(len(w), w)) == queue_bfs_connected(w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(weighted_graphs())
+def test_table_gives_back_the_dense_weights(w):
+    topo = Topology(len(w), w)
+    assert topo.weights.tobytes() == w.tobytes()
+    assert topo.coefficients[:, 0].tobytes() == w.sum(axis=1).tobytes()
+    if np.any(topo.coefficients[:, 1:]):
+        # the profile shares the topology's table instead of copying it
+        profile = laplacian_spectrum(topo)
+        assert profile.neighbours is topo.neighbours
+        assert profile.coefficients is topo.coefficients
 
 
 @pytest.mark.parametrize(

@@ -206,6 +206,13 @@ class TestConfigParsing:
                 "defaults.eta = fast\nalgorithms = zoom\n",
                 "line 1: defaults.eta = 'fast' is not 'theorem' or a number",
             ),
+            # a default that every label overrides, or that no label reads, is checked too
+            (
+                "defaults.eta = fast\nalgorithms = zoom\nalgorithm.zoom.eta = 0.1\n",
+                "line 1: defaults.eta = 'fast' is not 'theorem' or a number",
+            ),
+            ("defaults.n_c = two\n", "line 1: defaults.n_c = 'two' is not an integer"),
+            ("defaults.step = 5\n", "unknown config key 'defaults.step'"),
             *(
                 (
                     f"algorithms = zoom\ndefaults.smoothing = {spec}\n",
