@@ -57,13 +57,6 @@ class CoordinateSample:
             raise ValueError("coordinate indices must be nonnegative")
         object.__setattr__(self, "indices", tuple(sorted(idx)))
 
-    @classmethod
-    def _trusted(cls, indices: tuple[int, ...]) -> "CoordinateSample":
-        """Wrap indices already known to be distinct, nonnegative and sorted."""
-        sample = object.__new__(cls)
-        object.__setattr__(sample, "indices", indices)
-        return sample
-
     @property
     def n_c(self) -> int:
         return len(self.indices)
@@ -114,8 +107,15 @@ def sample_coordinates(
         raise ValueError(f"need 1 <= n_c <= p, got n_c={n_c}, p={p}")
     block = np.argpartition(rng.random((n, p)), n_c - 1, axis=1)[:, :n_c]
     block.sort(axis=1)
-    # positions within a row are distinct, in range and now sorted
-    return [CoordinateSample._trusted(tuple(row)) for row in block.tolist()]
+    # positions within a row are distinct, in range and now sorted, so each row
+    # is wrapped as is, without the checks of __post_init__
+    new, assign = object.__new__, object.__setattr__
+    samples = []
+    for row in block.tolist():
+        sample = new(CoordinateSample)
+        assign(sample, "indices", tuple(row))
+        samples.append(sample)
+    return samples
 
 
 def forward_estimate(
@@ -138,11 +138,15 @@ def forward_estimate(
     scale = x.size / sample.n_c
     estimate = np.zeros(x.size)
     probe = x.copy()
+    # the probe's memoryview gets and sets the same float64 bytes as numpy scalar
+    # indexing, without boxing each entry in an np.float64; the estimate, written
+    # once per coordinate, does not repay the cost of making a second view
+    probe_entries = probe.data
     for j in sample.indices:
-        xj = probe[j]
-        probe[j] = xj + delta
+        xj = probe_entries[j]
+        probe_entries[j] = xj + delta
         value = float(oracle(probe))
-        probe[j] = xj
+        probe_entries[j] = xj
         if not math.isfinite(value):
             raise OracleEvaluationError(
                 f"oracle returned a non-finite value probing coordinate {j}", coordinate=j
@@ -168,13 +172,14 @@ def central_estimate(
     scale = x.size / sample.n_c
     estimate = np.zeros(x.size)
     probe = x.copy()
+    probe_entries = probe.data
     for j in sample.indices:
-        xj = probe[j]
-        probe[j] = xj + delta
+        xj = probe_entries[j]
+        probe_entries[j] = xj + delta
         hi = float(oracle(probe))
-        probe[j] = xj - delta
+        probe_entries[j] = xj - delta
         lo = float(oracle(probe))
-        probe[j] = xj
+        probe_entries[j] = xj
         if not (math.isfinite(hi) and math.isfinite(lo)):
             raise OracleEvaluationError(
                 f"oracle returned a non-finite value probing coordinate {j}", coordinate=j

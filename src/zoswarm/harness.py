@@ -13,6 +13,7 @@ import importlib.resources
 import inspect
 import math
 import statistics
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import combinations
@@ -401,7 +402,12 @@ def resolve_hyperparams(
             raise ValueError(f"n_c = {spec.n_c} exceeds the dimension p = {p}")
         smoothing = _parse_smoothing(spec.smoothing, p, T)
         if spec.eta == "theorem":
-            eta, _ = dynamics.theorem_schedule(n_agents, p, max(T, 1))
+            with warnings.catch_warnings():
+                if T == 0:
+                    # no round takes a step, so the short-horizon warning of the
+                    # stand-in horizon 1 would name a T nobody set
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                eta, _ = dynamics.theorem_schedule(n_agents, p, max(T, 1))
         else:
             eta = float(spec.eta)
         alpha = spec.alpha if spec.alpha is not None else spec.alpha_frac * profile.alpha_max

@@ -153,14 +153,27 @@ class ClassificationProblem(StochasticProblem):
             raise ValueError(
                 f"shard {len(shard_bounds) - 1} stops at {expected}, not at n_train = {n_train}"
             )
-        self.train_features = train_features
-        self.train_labels = train_labels
-        self.test_features = test_features
-        self.test_labels = test_labels
+        # read-only views: the full-batch cache and the row memo below assume the
+        # data never changes, and the caller's own arrays stay writable
+        for name, array in (
+            ("train_features", train_features),
+            ("train_labels", train_labels),
+            ("test_features", test_features),
+            ("test_labels", test_labels),
+        ):
+            view = array.view()
+            view.flags.writeable = False
+            setattr(self, name, view)
         self.shard_bounds = shard_bounds
         self.dimension = d
         self.local_count = len(shard_bounds)
         self._labels = train_labels.astype(float)
+        # the labels as the two Python floats 0.0 and 1.0, shared by every row:
+        # evaluate does float arithmetic, and no float object is made per row
+        self._label_values = [1.0 if label else 0.0 for label in train_labels.tolist()]
+        # (xi, row view) of the last evaluate: an estimate probes one row n_c + 1
+        # or 2 n_c times in a row
+        self._row_memo: tuple[int | None, np.ndarray | None] = (None, None)
         self._starts, self._stops = np.array(shard_bounds).T.copy()
         self._sizes = self._stops - self._starts
         # a row's weight in the mean over agents of their shard means
@@ -173,20 +186,25 @@ class ClassificationProblem(StochasticProblem):
         start, stop = self.shard_bounds[agent]
         return int(rng.integers(start, stop))
 
-    def sample_round(self, rng: np.random.Generator) -> np.ndarray:
-        # elementwise bounds draw what per-agent scalar calls draw, in that order
-        return rng.integers(self._starts, self._stops)
+    def sample_round(self, rng: np.random.Generator) -> list[int]:
+        # elementwise bounds draw what per-agent scalar calls draw, in that order;
+        # Python ints index the label list and compare with the row memo's key fast
+        return rng.integers(self._starts, self._stops).tolist()
 
     def evaluate(self, agent: int, x: np.ndarray, xi: int) -> float:
         # the squared logistic residual (y - phi(a . x))^2 of one sampled pair, with
         # a scalar sigmoid inlined: math.exp beats np.exp on this per-probe hot path
-        t = float(self.train_features[xi].dot(x))
+        key, row = self._row_memo
+        if key != xi:
+            row = self.train_features[xi]
+            self._row_memo = (xi, row)
+        t = float(row.dot(x))
         if t >= 0.0:
             phi = 1.0 / (1.0 + math.exp(-t))
         else:
             e = math.exp(t)
             phi = e / (1.0 + e)
-        return (float(self._labels[xi]) - phi) ** 2
+        return (self._label_values[xi] - phi) ** 2
 
     # The full-batch diagnostics are the mean over agents of their shard means,
     # made in one pass over the whole training set, which the shards partition

@@ -43,6 +43,40 @@ algorithm.zoom_pb_cd.kind = zoom_pb
 algorithm.zoom_pb_cd.estimator = central
 """
 
+# paper_iv_a in miniature: classification, four agents, both kinds, both estimators
+TINY_IV_A = """
+problem.name = classification
+problem.n_train = 80
+problem.n_test = 10
+problem.d = 6
+problem.n_agents = 4
+problem.seed = 7
+topology.n = 4
+topology.prob = 0.9
+topology.seed = 7
+run.T = 9
+run.record_every = 3
+run.seeds = 1,2
+defaults.n_c = 3
+defaults.alpha_frac = 0.9
+defaults.smoothing = scaled_fixed:10
+algorithms = zoom_fd,zoom_cd,zoom_pb_fd,zoom_pb_cd
+algorithm.zoom_fd.kind = zoom
+algorithm.zoom_fd.estimator = forward
+algorithm.zoom_fd.eta = 0.02
+algorithm.zoom_cd.kind = zoom
+algorithm.zoom_cd.estimator = central
+algorithm.zoom_cd.eta = 0.02
+algorithm.zoom_pb_fd.kind = zoom_pb
+algorithm.zoom_pb_fd.estimator = forward
+algorithm.zoom_pb_fd.gamma = 0.7
+algorithm.zoom_pb_fd.eta = 0.04
+algorithm.zoom_pb_cd.kind = zoom_pb
+algorithm.zoom_pb_cd.estimator = central
+algorithm.zoom_pb_cd.gamma = 0.7
+algorithm.zoom_pb_cd.eta = 0.04
+"""
+
 
 @pytest.fixture
 def tracer_module(monkeypatch):
@@ -70,6 +104,26 @@ def test_traced_battery_counts_one_evaluate_per_probe(tracer_module, tmp_path):
     assert layers["estimator.estimate_calls"] == 8 * 12 * 4
     assert layers["metrics.capture_record_calls"] == 8 * 4
     assert all(run.csv_path.exists() for run in battery.runs)
+
+
+def test_traced_classification_battery_counts_one_evaluate_per_probe(tracer_module, tmp_path):
+    # the classification oracle memoizes its last row; every probe must still
+    # be one call of the instance's evaluate, which the tracer counts
+    config_path = tmp_path / "iv_a.cfg"
+    config_path.write_text(TINY_IV_A)
+    tracer = tracer_module.Tracer()
+    with tracer.instrument():
+        battery = harness.run_battery(
+            harness.load_config(config_path), out_dir=tmp_path / "out", jobs=1, quiet=True
+        )
+    layers = tracer.layer_metrics()
+    oracle_calls = sum(run.trajectory.records[-1].oracle_calls for run in battery.runs)
+    assert len(battery.runs) == 8
+    assert oracle_calls == 9 * 4 * 2 * (4 + 6 + 4 + 6)
+    assert layers["problems.evaluate_calls"] == oracle_calls
+    assert tracer.probe_mismatches == 0
+    assert layers["estimator.estimate_calls"] == 8 * 9 * 4
+    assert layers["estimator.sample_coordinates_calls"] == 8 * 9
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -101,6 +101,19 @@ class TestConsensusTerm:
         assert np.array_equal(mixed[2], start[2])
         assert not np.array_equal(mixed[0], start[0])
 
+    def test_swarm_scale_mixing_is_the_slot_order_table_sum(self):
+        # at the 1000-agent benchmark shape a BLAS product L @ X sums in an order
+        # of its own, which can move with the thread count; the mixing must be
+        # the table sum, slot by slot, exactly
+        profile = laplacian_spectrum(erdos_renyi(1000, 0.0207, seed=2))
+        iterates = np.random.default_rng(5).standard_normal((1000, 10))
+        c, nb = profile.coefficients, profile.neighbours
+        table_sum = c[:, 0, None] * iterates[nb[:, 0]]
+        for j in range(1, c.shape[1]):
+            table_sum += c[:, j, None] * iterates[nb[:, j]]
+        # alpha = 1 leaves every bit of the sum in the update; eta = 0 adds a zero
+        assert np.array_equal(self.mix(profile, iterates, 1.0), iterates - table_sum)
+
 
 class TestHyperParams:
     def test_validation(self):

@@ -1,4 +1,6 @@
 import inspect
+import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -321,6 +323,23 @@ class TestBuilders:
         assert 0.0 < params.alpha < profile.alpha_max
         assert faithful == "theorem"
         assert params.gamma == 1.0  # plain variant reports the 2-norm
+
+    def test_horizon_zero_resolves_theorem_eta_without_warning(self, tmp_path):
+        # no round takes a step at T = 0, so the short-horizon warning that the
+        # stand-in horizon 1 would raise names a T nobody set
+        cfg = load_config("toy_quadratic")
+        cfg.T = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            battery = run_battery(cfg, out_dir=tmp_path, quiet=True)
+        assert all(len(run.trajectory.records) == 1 for run in battery.runs)
+        profile = laplacian_spectrum(build_topology(cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            params, _ = resolve_hyperparams(cfg.algorithms[0], profile, 5, 10, 0)
+        assert params.eta == math.sqrt(5) / math.sqrt(10)
+        with pytest.warns(RuntimeWarning, match="horizon T=1 is below"):
+            resolve_hyperparams(cfg.algorithms[0], profile, 5, 10, 1)
 
 
     def test_spec_built_in_code_is_checked_with_its_label(self):

@@ -73,6 +73,21 @@ def test_classification_evaluate_matches_nlls_evaluate(case, data):
             assert problem.evaluate(agent, x, xi) == nlls_evaluate(problem, agent, x, xi)
 
 
+@settings(max_examples=60, deadline=None)
+@given(classification_cases(), st.data())
+def test_classification_evaluate_follows_row_switches(case, data):
+    # evaluate keeps the last row it indexed: a sequence that switches rows and
+    # comes back to them, keyed by int or by np.int64, must still read each row
+    problem, points = case
+    rows = st.integers(0, len(problem.train_labels) - 1)
+    visits = data.draw(st.lists(rows, min_size=2, max_size=10))
+    for position, xi in enumerate(visits + visits[::-1] + visits):
+        key = np.int64(xi) if data.draw(st.booleans()) else xi
+        agent = position % problem.local_count
+        for x in points:
+            assert problem.evaluate(agent, x, key) == nlls_evaluate(problem, agent, x, xi)
+
+
 def assert_fused_close_to_per_agent(problem, x):
     """The one-pass diagnostics against the reference engine's per-agent reductions.
 

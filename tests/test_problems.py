@@ -232,6 +232,25 @@ class TestClassificationProblem:
                 xi = synthetic.sample(agent, rng)
                 assert start <= xi < stop
 
+    def test_stored_arrays_are_read_only_views(self):
+        # the full-batch cache and evaluate's row memo would go stale after an
+        # in-place write, so the stored arrays refuse one; the caller's stay writable
+        rng = np.random.default_rng(4)
+        features, labels = rng.standard_normal((40, 3)), rng.integers(0, 2, 40)
+        test_features, test_labels = features[:5].copy(), labels[:5].copy()
+        problem = ClassificationProblem(
+            features, labels, test_features, test_labels, ((0, 20), (20, 40))
+        )
+        x = rng.standard_normal(3)
+        before = problem.full_loss(x)
+        for name in ("train_features", "train_labels", "test_features", "test_labels"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(problem, name)[:] *= -1
+        assert problem.full_loss(x) == before
+        assert np.shares_memory(problem.train_features, features)
+        for array in (features, labels, test_features, test_labels):
+            assert array.flags.writeable
+
 
 class TestQuadraticToy:
     def test_identical_centers_have_zero_optimum(self):
