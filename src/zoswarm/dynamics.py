@@ -26,7 +26,7 @@ from .estimator import (
     forward_estimate,
     sample_coordinates,
 )
-from .graph import SpectralProfile, Topology, is_connected, laplacian_spectrum
+from .graph import Topology, is_connected, laplacian_spectrum
 from .metrics import IterationRecord, capture_record
 
 __all__ = [
@@ -160,7 +160,7 @@ def powerball(v: np.ndarray, gamma: float) -> np.ndarray:
 
 def step(
     state: SwarmState,
-    profile: SpectralProfile,
+    topo: Topology,
     params: HyperParams,
     problem,
     streams: RunStreams,
@@ -194,7 +194,7 @@ def step(
         steps = powerball(steps, params.gamma)  # elementwise: the same bits as row by row
     # row i of L @ X from agent i's neighbour table, summed in a fixed order
     # without BLAS: elementwise the same arithmetic as updating one row at a time
-    mixed = np.einsum("ij,ijk->ik", profile.coefficients, iterates[profile.neighbours])
+    mixed = np.einsum("ij,ijk->ik", topo.coefficients, iterates[topo.neighbours])
     nxt = iterates - params.alpha * mixed - params.eta * steps
     if not np.abs(nxt).max() <= DIVERGENCE_LIMIT:  # also true when nxt holds a NaN
         bad = ~np.isfinite(nxt) | (np.abs(nxt) > DIVERGENCE_LIMIT)
@@ -276,7 +276,7 @@ def run(
     state = SwarmState(np.zeros((n, p)), 0)
     records = [capture_record(problem, state.iterates, 0, params.gamma, 0, 0.0)]
     for k in range(params.T):
-        state = step(state, profile, params, problem, streams)
+        state = step(state, topo, params, problem, streams)
         done = k + 1
         if done % record_every == 0 or done == params.T:
             wall_ms = (time.perf_counter() - started) * 1000.0

@@ -4,10 +4,10 @@ Agents exchange iterates over an undirected weighted graph.  The admissible
 consensus step size for the swarm update is governed by two spectral
 quantities of the graph Laplacian ``L``: its smallest positive eigenvalue
 ``rho2`` and the spectral radius of ``L^2``.  A topology keeps the
-Laplacian's rows as a padded neighbour table; ``laplacian_spectrum`` packages
-that table with both bounds and keeps the result on the topology, so every
-run on one graph shares a single eigen-solve.  The dense Laplacian exists
-only inside that solve.
+Laplacian's rows as a padded neighbour table; ``laplacian_spectrum`` derives
+both quantities and the step bound ``alpha_max`` from it and keeps them on
+the topology, so every run on one graph shares a single eigen-solve.  The
+dense Laplacian exists only inside that solve.
 """
 
 from __future__ import annotations
@@ -124,46 +124,20 @@ class Topology:
         return w
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SpectralProfile:
-    """Laplacian rows of a topology plus the spectral bounds derived from it.
-
-    ``neighbours`` and ``coefficients`` are the topology's own read-only
-    table (see :class:`Topology`), so no n x n array is kept.
+    """The spectral bounds of a topology's Laplacian.
 
     ``alpha_max`` is the upper end of the open interval of admissible
     consensus step sizes, ``rho2 / (2 * rho_l2)`` rounded down to
     :data:`ALPHA_MAX_BITS` significant bits; ``rho2`` is the smallest
     positive Laplacian eigenvalue and ``rho_l2`` the spectral radius of
-    ``L^2``.  Equality goes by identity, like the topology's.
+    ``L^2``.
     """
 
-    neighbours: np.ndarray
-    coefficients: np.ndarray
     rho2: float
     rho_l2: float
     alpha_max: float
-
-    @property
-    def laplacian(self) -> np.ndarray:
-        """The dense Laplacian ``np.diag(deg) - W``, rebuilt read-only on each access."""
-        lap = _dense_laplacian(self.neighbours, self.coefficients)
-        lap.flags.writeable = False
-        return lap
-
-
-def _dense_laplacian(neighbours: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
-    """The bits of ``np.diag(deg) - W`` in a fresh n x n array, from a neighbour table.
-
-    Stored weights are positive, so ``-w`` is ``0.0 - w``, and the diagonal
-    is ``deg - 0.0``.  The padding slots point at the diagonal, which is
-    written last.
-    """
-    n = neighbours.shape[0]
-    lap = np.zeros((n, n))
-    lap[np.arange(n)[:, None], neighbours] = coefficients
-    np.fill_diagonal(lap, coefficients[:, 0])
-    return lap
 
 
 def _snap_down(value: float) -> float:
@@ -199,6 +173,8 @@ def erdos_renyi(n: int, prob: float, seed: int = 0, max_attempts: int = 100) -> 
         raise ValueError("edge probability must lie in (0, 1]")
     if max_attempts < 1:
         raise ValueError("max_attempts must be at least 1")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     # position in the draw block of the first pair (i, i + 1) of each row i
     row = np.arange(n - 1)
     offsets = row * (2 * n - 1 - row) // 2
@@ -245,13 +221,12 @@ def is_connected(topo: Topology) -> bool:
 
 
 def laplacian_spectrum(topo: Topology) -> SpectralProfile:
-    """The spectrum of ``L = Deg - A`` with its rows, memoized per topology.
+    """The spectral bounds of ``L = Deg - A``, memoized per topology.
 
     The first call on a topology runs a dense symmetric eigen-solve on a
-    transient n x n Laplacian, built from the topology's table, and stores
-    the profile on it; later calls on the same object return that profile.
-    The profile shares the topology's read-only table, so it cannot go
-    stale.
+    transient n x n Laplacian, built from the topology's read-only table,
+    and stores the profile on it; later calls on the same object return
+    that profile.
 
     LAPACK may move the last bits of the eigenvalues with the BLAS thread
     count.  ``rho2`` and ``rho_l2`` are reported raw; ``alpha_max`` is
@@ -273,8 +248,13 @@ def laplacian_spectrum(topo: Topology) -> SpectralProfile:
 
 
 def _solve_spectrum(topo: Topology) -> SpectralProfile:
+    # the bits of np.diag(deg) - W: stored weights are positive, so -w is
+    # 0.0 - w, and the padding slots point at the diagonal, written last
+    lap = np.zeros((topo.n, topo.n))
+    lap[np.arange(topo.n)[:, None], topo.neighbours] = topo.coefficients
+    np.fill_diagonal(lap, topo.coefficients[:, 0])
     try:
-        eigenvalues = np.linalg.eigvalsh(_dense_laplacian(topo.neighbours, topo.coefficients))
+        eigenvalues = np.linalg.eigvalsh(lap)
     except np.linalg.LinAlgError as exc:
         raise EigenSolveError(f"eigenvalue solver failed on a {topo.n}-agent Laplacian") from exc
     positive = eigenvalues[eigenvalues > ZERO_EIGENVALUE_TOL]
@@ -290,4 +270,4 @@ def _solve_spectrum(topo: Topology) -> SpectralProfile:
                 "for a float eigen-solve"
             )
     bounds["alpha_max"] = _snap_down(bounds["alpha_max"])
-    return SpectralProfile(neighbours=topo.neighbours, coefficients=topo.coefficients, **bounds)
+    return SpectralProfile(**bounds)

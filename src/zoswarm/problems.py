@@ -258,6 +258,8 @@ def make_synthetic_classification(
         raise ValueError("all dataset sizes must be positive")
     if n_agents > n_train:
         raise ValueError("cannot shard fewer training samples than agents")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     train = rng.standard_normal((n_train, d))
     test = rng.standard_normal((n_test, d))
@@ -328,5 +330,7 @@ def make_quadratic_toy(
     """Build a quadratic toy whose centers are seeded standard normals."""
     if p < 1 or n_agents < 1:
         raise ValueError("n_agents and p must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     centers = np.random.default_rng(seed).standard_normal((n_agents, p))
     return QuadraticToyProblem(centers, zeta=zeta)

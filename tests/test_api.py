@@ -56,7 +56,6 @@ def test_every_module_level_import_is_used(name):
 CONFIG_KEYS = {
     "run.T": "5",
     "run.record_every": "1",
-    "run.out": "out",
     "run.seeds": "1,2",
     "problem.name": "quadratic_toy",
     "problem.n_train": "20",
@@ -74,7 +73,6 @@ CONFIG_KEYS = {
     "algorithm.a.estimator": "central",
     "algorithm.a.gamma": "0.7",
     "algorithm.a.eta": "theorem",
-    "algorithm.a.alpha": "0.01",
     "algorithm.a.alpha_frac": "0.5",
     "algorithm.a.n_c": "2",
     "algorithm.a.smoothing": "fixed:0.01",
@@ -97,7 +95,7 @@ def test_option_surface_is_pinned():
         for name in rows
     }
     assert schema | {"algorithms"} == set(CONFIG_KEYS)
-    assert len(CONFIG_KEYS) == 24
+    assert len(CONFIG_KEYS) == 22
     parsed = harness.parse_config("".join(f"{k} = {v}\n" for k, v in CONFIG_KEYS.items()))
     assert parsed.problem["zeta"] == 0.1 and parsed.topology["prob"] == 1.0
     assert parsed.algorithms[0].smoothing == "fixed:0.01"
@@ -116,7 +114,7 @@ def test_option_surface_is_pinned():
         "topo", "problem", "params", "seed", "record_every"
     ]
     assert list(inspect.signature(dynamics.step).parameters) == [
-        "state", "profile", "params", "problem", "streams"
+        "state", "topo", "params", "problem", "streams"
     ]
     assert [f.name for f in dataclasses.fields(dynamics.HyperParams)] == [
         "alpha", "eta", "T", "algorithm", "gamma", "n_c", "estimator", "smoothing"
@@ -125,12 +123,13 @@ def test_option_surface_is_pinned():
         "config", "out_dir", "jobs", "quiet"
     ]
 
-    # a graph is kept in one form, the Laplacian's padded neighbour table
+    # a graph is kept in one form, the Laplacian's padded neighbour table, and
+    # its spectral profile is the three bounds derived from it
     assert [f.name for f in dataclasses.fields(graph.Topology)] == [
         "n", "neighbours", "coefficients", "_spectrum"
     ]
     assert [f.name for f in dataclasses.fields(graph.SpectralProfile)] == [
-        "neighbours", "coefficients", "rho2", "rho_l2", "alpha_max"
+        "rho2", "rho_l2", "alpha_max"
     ]
 
     # zeroth-order only: two algorithm kinds, and a problem answers function values
@@ -153,3 +152,36 @@ def test_readme_config_format_names_every_key():
             if not re.search(pattern, section):
                 missing.append(f"{group}.{name}")
     assert missing == []
+
+
+def test_no_test_builds_a_spectral_profile():
+    # a profile is what laplacian_spectrum derives from a topology, and a
+    # step reads the topology itself, so no test needs made-up bounds
+    built = []
+    for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name == "SpectralProfile":
+                    built.append(f"{path.name}:{node.lineno}")
+    assert built == []
+
+
+def test_every_config_row_is_set_by_a_bundled_config_or_a_workload(monkeypatch):
+    # a row that no shipped config and no benchmark workload sets is a second
+    # home for a value that something else already sets
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmarks"))
+    import workloads  # read only
+
+    configs = Path(zoswarm.__file__).parent / "configs"
+    texts = [path.read_text() for path in sorted(configs.glob("*.cfg"))]
+    texts += [workloads.config_text(w, 0, configs) for w in workloads.WORKLOADS.values()]
+    set_rows = set()
+    for text in texts:
+        for line in text.splitlines():
+            section, _, name = line.split("#", 1)[0].partition("=")[0].strip().partition(".")
+            if section in ("defaults", "algorithm"):
+                section, name = "algorithm", name.rpartition(".")[2]
+            set_rows.add(f"{section}.{name}")
+    rows = {f"{section}.{name}" for section, names in harness.CONFIG_SCHEMA.items() for name in names}
+    assert sorted(rows - set_rows) == []

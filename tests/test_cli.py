@@ -251,6 +251,22 @@ def test_run_rejects_duplicate_seeds_and_malformed_values(tmp_path, capsys):
             [],
             "line 11: defaults.smoothing = 'fixed:abc' is not",
         ),
+        ("problem.seed = 2", "problem.seed = -1", [], "problem: seed must be nonnegative, got -1"),
+        ("topology.seed = 0", "topology.seed = -1", [], "topology: seed must be nonnegative, got -1"),
+        # keys that set what another input already sets are gone
+        ("run.T = 60", "run.T = 60\nrun.out = from_config", [], "unknown config key 'run.out'"),
+        (
+            "run.T = 60",
+            "run.T = 60\ndefaults.alpha = 0.01",
+            [],
+            "unknown algorithm field 'alpha' for 'zoom'",
+        ),
+        (
+            "algorithm.zoom_pb.gamma = 0.7",
+            "algorithm.zoom_pb.gamma = 0.7\nalgorithm.zoom_pb.alpha = 0.01",
+            [],
+            "unknown algorithm field 'alpha' for 'zoom_pb'",
+        ),
     ],
 )
 def test_run_rejects_out_of_range_values_before_any_run(tmp_path, capsys, old, new, flags, message):

@@ -16,7 +16,7 @@ from zoswarm.dynamics import (
     theorem_schedule,
 )
 from zoswarm.estimator import SmoothingSchedule, forward_estimate, sample_coordinates
-from zoswarm.graph import SpectralProfile, Topology, erdos_renyi, laplacian_spectrum
+from zoswarm.graph import Topology, erdos_renyi, laplacian_spectrum
 from zoswarm.harness import SELF_CHECKS
 from zoswarm.problems import make_quadratic_toy
 
@@ -25,14 +25,13 @@ VECTORS = st.lists(FINITE, min_size=1, max_size=40).map(np.array)
 GAMMAS = st.floats(0.05, 1.0)
 
 
-def mixing_row(profile, iterates, i):
+def mixing_row(topo, iterates, i):
     """Row i of ``L @ X`` as ``step`` sums it: agent i's table entries, in slot order."""
-    return np.einsum("j,jk->k", profile.coefficients[i], iterates[profile.neighbours[i]])
+    return np.einsum("j,jk->k", topo.coefficients[i], iterates[topo.neighbours[i]])
 
 
-def path3_profile():
-    topo = Topology(3, np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float))
-    return topo, laplacian_spectrum(topo)
+def path3():
+    return Topology(3, np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float))
 
 
 class TestPowerball:
@@ -72,32 +71,31 @@ class TestConsensusTerm:
     """The Laplacian mixing part of ``step``, isolated by ``eta = 0``."""
 
     @staticmethod
-    def mix(profile, iterates, alpha):
+    def mix(topo, iterates, alpha):
         params = HyperParams(alpha=alpha, eta=0.0, T=1)
         n, p = iterates.shape
         problem = make_quadratic_toy(n, p, seed=0)
         state = SwarmState(iterates, 0)
-        return step(state, profile, params, problem, RunStreams.from_seed(0)).iterates
+        return step(state, topo, params, problem, RunStreams.from_seed(0)).iterates
 
     def test_identical_rows_annihilated(self):
-        _, profile = path3_profile()
         rows = np.tile([2.0, -1.0], (3, 1))
-        assert np.allclose(self.mix(profile, rows, 0.05), rows, atol=1e-12)
+        assert np.allclose(self.mix(path3(), rows, 0.05), rows, atol=1e-12)
 
     def test_two_agent_hand_value(self):
-        profile = laplacian_spectrum(Topology(2, np.array([[0.0, 1.0], [1.0, 0.0]])))
-        mixed = self.mix(profile, np.array([[1.0], [0.0]]), 0.25)
+        topo = Topology(2, np.array([[0.0, 1.0], [1.0, 0.0]]))
+        mixed = self.mix(topo, np.array([[1.0], [0.0]]), 0.25)
         assert np.array_equal(mixed, [[0.75], [0.25]])
 
     def test_isolated_agent_contributes_nothing(self):
         # disconnected in weights; unit-testable even though runs reject it
         weights = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=float)
-        profile = laplacian_spectrum(Topology(3, weights))
+        topo = Topology(3, weights)
         # the isolated agent's row is all padding: itself with coefficient 0.0
-        assert profile.neighbours[2].tolist() == [2, 2]
-        assert profile.coefficients[2].tolist() == [0.0, 0.0]
+        assert topo.neighbours[2].tolist() == [2, 2]
+        assert topo.coefficients[2].tolist() == [0.0, 0.0]
         start = np.random.default_rng(0).standard_normal((3, 2))
-        mixed = self.mix(profile, start, 0.2)
+        mixed = self.mix(topo, start, 0.2)
         assert np.array_equal(mixed[2], start[2])
         assert not np.array_equal(mixed[0], start[0])
 
@@ -105,14 +103,14 @@ class TestConsensusTerm:
         # at the 1000-agent benchmark shape a BLAS product L @ X sums in an order
         # of its own, which can move with the thread count; the mixing must be
         # the table sum, slot by slot, exactly
-        profile = laplacian_spectrum(erdos_renyi(1000, 0.0207, seed=2))
+        topo = erdos_renyi(1000, 0.0207, seed=2)
         iterates = np.random.default_rng(5).standard_normal((1000, 10))
-        c, nb = profile.coefficients, profile.neighbours
+        c, nb = topo.coefficients, topo.neighbours
         table_sum = c[:, 0, None] * iterates[nb[:, 0]]
         for j in range(1, c.shape[1]):
             table_sum += c[:, j, None] * iterates[nb[:, j]]
         # alpha = 1 leaves every bit of the sum in the update; eta = 0 adds a zero
-        assert np.array_equal(self.mix(profile, iterates, 1.0), iterates - table_sum)
+        assert np.array_equal(self.mix(topo, iterates, 1.0), iterates - table_sum)
 
 
 class TestHyperParams:
@@ -177,19 +175,12 @@ class TestSteps:
         # with one agent and no mixing the update is exactly x - eta * g
         from zoswarm.estimator import central_estimate
 
-        profile = SpectralProfile(
-            neighbours=np.zeros((1, 1), dtype=int),
-            coefficients=np.zeros((1, 1)),
-            rho2=0.0,
-            rho_l2=0.0,
-            alpha_max=0.0,
-        )
         problem = make_quadratic_toy(1, 3, seed=2, zeta=0.0)
         params = HyperParams(alpha=0.0, eta=0.1, T=1, estimator="central")
         streams = RunStreams.from_seed(7)
         shadow = RunStreams.from_seed(7)
         state = SwarmState(np.array([[1.0, -2.0, 0.5]]), 0)
-        nxt = step(state, profile, params, problem, streams)
+        nxt = step(state, Topology(1, np.zeros((1, 1))), params, problem, streams)
         (coords,) = sample_coordinates(1, 3, 1, shadow.coords)
         xi = problem.sample(0, shadow.data)
         delta = params.smoothing.delta(3, 1, 0)
@@ -209,7 +200,7 @@ class TestSteps:
         streams = RunStreams.from_seed(21)
         shadow = RunStreams.from_seed(21)
         state = SwarmState(np.array([[1.0, 0.0], [0.0, 1.0]]), 0)
-        nxt = step(state, profile, params, problem, streams)
+        nxt = step(state, topo, params, problem, streams)
         delta = params.smoothing.delta(2, 2, 0)
         expected = np.empty((2, 2))
         coords = sample_coordinates(2, 2, 1, shadow.coords)  # one block per round
@@ -223,7 +214,7 @@ class TestSteps:
             )
             expected[i] = (
                 state.iterates[i]
-                - params.alpha * mixing_row(profile, state.iterates, i)
+                - params.alpha * mixing_row(topo, state.iterates, i)
                 - params.eta * g
             )
         assert np.array_equal(nxt.iterates, expected)
@@ -241,7 +232,7 @@ class TestSteps:
         streams = RunStreams.from_seed(9)
         shadow = RunStreams.from_seed(9)
         state = SwarmState(np.random.default_rng(8).standard_normal((5, 4)), 0)
-        nxt = step(state, profile, params, problem, streams)
+        nxt = step(state, topo, params, problem, streams)
         delta = params.smoothing.delta(4, 5, 0)
         coords = sample_coordinates(5, 4, 1, shadow.coords)
         draws = [problem.sample(i, shadow.data) for i in range(5)]
@@ -255,7 +246,7 @@ class TestSteps:
             )
             permuted[i] = (
                 state.iterates[i]
-                - params.alpha * mixing_row(profile, state.iterates, i)
+                - params.alpha * mixing_row(topo, state.iterates, i)
                 - params.eta * g
             )
         assert np.array_equal(nxt.iterates, permuted)
@@ -290,7 +281,7 @@ class TestSteps:
                 n_c=2,
                 smoothing=smoothing,
             )
-            nxt = step(state, profile, params, SignProblem(), RunStreams.from_seed(0))
+            nxt = step(state, topo, params, SignProblem(), RunStreams.from_seed(0))
             outputs.append(nxt.iterates)
         assert np.array_equal(outputs[0], outputs[1])
         assert np.array_equal(outputs[0], outputs[2])
@@ -309,13 +300,6 @@ class TestSteps:
             def evaluate(self, agent, x, xi):
                 return 4.0 * float(x[0])  # gradient estimate is exactly (4,)
 
-        profile = SpectralProfile(
-            neighbours=np.zeros((1, 1), dtype=int),
-            coefficients=np.zeros((1, 1)),
-            rho2=0.0,
-            rho_l2=0.0,
-            alpha_max=0.0,
-        )
         params = HyperParams(
             alpha=0.0,
             eta=1.0,
@@ -325,7 +309,8 @@ class TestSteps:
             smoothing=SmoothingSchedule(mode="fixed", fixed_value=0.25),
         )
         state = SwarmState(np.array([[10.0]]), 0)
-        nxt = step(state, profile, params, FlatSlope(), RunStreams.from_seed(1))
+        lone = Topology(1, np.zeros((1, 1)))
+        nxt = step(state, lone, params, FlatSlope(), RunStreams.from_seed(1))
         assert np.allclose(nxt.iterates, [[8.0]], atol=1e-12)  # sigma(4, 0.5) = 2
 
     def test_divergence_guard_reports_iteration_and_agent(self):
@@ -343,7 +328,6 @@ class TestSteps:
                 return 1e14 * float(x[0])  # slope large enough to trip the guard
 
         topo = Topology(2, np.array([[0.0, 1.0], [1.0, 0.0]]))
-        profile = laplacian_spectrum(topo)
         params = HyperParams(
             alpha=0.1,
             eta=1.0,
@@ -353,7 +337,7 @@ class TestSteps:
         )
         state = SwarmState(np.zeros((2, 2)), 3)
         with pytest.raises(DivergenceError) as info:
-            step(state, profile, params, Explosive(), RunStreams.from_seed(0))
+            step(state, topo, params, Explosive(), RunStreams.from_seed(0))
         assert info.value.k == 3
         assert info.value.agent == 0
 
@@ -370,15 +354,16 @@ class TestRunStreams:
             assert np.array_equal(
                 np.random.default_rng(child).random(6), np.random.default_rng(same).random(6)
             )
-        profile = laplacian_spectrum(erdos_renyi(n_agents, 1.0))
+        topo = erdos_renyi(n_agents, 1.0)
+        profile = laplacian_spectrum(topo)
         problem = make_quadratic_toy(n_agents, 5, seed=2, zeta=0.3)
         params = HyperParams(alpha=0.5 * profile.alpha_max, eta=0.1, T=3, n_c=2)
         spawned = RunStreams(*(np.random.default_rng(child) for child in children))
         ours = RunStreams.from_seed(seed)
         a = b = SwarmState(np.random.default_rng(3).standard_normal((n_agents, 5)), 0)
         for _ in range(3):
-            a = step(a, profile, params, problem, ours)
-            b = step(b, profile, params, problem, spawned)
+            a = step(a, topo, params, problem, ours)
+            b = step(b, topo, params, problem, spawned)
         assert np.array_equal(a.iterates, b.iterates)
         assert ours.data.random() == spawned.data.random()
         assert ours.coords.random() == spawned.coords.random()

@@ -3,7 +3,7 @@
 Each battery digest is the SHA-256 over every run's record-CSV fingerprint
 (wall clock stripped) plus the bytes of ``summary.csv``; the sweep digest is
 the SHA-256 of ``sweep.csv``.  All three were taken when consensus mixing
-moved to the profile's neighbour table and ``alpha_max`` to a 40-bit
+moved to the Laplacian's neighbour table and ``alpha_max`` to a 40-bit
 mantissa grid; they guard the promise that an optimisation changes no
 record bit.  A deliberate numerical change must pass
 ``test_reference_engine.py``, update them and say so in CHANGES.md.  The
@@ -36,14 +36,14 @@ TOY_SWEEP_T200 = "7a2334c5f8cbd049ee43750b41810dbfcb88cd95c167ea4d09aa78e100a8a9
 # config -> sha256 of repr(parse_config(text)); "<workload>@<seed>" is the
 # config the benchmark generates for that workload and workload seed
 PARSE_DIGESTS = {
-    "paper_iv_a": "dfa247c3f047db0712033a7d6746314f678de97900a214826e47b9aa1b0ec34a",
-    "toy_quadratic": "25a0c3a481f418e86081b35ccae70a216fdbc66fd7b1990be18495c1963119ef",
-    "iv_a_battery@0": "f516b6921a60e9acd40a0329c42a39a090e5c59d273895dc275a567aeb78514b",
-    "iv_a_battery@1": "b9cba8c88d6c1f387ffb93d81b021b91c0b86250b3bd9fbc1da90f41f5274ef6",
-    "iv_a_dense_record@0": "5c5f85a8674a994fba7e78cb6daf5db40ecb6119a9fd9e041981fdf7c7d813a2",
-    "iv_a_dense_record@1": "8fd2d07d5a380ce0bd7f7a44d65173418dae550f5f5981a9cc545a04312d50c5",
-    "toy_swarm_1k@0": "524eb6c952c9d620929bfd32c6965606a9eeb19e8fffb930b0c4ef923df2efa8",
-    "toy_swarm_1k@1": "fa6f25fa6fd8136f7c1a7e2fadd17e1f00867242dcd04a8c236f6a7fff2598c2",
+    "paper_iv_a": "de5c8f756f734d938d278964407994448fad9351a41ad26df22e4cc448b7f0c8",
+    "toy_quadratic": "ebae31b653665bec8d5fc523db1267bb19fce4f89c66a8608db07a3755fb0fe1",
+    "iv_a_battery@0": "6d0715541ed3cf7eb1f9f49f03dd0f99f05b35828f46fe03c253207755a22eba",
+    "iv_a_battery@1": "5a7672476b72f898baea2475855861da77944148498c316e29472ffd4c6efbd6",
+    "iv_a_dense_record@0": "77e0ecb3a59c23138d7e705cab610f9e1bbb93bf3e03d80445efd239cb721227",
+    "iv_a_dense_record@1": "b974551d7ce212e77f4a8d62a1a771b9ad2ef963e873b51b02342cff266ce959",
+    "toy_swarm_1k@0": "c030f867e597e9de6229e8e8c1a29f93a308c59c0d2b78a8106de54ca4c99ec8",
+    "toy_swarm_1k@1": "003c4cf3dc1872e3458f731aa132a047421b24ab52161fe167410aa4adbce1ef",
 }
 
 

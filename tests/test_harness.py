@@ -164,7 +164,7 @@ class TestConfigParsing:
                 fields[name] = value
             elif section == "run":
                 key = f"run.{name}"
-                setattr(expected, "out_dir" if name == "out" else name, value)
+                setattr(expected, name, value)
             else:
                 key = f"{section}.{name}"
                 getattr(expected, section)[name] = value
@@ -342,6 +342,31 @@ class TestBuilders:
             resolve_hyperparams(cfg.algorithms[0], profile, 5, 10, 1)
 
 
+    def test_scaled_fixed_smoothing_runs_at_horizon_zero(self):
+        # no round uses the radius at T = 0, so it resolves at the stand-in horizon 1
+        cfg = load_config("paper_iv_a")
+        cfg.T = 0
+        battery = run_battery(cfg, quiet=True)
+        assert len(battery.runs) == len(cfg.algorithms) * len(cfg.seeds) == 20
+        assert all(len(run.trajectory.records) == 1 for run in battery.runs)
+
+    def test_short_horizon_warning_shows_once_per_battery(self):
+        # leaving a catch_warnings block resets Python's once-per-location
+        # registry, so resolving each label must not enter one at T > 0
+        cfg = parse_config(
+            TOY_CFG.replace("algorithms = zoom,zoom_pb", "algorithms = zoom,zoom_pb,zoom_cd")
+            + "algorithm.zoom_cd.kind = zoom\nalgorithm.zoom_cd.estimator = central\n"
+        )
+        cfg.T = 5
+        cfg.seeds = [1]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            run_battery(cfg, quiet=True)
+        assert len(cfg.algorithms) == 3
+        assert [str(w.message).split(";")[0] for w in caught] == [
+            "horizon T=5 is below n^3/p = 10.6667"
+        ]
+
     def test_spec_built_in_code_is_checked_with_its_label(self):
         cfg = toy_config()
         profile = laplacian_spectrum(build_topology(cfg))
@@ -420,6 +445,13 @@ class TestBattery:
             assert record_csv_fingerprint(path) == record_csv_fingerprint(
                 tmp_path / "alone" / path.name
             )
+
+    def test_without_out_dir_nothing_is_written(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        result = run_battery(toy_config(), quiet=True)
+        assert result.summary_path is None
+        assert all(run.csv_path is None for run in result.runs)
+        assert list(tmp_path.iterdir()) == []
 
     def test_only_serial_execution(self):
         with pytest.raises(ValueError, match="jobs must be None or 1"):
@@ -503,6 +535,12 @@ class TestGammaSweep:
         header = next(l for l in sweep_lines if not l.startswith("#"))
         assert header.startswith("gamma,estimator,within_guarantee_range,seed_count,")
 
+    def test_without_out_dir_nothing_is_written(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = replace(toy_config(), seeds=[1], T=20)
+        assert len(gamma_sweep(cfg, [0.7], quiet=True)) == 2
+        assert list(tmp_path.iterdir()) == []
+
     def test_one_row_per_gamma_per_estimator(self):
         cfg = toy_config()
         cfg.seeds = [1]
@@ -540,7 +578,7 @@ def test_battery_solves_the_spectrum_once_and_keeps_it_read_only(monkeypatch):
     assert laplacian_spectrum(topo) is profile
     with pytest.raises(ValueError, match="read-only"):
         topo.weights[0, 1] = 5.0
-    for table in (profile.neighbours, profile.coefficients, profile.laplacian):
+    for table in (topo.neighbours, topo.coefficients):
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 5
     # ... while the caller's array is copied, not frozen
