@@ -80,21 +80,13 @@ def _cmd_sweep(args) -> int:
 def _cmd_spectra(args) -> int:
     if args.config is not None:
         config = harness.load_config(args.config)
-        topo = harness.build_topology(config)
     elif args.n is not None and args.prob is not None:
-        if args.n < 2:
-            raise harness.ConfigError(
-                f"--n: an Erdos-Renyi topology needs at least 2 agents, got {args.n}"
-            )
-        if not 0.0 < args.prob <= 1.0:
-            raise harness.ConfigError(
-                f"--prob: edge probability must lie in (0, 1], got {args.prob}"
-            )
-        if args.seed < 0:
-            raise harness.ConfigError(f"--seed: must be nonnegative, got {args.seed}")
-        topo = graph.erdos_renyi(args.n, args.prob, seed=args.seed)
+        config = harness.ExperimentConfig(
+            topology={"n": args.n, "prob": args.prob, "seed": args.seed}
+        )
     else:
         raise harness.ConfigError("spectra needs either --config or both --n and --prob")
+    topo = harness.build_topology(config)
     profile = graph.laplacian_spectrum(topo)
     print(f"agents: {topo.n}")
     print(f"edges: {int((topo.coefficients[:, 1:] < 0.0).sum()) // 2}")
@@ -130,6 +122,7 @@ def main(argv=None) -> int:
         estimator.OracleEvaluationError,
         ValueError,
         OSError,
+        MemoryError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -202,14 +202,13 @@ def step(
     return SwarmState(nxt, state.k + 1)
 
 
-def theorem_schedule(
-    n_agents: int, p: int, T: int, kappa_delta: float = 1.0
-) -> tuple[float, SmoothingSchedule]:
+def theorem_schedule(n_agents: int, p: int, T: int) -> tuple[float, SmoothingSchedule]:
     """Gradient step and smoothing decay prescribed by the convergence analysis.
 
-    Returns ``eta = sqrt(n) / sqrt(p T)`` and a decaying schedule that meets
-    the smoothing cap with equality.  Warns (without rejecting) when the
-    horizon falls below ``n^3 / p``, the premise the prescribed rates assume.
+    Returns ``eta = sqrt(n) / sqrt(p T)`` and the default decaying schedule,
+    which meets the smoothing cap with equality.  Warns (without rejecting)
+    when the horizon falls below ``n^3 / p``, the premise the prescribed
+    rates assume.
     """
     if min(n_agents, p, T) < 1:
         raise ValueError("n_agents, p and T must all be positive")
@@ -221,7 +220,7 @@ def theorem_schedule(
             stacklevel=2,
         )
     eta = math.sqrt(n_agents) / math.sqrt(p * T)
-    return eta, SmoothingSchedule(kappa_delta=kappa_delta, mode="theorem_decay")
+    return eta, SmoothingSchedule()
 
 
 def run(

@@ -13,6 +13,7 @@ dense Laplacian exists only inside that solve.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,9 @@ __all__ = [
 # Eigenvalues below this magnitude are treated as members of the null space
 # when locating the smallest positive eigenvalue.
 ZERO_EIGENVALUE_TOL = 1e-9
+
+# Disconnected Erdos-Renyi draws retried before giving up.
+MAX_ATTEMPTS = 100
 
 # alpha_max is rounded down to this many significant bits, so the last bits
 # of a multithreaded eigen-solve do not reach the records.
@@ -72,8 +76,8 @@ class Topology:
     _spectrum: SpectralProfile | None = field(default=None, repr=False)
 
     def __init__(self, n: int, weights: np.ndarray) -> None:
-        if n < 1:
-            raise ValueError("agent count must be positive")
+        if not isinstance(n, numbers.Integral) or n < 1:  # numpy integers pass
+            raise ValueError(f"agent count must be a positive integer, got {n!r}")
         w = np.asarray(weights, dtype=float)
         if w.shape != (n, n):
             raise ValueError(f"weights must be {n}x{n}, got {w.shape}")
@@ -146,20 +150,19 @@ def _snap_down(value: float) -> float:
     return math.ldexp(math.floor(math.ldexp(mantissa, ALPHA_MAX_BITS)), exponent - ALPHA_MAX_BITS)
 
 
-def erdos_renyi(n: int, prob: float, seed: int = 0, max_attempts: int = 100) -> Topology:
+def erdos_renyi(n: int, prob: float, seed: int = 0) -> Topology:
     """Sample a connected Erdos-Renyi graph with unit edge weights.
 
     Every unordered pair of agents is linked independently with probability
     ``prob``.  The sampler is deterministic for a fixed ``seed``: one
     generator seeded with it serves the call, and each draw that comes out
     disconnected is retried with the generator's next block, up to
-    ``max_attempts`` draws before giving up.
+    :data:`MAX_ATTEMPTS` draws before giving up.
 
     Args:
         n: number of agents, at least 2.
         prob: edge probability in (0, 1].
         seed: seed of the generator behind the edge draws.
-        max_attempts: connectivity retry budget.
 
     Returns:
         A connected :class:`Topology` with 0/1 weights.
@@ -167,25 +170,23 @@ def erdos_renyi(n: int, prob: float, seed: int = 0, max_attempts: int = 100) -> 
     Raises:
         GraphSamplingError: if every attempt in the budget is disconnected.
     """
-    if n < 2:
-        raise ValueError("an Erdos-Renyi topology needs at least 2 agents")
+    if not isinstance(n, numbers.Integral) or n < 2:
+        raise ValueError(f"agent count must be an integer of at least 2, got {n!r}")
     if not 0.0 < prob <= 1.0:
-        raise ValueError("edge probability must lie in (0, 1]")
-    if max_attempts < 1:
-        raise ValueError("max_attempts must be at least 1")
+        raise ValueError(f"edge probability must lie in (0, 1], got {prob}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     # position in the draw block of the first pair (i, i + 1) of each row i
     row = np.arange(n - 1)
     offsets = row * (2 * n - 1 - row) // 2
     rng = np.random.default_rng(seed)
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         topo = _draw_topology(n, (rng.random(n * (n - 1) // 2) < prob).nonzero()[0], offsets)
         if is_connected(topo):
             return topo
     raise GraphSamplingError(
         f"no connected graph of {n} agents at edge probability {prob} "
-        f"within {max_attempts} attempts from seed {seed}"
+        f"within {MAX_ATTEMPTS} attempts from seed {seed}"
     )
 
 

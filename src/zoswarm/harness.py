@@ -13,7 +13,6 @@ import importlib.resources
 import inspect
 import math
 import statistics
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import combinations
@@ -84,21 +83,23 @@ class AlgorithmSpec:
     ``smoothing`` is ``theorem_decay[:kappa]``, ``fixed:<value>`` or
     ``scaled_fixed:<c>`` (fixed radius ``c / sqrt(T * p)``).  The consensus
     step ``alpha`` is ``alpha_frac`` times the topology's admissible maximum.
+    ``estimator``, ``gamma``, ``n_c`` and ``smoothing`` left ``None`` take
+    the defaults of :class:`~zoswarm.dynamics.HyperParams`.
     """
 
     label: str
     kind: str
-    estimator: str = "forward"
+    estimator: str | None = None
     gamma: float | None = None
     eta: str | float = "theorem"
     alpha_frac: float = 0.9
-    n_c: int = 1
-    smoothing: str = "theorem_decay:1.0"
+    n_c: int | None = None
+    smoothing: str | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in dynamics.ALGORITHMS:
             raise ConfigError(f"unknown algorithm kind {self.kind!r} for {self.label!r}")
-        if self.estimator not in dynamics.ESTIMATORS:
+        if self.estimator is not None and self.estimator not in dynamics.ESTIMATORS:
             raise ConfigError(f"unknown estimator {self.estimator!r} for {self.label!r}")
 
 
@@ -118,8 +119,9 @@ class ExperimentConfig:
             raise ConfigError("at least one algorithm must be configured")
         if not self.seeds:
             raise ConfigError("at least one master seed must be configured")
-        if self.T < 0:
-            raise ConfigError("run.T must be nonnegative")
+        if self.T < 1:
+            # a run without rounds reports only the origin, record 0 of every run
+            raise ConfigError(f"run.T must be at least 1, got {self.T}")
         if self.record_every < 1:
             raise ConfigError("run.record_every must be at least 1")
         for seed in self.seeds:
@@ -163,17 +165,18 @@ def _eta(value: str) -> str | float:
     return value if value == "theorem" else float(value)
 
 
-def _smoothing_terms(token: str) -> tuple[str, float]:
+def _smoothing_terms(token: str) -> tuple[str, float | None]:
     """Mode and number of a smoothing spec; ValueError when it is malformed.
 
-    The grammar is ``theorem_decay[:<kappa>]`` (kappa 1 when left out),
-    ``fixed:<delta>`` or ``scaled_fixed:<c>``, each number positive.
+    The grammar is ``theorem_decay[:<kappa>]``, ``fixed:<delta>`` or
+    ``scaled_fixed:<c>``, each number positive; a bare ``theorem_decay``
+    has no number and keeps the schedule's default kappa.
     """
     head, _, arg = token.partition(":")
     if head not in ("theorem_decay", "fixed", "scaled_fixed"):
         raise ValueError(token)
     if head == "theorem_decay" and not arg:
-        return head, 1.0
+        return head, None
     value = float(arg)
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(token)
@@ -337,30 +340,32 @@ def _config_errors(where: str):
         raise ConfigError(f"{where}: {exc}") from None
 
 
+def _build(section: str, kind: str, factory, settings: dict):
+    """``factory(**settings)``; its signature says which settings it takes and
+    which it needs, and its own defaults fill the rest."""
+    with _config_errors(section):
+        parameters = inspect.signature(factory).parameters
+        unknown = sorted(set(settings) - set(parameters))
+        if unknown:
+            raise ValueError(f"unknown {kind} settings: {unknown}")
+        missing = [n for n, p in parameters.items() if p.default is p.empty and n not in settings]
+        if missing:
+            raise ValueError(f"missing {kind} settings: {missing}")
+        return factory(**settings)
+
+
 def build_problem(cfg: ExperimentConfig) -> problems.StochasticProblem:
-    """Instantiate the configured problem; an unset setting takes its factory's default."""
+    """Instantiate the configured problem."""
     spec = dict(cfg.problem)
     name = spec.pop("name", None)
     if name not in _PROBLEMS:
         raise ConfigError(f"unknown problem name {name!r}")
-    factory = _PROBLEMS[name]
-    with _config_errors("problem"):
-        unknown = sorted(set(spec) - set(inspect.signature(factory).parameters))
-        if unknown:
-            raise ValueError(f"unknown {name} settings: {unknown}")
-        return factory(**spec)
+    return _build("problem", name, _PROBLEMS[name], spec)
 
 
 def build_topology(cfg: ExperimentConfig) -> graph.Topology:
     """Instantiate the configured communication graph."""
-    spec = dict(cfg.topology)
-    unknown = sorted(set(spec) - set(CONFIG_SCHEMA["topology"]))
-    if unknown:
-        raise ConfigError(f"unknown topology settings: {unknown}")
-    if "n" not in spec or "prob" not in spec:
-        raise ConfigError("topology needs both 'n' and 'prob'")
-    with _config_errors("topology"):
-        return graph.erdos_renyi(**spec)
+    return _build("topology", "Erdos-Renyi", graph.erdos_renyi, cfg.topology)
 
 
 def _parse_smoothing(token: str, p: int, T: int) -> estimator.SmoothingSchedule:
@@ -370,10 +375,9 @@ def _parse_smoothing(token: str, p: int, T: int) -> estimator.SmoothingSchedule:
         _, expected = CONFIG_SCHEMA["algorithm"]["smoothing"]
         raise ConfigError(f"smoothing {token!r} is not {expected}") from None
     if head == "theorem_decay":
-        return estimator.SmoothingSchedule(kappa_delta=value, mode="theorem_decay")
+        return estimator.SmoothingSchedule(**({} if value is None else {"kappa_delta": value}))
     if head == "scaled_fixed":
-        # no round uses the radius at T = 0; resolve it at theorem eta's stand-in 1
-        value /= math.sqrt(max(T, 1) * p)
+        value /= math.sqrt(T * p)
     return estimator.SmoothingSchedule(mode="fixed", fixed_value=value)
 
 
@@ -392,20 +396,13 @@ def resolve_hyperparams(
     value the run would reject raises a :class:`ConfigError` naming the label.
     """
     with _config_errors(f"algorithm {spec.label!r}"):
-        if spec.n_c > p:
-            raise ValueError(f"n_c = {spec.n_c} exceeds the dimension p = {p}")
-        smoothing = _parse_smoothing(spec.smoothing, p, T)
-        if spec.eta != "theorem":
-            eta = float(spec.eta)
-        elif T > 0:
+        chosen = {"gamma": spec.gamma, "n_c": spec.n_c, "estimator": spec.estimator}
+        if spec.smoothing is not None:
+            chosen["smoothing"] = _parse_smoothing(spec.smoothing, p, T)
+        if spec.eta == "theorem":
             eta, _ = dynamics.theorem_schedule(n_agents, p, T)
         else:
-            # no round takes a step, so the warning of the stand-in horizon 1 would
-            # name a T nobody set; only this branch silences it, since leaving
-            # catch_warnings resets the once-per-location registry for every label
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                eta, _ = dynamics.theorem_schedule(n_agents, p, 1)
+            eta = float(spec.eta)
         alpha = spec.alpha_frac * profile.alpha_max
         if not 0.0 < alpha < profile.alpha_max:
             raise ValueError(f"alpha = {alpha:g} must lie in (0, {profile.alpha_max:g})")
@@ -414,12 +411,11 @@ def resolve_hyperparams(
             eta=eta,
             T=T,
             algorithm=spec.kind,
-            gamma=spec.gamma,
-            n_c=spec.n_c,
-            estimator=spec.estimator,
-            smoothing=smoothing,
+            **{name: value for name, value in chosen.items() if value is not None},
         )
-    faithful = "theorem" if spec.eta == "theorem" and smoothing.mode == "theorem_decay" else "experiment"
+        if params.n_c > p:
+            raise ValueError(f"n_c = {params.n_c} exceeds the dimension p = {p}")
+    faithful = "theorem" if spec.eta == "theorem" and params.smoothing.mode == "theorem_decay" else "experiment"
     return params, faithful
 
 
@@ -531,7 +527,7 @@ def run_battery(
             {
                 "algorithm": spec.label,
                 "gamma": params.gamma,
-                "estimator": spec.estimator,
+                "estimator": params.estimator,
                 "seed_count": len(own),
                 "median_final_loss": _median_or_none(s.final_loss for s in own),
                 "median_avg_grad_norm_sq": _median_or_none(s.avg_grad_norm_sq for s in own),
@@ -572,12 +568,13 @@ def gamma_sweep(
     ``within_guarantee_range``.  Gammas outside ``[1/2, 1]`` still run but
     are flagged there as outside the range the convergence guarantees cover.
     """
-    gammas = list(gammas)
+    gammas = [float(g) for g in gammas]
     if not gammas:
         raise ConfigError("gamma sweep needs at least one gamma value")
     base = config.algorithms[0] if config.algorithms else AlgorithmSpec(label="zoom_pb", kind="zoom_pb")
     specs = [
-        replace(base, label=f"zoom_pb_g{g:g}_{est}", kind="zoom_pb", estimator=est, gamma=float(g))
+        # repr keeps every digit, so distinct gammas make distinct labels
+        replace(base, label=f"zoom_pb_g{g!r}_{est}", kind="zoom_pb", estimator=est, gamma=g)
         for g in gammas
         for est in dynamics.ESTIMATORS
     ]

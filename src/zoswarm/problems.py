@@ -320,8 +320,7 @@ class QuadraticToyProblem(StochasticProblem):
         return self.centers.mean(axis=0)
 
     def optimal_value(self) -> float:
-        c = self.centroid()
-        return float(np.mean([0.5 * np.sum((c - ci) ** 2) for ci in self.centers]))
+        return self.full_loss(self.centroid())
 
 
 def make_quadratic_toy(

@@ -122,6 +122,12 @@ def test_option_surface_is_pinned():
     assert list(inspect.signature(harness.run_battery).parameters) == [
         "config", "out_dir", "jobs", "quiet"
     ]
+    # a graph is drawn from its topology.* rows alone, and the analysis's
+    # schedule from the swarm's size and horizon alone
+    assert list(inspect.signature(graph.erdos_renyi).parameters) == ["n", "prob", "seed"]
+    assert list(inspect.signature(dynamics.theorem_schedule).parameters) == [
+        "n_agents", "p", "T"
+    ]
 
     # a graph is kept in one form, the Laplacian's padded neighbour table, and
     # its spectral profile is the three bounds derived from it

@@ -253,6 +253,8 @@ def test_run_rejects_duplicate_seeds_and_malformed_values(tmp_path, capsys):
         ),
         ("problem.seed = 2", "problem.seed = -1", [], "problem: seed must be nonnegative, got -1"),
         ("topology.seed = 0", "topology.seed = -1", [], "topology: seed must be nonnegative, got -1"),
+        ("topology.n = 3\n", "", [], "topology: missing Erdos-Renyi settings: ['n']"),
+        ("run.T = 60", "run.T = 0", [], "run.T must be at least 1, got 0"),
         # keys that set what another input already sets are gone
         ("run.T = 60", "run.T = 60\nrun.out = from_config", [], "unknown config key 'run.out'"),
         (
@@ -350,16 +352,30 @@ def test_spectra_needs_arguments(capsys):
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (["--n", "1", "--prob", "0.5"], "--n: an Erdos-Renyi topology needs at least 2 agents"),
-        (["--n", "5", "--prob", "0"], "--prob: edge probability must lie in (0, 1]"),
-        (["--n", "5", "--prob", "1.5"], "--prob: edge probability must lie in (0, 1]"),
-        (["--n", "5", "--prob", "nan"], "--prob: edge probability must lie in (0, 1]"),
-        (["--n", "5", "--prob", "0.5", "--seed", "-1"], "--seed: must be nonnegative"),
+        (["--n", "1", "--prob", "0.5"], "topology: agent count must be an integer of at least 2, got 1"),
+        (["--n", "5", "--prob", "0"], "topology: edge probability must lie in (0, 1], got 0.0"),
+        (["--n", "5", "--prob", "1.5"], "topology: edge probability must lie in (0, 1], got 1.5"),
+        (["--n", "5", "--prob", "nan"], "topology: edge probability must lie in (0, 1], got nan"),
+        (["--n", "5", "--prob", "0.5", "--seed", "-1"], "topology: seed must be nonnegative, got -1"),
     ],
 )
 def test_spectra_rejects_out_of_range_flags(capsys, flags, message):
+    # the flags go through the same topology builder as a config's topology.* rows
     assert main(["spectra", *flags]) == 2
-    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"config error: {message}\n"
+
+
+def test_problem_too_large_for_memory_is_an_error(tmp_path, capsys):
+    # the request exceeds any address space, so it fails before allocating anything
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(
+        "problem.name = classification\nproblem.n_train = 10000000000000\n"
+        "topology.n = 10\ntopology.prob = 0.5\nrun.seeds = 1\nalgorithms = zoom\n"
+    )
+    assert main(["run", "--config", str(cfg), "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("error: Unable to allocate")
 
 
 def test_check_subcommand_quiet():

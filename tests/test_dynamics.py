@@ -158,7 +158,8 @@ class TestTheoremSchedule:
         assert eta == 1.0
 
     def test_decay_value(self):
-        _, schedule = theorem_schedule(10, 100, 10000, kappa_delta=1.0)
+        _, schedule = theorem_schedule(10, 100, 10000)
+        assert schedule == SmoothingSchedule(kappa_delta=1.0, mode="theorem_decay")
         assert abs(schedule.delta(100, 10, 0) - 0.17783) < 1e-5
 
     def test_warns_on_short_horizon(self):

@@ -37,13 +37,13 @@ TOY_SWEEP_T200 = "7a2334c5f8cbd049ee43750b41810dbfcb88cd95c167ea4d09aa78e100a8a9
 # config the benchmark generates for that workload and workload seed
 PARSE_DIGESTS = {
     "paper_iv_a": "de5c8f756f734d938d278964407994448fad9351a41ad26df22e4cc448b7f0c8",
-    "toy_quadratic": "ebae31b653665bec8d5fc523db1267bb19fce4f89c66a8608db07a3755fb0fe1",
+    "toy_quadratic": "cefab3fcabb0136e1e2a33b8e487913929681842ae9f8a3007c90110e1a1ef78",
     "iv_a_battery@0": "6d0715541ed3cf7eb1f9f49f03dd0f99f05b35828f46fe03c253207755a22eba",
     "iv_a_battery@1": "5a7672476b72f898baea2475855861da77944148498c316e29472ffd4c6efbd6",
     "iv_a_dense_record@0": "77e0ecb3a59c23138d7e705cab610f9e1bbb93bf3e03d80445efd239cb721227",
     "iv_a_dense_record@1": "b974551d7ce212e77f4a8d62a1a771b9ad2ef963e873b51b02342cff266ce959",
-    "toy_swarm_1k@0": "c030f867e597e9de6229e8e8c1a29f93a308c59c0d2b78a8106de54ca4c99ec8",
-    "toy_swarm_1k@1": "003c4cf3dc1872e3458f731aa132a047421b24ab52161fe167410aa4adbce1ef",
+    "toy_swarm_1k@0": "c72fa0995fb795ba633a2c18986990955dab5bfdc202b82a653fd2e7bc80a2fb",
+    "toy_swarm_1k@1": "b3586fb5a4f26a99a2843b09f120b49c933a7e3b2b27dc908a834dfe5d37da4b",
 }
 
 

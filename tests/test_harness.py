@@ -1,5 +1,4 @@
 import inspect
-import math
 import warnings
 from dataclasses import replace
 
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zoswarm import dynamics, harness
+from zoswarm import dynamics, graph, harness
 from zoswarm.dynamics import HyperParams, run
 from zoswarm.graph import Topology, laplacian_spectrum
 from zoswarm.harness import (
@@ -297,6 +296,10 @@ class TestBuilders:
         }
         assert set(harness.CONFIG_SCHEMA["problem"]) == parameters | {"name"}
 
+    def test_topology_rows_are_the_factorys_parameters(self):
+        parameters = inspect.signature(graph.erdos_renyi).parameters
+        assert set(harness.CONFIG_SCHEMA["topology"]) == set(parameters)
+
     @pytest.mark.parametrize(
         "name, agents, dimension", [("classification", 10, 100), ("quadratic_toy", 5, 10)]
     )
@@ -324,31 +327,25 @@ class TestBuilders:
         assert faithful == "theorem"
         assert params.gamma == 1.0  # plain variant reports the 2-norm
 
-    def test_horizon_zero_resolves_theorem_eta_without_warning(self, tmp_path):
-        # no round takes a step at T = 0, so the short-horizon warning that the
-        # stand-in horizon 1 would raise names a T nobody set
-        cfg = load_config("toy_quadratic")
-        cfg.T = 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            battery = run_battery(cfg, out_dir=tmp_path, quiet=True)
-        assert all(len(run.trajectory.records) == 1 for run in battery.runs)
-        profile = laplacian_spectrum(build_topology(cfg))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            params, _ = resolve_hyperparams(cfg.algorithms[0], profile, 5, 10, 0)
-        assert params.eta == math.sqrt(5) / math.sqrt(10)
-        with pytest.warns(RuntimeWarning, match="horizon T=1 is below"):
-            resolve_hyperparams(cfg.algorithms[0], profile, 5, 10, 1)
+    @pytest.mark.parametrize("horizon", [0, -1])
+    def test_horizon_below_one_is_rejected_before_any_run(self, tmp_path, horizon):
+        # a battery without rounds would report only the origin, record 0 of every run
+        for name in ("toy_quadratic", "paper_iv_a"):
+            cfg = load_config(name)
+            cfg.T = horizon
+            with pytest.raises(ConfigError, match=rf"^run\.T must be at least 1, got {horizon}$"):
+                run_battery(cfg, out_dir=tmp_path / "out", quiet=True)
+        assert not (tmp_path / "out").exists()
 
-
-    def test_scaled_fixed_smoothing_runs_at_horizon_zero(self):
-        # no round uses the radius at T = 0, so it resolves at the stand-in horizon 1
-        cfg = load_config("paper_iv_a")
-        cfg.T = 0
-        battery = run_battery(cfg, quiet=True)
-        assert len(battery.runs) == len(cfg.algorithms) * len(cfg.seeds) == 20
-        assert all(len(run.trajectory.records) == 1 for run in battery.runs)
+    def test_unset_fields_take_the_hyperparams_defaults(self):
+        profile = laplacian_spectrum(build_topology(toy_config()))
+        spec = AlgorithmSpec(label="z", kind="zoom")
+        assert (spec.estimator, spec.gamma, spec.n_c, spec.smoothing) == (None, None, None, None)
+        params, faithful = resolve_hyperparams(spec, profile, 4, 6, 120)
+        defaults = HyperParams(alpha=params.alpha, eta=params.eta, T=120)
+        assert params == defaults and faithful == "theorem"
+        bare = resolve_hyperparams(replace(spec, smoothing="theorem_decay"), profile, 4, 6, 120)
+        assert bare == (defaults, "theorem")
 
     def test_short_horizon_warning_shows_once_per_battery(self):
         # leaving a catch_warnings block resets Python's once-per-location
@@ -506,9 +503,20 @@ class TestGammaSweep:
             gamma_sweep(toy_config(), [])
 
     def test_repeated_gamma_rejected(self):
-        # both values print as g0.5 and would share one label
         with pytest.raises(ConfigError, match="duplicate algorithm label 'zoom_pb_g0.5_forward'"):
-            gamma_sweep(toy_config(), [0.5, 0.5000001], quiet=True)
+            gamma_sweep(toy_config(), [0.5, 0.5], quiet=True)
+
+    def test_close_gammas_keep_distinct_labels(self):
+        # six significant digits would print both as g0.5 and share one label
+        cfg = toy_config()
+        cfg.T, cfg.seeds = 20, [1]
+        rows = gamma_sweep(cfg, [0.5, 0.5000001], quiet=True)
+        assert [(r["algorithm"], r["gamma"]) for r in rows] == [
+            ("zoom_pb_g0.5_forward", 0.5),
+            ("zoom_pb_g0.5_central", 0.5),
+            ("zoom_pb_g0.5000001_forward", 0.5000001),
+            ("zoom_pb_g0.5000001_central", 0.5000001),
+        ]
 
     def test_gamma_one_matches_plain_run_summary(self):
         cfg = toy_config()
