@@ -36,6 +36,7 @@ __all__ = [
     "Trajectory",
     "DivergenceError",
     "ALGORITHMS",
+    "RECORD_EVERY",
     "powerball",
     "step",
     "theorem_schedule",
@@ -44,6 +45,9 @@ __all__ = [
 
 ALGORITHMS = ("zoom", "zoom_pb")
 ESTIMATORS = ("forward", "central")
+
+# Rounds between metric records when a run does not say.
+RECORD_EVERY = 10
 
 # Any iterate entry beyond this magnitude aborts the run: a mis-set step
 # size with the powerball transform can overflow, and we fail loudly.
@@ -228,7 +232,7 @@ def run(
     problem,
     params: HyperParams,
     seed: int = 0,
-    record_every: int = 10,
+    record_every: int = RECORD_EVERY,
 ) -> Trajectory:
     """Execute ``params.T`` synchronous rounds from the origin and record metrics.
 

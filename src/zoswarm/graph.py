@@ -4,10 +4,11 @@ Agents exchange iterates over an undirected weighted graph.  The admissible
 consensus step size for the swarm update is governed by two spectral
 quantities of the graph Laplacian ``L``: its smallest positive eigenvalue
 ``rho2`` and the spectral radius of ``L^2``.  A topology keeps the
-Laplacian's rows as a padded neighbour table; ``laplacian_spectrum`` derives
-both quantities and the step bound ``alpha_max`` from it and keeps them on
-the topology, so every run on one graph shares a single eigen-solve.  The
-dense Laplacian exists only inside that solve.
+Laplacian's rows as a padded neighbour table.  ``laplacian_spectrum`` bounds
+both quantities by a Lanczos iteration over that table, certifies the step
+bound ``alpha_max`` on a 40-bit grid, and keeps the profile on the
+topology, so every run on one graph shares a single solve.  No n x n array
+is built and no LAPACK routine runs.
 """
 
 from __future__ import annotations
@@ -28,15 +29,19 @@ __all__ = [
     "is_connected",
 ]
 
-# Eigenvalues below this magnitude are treated as members of the null space
-# when locating the smallest positive eigenvalue.
-ZERO_EIGENVALUE_TOL = 1e-9
-
 # Disconnected Erdos-Renyi draws retried before giving up.
 MAX_ATTEMPTS = 100
 
-# alpha_max is rounded down to this many significant bits, so the last bits
-# of a multithreaded eigen-solve do not reach the records.
+# Edge draws made at a time: an Erdos-Renyi draw holds this many doubles,
+# not one per pair of agents.
+DRAW_CHUNK = 2**16
+
+# Lanczos steps the spectral solve may take to certify alpha_max.
+MAX_LANCZOS_STEPS = 300
+
+# alpha_max is rounded down to this many significant bits.  The solve runs
+# until the exact bound's snap is certified, so the last bits of its own
+# rounding do not reach the records.
 ALPHA_MAX_BITS = 40
 
 
@@ -45,7 +50,7 @@ class GraphSamplingError(RuntimeError):
 
 
 class EigenSolveError(RuntimeError):
-    """The symmetric eigenvalue solver failed to converge."""
+    """The spectral solve could not certify ``alpha_max`` (see :func:`laplacian_spectrum`)."""
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -134,9 +139,10 @@ class SpectralProfile:
 
     ``alpha_max`` is the upper end of the open interval of admissible
     consensus step sizes, ``rho2 / (2 * rho_l2)`` rounded down to
-    :data:`ALPHA_MAX_BITS` significant bits; ``rho2`` is the smallest
-    positive Laplacian eigenvalue and ``rho_l2`` the spectral radius of
-    ``L^2``.
+    :data:`ALPHA_MAX_BITS` significant bits.  ``rho2`` is a lower bound on
+    the smallest positive Laplacian eigenvalue and ``rho_l2`` an upper bound
+    on the spectral radius of ``L^2``, each within rounding of the exact
+    value, so every step below ``alpha_max`` is admissible.
     """
 
     rho2: float
@@ -157,7 +163,9 @@ def erdos_renyi(n: int, prob: float, seed: int = 0) -> Topology:
     ``prob``.  The sampler is deterministic for a fixed ``seed``: one
     generator seeded with it serves the call, and each draw that comes out
     disconnected is retried with the generator's next block, up to
-    :data:`MAX_ATTEMPTS` draws before giving up.
+    :data:`MAX_ATTEMPTS` draws before giving up.  A block holds one uniform
+    double per unordered pair, row-major over the upper triangle, and is
+    drawn :data:`DRAW_CHUNK` doubles at a time.
 
     Args:
         n: number of agents, at least 2.
@@ -179,9 +187,17 @@ def erdos_renyi(n: int, prob: float, seed: int = 0) -> Topology:
     # position in the draw block of the first pair (i, i + 1) of each row i
     row = np.arange(n - 1)
     offsets = row * (2 * n - 1 - row) // 2
+    pairs = n * (n - 1) // 2
     rng = np.random.default_rng(seed)
     for _ in range(MAX_ATTEMPTS):
-        topo = _draw_topology(n, (rng.random(n * (n - 1) // 2) < prob).nonzero()[0], offsets)
+        # chunk after chunk, the generator yields the doubles of one block in order
+        hits = np.concatenate(
+            [
+                (rng.random(min(DRAW_CHUNK, pairs - start)) < prob).nonzero()[0] + start
+                for start in range(0, pairs, DRAW_CHUNK)
+            ]
+        )
+        topo = _draw_topology(n, hits, offsets)
         if is_connected(topo):
             return topo
     raise GraphSamplingError(
@@ -203,72 +219,297 @@ def _draw_topology(n: int, hits: np.ndarray, offsets: np.ndarray) -> Topology:
 
 
 def is_connected(topo: Topology) -> bool:
-    """True iff a traversal from agent 0 over positive-weight edges reaches everyone.
-
-    The traversal is a breadth-first search that expands a whole level at
-    once: the next frontier is every unseen agent at the end of an edge
-    leaving the current one.
-    """
-    seen = np.zeros(topo.n, dtype=bool)
-    seen[0] = True
-    frontier = seen.copy()
-    while frontier.any():
-        reached = np.zeros(topo.n, dtype=bool)
-        # slot 0 and the padding point at frontier agents, which are already seen
-        reached[topo.neighbours[frontier]] = True
-        frontier = reached & ~seen
-        seen |= frontier
-    return bool(seen.all())
+    """True iff a traversal from agent 0 over positive-weight edges reaches everyone."""
+    return not _component_labels(topo).any()
 
 
 def laplacian_spectrum(topo: Topology) -> SpectralProfile:
-    """The spectral bounds of ``L = Deg - A``, memoized per topology.
+    """Certified spectral bounds of ``L = Deg - A``, memoized per topology.
 
-    The first call on a topology runs a dense symmetric eigen-solve on a
-    transient n x n Laplacian, built from the topology's read-only table,
-    and stores the profile on it; later calls on the same object return
-    that profile.
+    The first call on a topology runs a Lanczos iteration over the
+    topology's neighbour table (see :func:`_solve_spectrum`) and stores the
+    profile on it; later calls on the same object return that profile.  The
+    solve builds no n x n array and calls no LAPACK routine, and its
+    reductions are BLAS-free, so the result does not depend on the BLAS
+    thread count.
 
-    LAPACK may move the last bits of the eigenvalues with the BLAS thread
-    count.  ``rho2`` and ``rho_l2`` are reported raw; ``alpha_max`` is
-    rounded down onto a grid of :data:`ALPHA_MAX_BITS`-bit mantissas, which
-    keeps every step below the raw bound admissible and makes the bound,
-    and so every resolved ``alpha``, the same on any thread count unless
-    the jitter happens to straddle a grid point.
+    ``rho2`` is a lower bound on the smallest positive eigenvalue and
+    ``rho_l2`` an upper bound on the spectral radius of ``L^2``, each within
+    rounding of the exact value.  ``alpha_max`` is ``rho2 / (2 * rho_l2)``
+    rounded down onto a grid of :data:`ALPHA_MAX_BITS`-bit mantissas, and
+    the iteration runs until that grid point is also the snap of the
+    Ritz values' ratio, an upper bound, so it is the snap of the exact
+    bound.  If the Krylov space runs dry first, as it does on small graphs,
+    the lower bound's snap is kept, which can sit a grid point or two below.
 
     Raises:
-        EigenSolveError: if the eigenvalue iteration does not converge.
+        EigenSolveError: if the bounds do not settle onto one grid point
+            within :data:`MAX_LANCZOS_STEPS` steps, or ``rho2`` is too small
+            beside the largest eigenvalue to be told from zero.
         ValueError: if the graph has no positive Laplacian eigenvalue
             (i.e. no edges at all), in which case no consensus step bound
             exists, or if ``rho2``, ``rho_l2`` or ``alpha_max`` comes out
-            non-finite (weights too large for the float eigen-solve).
+            non-finite (weights too large or too small for floats).
     """
     if topo._spectrum is None:
         object.__setattr__(topo, "_spectrum", _solve_spectrum(topo))
     return topo._spectrum
 
 
+def _component_labels(topo: Topology) -> np.ndarray:
+    """The connected component of each agent, numbered from 0 in order of first agent.
+
+    Each component is a breadth-first search from its first agent that
+    expands a whole level at once: the next frontier is every unlabelled
+    agent at the end of an edge leaving the current one.
+    """
+    labels = np.full(topo.n, -1)
+    count = 0
+    while (unlabelled := np.flatnonzero(labels < 0)).size:
+        frontier = np.zeros(topo.n, dtype=bool)
+        frontier[unlabelled[0]] = True
+        while frontier.any():
+            labels[frontier] = count
+            reached = np.zeros(topo.n, dtype=bool)
+            # slot 0 and the padding point at frontier agents, which are already labelled
+            reached[topo.neighbours[frontier]] = True
+            frontier = reached & (labels < 0)
+        count += 1
+    return labels
+
+
 def _solve_spectrum(topo: Topology) -> SpectralProfile:
-    # the bits of np.diag(deg) - W: stored weights are positive, so -w is
-    # 0.0 - w, and the padding slots point at the diagonal, written last
-    lap = np.zeros((topo.n, topo.n))
-    lap[np.arange(topo.n)[:, None], topo.neighbours] = topo.coefficients
-    np.fill_diagonal(lap, topo.coefficients[:, 0])
-    try:
-        eigenvalues = np.linalg.eigvalsh(lap)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolveError(f"eigenvalue solver failed on a {topo.n}-agent Laplacian") from exc
-    positive = eigenvalues[eigenvalues > ZERO_EIGENVALUE_TOL]
-    if positive.size == 0:
+    """Lanczos over the neighbour table, stopped once the snapped bound is certified.
+
+    The null space of ``L`` is spanned by the indicator vectors of the
+    connected components, so the iteration runs on its complement: every
+    vector loses its mean over each component, and ``rho2`` is the smallest
+    positive eigenvalue also on a disconnected graph.  The start vector is
+    the fixed ``cos(0), cos(1), ...``, and each new vector is
+    reorthogonalised twice against all earlier ones with BLAS-free
+    reductions.  After each step the extreme Ritz values of the tridiagonal
+    are bracketed by Sturm bisection and widened into bounds on the extreme
+    eigenvalues (see :class:`_RitzEdge`).  The lower-bound ratio
+    ``rho2_lo / (2 rho_l2_hi)`` and the Ritz ratio ``theta_min / (2
+    theta_max^2)`` enclose the exact ratio, so once both snap to the same
+    grid point that point is the exact ratio's snap.
+    """
+    labels = _component_labels(topo)
+    sizes = np.bincount(labels)
+    rank = topo.n - sizes.size  # dimension of the complement of the null space
+    if rank == 0:
         raise ValueError("graph has no edges; the Laplacian spectrum is all zero")
-    rho2 = float(positive.min())
-    rho_l2 = float(np.abs(eigenvalues).max() ** 2)
-    bounds = {"rho2": rho2, "rho_l2": rho_l2, "alpha_max": rho2 / (2.0 * rho_l2)}
+    top_degree = float(topo.coefficients[:, 0].max())
+    if not math.isfinite(top_degree * top_degree):
+        # the largest eigenvalue is at least the largest degree
+        raise ValueError(
+            "Laplacian spectrum has rho_l2 = inf; the weights are too large for a float solve"
+        )
+    # Gershgorin puts the spectrum in [0, 2 * top_degree]; the margin covers rounding
+    bound = 3.0 * top_degree
+
+    def project(v: np.ndarray) -> np.ndarray:
+        return v - (np.bincount(labels, v) / sizes)[labels]
+
+    v = project(np.cos(np.arange(topo.n, dtype=float)))
+    v /= math.sqrt(np.einsum("i,i->", v, v))
+    basis = np.empty((min(16, rank), topo.n))
+    # the tridiagonal: off[i] couples rows i - 1 and i, off[0] = 0
+    off, off2 = [0.0], [0.0]
+    bottom, top = _RitzEdge(1.0), _RitzEdge(-1.0)
+    for m in range(1, MAX_LANCZOS_STEPS + 1):
+        if m > basis.shape[0]:
+            grown = np.empty((min(2 * basis.shape[0], rank), topo.n))
+            grown[: m - 1] = basis[: m - 1]
+            basis = grown
+        basis[m - 1] = v
+        w = np.einsum("ij,ij->i", topo.coefficients, v[topo.neighbours])
+        a = float(np.einsum("i,i->", v, w))
+        earlier = basis[:m]
+        for _ in range(2):
+            w = project(w - np.einsum("kj,k->j", earlier, np.einsum("kj,j->k", earlier, w)))
+        beta = math.sqrt(np.einsum("i,i->", w, w))
+
+        pivmin = _PIVOT_FLOOR * max(1.0, max(off2))
+        for edge in (bottom, top):
+            edge.locate(a, off2, bound, pivmin)
+        floor = 4.0 * _EPS * -top.lo
+        # the Krylov space is exhausted: no later step can tighten the bounds
+        exhausted = m == rank or beta <= floor
+        for edge in (bottom, top):
+            if exhausted:
+                edge.lo, edge.hi = _bisect(edge.diag, off2, 0, edge.lo, edge.hi, 0.0, pivmin)
+            edge.widen(off, off2, beta, floor, pivmin)
+        rho2 = bottom.lo - bottom.widening
+        rho_l2 = (top.widening - top.lo) ** 2
+        if rho2 > 0.0:
+            profile = _profile(rho2, rho_l2)
+            ritz = _ratio(bottom.hi, top.hi**2)
+            if exhausted or (math.isfinite(ritz) and profile.alpha_max == _snap_down(ritz)):
+                return profile
+        elif exhausted:
+            break
+        off.append(beta)
+        off2.append(beta * beta)
+        v = w / beta
+    else:
+        raise EigenSolveError(
+            f"the spectral bounds of a {topo.n}-agent Laplacian did not settle onto one "
+            f"alpha_max grid point within {MAX_LANCZOS_STEPS} Lanczos steps"
+        )
+    raise EigenSolveError(
+        f"rho2 of a {topo.n}-agent Laplacian is too small beside its largest eigenvalue "
+        "to be told from zero"
+    )
+
+
+def _profile(rho2: float, rho_l2: float) -> SpectralProfile:
+    """The profile of two bounds, its ``alpha_max`` snapped; ValueError if any is non-finite."""
+    bounds = {
+        "rho2": rho2,
+        "rho_l2": rho_l2,
+        "alpha_max": _ratio(rho2, rho_l2),
+    }
     for name, value in bounds.items():
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise ValueError(
-                f"Laplacian spectrum has {name} = {value}; the weights are too large "
-                "for a float eigen-solve"
+                f"Laplacian spectrum has {name} = {value}; the weights are out of range "
+                "for a float solve"
             )
     bounds["alpha_max"] = _snap_down(bounds["alpha_max"])
     return SpectralProfile(**bounds)
+
+
+def _ratio(rho2: float, rho_l2: float) -> float:
+    """``rho2 / (2 rho_l2)``, infinite when ``rho_l2`` underflows to zero."""
+    return rho2 / (2.0 * rho_l2) if rho_l2 > 0.0 else math.inf
+
+
+_EPS = float(np.finfo(float).eps)
+# Sturm pivots smaller than this times the largest squared coupling are
+# replaced by minus itself, so a pivot is never zero (as LAPACK's dstebz)
+_PIVOT_FLOOR = float(np.finfo(float).tiny)
+
+
+class _RitzEdge:
+    """The smallest Ritz value of a growing Lanczos tridiagonal, step by step.
+
+    ``sign = -1`` tracks the largest one instead, as the smallest of the
+    negated matrix.  After :meth:`locate`, ``[lo, hi]`` is a Sturm-certified
+    bracket of the Ritz value and ``near`` a lower bound on the next Ritz
+    value up; after :meth:`widen`, ``widening`` is how far below ``lo`` the
+    matrix's own extreme eigenvalue may lie.
+    """
+
+    def __init__(self, sign: float) -> None:
+        self.sign = sign
+        self.diag: list[float] = []
+        self.lo = self.hi = self.near = math.nan
+        self.drift = 0.0  # how far the Ritz value moved in the last step
+        self.widening = math.inf
+
+    def locate(self, a: float, off2: list[float], bound: float, pivmin: float) -> None:
+        """Take the new diagonal entry ``a`` and re-bracket, the spectrum lying in ``+-bound``."""
+        diag = self.diag
+        diag.append(self.sign * a)
+        m = len(diag)
+        if m == 1:
+            self.lo = self.hi = diag[0]
+            return
+        # Cauchy interlacing: the smallest Ritz value only moves down as the
+        # matrix grows, and the next one stays above the old smallest
+        old_lo, old_hi = self.lo, self.hi
+        reach = max(2.0 * self.drift, _EPS * bound)
+        while (lo := old_lo - reach) > -bound and _sturm_count(diag, off2, lo, pivmin) > 0:
+            reach *= 16.0
+        lo, hi = _bisect(diag, off2, 0, max(lo, -bound), old_hi, self.widening / 8.0, pivmin)
+        self.drift = max(0.5 * (old_lo + old_hi - lo - hi), 0.0)
+        self.lo, self.hi = lo, hi
+        # the next Ritz value also only moves down: re-bracket it once it
+        # drops below the last bound
+        if m == 2 or _sturm_count(diag, off2, self.near, pivmin) > 1:
+            top = bound if m == 2 else self.near
+            self.near, _ = _bisect(diag, off2, 1, old_lo, top, (top - old_lo) / 8.0, pivmin)
+
+    def widen(
+        self, off: list[float], off2: list[float], beta: float, floor: float, pivmin: float
+    ) -> None:
+        """Residual or Kato-Temple widening, floored at ``floor`` against rounding.
+
+        The residual of the Ritz pair is ``beta |s_k|``; the gap to the next
+        Ritz value stands in for the gap to the next eigenvalue.
+        """
+        centre = 0.5 * (self.lo + self.hi)
+        residual = beta * _bottom_component(self.diag, off, off2, centre, pivmin)
+        gap = self.near - self.hi  # nan while there is no second Ritz value
+        if gap > 0.0:
+            residual = min(residual, residual * residual / gap)
+        self.widening = max(residual, floor)
+
+
+def _sturm_count(diag: list[float], off2: list[float], x: float, pivmin: float) -> int:
+    """How many eigenvalues of the tridiagonal lie below ``x``: its negative pivots at ``x``.
+
+    The inner loop of every bisection, so it counts in place instead of
+    keeping the pivots as :func:`_pivots` does.
+    """
+    count = 0
+    q = 1.0
+    for a, b2 in zip(diag, off2):
+        q = a - x - b2 / q
+        if q < pivmin:
+            count += 1
+            if q > -pivmin:
+                q = -pivmin
+    return count
+
+
+def _bisect(diag, off2, j, lo, hi, width, pivmin) -> tuple[float, float]:
+    """Halve ``[lo, hi]`` around eigenvalue ``j`` (from 0, ascending) down to ``width``.
+
+    The bracket stops shrinking early once its ends are adjacent floats.
+    """
+    while hi - lo > width and lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _sturm_count(diag, off2, mid, pivmin) > j:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def _pivots(diag, off2, x, pivmin) -> list[float]:
+    """The pivots of ``T - x`` eliminated from the top, as in :func:`_sturm_count`."""
+    pivots = []
+    q = 1.0
+    for a, b2 in zip(diag, off2):
+        q = a - x - b2 / q
+        if -pivmin < q < pivmin:
+            q = -pivmin
+        pivots.append(q)
+    return pivots
+
+
+def _bottom_component(diag, off, off2, x, pivmin) -> float:
+    """``|s_k|``, the last entry of the unit eigenvector of the tridiagonal at eigenvalue ``x``.
+
+    A twisted factorization: pivots from the top and from the bottom meet at
+    the row where the eigenvector is largest, and the entries follow outward
+    from there as products of coupling-to-pivot ratios.  Unlike the top-down
+    recurrence alone, this stays accurate when ``x`` is also, to working
+    precision, an eigenvalue of a leading block, which every converged Ritz
+    value is.
+    """
+    upper = _pivots(diag, off2, x, pivmin)
+    lower = _pivots(diag[::-1], [0.0, *off2[:0:-1]], x, pivmin)[::-1]
+    twists = [abs(u + d - a + x) for u, d, a in zip(upper, lower, diag)]
+    twist = twists.index(min(twists))
+    entry, norm2 = 1.0, 1.0
+    for i in range(twist - 1, -1, -1):
+        entry *= off[i + 1] / upper[i]
+        norm2 += entry * entry
+    entry = 1.0
+    for i in range(twist + 1, len(diag)):
+        entry *= off[i] / lower[i]
+        norm2 += entry * entry
+    last = abs(entry) / math.sqrt(norm2)
+    return last if math.isfinite(last) else 1.0

@@ -112,7 +112,7 @@ class ExperimentConfig:
     algorithms: list[AlgorithmSpec] = field(default_factory=list)
     seeds: list[int] = field(default_factory=list)
     T: int = 1000
-    record_every: int = 10
+    record_every: int = dynamics.RECORD_EVERY
 
     def validate(self) -> None:
         if not self.algorithms:
@@ -377,6 +377,8 @@ def _parse_smoothing(token: str, p: int, T: int) -> estimator.SmoothingSchedule:
     if head == "theorem_decay":
         return estimator.SmoothingSchedule(**({} if value is None else {"kappa_delta": value}))
     if head == "scaled_fixed":
+        if T < 1:
+            raise ValueError(f"scaled_fixed smoothing needs T >= 1, got {T}")
         value /= math.sqrt(T * p)
     return estimator.SmoothingSchedule(mode="fixed", fixed_value=value)
 

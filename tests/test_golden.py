@@ -169,8 +169,8 @@ def test_paper_iv_a_records_do_not_depend_on_blas_threads():
 
 
 def test_swarm_records_do_not_depend_on_blas_threads():
-    # at n = 1000 both a BLAS Laplacian product and the last bits of
-    # LAPACK's eigenvalues move with the thread count
+    # at n = 1000 a BLAS Laplacian product would move with the thread
+    # count; mixing and the Lanczos solve behind alpha_max are BLAS-free
     outputs = outputs_on_one_and_two_blas_threads(_SWARM_FINGERPRINTS)
     assert len(outputs[0].splitlines()) == 3
     assert outputs[0] == outputs[1]

@@ -371,6 +371,17 @@ class TestBuilders:
         with pytest.raises(ConfigError, match=r"^algorithm 'z': smoothing 'fixed:abc' is not"):
             resolve_hyperparams(spec, profile, 4, 6, 120)
 
+    @pytest.mark.parametrize("horizon", [0, -1])
+    def test_scaled_fixed_smoothing_needs_rounds_to_scale_by(self, horizon):
+        # called directly, no validate() rejects the horizon first
+        profile = laplacian_spectrum(build_topology(toy_config()))
+        spec = AlgorithmSpec(label="z", kind="zoom", eta=0.01, smoothing="scaled_fixed:10")
+        with pytest.raises(
+            ConfigError,
+            match=rf"^algorithm 'z': scaled_fixed smoothing needs T >= 1, got {horizon}$",
+        ):
+            resolve_hyperparams(spec, profile, 4, 6, horizon)
+
 
 class TestBattery:
     def test_outputs_one_csv_per_run_plus_summary(self, tmp_path):
@@ -569,16 +580,16 @@ def test_self_check_battery_passes():
 
 def test_battery_solves_the_spectrum_once_and_keeps_it_read_only(monkeypatch):
     solves = []
-    eigvalsh = np.linalg.eigvalsh
+    solve = graph._solve_spectrum
 
-    def counted(a, *args, **kwargs):
-        solves.append(a.shape)
-        return eigvalsh(a, *args, **kwargs)
+    def counted(topo):
+        solves.append(topo.n)
+        return solve(topo)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(graph, "_solve_spectrum", counted)
     battery = run_battery(toy_config(), quiet=True)
     assert len(battery.runs) == 6  # two algorithms x three seeds, each calling run
-    assert solves == [(4, 4)]
+    assert solves == [4]
 
     # the memo cannot go stale: neither the weights nor the Laplacian's table take writes
     topo = build_topology(toy_config())
