@@ -155,11 +155,19 @@ class Trajectory:
 
 
 def powerball(v: np.ndarray, gamma: float) -> np.ndarray:
-    """Signed power transform ``sgn(v_j) |v_j|^gamma``, elementwise."""
+    """Signed power transform ``sgn(v_j) |v_j|^gamma``, elementwise.
+
+    Zero entries stay zero without a call to ``pow``, as ``0^gamma = 0``
+    for the positive ``gamma`` a run takes: an estimate is zero outside its
+    ``n_c`` sampled coordinates.
+    """
     v = np.asarray(v, dtype=float)
     if gamma == 1.0:
         return v.copy()  # exact identity keeps the gamma=1 reduction bit-identical
-    return np.sign(v) * np.abs(v) ** gamma
+    magnitude = np.abs(v, out=np.empty_like(v))  # an array also for a 0-d v
+    # ** on the gathered entries takes the same power path as on the full array
+    magnitude[magnitude != 0.0] **= gamma
+    return np.multiply(np.sign(v), magnitude, out=magnitude)
 
 
 def step(

@@ -66,6 +66,9 @@ SWEEP_FIELDS = (
 # the longest file name, in bytes, that common file systems accept
 MAX_FILE_NAME_BYTES = 255
 
+# characters that would split or quote an unquoted CSV cell
+CSV_UNSAFE_CHARS = ('"', ",", "\r", "\n")
+
 # Loss values in summaries are the full-batch loss at the mean iterate, not
 # the average of per-agent losses.
 _SUMMARY_NOTE = "# losses are full-batch values at the mean iterate"
@@ -136,6 +139,13 @@ class ExperimentConfig:
                 raise ConfigError(f"algorithm label {spec.label!r} contains a path separator")
             if "\0" in spec.label:
                 raise ConfigError(f"algorithm label {spec.label!r} contains a NUL byte")
+            # it is also a summary.csv cell, written unquoted
+            for char in CSV_UNSAFE_CHARS:
+                if char in spec.label:
+                    raise ConfigError(
+                        f"algorithm label {spec.label!r} contains {char!r}, "
+                        "which a CSV cell cannot hold unquoted"
+                    )
             longest = max(len(f"{spec.label}_seed{seed}.csv".encode()) for seed in self.seeds)
             if longest > MAX_FILE_NAME_BYTES:
                 raise ConfigError(

@@ -7,6 +7,7 @@ are phrased in true gradients while the dynamics stay zeroth-order.
 
 from __future__ import annotations
 
+import math
 import os
 import secrets
 from dataclasses import dataclass, field, fields
@@ -62,20 +63,24 @@ class RunSummary:
 
 
 def holder_norm_sq(v: np.ndarray, q: float) -> float:
-    """Squared q-norm ``(sum |v_j|^q)^(2/q)``."""
-    if q <= 0.0:
-        raise ValueError("norm order must be positive")
+    """Squared q-norm ``(sum |v_j|^q)^(2/q)``, for a finite order ``q > 0``."""
+    if not (math.isfinite(q) and q > 0.0):
+        raise ValueError(f"norm order must be finite and positive, got {q}")
     v = np.asarray(v, dtype=float)
     if q == 2.0:
         return float(v @ v)  # keep the gamma = 1 case bit-identical to the plain squared norm
-    return float(np.sum(np.abs(v) ** q) ** (2.0 / q))
+    powered = np.abs(v)
+    powered **= q
+    return float(np.add.reduce(powered, axis=None) ** (2.0 / q))
 
 
 def consensus_error(iterates: np.ndarray, mean_iterate: np.ndarray | None = None) -> float:
     """Mean squared deviation of agent rows from the swarm mean."""
     if mean_iterate is None:
         mean_iterate = iterates.mean(axis=0)
-    return float(((iterates - mean_iterate) ** 2).sum(axis=1).mean())
+    deviation = iterates - mean_iterate
+    deviation *= deviation
+    return float(np.add.reduce(np.add.reduce(deviation, axis=1)) / len(deviation))
 
 
 def capture_record(
@@ -86,8 +91,12 @@ def capture_record(
     oracle_calls: int,
     wall_ms: float,
 ) -> IterationRecord:
-    """Evaluate all diagnostics at the current swarm mean."""
-    mean_iterate = iterates.mean(axis=0)
+    """Evaluate all diagnostics at the current swarm mean.
+
+    Calls the problem's ``true_global_gradient`` and ``full_loss`` once each.
+    """
+    mean_iterate = np.add.reduce(iterates, axis=0)
+    mean_iterate /= len(iterates)
     grad = problem.true_global_gradient(mean_iterate)
     return IterationRecord(
         k=int(k),

@@ -27,12 +27,13 @@ def sigmoid(t):
     """Overflow-safe logistic function, elementwise.
 
     ``exp(-|t|)`` never overflows and is ``exp(-t)`` for ``t >= 0`` and
-    ``exp(t)`` below, so each branch computes what a masked evaluation of
-    ``1 / (1 + exp(-t))`` and ``exp(t) / (1 + exp(t))`` would, bit for bit.
+    ``exp(t)`` below, so one division of ``1`` or ``e`` by ``1 + e``
+    computes what a masked evaluation of ``1 / (1 + exp(-t))`` and
+    ``exp(t) / (1 + exp(t))`` would, bit for bit.
     """
     arr = np.asarray(t, dtype=float)
     e = np.exp(-np.abs(arr))
-    out = np.where(arr >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    out = np.where(arr >= 0.0, 1.0, e) / (1.0 + e)
     return float(out) if out.ndim == 0 else out
 
 
@@ -178,9 +179,9 @@ class ClassificationProblem(StochasticProblem):
         self._sizes = self._stops - self._starts
         # a row's weight in the mean over agents of their shard means
         self._row_weight = np.repeat(1.0 / (self._sizes * self.local_count), self._sizes)
-        # (x bytes, responses) of the last full-batch pass: a record asks for the
-        # gradient and the loss at the same point.
-        self._last_responses: tuple[bytes, np.ndarray] | None = None
+        # (x bytes, responses, residuals) of the last full-batch pass: a record
+        # asks for the gradient and the loss at the same point.
+        self._last_pass: tuple[bytes, np.ndarray, np.ndarray] | None = None
 
     def sample(self, agent: int, rng: np.random.Generator) -> int:
         start, stop = self.shard_bounds[agent]
@@ -211,24 +212,32 @@ class ClassificationProblem(StochasticProblem):
     # in order: one product for the responses, shard sums at the shard starts
     # and one weighted product for the gradient.
 
-    def _responses(self, x: np.ndarray) -> np.ndarray:
+    def _responses(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Responses ``phi`` and residuals ``y - phi`` at ``x``, shared: do not write to them."""
         x = np.asarray(x, dtype=float)
         key = x.tobytes()
-        last = self._last_responses
+        last = self._last_pass
         if last is not None and last[0] == key:
-            return last[1]
+            return last[1], last[2]
         phi = sigmoid(self.train_features @ x)
-        self._last_responses = (key, phi)
-        return phi
+        residual = self._labels - phi
+        self._last_pass = (key, phi, residual)
+        return phi, residual
 
     def true_global_gradient(self, x: np.ndarray) -> np.ndarray:
-        phi = self._responses(x)
-        coef = -2.0 * (self._labels - phi) * phi * (1.0 - phi)
-        return (coef * self._row_weight) @ self.train_features
+        phi, residual = self._responses(x)
+        # -2 (y - phi) phi (1 - phi), multiplied left to right, then row-weighted
+        coef = residual * -2.0
+        coef *= phi
+        coef *= 1.0 - phi
+        coef *= self._row_weight
+        return coef @ self.train_features
 
     def full_loss(self, x: np.ndarray) -> float:
-        residual_sq = (self._labels - self._responses(x)) ** 2
-        return float(np.mean(np.add.reduceat(residual_sq, self._starts) / self._sizes))
+        _, residual = self._responses(x)
+        shard_means = np.add.reduceat(residual * residual, self._starts)
+        shard_means /= self._sizes
+        return float(np.add.reduce(shard_means) / self.local_count)
 
     def test_accuracy(self, x: np.ndarray) -> float:
         """Fraction of test samples whose thresholded response matches the label.

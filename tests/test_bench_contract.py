@@ -124,6 +124,11 @@ def test_traced_classification_battery_counts_one_evaluate_per_probe(tracer_modu
     assert tracer.probe_mismatches == 0
     assert layers["estimator.estimate_calls"] == 8 * 9 * 4
     assert layers["estimator.sample_coordinates_calls"] == 8 * 9
+    # a record asks the instance once for each diagnostic, so diagnostics_ms
+    # times every full-batch pass: 8 runs x 4 records (k = 0, 3, 6, 9)
+    assert tracer.stat("problems.true_global_gradient")[0] == 8 * 4
+    assert tracer.stat("problems.full_loss")[0] == 8 * 4
+    assert layers["problems.diagnostics_ms"] > 0.0
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -7,7 +7,13 @@ import pytest
 
 from zoswarm.cli import main
 from zoswarm.graph import erdos_renyi, laplacian_spectrum
-from zoswarm.harness import build_topology, load_config
+from zoswarm.harness import (
+    AlgorithmSpec,
+    ConfigError,
+    ExperimentConfig,
+    build_topology,
+    load_config,
+)
 from zoswarm.problems import QuadraticToyProblem
 
 TOY_CFG = """
@@ -89,11 +95,12 @@ def test_run_rejects_labels_with_path_separators(tmp_path, capsys, label):
     "label, message",
     [
         ("zo\0om", "contains a NUL byte"),
+        ('"x', """contains '"', which a CSV cell cannot hold unquoted"""),
         ("z" * 300, "makes a record file name of 310 bytes, longer than the 255"),
         # 123 two-byte characters: 256 bytes in UTF-8 with the suffix, 133 characters
         ("é" * 123, "makes a record file name of 256 bytes, longer than the 255"),
     ],
-    ids=["nul", "long", "long-utf8"],
+    ids=["nul", "quote", "long", "long-utf8"],
 )
 def test_run_rejects_labels_that_cannot_name_a_file(tmp_path, capsys, label, message):
     cfg = write_labelled_cfg(tmp_path, label)
@@ -102,6 +109,18 @@ def test_run_rejects_labels_that_cannot_name_a_file(tmp_path, capsys, label, mes
     err = capsys.readouterr().err
     assert err.startswith(f"config error: algorithm label {label!r}") and message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("char", ['"', ",", "\r", "\n"], ids=["quote", "comma", "cr", "lf"])
+def test_config_rejects_labels_that_break_csv_cells(char):
+    # a config file cannot spell a comma or a line break inside a label, the API can
+    label = f"zo{char}om"
+    config = ExperimentConfig(algorithms=[AlgorithmSpec(label=label, kind="zoom")], seeds=[1])
+    with pytest.raises(ConfigError) as info:
+        config.validate()
+    assert str(info.value) == (
+        f"algorithm label {label!r} contains {char!r}, which a CSV cell cannot hold unquoted"
+    )
 
 
 def test_run_writes_a_record_file_name_of_255_bytes(tmp_path):

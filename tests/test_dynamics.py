@@ -37,6 +37,8 @@ def path3():
 class TestPowerball:
     def test_square_roots_with_sign(self):
         assert np.array_equal(powerball(np.array([4.0, -4.0, 0.0]), 0.5), [2.0, -2.0, 0.0])
+        # a scalar or 0-d input too, zero included
+        assert [float(powerball(v, 0.5)) for v in (4.0, np.array(-4.0), 0.0)] == [2.0, -2.0, 0.0]
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(), min_size=1, max_size=40).map(np.array))

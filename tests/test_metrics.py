@@ -60,6 +60,12 @@ class TestNorms:
         expected = (np.sum(np.abs(v) ** q)) ** (2.0 / q)
         assert abs(holder_norm_sq(v, q) - expected) < 1e-14
 
+    # at q = inf the formula would read (3^inf + 4^inf)^0 = 1.0, not 16
+    @pytest.mark.parametrize("q", [0.0, -1.5, np.inf, np.nan])
+    def test_holder_rejects_orders_that_are_not_finite_and_positive(self, q):
+        with pytest.raises(ValueError, match=f"norm order must be finite and positive, got {q}"):
+            holder_norm_sq(np.array([3.0, 4.0]), q)
+
     def test_consensus_error_two_computations_agree(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
