@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimator import (
+    OracleEvaluationError,
     SmoothingSchedule,
     central_estimate,
     forward_estimate,
@@ -195,13 +196,21 @@ def step(
     estimate = forward_estimate if params.estimator == "forward" else central_estimate
     delta = params.smoothing.delta(p, n, state.k)
     steps = np.empty_like(iterates)
-    for i in range(n):
-        steps[i] = estimate(
-            lambda z, agent=i, realization=draws[i]: evaluate(agent, z, realization),
-            iterates[i],
-            coords[i],
-            delta,
-        )
+    try:
+        for i in range(n):
+            steps[i] = estimate(
+                lambda z, agent=i, realization=draws[i]: evaluate(agent, z, realization),
+                iterates[i],
+                coords[i],
+                delta,
+            )
+    except OracleEvaluationError as exc:
+        raise OracleEvaluationError(
+            f"{exc} at iteration {state.k} on agent {i}",
+            coordinate=exc.coordinate,
+            agent=i,
+            k=state.k,
+        ) from exc
     if params.algorithm == "zoom_pb":
         steps = powerball(steps, params.gamma)  # elementwise: the same bits as row by row
     # row i of L @ X from agent i's neighbour table, summed in a fixed order

@@ -33,12 +33,22 @@ class OracleEvaluationError(RuntimeError):
     """The black-box oracle returned a non-finite value.
 
     ``coordinate`` is the basis direction being probed, or ``None`` when the
-    failure happened at the unshifted base point.
+    failure happened at the unshifted base point.  ``agent`` and ``k`` name
+    the agent and the round when :func:`zoswarm.dynamics.step` raised it,
+    and are ``None`` from a bare estimator call.
     """
 
-    def __init__(self, message: str, coordinate: int | None = None):
+    def __init__(
+        self,
+        message: str,
+        coordinate: int | None = None,
+        agent: int | None = None,
+        k: int | None = None,
+    ):
         super().__init__(message)
         self.coordinate = coordinate
+        self.agent = agent
+        self.k = k
 
 
 @dataclass(frozen=True)

@@ -130,6 +130,10 @@ def summarize(trajectory) -> RunSummary:
 
 
 def _format_cell(value) -> str:
+    if isinstance(value, np.generic):
+        # a numpy scalar is written as its Python value: numpy 2's repr of an
+        # np.float64, a float subclass, reads np.float64(0.7), and np.bool_ is no bool
+        value = value.item()
     if value is None:
         return ""
     if isinstance(value, bool):

@@ -7,16 +7,31 @@ a dense Laplacian product for the mixing, and the run's two streams from
 are per-agent reductions: the mean over agents of each agent's full-batch
 gradient and loss.  Only the tests import it, so an optimisation in
 ``src/`` that reorders floating point sums can be told from one that
-changes the algorithm.  It also holds ``nlls_evaluate``, the plain
-per-sample classification oracle that ``ClassificationProblem.evaluate``
-must equal bit for bit.
+changes the algorithm.
+
+It is also the one home of the plain formulas that ``test_fast_paths.py``
+holds the fast paths in ``src/`` to, bit for bit: ``nlls_evaluate`` for
+``ClassificationProblem.evaluate``, the two-branch ``sigmoid``, the one-pass
+classification loss and gradient, the estimators, ``powerball``,
+``holder_norm_sq``, ``consensus_error`` and ``coordinate_rows``.
 """
 
 import math
 
 import numpy as np
 
-from zoswarm.problems import QuadraticToyProblem, sigmoid
+from zoswarm.problems import QuadraticToyProblem
+
+
+def sigmoid(t):
+    """The logistic function by the two branches of ``nlls_evaluate``, on a masked array."""
+    arr = np.atleast_1d(np.asarray(t, dtype=float))
+    out = np.empty_like(arr)
+    pos = arr >= 0.0
+    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
+    e = np.exp(arr[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
 
 
 def nlls_evaluate(problem, agent, x, xi):
@@ -51,6 +66,33 @@ def local_loss(problem, agent, x):
     labels = problem.train_labels[start:stop].astype(float)
     phi = sigmoid(problem.train_features[start:stop] @ x)
     return float(np.mean((labels - phi) ** 2))
+
+
+def shard_weights(problem):
+    """Per training row, ``1 / (shard size * agent count)``, its weight in the loss and gradient."""
+    sizes = np.array([stop - start for start, stop in problem.shard_bounds])
+    return np.repeat(1.0 / (sizes * problem.local_count), sizes)
+
+
+def classification_rows(problem, x):
+    """Per training row, the gradient factor ``-2 (y - phi) phi (1 - phi)`` and ``(y - phi)^2``."""
+    labels = problem.train_labels.astype(float)
+    phi = sigmoid(problem.train_features @ x)
+    return -2.0 * (labels - phi) * phi * (1.0 - phi), (labels - phi) ** 2
+
+
+def one_pass_gradient(problem, x):
+    """The classification gradient as one weighted product over the whole training set."""
+    coef, _ = classification_rows(problem, x)
+    return (coef * shard_weights(problem)) @ problem.train_features
+
+
+def one_pass_loss(problem, x):
+    """The classification loss as shard sums at the shard starts over one residual pass."""
+    _, residual_sq = classification_rows(problem, x)
+    starts = [start for start, _ in problem.shard_bounds]
+    sizes = np.array([stop - start for start, stop in problem.shard_bounds])
+    return float(np.mean(np.add.reduceat(residual_sq, starts) / sizes))
 
 
 def global_gradient(problem, x):
@@ -92,6 +134,16 @@ def powerball(v, gamma):
     return np.sign(v) * np.abs(v) ** gamma
 
 
+def holder_norm_sq(v, q):
+    """Squared q-norm ``(sum |v_j|^q)^(2/q)``."""
+    return float(np.sum(np.abs(v) ** q) ** (2.0 / q))
+
+
+def consensus_error(iterates, mean):
+    """Mean over agents of the squared distance of their row to ``mean``."""
+    return float(np.mean(np.sum((iterates - mean) ** 2, axis=1)))
+
+
 def smoothing_radius(schedule, p, n, k):
     if schedule.mode == "fixed":
         return schedule.fixed_value
@@ -102,13 +154,12 @@ def record(problem, iterates, k, gamma, oracle_calls):
     """``(k, loss, |g|^2, |g|_{1+gamma}^2, consensus error, oracle calls)`` at the mean."""
     mean = iterates.mean(axis=0)
     grad = global_gradient(problem, mean)
-    q = 1.0 + gamma
     return (
         k,
         full_loss(problem, mean),
         float(np.sum(grad**2)),
-        float(np.sum(np.abs(grad) ** q) ** (2.0 / q)),
-        float(np.mean(np.sum((iterates - mean) ** 2, axis=1))),
+        holder_norm_sq(grad, 1.0 + gamma),
+        consensus_error(iterates, mean),
         oracle_calls,
     )
 

@@ -17,6 +17,9 @@ import zoswarm
 from zoswarm import cli, dynamics, graph, harness, problems
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(zoswarm.__path__))
+# the package's modules by name, and the test suite's as tests/<name>
+SOURCES = {name: Path(zoswarm.__file__).with_name(f"{name}.py") for name in MODULES}
+SOURCES |= {f"tests/{p.stem}": p for p in sorted(Path(__file__).resolve().parent.glob("*.py"))}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -38,10 +41,10 @@ def test_package_root_imports_only_public_names():
     assert stale == []
 
 
-@pytest.mark.parametrize("name", MODULES)
+@pytest.mark.parametrize("name", SOURCES)
 def test_every_module_level_import_is_used(name):
     # no linter is a dependency; this catches an import orphaned by a deletion
-    tree = ast.parse(Path(zoswarm.__file__).with_name(f"{name}.py").read_text())
+    tree = ast.parse(SOURCES[name].read_text())
     imported = []
     for node in tree.body:
         if isinstance(node, ast.Import):

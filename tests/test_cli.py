@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from zoswarm import harness
 from zoswarm.cli import main
 from zoswarm.graph import erdos_renyi, laplacian_spectrum
 from zoswarm.harness import (
@@ -204,6 +205,7 @@ def test_run_reports_non_finite_oracle(tmp_path, capsys, monkeypatch):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: oracle returned a non-finite value")
+    assert "at iteration 0 on agent 0" in err
 
 
 def test_run_rejects_unusable_out(tmp_path, capsys):
@@ -399,6 +401,29 @@ def test_problem_too_large_for_memory_is_an_error(tmp_path, capsys):
 
 def test_check_subcommand_quiet():
     assert main(["check", "--quiet"]) == 0
+
+
+def test_check_prints_one_line_per_check_and_keeps_going(monkeypatch, capsys):
+    def raises():
+        raise RuntimeError("boom")
+
+    fakes = {"first": lambda: (True, "fine"), "second": lambda: (True, "also fine")}
+    monkeypatch.setattr(harness, "SELF_CHECKS", fakes)
+    assert main(["check"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["PASS first: fine", "PASS second: also fine"]
+
+    fakes = {
+        "fails": lambda: (False, "off by 2"),
+        "raises": raises,
+        "passes": lambda: (True, "still ran"),
+    }
+    monkeypatch.setattr(harness, "SELF_CHECKS", fakes)
+    assert main(["check"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL fails: off by 2",
+        "FAIL raises: RuntimeError('boom')",
+        "PASS passes: still ran",
+    ]
 
 
 def test_bundled_name_resolves(tmp_path):

@@ -1,5 +1,4 @@
 import math
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -136,26 +135,6 @@ class TestCentralEstimate:
         expected[list(sample.indices)] = (5 / 2) * c[list(sample.indices)]
         assert np.allclose(got, expected, atol=1e-10)
 
-    def test_quadratic_exactness_random_trials(self):
-        rng = np.random.default_rng(6)
-        for _ in range(100):
-            p = int(rng.integers(2, 9))
-            raw = rng.standard_normal((p, p))
-            hessian = raw + raw.T
-            b = rng.standard_normal(p)
-            x = rng.standard_normal(p)
-            n_c = int(rng.integers(1, p + 1))
-            sample = sample_coordinates(1, p, n_c, rng)[0]
-            delta = float(rng.uniform(1e-3, 1e-1))
-            oracle = lambda z: float(0.5 * z @ hessian @ z + b @ z)
-            got = central_estimate(oracle, x, sample, delta)
-            grad = hessian @ x + b
-            expected = np.zeros(p)
-            idx = list(sample.indices)
-            expected[idx] = (p / n_c) * grad[idx]
-            scale = max(np.abs(expected).max(), 1.0)
-            assert np.all(np.abs(got - expected) <= 1e-9 * scale)
-
     def test_evaluation_count(self):
         oracle = CountingOracle(sphere)
         central_estimate(oracle, np.zeros(8), CoordinateSample((0, 3, 5)), 0.1)
@@ -168,27 +147,6 @@ class TestCentralEstimate:
         with pytest.raises(OracleEvaluationError) as info:
             central_estimate(bad, np.zeros(3), CoordinateSample((1,)), 0.1)
         assert info.value.coordinate == 1
-
-
-class TestSubsetAveraging:
-    def test_average_over_all_subsets_recovers_full_differences(self):
-        # averaging the estimate over every size-n_c subset must reproduce
-        # the full forward-difference vector
-        rng = np.random.default_rng(7)
-        p, n_c, delta = 6, 2, 0.05
-        x = rng.standard_normal(p)
-        c = rng.standard_normal(p)
-        oracle = lambda z: float(0.5 * np.sum((z - c) ** 2))
-        base = oracle(x)
-        full = np.array(
-            [(oracle(x + delta * np.eye(p)[j]) - base) / delta for j in range(p)]
-        )
-        subsets = list(combinations(range(p), n_c))
-        assert len(subsets) == 15
-        total = np.zeros(p)
-        for s in subsets:
-            total += forward_estimate(oracle, x, CoordinateSample(s), delta)
-        assert np.all(np.abs(total / len(subsets) - full) < 1e-10)
 
 
 class TestSmoothingOrder:

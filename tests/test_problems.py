@@ -197,9 +197,7 @@ class TestNllsGradient:
         problem = make_synthetic_classification(1, 1, 8, 1, seed=5)
         x = np.random.default_rng(1).standard_normal(8)
         analytic = problem.true_global_gradient(x)
-        feats = problem.train_features
-        labels = problem.train_labels.astype(float)
-        fd = central_differences(lambda z: float(np.mean((labels - sigmoid(feats @ z)) ** 2)), x)
+        fd = central_differences(lambda z: reference_engine.full_loss(problem, z), x)
         assert np.linalg.norm(fd - analytic) <= 1e-6 * max(1.0, np.linalg.norm(analytic))
 
     def test_full_batch_matches_central_differences(self, synthetic):
