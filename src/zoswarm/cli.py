@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     spectra_p.add_argument("--config", default=None, help="take the topology from this config")
     spectra_p.add_argument("--n", type=int, default=None, help="agent count (without a config)")
     spectra_p.add_argument("--prob", type=float, default=None, help="edge probability")
-    spectra_p.add_argument("--seed", type=int, default=0)
+    spectra_p.add_argument("--seed", type=int, default=None, help="graph seed")
 
     check_p = sub.add_parser("check", help="run the invariant self-test battery")
     check_p.add_argument("--quiet", action="store_true")
@@ -78,12 +78,21 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_spectra(args) -> int:
+    given = {
+        name: getattr(args, name)
+        for name in ("n", "prob", "seed")
+        if getattr(args, name) is not None
+    }
     if args.config is not None:
+        if given:
+            named = ", ".join(f"--{name}" for name in given)
+            raise harness.ConfigError(
+                f"spectra takes --config or graph flags, not both; got {named}"
+            )
         config = harness.load_config(args.config)
     elif args.n is not None and args.prob is not None:
-        config = harness.ExperimentConfig(
-            topology={"n": args.n, "prob": args.prob, "seed": args.seed}
-        )
+        # an unset --seed is left to erdos_renyi's own default
+        config = harness.ExperimentConfig(topology=given)
     else:
         raise harness.ConfigError("spectra needs either --config or both --n and --prob")
     topo = harness.build_topology(config)

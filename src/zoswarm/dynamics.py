@@ -14,6 +14,7 @@ from one master seed, so results depend only on the seed and agent order.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -47,6 +48,9 @@ __all__ = [
 ALGORITHMS = ("zoom", "zoom_pb")
 ESTIMATORS = ("forward", "central")
 
+# The powerball exponents, low to high, that the convergence guarantees cover.
+GAMMA_GUARANTEE = (0.5, 1.0)
+
 # Rounds between metric records when a run does not say.
 RECORD_EVERY = 10
 
@@ -71,8 +75,8 @@ class HyperParams:
     ``gamma`` is 0.7 for ``"zoom_pb"`` and 1.0 otherwise.  ``alpha`` must lie
     inside ``(0, alpha_max)`` of the run's topology; that is enforced by
     :func:`run` where the spectral profile is known.  Values of ``gamma``
-    outside ``[1/2, 1]`` are accepted for robustness experiments but
-    flagged, since the convergence guarantees do not cover them.
+    outside :data:`GAMMA_GUARANTEE` are accepted for robustness experiments
+    but flagged, since the convergence guarantees do not cover them.
     """
 
     alpha: float
@@ -96,18 +100,19 @@ class HyperParams:
             raise ValueError("alpha must be nonnegative")
         if self.eta < 0.0:
             raise ValueError("eta must be nonnegative")
-        if self.T < 0:
-            raise ValueError("horizon T must be nonnegative")
-        if self.n_c < 1:
-            raise ValueError("n_c must be at least 1")
+        if not isinstance(self.T, numbers.Integral) or self.T < 0:
+            raise ValueError(f"horizon T must be a nonnegative integer, got {self.T!r}")
+        if not isinstance(self.n_c, numbers.Integral) or self.n_c < 1:
+            raise ValueError(f"n_c must be an integer of at least 1, got {self.n_c!r}")
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
         if self.gamma <= 0.0:
             raise ValueError("gamma must be positive")
-        if not 0.5 <= self.gamma <= 1.0:
+        low, high = GAMMA_GUARANTEE
+        if not low <= self.gamma <= high:
             warnings.warn(
-                f"gamma={self.gamma} lies outside [0.5, 1], the range covered by the "
-                "convergence guarantees",
+                f"gamma={self.gamma} lies outside [{low:g}, {high:g}], the range covered "
+                "by the convergence guarantees",
                 RuntimeWarning,
                 stacklevel=3,  # past the dataclass-generated __init__ to its caller
             )
@@ -223,13 +228,13 @@ def step(
     return SwarmState(nxt, state.k + 1)
 
 
-def theorem_schedule(n_agents: int, p: int, T: int) -> tuple[float, SmoothingSchedule]:
-    """Gradient step and smoothing decay prescribed by the convergence analysis.
+def theorem_schedule(n_agents: int, p: int, T: int) -> float:
+    """Gradient step ``eta = sqrt(n) / sqrt(p T)`` prescribed by the convergence analysis.
 
-    Returns ``eta = sqrt(n) / sqrt(p T)`` and the default decaying schedule,
-    which meets the smoothing cap with equality.  Warns (without rejecting)
-    when the horizon falls below ``n^3 / p``, the premise the prescribed
-    rates assume.
+    The analysis's smoothing is ``SmoothingSchedule()``, the default of
+    :class:`HyperParams`, which meets the smoothing cap with equality.  Warns
+    (without rejecting) when the horizon falls below ``n^3 / p``, the premise
+    the prescribed rates assume.
     """
     if min(n_agents, p, T) < 1:
         raise ValueError("n_agents, p and T must all be positive")
@@ -240,8 +245,7 @@ def theorem_schedule(n_agents: int, p: int, T: int) -> tuple[float, SmoothingSch
             RuntimeWarning,
             stacklevel=2,
         )
-    eta = math.sqrt(n_agents) / math.sqrt(p * T)
-    return eta, SmoothingSchedule()
+    return math.sqrt(n_agents) / math.sqrt(p * T)
 
 
 def run(
@@ -271,8 +275,8 @@ def run(
     Returns:
         A :class:`Trajectory` of records plus the final swarm state.
     """
-    if record_every < 1:
-        raise ValueError("record_every must be at least 1")
+    if not isinstance(record_every, numbers.Integral) or record_every < 1:
+        raise ValueError(f"record_every must be an integer of at least 1, got {record_every!r}")
     if not is_connected(topo):
         raise ValueError("communication graph must be connected")
     if problem.local_count != topo.n:

@@ -76,33 +76,32 @@ class CoordinateSample:
 class SmoothingSchedule:
     """How the finite-difference radius evolves over iterations.
 
+    The two fields mirror a config's ``<mode>[:<value>]`` smoothing spec.
     ``theorem_decay`` follows the cap from the convergence analysis with
-    equality: ``delta_k = kappa_delta / (p * n * (k + 1))**(1/4)``.
-    ``fixed`` holds ``fixed_value`` for the whole run, which is what the
-    classification benchmark uses.
+    equality, ``delta_k = value / (p * n * (k + 1))**(1/4)``, where ``value``
+    is kappa and 1.0 when unset.  ``fixed`` holds the radius ``value`` for
+    the whole run, which is what the classification benchmark uses; there
+    ``value`` must be given.
     """
 
-    kappa_delta: float = 1.0
     mode: str = "theorem_decay"
-    fixed_value: float | None = None
+    value: float | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in SMOOTHING_MODES:
             raise ValueError(f"mode must be one of {SMOOTHING_MODES}, got {self.mode!r}")
-        for name in ("kappa_delta", "fixed_value"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.kappa_delta <= 0.0:
-            raise ValueError("kappa_delta must be positive")
-        if self.mode == "fixed" and (self.fixed_value is None or self.fixed_value <= 0.0):
-            raise ValueError("fixed mode needs a positive fixed_value")
+        if self.value is None:
+            if self.mode == "fixed":
+                raise ValueError("fixed mode needs a radius value")
+            object.__setattr__(self, "value", 1.0)
+        if not (math.isfinite(self.value) and self.value > 0.0):
+            raise ValueError(f"value must be positive and finite, got {self.value!r}")
 
     def delta(self, p: int, n_agents: int, k: int) -> float:
         """Smoothing radius at iteration ``k`` (zero-based)."""
         if self.mode == "fixed":
-            return float(self.fixed_value)
-        return self.kappa_delta / float(p * n_agents * (k + 1)) ** 0.25
+            return float(self.value)
+        return self.value / float(p * n_agents * (k + 1)) ** 0.25
 
 
 def sample_coordinates(

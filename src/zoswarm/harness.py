@@ -384,13 +384,11 @@ def _parse_smoothing(token: str, p: int, T: int) -> estimator.SmoothingSchedule:
     except ValueError:
         _, expected = CONFIG_SCHEMA["algorithm"]["smoothing"]
         raise ConfigError(f"smoothing {token!r} is not {expected}") from None
-    if head == "theorem_decay":
-        return estimator.SmoothingSchedule(**({} if value is None else {"kappa_delta": value}))
     if head == "scaled_fixed":
         if T < 1:
             raise ValueError(f"scaled_fixed smoothing needs T >= 1, got {T}")
-        value /= math.sqrt(T * p)
-    return estimator.SmoothingSchedule(mode="fixed", fixed_value=value)
+        head, value = "fixed", value / math.sqrt(T * p)
+    return estimator.SmoothingSchedule(head, value)
 
 
 def resolve_hyperparams(
@@ -399,20 +397,17 @@ def resolve_hyperparams(
     n_agents: int,
     p: int,
     T: int,
-) -> tuple[dynamics.HyperParams, str]:
+) -> dynamics.HyperParams:
     """Turn an algorithm spec into concrete hyperparameters.
 
-    Returns the parameters and a faithfulness label: ``theorem`` when both
-    the gradient step and the smoothing follow the schedule from the
-    analysis, ``experiment`` when either is overridden explicitly.  Any
-    value the run would reject raises a :class:`ConfigError` naming the label.
+    Any value the run would reject raises a :class:`ConfigError` naming the label.
     """
     with _config_errors(f"algorithm {spec.label!r}"):
         chosen = {"gamma": spec.gamma, "n_c": spec.n_c, "estimator": spec.estimator}
         if spec.smoothing is not None:
             chosen["smoothing"] = _parse_smoothing(spec.smoothing, p, T)
         if spec.eta == "theorem":
-            eta, _ = dynamics.theorem_schedule(n_agents, p, T)
+            eta = dynamics.theorem_schedule(n_agents, p, T)
         else:
             eta = float(spec.eta)
         alpha = spec.alpha_frac * profile.alpha_max
@@ -427,8 +422,7 @@ def resolve_hyperparams(
         )
         if params.n_c > p:
             raise ValueError(f"n_c = {params.n_c} exceeds the dimension p = {p}")
-    faithful = "theorem" if spec.eta == "theorem" and params.smoothing.mode == "theorem_decay" else "experiment"
-    return params, faithful
+    return params
 
 
 @dataclass
@@ -502,15 +496,15 @@ def run_battery(
         )
     profile = graph.laplacian_spectrum(topo)
 
-    resolved: list[tuple[AlgorithmSpec, dynamics.HyperParams, str]] = []
-    for spec in config.algorithms:
-        params, faithful = resolve_hyperparams(spec, profile, topo.n, problem.dimension, config.T)
-        resolved.append((spec, params, faithful))
+    resolved = [
+        (spec, resolve_hyperparams(spec, profile, topo.n, problem.dimension, config.T))
+        for spec in config.algorithms
+    ]
 
     target = _output_dir(out_dir)
 
     runs = []
-    for spec, params, _ in resolved:
+    for spec, params in resolved:
         for seed in config.seeds:
             trajectory = dynamics.run(
                 topo, problem, params, seed=seed, record_every=config.record_every
@@ -533,7 +527,7 @@ def run_battery(
 
     summary_rows = []
     comments = [_SUMMARY_NOTE]
-    for spec, params, faithful in resolved:
+    for spec, params in resolved:
         own = [r.summary for r in runs if r.label == spec.label]
         summary_rows.append(
             {
@@ -547,9 +541,12 @@ def run_battery(
                 "median_accuracy": _median_or_none(s.final_accuracy for s in own),
             }
         )
+        # theorem-faithful when both the step and the smoothing follow the analysis
+        faithful = spec.eta == "theorem" and params.smoothing.mode == "theorem_decay"
+        schedule = "theorem" if faithful else "experiment"
         comments.append(
             f"# {spec.label}: kind={spec.kind} eta={params.eta!r} "
-            f"delta_mode={params.smoothing.mode} schedule={faithful}-faithful"
+            f"delta_mode={params.smoothing.mode} schedule={schedule}-faithful"
         )
         if not quiet:
             row = summary_rows[-1]
@@ -577,8 +574,8 @@ def gamma_sweep(
 
     One row per (gamma, estimator): the battery's summary row for that label,
     medians over the config's seeds, plus ``median_initial_loss`` and
-    ``within_guarantee_range``.  Gammas outside ``[1/2, 1]`` still run but
-    are flagged there as outside the range the convergence guarantees cover.
+    ``within_guarantee_range``, false for a gamma outside
+    ``dynamics.GAMMA_GUARANTEE``: it still runs, uncovered by the guarantees.
     """
     gammas = [float(g) for g in gammas]
     if not gammas:
@@ -593,8 +590,9 @@ def gamma_sweep(
     battery = run_battery(replace(config, algorithms=specs), quiet=True)
 
     rows = battery.summary_rows
+    low, high = dynamics.GAMMA_GUARANTEE
     for row in rows:
-        row["within_guarantee_range"] = 0.5 <= row["gamma"] <= 1.0
+        row["within_guarantee_range"] = low <= row["gamma"] <= high
         row["median_initial_loss"] = _median_or_none(
             r.trajectory.records[0].mean_train_loss for r in battery.runs_for(row["algorithm"])
         )
@@ -694,7 +692,7 @@ def _check_reduction() -> tuple[bool, str]:
     details = []
     for name, topo, problem, horizon in cases:
         profile = graph.laplacian_spectrum(topo)
-        eta, smoothing = dynamics.theorem_schedule(topo.n, problem.dimension, horizon)
+        eta = dynamics.theorem_schedule(topo.n, problem.dimension, horizon)
         for est in dynamics.ESTIMATORS:
             params = dynamics.HyperParams(
                 alpha=0.9 * profile.alpha_max,
@@ -702,7 +700,6 @@ def _check_reduction() -> tuple[bool, str]:
                 T=horizon,
                 gamma=1.0,
                 estimator=est,
-                smoothing=smoothing,
             )
             plain = dynamics.run(topo, problem, params, seed=9)
             transformed = dynamics.run(topo, problem, replace(params, algorithm="zoom_pb"), seed=9)
@@ -769,10 +766,8 @@ def _check_mean_drift() -> tuple[bool, str]:
     topo = graph.erdos_renyi(4, 0.9, seed=0)
     profile = graph.laplacian_spectrum(topo)
     problem = problems.make_quadratic_toy(4, 5, seed=1, zeta=0.2)
-    eta, smoothing = dynamics.theorem_schedule(4, 5, 200)
-    params = dynamics.HyperParams(
-        alpha=0.5 * profile.alpha_max, eta=eta, T=200, smoothing=smoothing
-    )
+    eta = dynamics.theorem_schedule(4, 5, 200)
+    params = dynamics.HyperParams(alpha=0.5 * profile.alpha_max, eta=eta, T=200)
     streams = dynamics.RunStreams.from_seed(4)
     shadow = dynamics.RunStreams.from_seed(4)  # replays the same draws
     state = dynamics.SwarmState(np.random.default_rng(2).standard_normal((4, 5)), 0)

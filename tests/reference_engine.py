@@ -146,8 +146,8 @@ def consensus_error(iterates, mean):
 
 def smoothing_radius(schedule, p, n, k):
     if schedule.mode == "fixed":
-        return schedule.fixed_value
-    return schedule.kappa_delta / float(p * n * (k + 1)) ** 0.25
+        return schedule.value
+    return schedule.value / float(p * n * (k + 1)) ** 0.25
 
 
 def record(problem, iterates, k, gamma, oracle_calls):

@@ -47,7 +47,7 @@ def toy_trend_summaries():
     problem = make_quadratic_toy(5, 10, seed=11, zeta=0.5)
     summaries = {}
     for horizon in (1000, 4000):
-        eta, smoothing = theorem_schedule(5, 10, horizon)
+        eta = theorem_schedule(5, 10, horizon)
         params = HyperParams(
             alpha=0.9 * profile.alpha_max,
             eta=eta,
@@ -55,7 +55,6 @@ def toy_trend_summaries():
             gamma=1.0,
             n_c=1,
             estimator="central",
-            smoothing=smoothing,
         )
         summaries[horizon] = [
             summarize(run(topo, problem, params, seed=seed))

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import zoswarm
-from zoswarm import cli, dynamics, graph, harness, problems
+from zoswarm import cli, dynamics, estimator, graph, harness, problems
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(zoswarm.__path__))
 # the package's modules by name, and the test suite's as tests/<name>
@@ -131,6 +131,13 @@ def test_option_surface_is_pinned():
     assert list(inspect.signature(dynamics.theorem_schedule).parameters) == [
         "n_agents", "p", "T"
     ]
+    # a smoothing schedule mirrors the config's <mode>[:<value>] spec; the
+    # analysis's step is one number and a spec resolves to parameters alone
+    assert [f.name for f in dataclasses.fields(estimator.SmoothingSchedule)] == ["mode", "value"]
+    assert type(dynamics.theorem_schedule(1, 1, 1)) is float
+    profile = graph.laplacian_spectrum(graph.erdos_renyi(2, 1.0))
+    spec = harness.AlgorithmSpec(label="z", kind="zoom")
+    assert type(harness.resolve_hyperparams(spec, profile, 2, 2, 8)) is dynamics.HyperParams
 
     # a graph is kept in one form, the Laplacian's padded neighbour table, and
     # its spectral profile is the three bounds derived from it

@@ -371,6 +371,28 @@ def test_spectra_needs_arguments(capsys):
 
 
 @pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--n", "50", "--prob", "0.1", "--seed", "3"], "--n, --prob, --seed"),
+        (["--seed", "0"], "--seed"),
+    ],
+)
+def test_spectra_rejects_graph_flags_next_to_a_config(capsys, flags, named):
+    # the config's graph would otherwise be printed and the flags dropped
+    assert main(["spectra", "--config", "toy_quadratic", *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"config error: spectra takes --config or graph flags, not both; got {named}\n"
+
+
+def test_spectra_without_seed_draws_the_graph_of_its_default_seed(capsys):
+    assert main(["spectra", "--n", "8", "--prob", "0.4"]) == 0
+    unseeded = capsys.readouterr().out
+    assert main(["spectra", "--n", "8", "--prob", "0.4", "--seed", "0"]) == 0
+    assert capsys.readouterr().out == unseeded
+
+
+@pytest.mark.parametrize(
     "flags, message",
     [
         (["--n", "1", "--prob", "0.5"], "topology: agent count must be an integer of at least 2, got 1"),

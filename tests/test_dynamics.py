@@ -126,6 +126,12 @@ class TestHyperParams:
         with pytest.raises(ValueError, match="algorithm must be one of"):
             HyperParams(alpha=0.1, eta=0.1, T=10, algorithm="sgd")
 
+    @pytest.mark.parametrize(("name", "value"), [("T", 3.5), ("n_c", 2.5), ("n_c", 1.0)])
+    def test_non_integer_counts_rejected_by_name(self, name, value):
+        # a float count would otherwise fail mid-run in range() or in indexing
+        with pytest.raises(ValueError, match=rf"\b{name} must be .*integer.*, got {value!r}$"):
+            HyperParams(alpha=0.1, eta=0.1, **{"T": 10, name: value})
+
     @pytest.mark.parametrize(("algorithm", "gamma"), [("zoom", 1.0), ("zoom_pb", 0.7)])
     def test_unset_gamma_resolves_by_algorithm(self, algorithm, gamma):
         assert HyperParams(alpha=0.1, eta=0.1, T=10, algorithm=algorithm).gamma == gamma
@@ -147,18 +153,10 @@ class TestHyperParams:
 
 class TestTheoremSchedule:
     def test_benchmark_scale_value(self):
-        eta, schedule = theorem_schedule(10, 100, 10000)
-        assert abs(eta - 0.0031622776601683794) < 1e-18
-        assert schedule.mode == "theorem_decay"
+        assert abs(theorem_schedule(10, 100, 10000) - 0.0031622776601683794) < 1e-18
 
     def test_unit_case(self):
-        eta, _ = theorem_schedule(1, 1, 1)
-        assert eta == 1.0
-
-    def test_decay_value(self):
-        _, schedule = theorem_schedule(10, 100, 10000)
-        assert schedule == SmoothingSchedule(kappa_delta=1.0, mode="theorem_decay")
-        assert abs(schedule.delta(100, 10, 0) - 0.17783) < 1e-5
+        assert theorem_schedule(1, 1, 1) == 1.0
 
     def test_warns_on_short_horizon(self):
         with pytest.warns(RuntimeWarning, match="n\\^3/p"):
@@ -188,10 +186,8 @@ class TestSteps:
         topo = Topology(2, np.array([[0.0, 1.0], [1.0, 0.0]]))
         profile = laplacian_spectrum(topo)
         problem = make_quadratic_toy(2, 2, seed=3, zeta=0.4)
-        eta, smoothing = theorem_schedule(2, 2, 50)
-        params = HyperParams(
-            alpha=0.8 * profile.alpha_max, eta=eta, T=50, smoothing=smoothing
-        )
+        eta = theorem_schedule(2, 2, 50)
+        params = HyperParams(alpha=0.8 * profile.alpha_max, eta=eta, T=50)
         streams = RunStreams.from_seed(21)
         shadow = RunStreams.from_seed(21)
         state = SwarmState(np.array([[1.0, 0.0], [0.0, 1.0]]), 0)
@@ -222,8 +218,8 @@ class TestSteps:
         topo = erdos_renyi(5, 0.7, seed=1)
         profile = laplacian_spectrum(topo)
         problem = make_quadratic_toy(5, 4, seed=4, zeta=0.3)
-        eta, smoothing = theorem_schedule(5, 4, 100)
-        params = HyperParams(alpha=0.5 * profile.alpha_max, eta=eta, T=100, smoothing=smoothing)
+        eta = theorem_schedule(5, 4, 100)
+        params = HyperParams(alpha=0.5 * profile.alpha_max, eta=eta, T=100)
         streams = RunStreams.from_seed(9)
         shadow = RunStreams.from_seed(9)
         state = SwarmState(np.random.default_rng(8).standard_normal((5, 4)), 0)
@@ -263,7 +259,7 @@ class TestSteps:
 
         topo = Topology(2, np.array([[0.0, 1.0], [1.0, 0.0]]))
         profile = laplacian_spectrum(topo)
-        smoothing = SmoothingSchedule(mode="fixed", fixed_value=0.5)
+        smoothing = SmoothingSchedule(mode="fixed", value=0.5)
         state = SwarmState(np.zeros((2, 2)), 0)
         outputs = []
         for gamma in (0.5, 0.8, 1.0):
@@ -301,7 +297,7 @@ class TestSteps:
             T=1,
             algorithm="zoom_pb",
             gamma=0.5,
-            smoothing=SmoothingSchedule(mode="fixed", fixed_value=0.25),
+            smoothing=SmoothingSchedule(mode="fixed", value=0.25),
         )
         state = SwarmState(np.array([[10.0]]), 0)
         lone = Topology(1, np.zeros((1, 1)))
@@ -328,7 +324,7 @@ class TestSteps:
             eta=1.0,
             T=1,
             n_c=2,
-            smoothing=SmoothingSchedule(mode="fixed", fixed_value=1.0),
+            smoothing=SmoothingSchedule(mode="fixed", value=1.0),
         )
         state = SwarmState(np.zeros((2, 2)), 3)
         with pytest.raises(DivergenceError) as info:
@@ -405,10 +401,8 @@ class TestRun:
 
     def test_same_seed_reproduces_trajectory(self, toy_setup):
         topo, profile, problem = toy_setup
-        eta, smoothing = theorem_schedule(4, 6, 100)
-        params = HyperParams(
-            alpha=0.5 * profile.alpha_max, eta=eta, T=100, smoothing=smoothing
-        )
+        eta = theorem_schedule(4, 6, 100)
+        params = HyperParams(alpha=0.5 * profile.alpha_max, eta=eta, T=100)
         a = run(topo, problem, params, seed=5)
         b = run(topo, problem, params, seed=5)
         assert a.records == b.records
@@ -416,8 +410,8 @@ class TestRun:
 
     def test_different_seeds_differ(self, toy_setup):
         topo, profile, problem = toy_setup
-        eta, smoothing = theorem_schedule(4, 6, 50)
-        params = HyperParams(alpha=0.5 * profile.alpha_max, eta=eta, T=50, smoothing=smoothing)
+        eta = theorem_schedule(4, 6, 50)
+        params = HyperParams(alpha=0.5 * profile.alpha_max, eta=eta, T=50)
         a = run(topo, problem, params, seed=5)
         b = run(topo, problem, params, seed=6)
         assert not np.array_equal(a.final_state.iterates, b.final_state.iterates)
@@ -446,10 +440,17 @@ class TestRun:
 
     def test_record_cadence_and_final_record(self, toy_setup):
         topo, profile, problem = toy_setup
-        eta, smoothing = theorem_schedule(4, 6, 25)
-        params = HyperParams(alpha=0.5 * profile.alpha_max, eta=eta, T=25, smoothing=smoothing)
+        eta = theorem_schedule(4, 6, 25)
+        params = HyperParams(alpha=0.5 * profile.alpha_max, eta=eta, T=25)
         trajectory = run(topo, problem, params, seed=0, record_every=10)
         assert [r.k for r in trajectory.records] == [0, 10, 20, 25]
+
+    @pytest.mark.parametrize("record_every", [2.5, 10.0, 0])
+    def test_rejects_a_cadence_that_is_not_a_positive_integer(self, toy_setup, record_every):
+        topo, profile, problem = toy_setup
+        params = HyperParams(alpha=0.5 * profile.alpha_max, eta=0.01, T=5)
+        with pytest.raises(ValueError, match=rf"^record_every must be .*, got {record_every!r}$"):
+            run(topo, problem, params, record_every=record_every)
 
     def test_draws_one_data_block_per_round(self, toy_setup):
         topo, profile, _ = toy_setup
@@ -468,7 +469,7 @@ class TestRun:
 
     def test_oracle_call_accounting(self, toy_setup):
         topo, profile, problem = toy_setup
-        eta, smoothing = theorem_schedule(4, 6, 30)
+        eta = theorem_schedule(4, 6, 30)
         for estimator, per_round in (("forward", 4 * 3), ("central", 4 * 4)):
             params = HyperParams(
                 alpha=0.5 * profile.alpha_max,
@@ -476,7 +477,6 @@ class TestRun:
                 T=30,
                 n_c=2,
                 estimator=estimator,
-                smoothing=smoothing,
             )
             trajectory = run(topo, problem, params, seed=1)
             assert trajectory.records[-1].oracle_calls == 30 * per_round

@@ -169,37 +169,40 @@ class TestSmoothingOrder:
 
 class TestSmoothingSchedule:
     def test_decay_example_values(self):
-        schedule = SmoothingSchedule(kappa_delta=1.0)
+        schedule = SmoothingSchedule()
+        assert schedule == SmoothingSchedule("theorem_decay", 1.0)  # kappa defaults to 1
         assert abs(schedule.delta(100, 10, 0) - 0.17782794100389226) < 1e-12
 
     def test_decay_meets_cap_with_equality(self):
-        schedule = SmoothingSchedule(kappa_delta=2.5)
+        schedule = SmoothingSchedule(value=2.5)
         for k in (0, 3, 999):
             cap = 2.5 / (7**0.25 * 4**0.25 * (k + 1) ** 0.25)
             assert abs(schedule.delta(7, 4, k) - cap) < 1e-12
 
     def test_fixed_mode(self):
-        schedule = SmoothingSchedule(mode="fixed", fixed_value=0.01)
+        schedule = SmoothingSchedule(mode="fixed", value=0.01)
         assert schedule.delta(100, 10, 0) == 0.01
         assert schedule.delta(100, 10, 9999) == 0.01
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SmoothingSchedule(kappa_delta=0.0)
-        with pytest.raises(ValueError):
-            SmoothingSchedule(mode="fixed")
-        with pytest.raises(ValueError):
-            SmoothingSchedule(mode="nope")
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize(
-        "name, make",
+        "kwargs, message",
         [
-            ("kappa_delta", lambda v: SmoothingSchedule(kappa_delta=v)),
-            ("fixed_value", lambda v: SmoothingSchedule(mode="fixed", fixed_value=v)),
+            ({"mode": "fixed"}, "^fixed mode needs a radius value$"),
+            ({"mode": "nope"}, "^mode must be one of"),
+            *(
+                ({"mode": mode, "value": bad}, f"^value must be positive and finite, got {bad!r}$")
+                for mode in ("theorem_decay", "fixed")
+                # a non-finite radius would otherwise surface as an oracle failure mid-run
+                for bad in (0.0, -0.5, math.nan, math.inf)
+            ),
         ],
     )
-    def test_rejects_non_finite_radius(self, name, make, bad):
-        # a non-finite radius would otherwise surface as an oracle failure mid-run
-        with pytest.raises(ValueError, match=f"^{name} must be finite"):
-            make(bad)
+    def test_rejected_shapes(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            SmoothingSchedule(**kwargs)
+
+    @pytest.mark.parametrize("keyword", ["kappa_delta", "fixed_value"])
+    def test_old_keywords_are_gone(self, keyword):
+        # each silently ignored the other mode's setting
+        with pytest.raises(TypeError, match=keyword):
+            SmoothingSchedule(**{keyword: 0.01})

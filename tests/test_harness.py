@@ -268,10 +268,9 @@ class TestBundledConfigs:
         cfg = load_config("paper_iv_a")
         topo = build_topology(cfg)
         profile = laplacian_spectrum(topo)
-        params, faithful = resolve_hyperparams(cfg.algorithms[0], profile, 10, 100, cfg.T)
+        params = resolve_hyperparams(cfg.algorithms[0], profile, 10, 100, cfg.T)
         assert params.smoothing.mode == "fixed"
-        assert abs(params.smoothing.fixed_value - 0.01) < 1e-15
-        assert faithful == "experiment"
+        assert abs(params.smoothing.value - 0.01) < 1e-15
 
     def test_unknown_bundled_name(self):
         with pytest.raises(ConfigError, match="bundled"):
@@ -320,10 +319,9 @@ class TestBuilders:
         cfg = toy_config()
         topo = build_topology(cfg)
         profile = laplacian_spectrum(topo)
-        params, faithful = resolve_hyperparams(cfg.algorithms[0], profile, 4, 6, 120)
+        params = resolve_hyperparams(cfg.algorithms[0], profile, 4, 6, 120)
         assert abs(params.eta - np.sqrt(4) / np.sqrt(6 * 120)) < 1e-15
         assert 0.0 < params.alpha < profile.alpha_max
-        assert faithful == "theorem"
         assert params.gamma == 1.0  # plain variant reports the 2-norm
 
     @pytest.mark.parametrize("horizon", [0, -1])
@@ -340,11 +338,11 @@ class TestBuilders:
         profile = laplacian_spectrum(build_topology(toy_config()))
         spec = AlgorithmSpec(label="z", kind="zoom")
         assert (spec.estimator, spec.gamma, spec.n_c, spec.smoothing) == (None, None, None, None)
-        params, faithful = resolve_hyperparams(spec, profile, 4, 6, 120)
+        params = resolve_hyperparams(spec, profile, 4, 6, 120)
         defaults = HyperParams(alpha=params.alpha, eta=params.eta, T=120)
-        assert params == defaults and faithful == "theorem"
+        assert params == defaults
         bare = resolve_hyperparams(replace(spec, smoothing="theorem_decay"), profile, 4, 6, 120)
-        assert bare == (defaults, "theorem")
+        assert bare == defaults
 
     def test_short_horizon_warning_shows_once_per_battery(self):
         # leaving a catch_warnings block resets Python's once-per-location
@@ -409,6 +407,26 @@ class TestBattery:
         assert len(rows) == 2
         assert rows[0].startswith("zoom,1.0,forward,3,")
         assert rows[0].endswith(",")  # toy problem has no test set
+
+    @pytest.mark.parametrize(
+        "name, change, label",
+        [
+            ("toy_quadratic", {}, "theorem"),
+            ("toy_quadratic", {"eta": 0.01}, "experiment"),
+            ("toy_quadratic", {"smoothing": "fixed:0.1"}, "experiment"),
+            ("paper_iv_a", {}, "experiment"),
+        ],
+    )
+    def test_summary_comment_names_the_schedule(self, tmp_path, name, change, label):
+        # theorem-faithful only when both the step and the smoothing follow the analysis
+        cfg = load_config(name)
+        cfg.T, cfg.seeds = 20, cfg.seeds[:1]  # past the toy's n^3/p = 12.5
+        cfg.algorithms = [replace(spec, **change) for spec in cfg.algorithms]
+        run_battery(cfg, out_dir=tmp_path, quiet=True)
+        lines = (tmp_path / "summary.csv").read_text().splitlines()
+        notes = [l for l in lines if l.startswith("# ") and ": kind=" in l]
+        assert [l.split(":")[0] for l in notes] == [f"# {a.label}" for a in cfg.algorithms]
+        assert all(l.endswith(f" schedule={label}-faithful") for l in notes)
 
     def test_numpy_gamma_writes_a_plain_summary_cell(self, tmp_path):
         cfg = toy_config()

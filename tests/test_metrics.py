@@ -66,10 +66,8 @@ def toy_run():
     topo = erdos_renyi(4, 0.9, seed=0)
     profile = laplacian_spectrum(topo)
     problem = make_quadratic_toy(4, 5, seed=1, zeta=0.3)
-    eta, smoothing = theorem_schedule(4, 5, 400)
-    params = HyperParams(
-        alpha=0.9 * profile.alpha_max, eta=eta, T=400, gamma=1.0, smoothing=smoothing
-    )
+    eta = theorem_schedule(4, 5, 400)
+    params = HyperParams(alpha=0.9 * profile.alpha_max, eta=eta, T=400, gamma=1.0)
     return run(topo, problem, params, seed=2), problem
 
 
@@ -121,14 +119,13 @@ class TestOracleAccounting:
         T, n, n_c = 25, 3, 2
         for estimator, expected in (("forward", n * T * (n_c + 1)), ("central", n * T * 2 * n_c)):
             counted = CountingProblem(make_quadratic_toy(3, 6, seed=2, zeta=0.1))
-            eta, smoothing = theorem_schedule(n, 6, T)
+            eta = theorem_schedule(n, 6, T)
             params = HyperParams(
                 alpha=0.5 * profile.alpha_max,
                 eta=eta,
                 T=T,
                 n_c=n_c,
                 estimator=estimator,
-                smoothing=smoothing,
             )
             trajectory = run(topo, counted, params, seed=3)
             assert counted.evaluations == expected
@@ -210,8 +207,8 @@ class TestRecordContents:
         problem = make_synthetic_classification(60, 20, 5, 3, seed=4)
         topo = erdos_renyi(3, 1.0, seed=0)
         profile = laplacian_spectrum(topo)
-        eta, smoothing = theorem_schedule(3, 5, 50)
-        params = HyperParams(alpha=0.5 * profile.alpha_max, eta=eta, T=50, smoothing=smoothing)
+        eta = theorem_schedule(3, 5, 50)
+        params = HyperParams(alpha=0.5 * profile.alpha_max, eta=eta, T=50)
         trajectory = run(topo, problem, params, seed=0)
         assert trajectory.final_accuracy is not None
         assert 0.0 <= trajectory.final_accuracy <= 1.0

@@ -44,7 +44,7 @@ def test_records_match_the_reference_engine(name):
     profile = laplacian_spectrum(topo)
     covered = set()
     for spec in config.algorithms:
-        params, _ = resolve_hyperparams(spec, profile, topo.n, problem.dimension, config.T)
+        params = resolve_hyperparams(spec, profile, topo.n, problem.dimension, config.T)
         covered.add((params.algorithm, params.estimator))
         for seed in config.seeds:
             got = run(topo, problem, params, seed=seed, record_every=config.record_every).records
