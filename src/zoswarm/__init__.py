@@ -4,57 +4,15 @@ Agents on a communication graph minimize an average of local stochastic
 objectives while only ever querying function values.  The package provides
 the graph and spectral machinery, coordinate gradient estimators, the
 synchronous swarm dynamics (with an optional powerball acceleration),
-benchmark problems, metrics, and an experiment harness with a CLI.
+benchmark problems, metrics, and an experiment harness with a CLI.  The
+root exports the names the README's library sections use; everything else
+is reached through its module.
 """
 
-from .dynamics import (
-    ALGORITHMS,
-    DivergenceError,
-    HyperParams,
-    RunStreams,
-    SwarmState,
-    Trajectory,
-    powerball,
-    run,
-    step,
-    theorem_schedule,
-)
-from .estimator import (
-    CoordinateSample,
-    OracleEvaluationError,
-    SmoothingSchedule,
-    central_estimate,
-    forward_estimate,
-    sample_coordinates,
-)
-from .graph import (
-    EigenSolveError,
-    GraphSamplingError,
-    SpectralProfile,
-    Topology,
-    erdos_renyi,
-    is_connected,
-    laplacian_spectrum,
-)
-from .harness import (
-    AlgorithmSpec,
-    BatteryResult,
-    ConfigError,
-    ExperimentConfig,
-    gamma_sweep,
-    load_config,
-    parse_config,
-    run_battery,
-    self_check,
-)
-from .metrics import IterationRecord, RunSummary, summarize
-from .problems import (
-    ClassificationProblem,
-    QuadraticToyProblem,
-    StochasticProblem,
-    make_quadratic_toy,
-    make_synthetic_classification,
-    sigmoid,
-)
+from .dynamics import HyperParams, run, theorem_schedule
+from .estimator import SmoothingSchedule
+from .graph import EigenSolveError, Topology, erdos_renyi, laplacian_spectrum
+from .metrics import summarize
+from .problems import ClassificationProblem, StochasticProblem, make_synthetic_classification
 
 __version__ = "0.1.0"

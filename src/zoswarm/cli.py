@@ -7,6 +7,7 @@ import sys
 from dataclasses import replace
 
 from . import dynamics, estimator, graph, harness
+from .config import ConfigError, ExperimentConfig, build_topology, load_config
 
 __all__ = ["main"]
 
@@ -55,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    config = harness.load_config(args.config)
+    config = load_config(args.config)
     if args.seed is not None:
         config = replace(config, seeds=[args.seed])
     result = harness.run_battery(config, out_dir=args.out, quiet=args.quiet)
@@ -65,14 +66,14 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = harness.load_config(args.config)
+    config = load_config(args.config)
     gammas = []
     for token in (tok.strip() for tok in args.gammas.split(",")):
         if token:
             try:
                 gammas.append(float(token))
             except ValueError:
-                raise harness.ConfigError(f"--gammas: {token!r} is not a number") from None
+                raise ConfigError(f"--gammas: {token!r} is not a number") from None
     harness.gamma_sweep(config, gammas, out_dir=args.out, quiet=args.quiet)
     return 0
 
@@ -86,16 +87,16 @@ def _cmd_spectra(args) -> int:
     if args.config is not None:
         if given:
             named = ", ".join(f"--{name}" for name in given)
-            raise harness.ConfigError(
+            raise ConfigError(
                 f"spectra takes --config or graph flags, not both; got {named}"
             )
-        config = harness.load_config(args.config)
+        config = load_config(args.config)
     elif args.n is not None and args.prob is not None:
         # an unset --seed is left to erdos_renyi's own default
-        config = harness.ExperimentConfig(topology=given)
+        config = ExperimentConfig(topology=given)
     else:
-        raise harness.ConfigError("spectra needs either --config or both --n and --prob")
-    topo = harness.build_topology(config)
+        raise ConfigError("spectra needs either --config or both --n and --prob")
+    topo = build_topology(config)
     profile = graph.laplacian_spectrum(topo)
     print(f"agents: {topo.n}")
     print(f"edges: {int((topo.coefficients[:, 1:] < 0.0).sum()) // 2}")
@@ -121,7 +122,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except harness.ConfigError as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (

@@ -68,10 +68,9 @@ class Topology:
     largest degree plus one; ``coefficients[i]`` holds the weighted degree,
     then ``-w_ij`` for each neighbour, then ``0.0`` for the padding.  So
     ``(L @ X)[i] = coefficients[i] @ X[neighbours[i]]``.  No dense copy is
-    kept: ``weights`` rebuilds the matrix on each access.  Both arrays are
-    read-only, so the spectrum the topology memoizes can never go stale; the
-    caller's matrix is only read.  Equality and hashing go by identity, as
-    the spectrum memo does.
+    kept.  Both arrays are read-only, so the spectrum the topology memoizes
+    can never go stale; the caller's matrix is only read.  Equality and
+    hashing go by identity, as the spectrum memo does.
     """
 
     n: int
@@ -118,19 +117,6 @@ class Topology:
         for name, table in (("neighbours", neighbours), ("coefficients", coefficients)):
             table.flags.writeable = False
             object.__setattr__(self, name, table)
-
-    @property
-    def weights(self) -> np.ndarray:
-        """The dense symmetric weight matrix, rebuilt read-only on each access.
-
-        ``-(-w)`` is ``w`` exactly.  Slot 0 and the padding write the
-        diagonal, which is zeroed last.
-        """
-        w = np.zeros((self.n, self.n))
-        w[np.arange(self.n)[:, None], self.neighbours] = -self.coefficients
-        np.fill_diagonal(w, 0.0)
-        w.flags.writeable = False
-        return w
 
 
 @dataclass(frozen=True)

@@ -1,38 +1,30 @@
-"""Experiment orchestration: config files, batteries, sweeps, self checks.
+"""Experiment orchestration: batteries, sweeps, self checks.
 
-Configs are flat ``key = value`` lines (``topology.n = 10``) whose keys are
-the rows of ``CONFIG_SCHEMA``; ``#`` starts a comment.  A battery runs every
-configured algorithm over every master seed, writes one record CSV per
-(algorithm, seed) plus a ``summary.csv`` of per-algorithm medians, and is
-reproducible byte for byte apart from the wall-clock column.
+A battery runs every configured algorithm over every master seed, writes one
+record CSV per (algorithm, seed) plus a ``summary.csv`` of per-algorithm
+medians, and is reproducible byte for byte apart from the wall-clock column.
 """
 
 from __future__ import annotations
 
-import importlib.resources
-import inspect
-import math
 import statistics
-from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
 from . import dynamics, estimator, graph, metrics, problems
+from .config import AlgorithmSpec, ConfigError, ExperimentConfig, resolve_hyperparams
+# re-exported for benchmarks/, whose tracer patches the builders run_battery looks up here
+from .config import build_problem, build_topology, load_config
 
 __all__ = [
-    "ConfigError",
-    "AlgorithmSpec",
-    "ExperimentConfig",
     "RunResult",
     "BatteryResult",
-    "parse_config",
     "load_config",
     "build_problem",
     "build_topology",
-    "resolve_hyperparams",
     "run_battery",
     "gamma_sweep",
     "record_csv_fingerprint",
@@ -63,366 +55,9 @@ SWEEP_FIELDS = (
     "median_accuracy",
 )
 
-# the longest file name, in bytes, that common file systems accept
-MAX_FILE_NAME_BYTES = 255
-
-# characters that would split or quote an unquoted CSV cell
-CSV_UNSAFE_CHARS = ('"', ",", "\r", "\n")
-
 # Loss values in summaries are the full-batch loss at the mean iterate, not
 # the average of per-agent losses.
 _SUMMARY_NOTE = "# losses are full-batch values at the mean iterate"
-
-
-class ConfigError(ValueError):
-    """The experiment configuration is malformed or incomplete."""
-
-
-@dataclass
-class AlgorithmSpec:
-    """One algorithm entry of a battery, before hyperparameter resolution.
-
-    ``eta`` is either the literal string ``"theorem"`` or an explicit float;
-    ``smoothing`` is ``theorem_decay[:kappa]``, ``fixed:<value>`` or
-    ``scaled_fixed:<c>`` (fixed radius ``c / sqrt(T * p)``).  The consensus
-    step ``alpha`` is ``alpha_frac`` times the topology's admissible maximum.
-    ``estimator``, ``gamma``, ``n_c`` and ``smoothing`` left ``None`` take
-    the defaults of :class:`~zoswarm.dynamics.HyperParams`.
-    """
-
-    label: str
-    kind: str
-    estimator: str | None = None
-    gamma: float | None = None
-    eta: str | float = "theorem"
-    alpha_frac: float = 0.9
-    n_c: int | None = None
-    smoothing: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in dynamics.ALGORITHMS:
-            raise ConfigError(f"unknown algorithm kind {self.kind!r} for {self.label!r}")
-        if self.estimator is not None and self.estimator not in dynamics.ESTIMATORS:
-            raise ConfigError(f"unknown estimator {self.estimator!r} for {self.label!r}")
-
-
-@dataclass
-class ExperimentConfig:
-    """Everything a battery needs: problem, topology, algorithms, seeds."""
-
-    problem: dict = field(default_factory=dict)
-    topology: dict = field(default_factory=dict)
-    algorithms: list[AlgorithmSpec] = field(default_factory=list)
-    seeds: list[int] = field(default_factory=list)
-    T: int = 1000
-    record_every: int = dynamics.RECORD_EVERY
-
-    def validate(self) -> None:
-        if not self.algorithms:
-            raise ConfigError("at least one algorithm must be configured")
-        if not self.seeds:
-            raise ConfigError("at least one master seed must be configured")
-        if self.T < 1:
-            # a run without rounds reports only the origin, record 0 of every run
-            raise ConfigError(f"run.T must be at least 1, got {self.T}")
-        if self.record_every < 1:
-            raise ConfigError("run.record_every must be at least 1")
-        for seed in self.seeds:
-            if seed < 0:
-                raise ConfigError(f"master seed {seed} is negative (run.seeds or --seed)")
-        _reject_duplicates("master seed", self.seeds)
-        _reject_duplicates("algorithm label", [spec.label for spec in self.algorithms])
-        for spec in self.algorithms:
-            # a label names its record CSVs, which must stay inside the output
-            # directory and be names the file system accepts
-            if "/" in spec.label or "\\" in spec.label:
-                raise ConfigError(f"algorithm label {spec.label!r} contains a path separator")
-            if "\0" in spec.label:
-                raise ConfigError(f"algorithm label {spec.label!r} contains a NUL byte")
-            # it is also a summary.csv cell, written unquoted
-            for char in CSV_UNSAFE_CHARS:
-                if char in spec.label:
-                    raise ConfigError(
-                        f"algorithm label {spec.label!r} contains {char!r}, "
-                        "which a CSV cell cannot hold unquoted"
-                    )
-            longest = max(len(f"{spec.label}_seed{seed}.csv".encode()) for seed in self.seeds)
-            if longest > MAX_FILE_NAME_BYTES:
-                raise ConfigError(
-                    f"algorithm label {spec.label!r} makes a record file name of {longest} "
-                    f"bytes, longer than the {MAX_FILE_NAME_BYTES} a file name may hold"
-                )
-
-
-def _reject_duplicates(what: str, items) -> None:
-    # a repeated seed or label would write over the same CSV and double its summary row
-    seen = set()
-    for item in items:
-        if item in seen:
-            raise ConfigError(f"duplicate {what} {item!r}")
-        seen.add(item)
-
-
-# problem.name -> the factory that builds it; the factory's parameters are
-# the settings the problem takes, and every default is the factory's own
-_PROBLEMS = {
-    "classification": problems.make_synthetic_classification,
-    "quadratic_toy": problems.make_quadratic_toy,
-}
-
-
-def _eta(value: str) -> str | float:
-    return value if value == "theorem" else float(value)
-
-
-def _smoothing_terms(token: str) -> tuple[str, float | None]:
-    """Mode and number of a smoothing spec; ValueError when it is malformed.
-
-    The grammar is ``theorem_decay[:<kappa>]``, ``fixed:<delta>`` or
-    ``scaled_fixed:<c>``, each number positive; a bare ``theorem_decay``
-    has no number and keeps the schedule's default kappa.
-    """
-    head, _, arg = token.partition(":")
-    if head not in ("theorem_decay", "fixed", "scaled_fixed"):
-        raise ValueError(token)
-    if head == "theorem_decay" and not arg:
-        return head, None
-    value = float(arg)
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(token)
-    return head, value
-
-
-def _smoothing(value: str) -> str:
-    _smoothing_terms(value)
-    return value
-
-
-# The config schema: section -> setting -> (reader, what a malformed value
-# "is not"); a reader raises ValueError on malformed text, and ``[reader]``
-# reads a comma-separated list.  Every key but ``algorithms`` names a row as
-# ``<section>.<setting>``, an algorithm row as ``defaults.<setting>`` or
-# ``algorithm.<label>.<setting>``.
-CONFIG_SCHEMA = {
-    "run": {
-        "T": (int, "an integer"),
-        "record_every": (int, "an integer"),
-        "seeds": ([int], "an integer"),
-    },
-    "problem": {
-        "name": (str, "text"),
-        "n_train": (int, "an integer"),
-        "n_test": (int, "an integer"),
-        "d": (int, "an integer"),
-        "n_agents": (int, "an integer"),
-        "seed": (int, "an integer"),
-        "p": (int, "an integer"),
-        "zeta": (float, "a number"),
-    },
-    "topology": {
-        "n": (int, "an integer"),
-        "prob": (float, "a number"),
-        "seed": (int, "an integer"),
-    },
-    "algorithm": {
-        "kind": (str, "text"),
-        "estimator": (str, "text"),
-        "gamma": (float, "a number"),
-        "eta": (_eta, "'theorem' or a number"),
-        "alpha_frac": (float, "a number"),
-        "n_c": (int, "an integer"),
-        "smoothing": (
-            _smoothing,
-            "theorem_decay[:<kappa>], fixed:<delta> or scaled_fixed:<c> with a positive number",
-        ),
-    },
-}
-
-
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse flat ``key = value`` lines into an :class:`ExperimentConfig`.
-
-    A leading UTF-8 byte-order mark is ignored.
-    """
-    # key -> the line that set it and its value
-    pairs: dict[str, tuple[int, str]] = {}
-
-    def typed(key: str, value: str, read, expected: str):
-        if isinstance(read, list):
-            items = (token.strip() for token in value.split(","))
-            return [typed(key, item, read[0], expected) for item in items if item]
-        try:
-            return read(value)
-        except ValueError:
-            raise ConfigError(
-                f"line {pairs[key][0]}: {key} = {value!r} is not {expected}"
-            ) from None
-
-    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key in pairs:
-            raise ConfigError(
-                f"line {lineno}: duplicate key {key!r}, first set on line {pairs[key][0]}"
-            )
-        pairs[key] = lineno, value
-
-    cfg = ExperimentConfig()
-    # algorithm field -> the key that set it, per label and as a default
-    defaults: dict[str, str] = {}
-    per_algorithm: dict[str, dict[str, str]] = {}
-    labels: list[str] = []
-
-    for key, (_, value) in pairs.items():
-        section, dot, name = key.partition(".")
-        if key == "algorithms":
-            labels = typed(key, value, [str], "text")
-        elif dot and section == "defaults":
-            defaults[name] = key
-        elif dot and section == "algorithm":
-            # a label may contain a dot; a setting name never does
-            label, dot, name = name.rpartition(".")
-            if not dot:
-                raise ConfigError(f"algorithm key {key!r} needs a '<label>.<field>' suffix")
-            per_algorithm.setdefault(label, {})[name] = key
-        elif section in ("problem", "topology") and name in CONFIG_SCHEMA[section]:
-            getattr(cfg, section)[name] = typed(key, value, *CONFIG_SCHEMA[section][name])
-        elif section == "run" and name in CONFIG_SCHEMA["run"]:
-            setattr(cfg, name, typed(key, value, *CONFIG_SCHEMA["run"][name]))
-        else:
-            raise ConfigError(f"unknown config key {key!r}")
-
-    for label in labels:
-        fields = {}
-        for name, key in {**defaults, **per_algorithm.get(label, {})}.items():
-            if name not in CONFIG_SCHEMA["algorithm"]:
-                raise ConfigError(f"unknown algorithm field {name!r} for {label!r}")
-            fields[name] = typed(key, pairs[key][1], *CONFIG_SCHEMA["algorithm"][name])
-        cfg.algorithms.append(AlgorithmSpec(label=label, kind=fields.pop("kind", label), **fields))
-
-    stray = set(per_algorithm) - set(labels)
-    if stray:
-        raise ConfigError(f"algorithm settings for unlisted labels: {sorted(stray)}")
-    # a default that every label overrides, or that no label exists to use, is still checked
-    for name, key in defaults.items():
-        if name not in CONFIG_SCHEMA["algorithm"]:
-            raise ConfigError(f"unknown config key {key!r}")
-        typed(key, pairs[key][1], *CONFIG_SCHEMA["algorithm"][name])
-    return cfg
-
-
-def load_config(path: str | Path) -> ExperimentConfig:
-    """Load a config from a file path or from the bundled configs by name."""
-    candidate = Path(path)
-    if candidate.is_file():
-        try:
-            text = candidate.read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"config file {str(path)!r} is not UTF-8: {exc}") from None
-        except OSError as exc:
-            raise ConfigError(f"config file {str(path)!r} cannot be read: {exc}") from None
-        return parse_config(text)
-    resource = _bundled_resource(str(path))
-    if not resource.is_file():
-        raise ConfigError(
-            f"neither a config file {str(path)!r} nor a bundled config named "
-            f"{resource.name!r} exists"
-        )
-    return parse_config(resource.read_text(encoding="utf-8"))
-
-
-def _bundled_resource(name: str):
-    if not name.endswith(".cfg"):
-        name = name + ".cfg"
-    return importlib.resources.files("zoswarm").joinpath("configs", name)
-
-
-@contextmanager
-def _config_errors(where: str):
-    """Re-raise a ValueError from building ``where`` as a ConfigError naming it."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-
-
-def _build(section: str, kind: str, factory, settings: dict):
-    """``factory(**settings)``; its signature says which settings it takes and
-    which it needs, and its own defaults fill the rest."""
-    with _config_errors(section):
-        parameters = inspect.signature(factory).parameters
-        unknown = sorted(set(settings) - set(parameters))
-        if unknown:
-            raise ValueError(f"unknown {kind} settings: {unknown}")
-        missing = [n for n, p in parameters.items() if p.default is p.empty and n not in settings]
-        if missing:
-            raise ValueError(f"missing {kind} settings: {missing}")
-        return factory(**settings)
-
-
-def build_problem(cfg: ExperimentConfig) -> problems.StochasticProblem:
-    """Instantiate the configured problem."""
-    spec = dict(cfg.problem)
-    name = spec.pop("name", None)
-    if name not in _PROBLEMS:
-        raise ConfigError(f"unknown problem name {name!r}")
-    return _build("problem", name, _PROBLEMS[name], spec)
-
-
-def build_topology(cfg: ExperimentConfig) -> graph.Topology:
-    """Instantiate the configured communication graph."""
-    return _build("topology", "Erdos-Renyi", graph.erdos_renyi, cfg.topology)
-
-
-def _parse_smoothing(token: str, p: int, T: int) -> estimator.SmoothingSchedule:
-    try:
-        head, value = _smoothing_terms(token)
-    except ValueError:
-        _, expected = CONFIG_SCHEMA["algorithm"]["smoothing"]
-        raise ConfigError(f"smoothing {token!r} is not {expected}") from None
-    if head == "scaled_fixed":
-        if T < 1:
-            raise ValueError(f"scaled_fixed smoothing needs T >= 1, got {T}")
-        head, value = "fixed", value / math.sqrt(T * p)
-    return estimator.SmoothingSchedule(head, value)
-
-
-def resolve_hyperparams(
-    spec: AlgorithmSpec,
-    profile: graph.SpectralProfile,
-    n_agents: int,
-    p: int,
-    T: int,
-) -> dynamics.HyperParams:
-    """Turn an algorithm spec into concrete hyperparameters.
-
-    Any value the run would reject raises a :class:`ConfigError` naming the label.
-    """
-    with _config_errors(f"algorithm {spec.label!r}"):
-        chosen = {"gamma": spec.gamma, "n_c": spec.n_c, "estimator": spec.estimator}
-        if spec.smoothing is not None:
-            chosen["smoothing"] = _parse_smoothing(spec.smoothing, p, T)
-        if spec.eta == "theorem":
-            eta = dynamics.theorem_schedule(n_agents, p, T)
-        else:
-            eta = float(spec.eta)
-        alpha = spec.alpha_frac * profile.alpha_max
-        if not 0.0 < alpha < profile.alpha_max:
-            raise ValueError(f"alpha = {alpha:g} must lie in (0, {profile.alpha_max:g})")
-        params = dynamics.HyperParams(
-            alpha=alpha,
-            eta=eta,
-            T=T,
-            algorithm=spec.kind,
-            **{name: value for name, value in chosen.items() if value is not None},
-        )
-        if params.n_c > p:
-            raise ValueError(f"n_c = {params.n_c} exceeds the dimension p = {p}")
-    return params
 
 
 @dataclass

@@ -2,7 +2,7 @@ import pytest
 
 from zoswarm.dynamics import run
 from zoswarm.graph import laplacian_spectrum
-from zoswarm.harness import build_problem, build_topology, resolve_hyperparams
+from zoswarm.config import build_problem, build_topology, resolve_hyperparams
 from zoswarm.metrics import write_csv
 
 

@@ -13,7 +13,8 @@ It is also the one home of the plain formulas that ``test_fast_paths.py``
 holds the fast paths in ``src/`` to, bit for bit: ``nlls_evaluate`` for
 ``ClassificationProblem.evaluate``, the two-branch ``sigmoid``, the one-pass
 classification loss and gradient, the estimators, ``powerball``,
-``holder_norm_sq``, ``consensus_error`` and ``coordinate_rows``.
+``holder_norm_sq``, ``consensus_error`` and ``coordinate_rows``.  ``weights``
+gives a topology's dense matrix back from its neighbour table.
 """
 
 import math
@@ -162,6 +163,18 @@ def record(problem, iterates, k, gamma, oracle_calls):
         consensus_error(iterates, mean),
         oracle_calls,
     )
+
+
+def weights(topo):
+    """The dense symmetric weight matrix of a topology, from its neighbour table.
+
+    ``-(-w)`` is ``w`` exactly.  Slot 0 and the padding write the diagonal,
+    which is zeroed last.
+    """
+    w = np.zeros((topo.n, topo.n))
+    w[np.arange(topo.n)[:, None], topo.neighbours] = -topo.coefficients
+    np.fill_diagonal(w, 0.0)
+    return w
 
 
 def run(weights, problem, params, seed, record_every):

@@ -13,15 +13,10 @@ import math
 import numpy as np
 import pytest
 
+from zoswarm.config import load_config
 from zoswarm.dynamics import HyperParams, run, theorem_schedule
 from zoswarm.graph import erdos_renyi, laplacian_spectrum
-from zoswarm.harness import (
-    SELF_CHECKS,
-    gamma_sweep,
-    load_config,
-    record_csv_fingerprint,
-    run_battery,
-)
+from zoswarm.harness import SELF_CHECKS, gamma_sweep, record_csv_fingerprint, run_battery
 from zoswarm.metrics import summarize
 from zoswarm.problems import make_quadratic_toy
 

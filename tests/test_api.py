@@ -1,6 +1,6 @@
 """The package's surface: every export resolves, every name the package
-root imports is declared public by its module, every module-level import is
-used, and the set of options is pinned."""
+root imports is declared public by its module and named in the README,
+every module-level import is used, and the set of options is pinned."""
 
 import argparse
 import ast
@@ -15,6 +15,7 @@ import pytest
 
 import zoswarm
 from zoswarm import cli, dynamics, estimator, graph, harness, problems
+from zoswarm.config import CONFIG_SCHEMA, AlgorithmSpec, parse_config, resolve_hyperparams
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(zoswarm.__path__))
 # the package's modules by name, and the test suite's as tests/<name>
@@ -41,6 +42,19 @@ def test_package_root_imports_only_public_names():
     assert stale == []
 
 
+def test_package_root_exports_what_the_readme_names():
+    # the quickstart's names, the types its library sections name, and no more
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    exported = {name for name in vars(zoswarm) if not name.startswith("_")} - set(MODULES)
+    assert exported == {
+        "erdos_renyi", "laplacian_spectrum", "make_synthetic_classification",
+        "theorem_schedule", "HyperParams", "run", "summarize",
+        "StochasticProblem", "ClassificationProblem", "Topology", "SmoothingSchedule",
+        "EigenSolveError",
+    }
+    assert [name for name in sorted(exported) if not re.search(rf"(`|zs\.){name}\b", readme)] == []
+
+
 @pytest.mark.parametrize("name", SOURCES)
 def test_every_module_level_import_is_used(name):
     # no linter is a dependency; this catches an import orphaned by a deletion
@@ -52,6 +66,10 @@ def test_every_module_level_import_is_used(name):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported += [a.asname or a.name for a in node.names]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    # a name the module lists in __all__ is re-exported, which pyflakes counts as a use
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", "") for t in node.targets] == ["__all__"]:
+            used |= set(ast.literal_eval(node.value))
     assert imported
     assert [name for name in imported if name not in used] == []
 
@@ -94,12 +112,12 @@ def test_option_surface_is_pinned():
     # problem method is a deliberate change to this test
     schema = {
         f"{'algorithm.a' if section == 'algorithm' else section}.{name}"
-        for section, rows in harness.CONFIG_SCHEMA.items()
+        for section, rows in CONFIG_SCHEMA.items()
         for name in rows
     }
     assert schema | {"algorithms"} == set(CONFIG_KEYS)
     assert len(CONFIG_KEYS) == 22
-    parsed = harness.parse_config("".join(f"{k} = {v}\n" for k, v in CONFIG_KEYS.items()))
+    parsed = parse_config("".join(f"{k} = {v}\n" for k, v in CONFIG_KEYS.items()))
     assert parsed.problem["zeta"] == 0.1 and parsed.topology["prob"] == 1.0
     assert parsed.algorithms[0].smoothing == "fixed:0.01"
 
@@ -136,8 +154,8 @@ def test_option_surface_is_pinned():
     assert [f.name for f in dataclasses.fields(estimator.SmoothingSchedule)] == ["mode", "value"]
     assert type(dynamics.theorem_schedule(1, 1, 1)) is float
     profile = graph.laplacian_spectrum(graph.erdos_renyi(2, 1.0))
-    spec = harness.AlgorithmSpec(label="z", kind="zoom")
-    assert type(harness.resolve_hyperparams(spec, profile, 2, 2, 8)) is dynamics.HyperParams
+    spec = AlgorithmSpec(label="z", kind="zoom")
+    assert type(resolve_hyperparams(spec, profile, 2, 2, 8)) is dynamics.HyperParams
 
     # a graph is kept in one form, the Laplacian's padded neighbour table, and
     # its spectral profile is the three bounds derived from it
@@ -159,7 +177,7 @@ def test_readme_config_format_names_every_key():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     section = readme.split("## Config format", 1)[1].split("\n## ", 1)[0]
     missing = []
-    for group, rows in harness.CONFIG_SCHEMA.items():
+    for group, rows in CONFIG_SCHEMA.items():
         for name in rows:
             if group == "algorithm":
                 pattern = rf"(algorithm\.\S+\.|defaults\.){name}\b"
@@ -199,5 +217,5 @@ def test_every_config_row_is_set_by_a_bundled_config_or_a_workload(monkeypatch):
             if section in ("defaults", "algorithm"):
                 section, name = "algorithm", name.rpartition(".")[2]
             set_rows.add(f"{section}.{name}")
-    rows = {f"{section}.{name}" for section, names in harness.CONFIG_SCHEMA.items() for name in names}
+    rows = {f"{section}.{name}" for section, names in CONFIG_SCHEMA.items() for name in names}
     assert sorted(rows - set_rows) == []

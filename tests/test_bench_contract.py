@@ -15,6 +15,7 @@ import pytest
 
 import zoswarm
 from zoswarm import graph, harness
+from zoswarm.config import parse_config, resolve_hyperparams
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -138,10 +139,10 @@ def test_every_workload_config_sets_up(monkeypatch, seed):
 
     configs = Path(zoswarm.__file__).parent / "configs"
     for workload in workloads.WORKLOADS.values():
-        config = harness.parse_config(workloads.config_text(workload, seed, configs))
+        config = parse_config(workloads.config_text(workload, seed, configs))
         problem = harness.build_problem(config)
         topo = harness.build_topology(config)
         assert problem.local_count == topo.n, workload.name
         profile = graph.laplacian_spectrum(topo)
         for spec in config.algorithms:
-            harness.resolve_hyperparams(spec, profile, topo.n, problem.dimension, config.T)
+            resolve_hyperparams(spec, profile, topo.n, problem.dimension, config.T)

@@ -5,16 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reference_engine
 from zoswarm import harness
 from zoswarm.cli import main
+from zoswarm.config import AlgorithmSpec, ConfigError, ExperimentConfig, build_topology, load_config
 from zoswarm.graph import erdos_renyi, laplacian_spectrum
-from zoswarm.harness import (
-    AlgorithmSpec,
-    ConfigError,
-    ExperimentConfig,
-    build_topology,
-    load_config,
-)
 from zoswarm.problems import QuadraticToyProblem
 
 TOY_CFG = """
@@ -163,19 +158,26 @@ def test_run_rejects_config_that_cannot_be_read(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "algorithms, label",
-    [("algorithms = x\nalgorithm.x.kind = dsgd", "x"), ("algorithms = dsgd", "dsgd")],
+    "algorithms, message",
+    [
+        # a kind the config spells is a parse error on its line
+        (
+            "algorithms = x\nalgorithm.x.kind = dsgd",
+            "line 14: algorithm.x.kind = 'dsgd' is not zoom or zoom_pb",
+        ),
+        # a kind taken from its label is caught by the gate
+        ("algorithms = dsgd", "algorithm.dsgd.kind = 'dsgd' is not zoom or zoom_pb"),
+    ],
     ids=["kind", "label"],
 )
-def test_run_rejects_the_first_order_kind(tmp_path, capsys, algorithms, label):
+def test_run_rejects_the_first_order_kind(tmp_path, capsys, algorithms, message):
     cfg = tmp_path / "toy.cfg"
     cfg.write_text(
         TOY_CFG.replace("algorithms = zoom,zoom_pb\nalgorithm.zoom_pb.gamma = 0.7", algorithms)
     )
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: unknown algorithm kind 'dsgd' for {label!r}")
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
 
 
@@ -361,7 +363,7 @@ def test_spectra_counts_the_edges_of_a_sparse_config(tmp_path, capsys):
     text = TOY_CFG.replace("topology.n = 3", "topology.n = 12")
     cfg.write_text(text.replace("topology.prob = 1.0", "topology.prob = 0.3"))
     assert main(["spectra", "--config", str(cfg)]) == 0
-    edges = np.count_nonzero(build_topology(load_config(cfg)).weights) // 2
+    edges = np.count_nonzero(reference_engine.weights(build_topology(load_config(cfg)))) // 2
     assert 11 <= edges < 66  # connected, not complete
     assert f"edges: {edges}\n" in capsys.readouterr().out
 

@@ -21,13 +21,8 @@ import sys
 from pathlib import Path
 
 import zoswarm
-from zoswarm.harness import (
-    gamma_sweep,
-    load_config,
-    parse_config,
-    record_csv_fingerprint,
-    run_battery,
-)
+from zoswarm.config import load_config, parse_config
+from zoswarm.harness import gamma_sweep, record_csv_fingerprint, run_battery
 
 PAPER_IV_A_T30_SEED1 = "a2c13c877567e111a2c942005775c98f3a2fb1b32754ec752199102aee4f5666"
 TOY_QUADRATIC = "1c204008870ede1ee1f3a0246592774ca6e2c3b77c67164671e68ed15a67f621"
@@ -95,7 +90,8 @@ def test_toy_quadratic_gamma_sweep_is_pinned(tmp_path):
 # prints one line per run of a short paper_iv_a battery: label and fingerprint digest
 _FINGERPRINTS = """
 import hashlib, tempfile
-from zoswarm.harness import load_config, record_csv_fingerprint, run_battery
+from zoswarm.config import load_config
+from zoswarm.harness import record_csv_fingerprint, run_battery
 config = load_config("paper_iv_a")
 config.T = 20
 config.seeds = [1]
@@ -109,8 +105,9 @@ with tempfile.TemporaryDirectory() as out:
 # workload, cut to three rounds, then the topology's alpha_max in hex
 _SWARM_FINGERPRINTS = """
 import hashlib, tempfile
+from zoswarm.config import build_topology, parse_config
 from zoswarm.graph import laplacian_spectrum
-from zoswarm.harness import build_topology, parse_config, record_csv_fingerprint, run_battery
+from zoswarm.harness import record_csv_fingerprint, run_battery
 config = parse_config('''
 problem.name = quadratic_toy
 problem.n_agents = 1000

@@ -1,28 +1,31 @@
 import inspect
+import math
+import tempfile
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zoswarm import dynamics, graph, harness
-from zoswarm.dynamics import HyperParams, run
-from zoswarm.graph import Topology, laplacian_spectrum
-from zoswarm.harness import (
+from zoswarm import dynamics, graph
+from zoswarm.config import (
+    _PROBLEMS,
+    CONFIG_SCHEMA,
     AlgorithmSpec,
     ConfigError,
     ExperimentConfig,
     build_problem,
     build_topology,
-    gamma_sweep,
     load_config,
     parse_config,
-    record_csv_fingerprint,
     resolve_hyperparams,
-    run_battery,
 )
+from zoswarm.dynamics import HyperParams, run
+from zoswarm.graph import Topology, laplacian_spectrum
+from zoswarm.harness import gamma_sweep, record_csv_fingerprint, run_battery
 
 TOY_CFG = """
 problem.name = quadratic_toy
@@ -44,7 +47,7 @@ algorithm.zoom_pb.gamma = 0.7
 
 def _malformed_row_cases():
     """A malformed value for every schema row that is not text, in each key form."""
-    for section, rows in harness.CONFIG_SCHEMA.items():
+    for section, rows in CONFIG_SCHEMA.items():
         for name, (read, expected) in rows.items():
             if read is str:
                 continue
@@ -75,9 +78,8 @@ SMOOTHING = st.one_of(
     st.just("theorem_decay"),
     st.builds("{}:{!r}".format, st.sampled_from(["theorem_decay", "fixed", "scaled_fixed"]), POSITIVE),
 )
-# (text, value) pairs valid for a row: by row where its reader alone does not
-# say what is valid (AlgorithmSpec checks the kind and the estimator), else
-# by reader
+# (text, value) pairs valid for a row: by row where the reader is not a plain
+# type (the kind and the estimator take one of a few words), else by reader
 ROW_VALUES = {
     ("algorithm", "kind"): _as_text(st.sampled_from(dynamics.ALGORITHMS)),
     ("algorithm", "estimator"): _as_text(st.sampled_from(dynamics.ESTIMATORS)),
@@ -98,7 +100,7 @@ FILLER = st.sampled_from(["", "   ", "# a comment", "# key = value"])
 def _row_values(section, name):
     if (section, name) in ROW_VALUES:
         return ROW_VALUES[section, name]
-    read, _ = harness.CONFIG_SCHEMA[section][name]
+    read, _ = CONFIG_SCHEMA[section][name]
     return SEEDS if read == [int] else READER_VALUES[read]
 
 
@@ -135,8 +137,11 @@ class TestConfigParsing:
             parse_config("runt.T = 5\n")
         with pytest.raises(ConfigError, match="unknown algorithm field"):
             parse_config("algorithms = zoom\nalgorithm.zoom.step = 5\n")
-        with pytest.raises(ConfigError, match="unknown algorithm kind"):
-            parse_config("algorithms = sneaky\n")
+        # a kind taken from a label is left to the gate
+        with pytest.raises(
+            ConfigError, match=r"^algorithm\.sneaky\.kind = 'sneaky' is not zoom or zoom_pb$"
+        ):
+            parse_config("algorithms = sneaky\n").validate()
 
     def test_label_may_contain_a_dot(self):
         cfg = parse_config("algorithms = zoom.v2\nalgorithm.zoom.v2.kind = zoom\n")
@@ -147,11 +152,10 @@ class TestConfigParsing:
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_drawn_values_parse_back_exactly(self, data):
-        rows = [(section, name) for section, names in harness.CONFIG_SCHEMA.items() for name in names]
+        rows = [(section, name) for section, names in CONFIG_SCHEMA.items() for name in names]
         chosen = data.draw(st.lists(st.sampled_from(rows), unique=True))
+        # the parser keeps a kind taken from a label unchecked, as it keeps any text
         label = data.draw(st.sampled_from([*dynamics.ALGORITHMS, "a", "b.c"]))
-        if label not in dynamics.ALGORITHMS and ("algorithm", "kind") not in chosen:
-            chosen.append(("algorithm", "kind"))  # only a label that is a kind may leave it out
         expected = ExperimentConfig()
         fields = {}
         lines = [f"algorithms = {label}"]
@@ -240,6 +244,128 @@ class TestConfigParsing:
             cfg.validate()
 
 
+# algorithm fields whose None means "take HyperParams' default"
+UNSET = {f.name for f in fields(AlgorithmSpec) if f.default is None}
+
+# values of the right kind that the gate, a builder or resolve_hyperparams rejects
+OUT_OF_RANGE = {
+    ("run", "T"): [0, -1],
+    ("run", "record_every"): [0, -2],
+    ("run", "seeds"): [[-1], [], [1, 1]],
+    ("problem", "name"): ["mystery"],
+    ("problem", "n_train"): [0],
+    ("problem", "n_test"): [0],
+    ("problem", "d"): [0],
+    ("problem", "n_agents"): [0, -1],
+    ("problem", "seed"): [-1],
+    ("problem", "p"): [0],
+    ("problem", "zeta"): [-1.0, math.nan],
+    ("topology", "n"): [1, 0],
+    ("topology", "prob"): [0.0, 1.5, -0.5, math.nan],
+    ("topology", "seed"): [-1],
+    ("algorithm", "label"): ["../x", 'a"b', "z" * 300],
+    ("algorithm", "kind"): ["dsgd"],
+    ("algorithm", "estimator"): ["backward"],
+    ("algorithm", "gamma"): [0.0, -1.0, math.nan, math.inf],
+    ("algorithm", "eta"): [-0.1, math.nan, math.inf],
+    ("algorithm", "alpha_frac"): [0.0, 1.0, 2.0, math.nan],
+    ("algorithm", "n_c"): [0, -1, 10**6],
+    ("algorithm", "smoothing"): ["fixed:-1", "fixed:0", "theorem_decay:nan", "decay"],
+}
+
+
+def _wrong_kinds(section, name):
+    """Values no text of the row reads as: a bool, a float in an int row,
+    numeric text, ``None`` where it does not mean unset, a list."""
+    if name == "label":
+        return [5, None, ["z"]]
+    read, _ = CONFIG_SCHEMA[section][name]
+    if read == [int]:
+        return [[True], [1.5], ["1"], [None], 5, None, "1"]
+    if read is int:
+        kinds = [True, 2.5, 3.0, "3", [1]]
+    elif read is float or name == "eta":
+        kinds = [True, False, "0.5", [0.5]]
+    else:
+        kinds = [5, 0.5, True, ["x"]]
+    return kinds if section == "algorithm" and name in UNSET else kinds + [None]
+
+
+@st.composite
+def bad_fields(draw):
+    """(bundled config, T <= 5, section, field, value) with one field wrong."""
+    name = draw(st.sampled_from(["paper_iv_a", "toy_quadratic"]))
+    cfg = load_config(name)
+    rows = [("run", field) for field in CONFIG_SCHEMA["run"]]
+    rows += [(section, field) for section in ("problem", "topology") for field in getattr(cfg, section)]
+    rows += [("algorithm", field) for field in ["label", *CONFIG_SCHEMA["algorithm"]]]
+    section, field = draw(st.sampled_from(rows))
+    values = _wrong_kinds(section, field) + OUT_OF_RANGE.get((section, field), [])
+    return name, draw(st.integers(1, 5)), section, field, draw(st.sampled_from(values))
+
+
+def _with_field(name, horizon, section, field, value):
+    cfg = load_config(name)
+    cfg.T = horizon
+    if section == "run":
+        setattr(cfg, field, value)
+    elif section == "algorithm":
+        cfg.algorithms[0] = replace(cfg.algorithms[0], **{field: value})
+    else:
+        getattr(cfg, section)[field] = value
+    return cfg
+
+
+class TestGate:
+    @settings(max_examples=150, deadline=None)
+    @given(bad_fields())
+    @example(("toy_quadratic", 5, "run", "record_every", 2.5))
+    @example(("toy_quadratic", 5, "run", "seeds", [1.5]))
+    @example(("toy_quadratic", 5, "run", "seeds", [True]))
+    @example(("toy_quadratic", 5, "run", "T", True))
+    @example(("toy_quadratic", 5, "algorithm", "n_c", True))
+    @example(("toy_quadratic", 5, "run", "seeds", ["1"]))
+    @example(("toy_quadratic", 5, "run", "record_every", "3"))
+    @example(("toy_quadratic", 5, "run", "T", "5"))
+    @example(("toy_quadratic", 5, "algorithm", "gamma", "x"))
+    @example(("toy_quadratic", 5, "problem", "name", ["x"]))
+    def test_a_config_built_in_code_fails_before_anything_is_written(self, case):
+        cfg = _with_field(*case)
+        with tempfile.TemporaryDirectory() as scratch:
+            out = Path(scratch) / "out"
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # T <= 5 is a short horizon
+                with pytest.raises(ConfigError):
+                    run_battery(cfg, out_dir=out, quiet=True)
+            assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            (("run", "record_every", 2.5), "run.record_every = 2.5 is not an integer"),
+            (("run", "T", True), "run.T = True is not an integer"),
+            (("run", "seeds", [1, "2"]), "run.seeds = '2' is not an integer"),
+            (("run", "seeds", 1), "run.seeds = 1 is not a list"),
+            (("problem", "name", ["x"]), "problem.name = ['x'] is not text"),
+            (("topology", "prob", "0.5"), "topology.prob = '0.5' is not a number"),
+            (("algorithm", "label", 5), "algorithm label 5 is not text"),
+            (("algorithm", "eta", None), "algorithm.zoom.eta = None is not 'theorem' or a number"),
+            (("algorithm", "estimator", "fd"), "algorithm.zoom.estimator = 'fd' is not forward or central"),
+        ],
+    )
+    def test_a_value_of_the_wrong_kind_is_named_with_its_row(self, case, message):
+        with pytest.raises(ConfigError) as info:
+            _with_field("toy_quadratic", 5, *case).validate()
+        assert str(info.value) == message
+
+    def test_numpy_scalars_and_unset_fields_pass(self):
+        cfg = _with_field("toy_quadratic", np.int64(5), "run", "seeds", [np.int64(1)])
+        cfg.topology["prob"] = np.float32(0.9)
+        cfg.algorithms[1] = replace(cfg.algorithms[1], gamma=np.float32(0.7), n_c=np.int8(2))
+        assert cfg.algorithms[0].gamma is None
+        cfg.validate()
+
+
 class TestBundledConfigs:
     def test_benchmark_config_matches_protocol(self):
         cfg = load_config("paper_iv_a")
@@ -289,14 +415,14 @@ class TestBuilders:
     def test_problem_rows_are_the_factories_parameters_plus_name(self):
         parameters = {
             name
-            for factory in harness._PROBLEMS.values()
+            for factory in _PROBLEMS.values()
             for name in inspect.signature(factory).parameters
         }
-        assert set(harness.CONFIG_SCHEMA["problem"]) == parameters | {"name"}
+        assert set(CONFIG_SCHEMA["problem"]) == parameters | {"name"}
 
     def test_topology_rows_are_the_factorys_parameters(self):
         parameters = inspect.signature(graph.erdos_renyi).parameters
-        assert set(harness.CONFIG_SCHEMA["topology"]) == set(parameters)
+        assert set(CONFIG_SCHEMA["topology"]) == set(parameters)
 
     @pytest.mark.parametrize(
         "name, agents, dimension", [("classification", 10, 100), ("quadratic_toy", 5, 10)]
@@ -611,12 +737,10 @@ def test_battery_solves_the_spectrum_once_and_keeps_it_read_only(monkeypatch):
     assert len(battery.runs) == 6  # two algorithms x three seeds, each calling run
     assert solves == [4]
 
-    # the memo cannot go stale: neither the weights nor the Laplacian's table take writes
+    # the memo cannot go stale: the Laplacian's table takes no writes
     topo = build_topology(toy_config())
     profile = laplacian_spectrum(topo)
     assert laplacian_spectrum(topo) is profile
-    with pytest.raises(ValueError, match="read-only"):
-        topo.weights[0, 1] = 5.0
     for table in (topo.neighbours, topo.coefficients):
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 5

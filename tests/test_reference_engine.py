@@ -17,7 +17,7 @@ import pytest
 import reference_engine
 from zoswarm.dynamics import run
 from zoswarm.graph import laplacian_spectrum
-from zoswarm.harness import build_problem, build_topology, load_config, resolve_hyperparams
+from zoswarm.config import build_problem, build_topology, load_config, resolve_hyperparams
 
 T = 200
 RTOL = 1e-10
@@ -49,7 +49,7 @@ def test_records_match_the_reference_engine(name):
         for seed in config.seeds:
             got = run(topo, problem, params, seed=seed, record_every=config.record_every).records
             expected = reference_engine.run(
-                topo.weights, problem, params, seed, config.record_every
+                reference_engine.weights(topo), problem, params, seed, config.record_every
             )
             where = f"{spec.label} seed {seed}"
             assert [(r.k, r.oracle_calls) for r in got] == [(e[0], e[5]) for e in expected], where
