@@ -77,11 +77,18 @@ class ExperimentConfig:
         for name, row in CONFIG_SCHEMA["run"].items():
             _check_kind(f"run.{name}", getattr(self, name), *row)
         for section in ("problem", "topology"):
-            for name, value in getattr(self, section).items():
+            settings = getattr(self, section)
+            if not isinstance(settings, dict):
+                raise ConfigError(f"{section} = {settings!r} is not a dict of settings")
+            for name, value in settings.items():
                 if name in CONFIG_SCHEMA[section]:  # its builder names a setting without a row
                     _check_kind(f"{section}.{name}", value, *CONFIG_SCHEMA[section][name])
+        if not isinstance(self.algorithms, list):
+            raise ConfigError(f"algorithms = {self.algorithms!r} is not a list")
         unset = {f.name for f in fields(AlgorithmSpec) if f.default is None}
-        for spec in self.algorithms:
+        for position, spec in enumerate(self.algorithms):
+            if not isinstance(spec, AlgorithmSpec):
+                raise ConfigError(f"algorithms[{position}] = {spec!r} is not an AlgorithmSpec")
             if not isinstance(spec.label, str):
                 raise ConfigError(f"algorithm label {spec.label!r} is not text")
             for name, row in CONFIG_SCHEMA["algorithm"].items():

@@ -11,7 +11,8 @@ changes the algorithm.
 
 It is also the one home of the plain formulas that ``test_fast_paths.py``
 holds the fast paths in ``src/`` to, bit for bit: ``nlls_evaluate`` for
-``ClassificationProblem.evaluate``, the two-branch ``sigmoid``, the one-pass
+``ClassificationProblem.evaluate``, ``toy_evaluate`` for
+``QuadraticToyProblem.evaluate``, the two-branch ``sigmoid``, the one-pass
 classification loss and gradient, the estimators, ``powerball``,
 ``holder_norm_sq``, ``consensus_error`` and ``coordinate_rows``.  ``weights``
 gives a topology's dense matrix back from its neighbour table.
@@ -44,6 +45,12 @@ def nlls_evaluate(problem, agent, x, xi):
         e = math.exp(t)
         phi = e / (1.0 + e)
     return (float(problem.train_labels[xi]) - phi) ** 2
+
+
+def toy_evaluate(problem, agent, x, z):
+    """The toy's single-sample value ``0.5 ||x - c_i||^2 + z . (x - c_i)``."""
+    diff = x - problem.centers[agent]
+    return float((0.5 * diff) @ diff + z @ diff)
 
 
 def local_gradient(problem, agent, x):

@@ -125,6 +125,30 @@ def test_classification_evaluate_follows_row_switches(case, data):
             )
 
 
+CENTRED = QuadraticToyProblem(np.random.default_rng(5).standard_normal((3, 17)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    with_points(toy_problems(max_agents=4, max_dimension=40), count=1),
+    st.one_of(st.just(0.0), SCALES),
+    st.integers(0, 2**32 - 1),
+)
+@example((CENTRED, [CENTRED.centers[1].copy()]), 0.0, 0)
+@example((CENTRED, [CENTRED.centers[1].copy()]), 1.0, 7)
+def test_toy_evaluate_keeps_the_plain_bits(case, zeta, seed):
+    # evaluate halves d . d where the formula halves d first, which is the same
+    # bits while every d_j^2 is zero or a normal float and d . d is finite.  The
+    # draws stay inside that: centres are normals scaled by at least 1e-3 and
+    # coordinates at most 50, so each d_j is exactly zero or far above 1e-154
+    problem, (x,) = case
+    z = np.random.default_rng(seed).standard_normal(problem.dimension) * zeta
+    for agent in range(problem.local_count):
+        assert bits(problem.evaluate(agent, x, z)) == bits(
+            reference_engine.toy_evaluate(problem, agent, x, z)
+        )
+
+
 # ---- the problems' diagnostics -----------------------------------------------
 
 

@@ -11,7 +11,8 @@ parse digests pin ``repr(parse_config(text))`` of the bundled configs and
 of the benchmark workloads' generated configs, so a refactor of the config
 layer reads every one of them as before.  The last two tests run a
 paper_iv_a battery and a 1000-agent toy battery on one and on two BLAS
-threads and ask for the same records.
+threads and ask for the same records; the toy battery's, with its
+``alpha_max``, are pinned too, as ``TOY_SWARM_T3``.
 """
 
 import hashlib
@@ -27,6 +28,8 @@ from zoswarm.harness import gamma_sweep, record_csv_fingerprint, run_battery
 PAPER_IV_A_T30_SEED1 = "a2c13c877567e111a2c942005775c98f3a2fb1b32754ec752199102aee4f5666"
 TOY_QUADRATIC = "1c204008870ede1ee1f3a0246592774ca6e2c3b77c67164671e68ed15a67f621"
 TOY_SWEEP_T200 = "7a2334c5f8cbd049ee43750b41810dbfcb88cd95c167ea4d09aa78e100a8a9c4"
+# sha256 of the output of _SWARM_FINGERPRINTS below
+TOY_SWARM_T3 = "6b26b7ab6a6b175f0d3a54b7cdfc39ee3c2b7bf13187d8eb4d45edb23b5a4da1"
 
 # config -> sha256 of repr(parse_config(text)); "<workload>@<seed>" is the
 # config the benchmark generates for that workload and workload seed
@@ -171,3 +174,4 @@ def test_swarm_records_do_not_depend_on_blas_threads():
     outputs = outputs_on_one_and_two_blas_threads(_SWARM_FINGERPRINTS)
     assert len(outputs[0].splitlines()) == 3
     assert outputs[0] == outputs[1]
+    assert hashlib.sha256(outputs[0].encode()).hexdigest() == TOY_SWARM_T3

@@ -307,7 +307,7 @@ def bad_fields(draw):
 def _with_field(name, horizon, section, field, value):
     cfg = load_config(name)
     cfg.T = horizon
-    if section == "run":
+    if section in ("run", "config"):  # "config" replaces a whole container
         setattr(cfg, field, value)
     elif section == "algorithm":
         cfg.algorithms[0] = replace(cfg.algorithms[0], **{field: value})
@@ -351,6 +351,10 @@ class TestGate:
             (("algorithm", "label", 5), "algorithm label 5 is not text"),
             (("algorithm", "eta", None), "algorithm.zoom.eta = None is not 'theorem' or a number"),
             (("algorithm", "estimator", "fd"), "algorithm.zoom.estimator = 'fd' is not forward or central"),
+            (("config", "problem", None), "problem = None is not a dict of settings"),
+            (("config", "topology", None), "topology = None is not a dict of settings"),
+            (("config", "algorithms", ["zoom"]), "algorithms[0] = 'zoom' is not an AlgorithmSpec"),
+            (("config", "algorithms", None), "algorithms = None is not a list"),
         ],
     )
     def test_a_value_of_the_wrong_kind_is_named_with_its_row(self, case, message):

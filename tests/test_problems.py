@@ -267,6 +267,28 @@ class TestQuadraticToy:
         with pytest.raises(ValueError, match="zeta"):
             make_quadratic_toy(2, 3, zeta=zeta)
 
+    @pytest.mark.parametrize(
+        "entry, match",
+        [
+            (float("nan"), "agent 2's center is nan at coordinate 1"),
+            (float("inf"), "agent 2's center is inf at coordinate 1"),
+            (float("-inf"), "agent 2's center is -inf at coordinate 1"),
+            ((4, 0), r"shape \(4, 0\)"),
+            ((0, 3), r"shape \(0, 3\)"),
+        ],
+    )
+    def test_rejects_invalid_centers(self, entry, match):
+        # a bad centre would otherwise surface as a non-finite oracle value at
+        # round 0, or as the estimator's n_c bound at p = 0
+        if isinstance(entry, tuple):
+            centers = np.zeros(entry)
+        else:
+            centers = np.zeros((4, 3))
+            centers[2, 1] = entry
+            centers[3, 0] = entry  # only the first is named
+        with pytest.raises(ValueError, match=match):
+            QuadraticToyProblem(centers)
+
     def test_zero_noise_oracle_is_deterministic_loss(self):
         problem = make_quadratic_toy(2, 3, seed=1, zeta=0.0)
         rng = np.random.default_rng(0)
