@@ -190,7 +190,8 @@ def step(
     ``problem.sample_round`` block of realizations, and the transform runs
     once on the whole steps matrix.  Replaying the coordinate block, then
     the agents' data draws in index order, from a second ``RunStreams``
-    reproduces the round.
+    reproduces the round.  A ``sample_round`` block that does not hold one
+    realization per agent is a ``ValueError`` naming the round.
     """
     iterates = state.iterates
     n, p = iterates.shape
@@ -198,15 +199,20 @@ def step(
     evaluate = problem.evaluate
     coords = sample_coordinates(n, p, params.n_c, streams.coords)
     draws = problem.sample_round(streams.data)
+    if len(draws) != n:  # the zip below would leave rows of steps unwritten
+        raise ValueError(
+            f"sample_round returned {len(draws)} realizations for {n} agents "
+            f"at iteration {state.k}"
+        )
     estimate = forward_estimate if params.estimator == "forward" else central_estimate
     delta = params.smoothing.delta(p, n, state.k)
     steps = np.empty_like(iterates)
     try:
-        for i in range(n):
+        for i, (x, realization, sample) in enumerate(zip(iterates, draws, coords)):
             steps[i] = estimate(
-                lambda z, agent=i, realization=draws[i]: evaluate(agent, z, realization),
-                iterates[i],
-                coords[i],
+                lambda z, agent=i, realization=realization: evaluate(agent, z, realization),
+                x,
+                sample,
                 delta,
             )
     except OracleEvaluationError as exc:
@@ -264,7 +270,8 @@ def run(
     Args:
         topo: connected communication graph; disconnected graphs are
             rejected because the dynamics assume connectivity.
-        problem: a :class:`~zoswarm.problems.StochasticProblem` with
+        problem: a :class:`~zoswarm.problems.StochasticProblem` whose
+            ``dimension`` and ``local_count`` are positive integers, with
             ``local_count == topo.n``.
         params: the algorithm and its hyperparameters; ``alpha`` must lie
             in the open interval ``(0, alpha_max)`` of this topology's
@@ -279,6 +286,10 @@ def run(
         raise ValueError(f"record_every must be an integer of at least 1, got {record_every!r}")
     if not is_connected(topo):
         raise ValueError("communication graph must be connected")
+    for name in ("dimension", "local_count"):
+        value = getattr(problem, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise ValueError(f"problem.{name} must be a positive integer, got {value!r}")
     if problem.local_count != topo.n:
         raise ValueError(
             f"problem carries {problem.local_count} agents but the topology has {topo.n}"

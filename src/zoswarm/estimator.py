@@ -2,16 +2,18 @@
 
 Given only function values ``F(x, xi)``, a gradient surrogate is built from
 finite differences along a random subset of standard basis directions and
-scaled by ``p / n_c`` to compensate the subsampling.  All evaluations inside
+scaled by ``p / n_c`` to compensate the subsampling; the subset is a
+:class:`CoordinateSample`, a sorted tuple of indices.  All evaluations inside
 one estimate share the same realization ``xi``; the caller fixes it by
-binding the oracle before calling in here.
+binding the oracle before calling in here.  Each estimate copies ``x`` once.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -51,25 +53,29 @@ class OracleEvaluationError(RuntimeError):
         self.k = k
 
 
-@dataclass(frozen=True)
-class CoordinateSample:
-    """A set of distinct coordinate indices to probe, stored sorted."""
+class CoordinateSample(tuple):
+    """Distinct nonnegative coordinate indices to probe: a sorted tuple of ints."""
 
-    indices: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        idx = tuple(int(i) for i in self.indices)
+    def __new__(cls, indices: Iterable[int]) -> CoordinateSample:
+        idx = []
+        for i in indices:
+            if isinstance(i, bool) or not isinstance(i, numbers.Integral):
+                raise ValueError(f"coordinate indices must be integers, got {i!r}")
+            idx.append(int(i))
         if len(idx) < 1:
             raise ValueError("a coordinate sample cannot be empty")
         if len(set(idx)) != len(idx):
-            raise ValueError(f"coordinate indices must be distinct, got {idx}")
+            raise ValueError(f"coordinate indices must be distinct, got {tuple(idx)}")
         if min(idx) < 0:
             raise ValueError("coordinate indices must be nonnegative")
-        object.__setattr__(self, "indices", tuple(sorted(idx)))
+        return super().__new__(cls, sorted(idx))
 
     @property
     def n_c(self) -> int:
-        return len(self.indices)
+        """The sample's size, ``len(self)``."""
+        return len(self)
 
 
 @dataclass(frozen=True)
@@ -109,22 +115,28 @@ def sample_coordinates(
 ) -> list[CoordinateSample]:
     """Draw ``n`` uniform ``n_c``-subsets of ``0..p-1`` from one ``(n, p)`` block.
 
-    Sample ``i`` is the positions of the ``n_c`` smallest uniforms in row ``i``,
-    which are equally likely to be any ``n_c`` of the ``p`` positions.
+    Sample ``i`` is the sorted positions of the ``n_c`` smallest uniforms in row
+    ``i``, which are equally likely to be any ``n_c`` of the ``p`` positions; it
+    meets the checks of ``CoordinateSample`` by construction and skips them.
     """
     if not 1 <= n_c <= p:
         raise ValueError(f"need 1 <= n_c <= p, got n_c={n_c}, p={p}")
     block = np.argpartition(rng.random((n, p)), n_c - 1, axis=1)[:, :n_c]
     block.sort(axis=1)
-    # positions within a row are distinct, in range and now sorted, so each row
-    # is wrapped as is, without the checks of __post_init__
-    new, assign = object.__new__, object.__setattr__
-    samples = []
-    for row in block.tolist():
-        sample = new(CoordinateSample)
-        assign(sample, "indices", tuple(row))
-        samples.append(sample)
-    return samples
+    new = tuple.__new__
+    return [new(CoordinateSample, row) for row in block.tolist()]
+
+
+def _probe_buffer(x: np.ndarray, sample: CoordinateSample, delta: float) -> np.ndarray:
+    """The one copy of ``x`` that an estimate shifts, after checking its inputs."""
+    if delta <= 0.0:
+        raise ValueError("delta must be positive")
+    probe = np.array(x, dtype=float)
+    if sample[-1] >= len(probe):  # the sample is sorted: its last index is its largest
+        raise ValueError(
+            f"coordinate index {sample[-1]} is out of range for dimension p = {len(probe)}"
+        )
+    return probe
 
 
 def forward_estimate(
@@ -133,25 +145,23 @@ def forward_estimate(
     """Forward-difference coordinate estimate of the gradient at ``x``.
 
     Returns ``(p / n_c) * sum_{j in S} (F(x + delta e_j) - F(x)) / delta * e_j``,
-    zero outside the sampled coordinates.  Costs exactly ``n_c + 1`` oracle
-    evaluations; the base value is shared across coordinates.  The shifted
-    points are written into one probe buffer, restored exactly after each
-    probe, so the oracle must not keep a reference to its argument.
+    zero outside the sampled coordinates ``S``.  Costs exactly ``n_c + 1``
+    oracle evaluations; the base value is shared across coordinates.  ``x`` is
+    copied once, into a probe buffer that is shifted and restored exactly for
+    each probe, so the oracle must not keep a reference to its argument.  An
+    index at or beyond ``p`` is a ``ValueError``.
     """
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    x = np.asarray(x, dtype=float)
-    base = float(oracle(x))
+    probe = _probe_buffer(x, sample, delta)
+    base = float(oracle(probe))
     if not math.isfinite(base):
         raise OracleEvaluationError("oracle returned a non-finite value at the base point")
-    scale = x.size / sample.n_c
-    estimate = np.zeros(x.size)
-    probe = x.copy()
+    scale = len(probe) / len(sample)
+    estimate = np.zeros(len(probe))
     # the probe's memoryview gets and sets the same float64 bytes as numpy scalar
     # indexing, without boxing each entry in an np.float64; the estimate, written
     # once per coordinate, does not repay the cost of making a second view
     probe_entries = probe.data
-    for j in sample.indices:
+    for j in sample:
         xj = probe_entries[j]
         probe_entries[j] = xj + delta
         value = float(oracle(probe))
@@ -172,17 +182,14 @@ def central_estimate(
     Returns ``(p / n_c) * sum_{j in S} (F(x + delta e_j) - F(x - delta e_j))
     / (2 delta) * e_j``.  Costs exactly ``2 n_c`` oracle evaluations and is
     exact on quadratics up to the ``p / n_c`` subsampling scale.  Like
-    :func:`forward_estimate` it probes through one reused buffer, so the
+    :func:`forward_estimate` it probes through one copy of ``x``, so the
     oracle must not keep a reference to its argument.
     """
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    x = np.asarray(x, dtype=float)
-    scale = x.size / sample.n_c
-    estimate = np.zeros(x.size)
-    probe = x.copy()
+    probe = _probe_buffer(x, sample, delta)
+    scale = len(probe) / len(sample)
+    estimate = np.zeros(len(probe))
     probe_entries = probe.data
-    for j in sample.indices:
+    for j in sample:
         xj = probe_entries[j]
         probe_entries[j] = xj + delta
         hi = float(oracle(probe))

@@ -292,8 +292,7 @@ def _check_central_quadratic() -> tuple[bool, str]:
         oracle = lambda z: float(0.5 * z @ hessian @ z + b @ z)
         got = estimator.central_estimate(oracle, x, sample, delta)
         expected = np.zeros(p)
-        indices = list(sample.indices)
-        expected[indices] = (p / n_c) * (hessian @ x + b)[indices]
+        expected[list(sample)] = (p / n_c) * (hessian @ x + b)[list(sample)]
         scale = max(float(np.abs(expected).max()), 1.0)
         worst = max(worst, float(np.abs(got - expected).max()) / scale)
     return worst < 1e-9, f"worst rel err={worst:.2e}"

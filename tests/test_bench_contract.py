@@ -2,11 +2,13 @@
 
 The benchmark's tracer patches named functions in ``zoswarm``'s modules and
 the ``evaluate`` method of the problem instance, then checks that every
-probe is one ``evaluate`` call.  ``mock.patch.object`` fails when a patched
-name is gone, so running a battery under the tracer also guards those
-names.  The workloads' generated configs must also keep passing the
-config layer's set-up.  These tests only import from ``benchmarks/``; they
-change nothing there.
+probe is one ``evaluate`` call: it counts the calls of each
+``forward_estimate``/``central_estimate(oracle, x, sample, delta)`` against
+``sample.n_c``, so a coordinate sample must keep that attribute.
+``mock.patch.object`` fails when a patched name is gone, so running a
+battery under the tracer also guards those names.  The workloads'
+generated configs must also keep passing the config layer's set-up.
+These tests only import from ``benchmarks/``; they change nothing there.
 """
 
 from pathlib import Path

@@ -438,6 +438,42 @@ class TestRun:
         with pytest.raises(ValueError, match="agents"):
             run(topo, problem, params)
 
+    @pytest.mark.parametrize(
+        ("name", "value"),
+        [("dimension", 5.0), ("dimension", 0), ("local_count", 4.0), ("local_count", True)],
+    )
+    def test_rejects_problem_sizes_that_are_not_positive_integers(self, toy_setup, name, value):
+        # dimension = 5.0 would otherwise end in a TypeError from np.zeros
+        topo, profile, _ = toy_setup
+        problem = make_quadratic_toy(4, 6, seed=3)
+        setattr(problem, name, value)
+        params = HyperParams(alpha=0.5 * profile.alpha_max, eta=0.01, T=5)
+        with pytest.raises(
+            ValueError, match=rf"^problem\.{name} must be a positive integer, got {value!r}$"
+        ):
+            run(topo, problem, params)
+
+    @pytest.mark.parametrize("size", [3, 5])
+    def test_a_sample_round_of_the_wrong_length_is_named_with_its_round(self, toy_setup, size):
+        # a short block would otherwise leave rows of steps unwritten, a long one pass unseen
+        topo, profile, _ = toy_setup
+        problem = make_quadratic_toy(4, 6, seed=3, zeta=0.3)
+        draw = problem.sample_round
+        calls = []
+
+        def wrong_from_round_two(rng):
+            calls.append(None)
+            block = list(draw(rng))
+            return block if len(calls) <= 2 else (block * 2)[:size]
+
+        problem.sample_round = wrong_from_round_two
+        params = HyperParams(alpha=0.5 * profile.alpha_max, eta=0.01, T=5)
+        with pytest.raises(
+            ValueError,
+            match=rf"^sample_round returned {size} realizations for 4 agents at iteration 2$",
+        ):
+            run(topo, problem, params)
+
     def test_record_cadence_and_final_record(self, toy_setup):
         topo, profile, problem = toy_setup
         eta = theorem_schedule(4, 6, 25)

@@ -30,18 +30,18 @@ class CountingOracle:
 class TestCoordinateSample:
     def test_full_set(self):
         rng = np.random.default_rng(0)
-        assert sample_coordinates(1, 5, 5, rng)[0].indices == (0, 1, 2, 3, 4)
+        assert sample_coordinates(1, 5, 5, rng)[0] == (0, 1, 2, 3, 4)
 
     def test_single_dimension(self):
         rng = np.random.default_rng(0)
-        assert sample_coordinates(1, 1, 1, rng)[0].indices == (0,)
+        assert sample_coordinates(1, 1, 1, rng)[0] == (0,)
 
     def test_seeded_replay(self):
         first = sample_coordinates(3, 100, 10, np.random.default_rng(42))
         second = sample_coordinates(3, 100, 10, np.random.default_rng(42))
         assert first == second
         assert [sample.n_c for sample in first] == [10, 10, 10]
-        assert all(0 <= j < 100 for sample in first for j in sample.indices)
+        assert all(0 <= j < 100 for sample in first for j in sample)
 
     def test_rejects_bad_sizes(self):
         rng = np.random.default_rng(0)
@@ -54,11 +54,18 @@ class TestCoordinateSample:
         with pytest.raises(ValueError, match="distinct"):
             CoordinateSample((1, 1))
 
+    @pytest.mark.parametrize("bad", [0.5, 1.7, 2.0, True, False, "1", None])
+    def test_rejects_a_non_integer_index_by_value(self, bad):
+        # int() would truncate 0.5 and 1.7 to 0 and 1, and read True as 1
+        message = rf"^coordinate indices must be integers, got {bad!r}$"
+        with pytest.raises(ValueError, match=message):
+            CoordinateSample((3, bad))
+
     def test_uniform_coverage(self):
         rng = np.random.default_rng(1)
         counts = np.zeros(6)
         for sample in sample_coordinates(3000, 6, 2, rng):
-            for j in sample.indices:
+            for j in sample:
                 counts[j] += 1
         # each coordinate appears with frequency ~ n_c/p = 1/3
         assert np.all(np.abs(counts / 3000 - 1 / 3) < 0.05)
@@ -81,14 +88,14 @@ class TestForwardEstimate:
             sample = sample_coordinates(1, 6, 3, rng)[0]
             got = forward_estimate(oracle, rng.standard_normal(6), sample, delta)
             expected = np.zeros(6)
-            expected[list(sample.indices)] = (6 / 3) * c[list(sample.indices)]
+            expected[list(sample)] = (6 / 3) * c[list(sample)]
             assert np.allclose(got, expected, atol=1e-9)
 
     def test_zero_outside_sampled_support(self):
         rng = np.random.default_rng(3)
         sample = sample_coordinates(1, 10, 3, rng)[0]
         got = forward_estimate(sphere, rng.standard_normal(10), sample, 0.05)
-        outside = [j for j in range(10) if j not in sample.indices]
+        outside = [j for j in range(10) if j not in sample]
         assert np.all(got[outside] == 0.0)
 
     def test_evaluation_count(self):
@@ -114,6 +121,17 @@ class TestForwardEstimate:
             forward_estimate(sphere, np.zeros(2), CoordinateSample((0,)), 0.0)
 
 
+@pytest.mark.parametrize("estimate", [forward_estimate, central_estimate])
+def test_an_index_beyond_the_dimension_is_named(estimate):
+    # the probe's memoryview would otherwise end this in a bare IndexError
+    oracle = CountingOracle(sphere)
+    message = r"^coordinate index 5 is out of range for dimension p = 3$"
+    with pytest.raises(ValueError, match=message):
+        estimate(oracle, np.zeros(3), CoordinateSample((1, 5)), 0.1)
+    assert oracle.calls == 0
+    estimate(oracle, np.zeros(3), CoordinateSample((2,)), 0.1)  # the last index is in range
+
+
 class TestCentralEstimate:
     def test_hand_value_quadratic(self):
         got = central_estimate(sphere, np.array([1.0, 0.0]), CoordinateSample((0,)), 0.1)
@@ -132,7 +150,7 @@ class TestCentralEstimate:
         x = rng.standard_normal(5)
         got = central_estimate(lambda z: float(c @ z), x, sample, 0.3)
         expected = np.zeros(5)
-        expected[list(sample.indices)] = (5 / 2) * c[list(sample.indices)]
+        expected[list(sample)] = (5 / 2) * c[list(sample)]
         assert np.allclose(got, expected, atol=1e-10)
 
     def test_evaluation_count(self):

@@ -18,7 +18,12 @@ from hypothesis import strategies as st
 
 import reference_engine
 from zoswarm.dynamics import powerball
-from zoswarm.estimator import central_estimate, forward_estimate, sample_coordinates
+from zoswarm.estimator import (
+    CoordinateSample,
+    central_estimate,
+    forward_estimate,
+    sample_coordinates,
+)
 from zoswarm.metrics import capture_record, consensus_error, holder_norm_sq
 from zoswarm.problems import (
     ClassificationProblem,
@@ -330,8 +335,21 @@ def test_sample_coordinates_rows_are_the_smallest_uniforms(n, p, data, seed):
     n_c = data.draw(st.integers(1, p))
     got = sample_coordinates(n, p, n_c, np.random.default_rng(seed))
     expected = reference_engine.coordinate_rows(np.random.default_rng(seed), n, p, n_c)
-    assert [sample.indices for sample in got] == [tuple(row) for row in expected]
-    assert all(type(j) is int for sample in got for j in sample.indices)
+    assert got == [tuple(row) for row in expected]
+    assert all(type(sample) is CoordinateSample for sample in got)
+    assert all(type(j) is int for sample in got for j in sample)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**40), min_size=1, max_size=40, unique=True))
+def test_a_coordinate_sample_is_its_sorted_indices(indices):
+    sample = CoordinateSample(indices)
+    assert sample == tuple(sorted(indices))
+    assert sample.n_c == len(sample) == len(indices)
+    assert CoordinateSample(sample) == sample
+    from_numpy = CoordinateSample(np.array(indices))
+    assert from_numpy == sample
+    assert all(type(j) is int for j in from_numpy)
 
 
 class RecordingOracle:
@@ -361,7 +379,7 @@ def test_buffered_estimators_keep_the_plain_bits(p, data, seed, scale):
     ):
         got_oracle, ref_oracle = RecordingOracle(weights), RecordingOracle(weights)
         got = fast(got_oracle, x, sample, delta)
-        expected = reference(ref_oracle, x, list(sample.indices), delta)
+        expected = reference(ref_oracle, x, list(sample), delta)
         assert bits(got) == bits(expected)
         # same probe points in the same order, and the caller's point untouched
         assert [bits(z) for z in got_oracle.probes] == [bits(z) for z in ref_oracle.probes]
