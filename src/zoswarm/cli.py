@@ -99,7 +99,7 @@ def _cmd_spectra(args) -> int:
     topo = build_topology(config)
     profile = graph.laplacian_spectrum(topo)
     print(f"agents: {topo.n}")
-    print(f"edges: {int((topo.coefficients[:, 1:] < 0.0).sum()) // 2}")
+    print(f"edges: {topo.edge_count}")
     print(f"connected: {graph.is_connected(topo)}")
     print(f"rho2 (smallest positive eigenvalue): {profile.rho2:.10g}")
     print(f"rho(L^2) (spectral radius of L squared): {profile.rho_l2:.10g}")

@@ -28,7 +28,7 @@ from .estimator import (
     forward_estimate,
     sample_coordinates,
 )
-from .graph import Topology, is_connected, laplacian_spectrum
+from .graph import Topology, is_connected, laplacian_product, laplacian_spectrum
 from .metrics import IterationRecord, capture_record
 
 __all__ = [
@@ -195,6 +195,10 @@ def step(
     """
     iterates = state.iterates
     n, p = iterates.shape
+    # row i of L @ X sums agent i's neighbour table in a fixed order without
+    # BLAS: elementwise the same arithmetic as updating one row at a time.  It
+    # is taken first, so its gathered blocks never sit beside the round's draws.
+    mixed = laplacian_product(topo, iterates)
     # The estimator helpers stay module-global lookups so they can be patched.
     evaluate = problem.evaluate
     coords = sample_coordinates(n, p, params.n_c, streams.coords)
@@ -224,9 +228,6 @@ def step(
         ) from exc
     if params.algorithm == "zoom_pb":
         steps = powerball(steps, params.gamma)  # elementwise: the same bits as row by row
-    # row i of L @ X from agent i's neighbour table, summed in a fixed order
-    # without BLAS: elementwise the same arithmetic as updating one row at a time
-    mixed = np.einsum("ij,ijk->ik", topo.coefficients, iterates[topo.neighbours])
     nxt = iterates - params.alpha * mixed - params.eta * steps
     if not np.abs(nxt).max() <= DIVERGENCE_LIMIT:  # also true when nxt holds a NaN
         bad = ~np.isfinite(nxt) | (np.abs(nxt) > DIVERGENCE_LIMIT)

@@ -32,7 +32,7 @@ SMOOTHING_MODES = ("theorem_decay", "fixed")
 
 
 class OracleEvaluationError(RuntimeError):
-    """The black-box oracle returned a non-finite value.
+    """The black-box oracle returned a non-finite value, or one ``float()`` rejects.
 
     ``coordinate`` is the basis direction being probed, or ``None`` when the
     failure happened at the unshifted base point.  ``agent`` and ``k`` name
@@ -132,11 +132,22 @@ def _probe_buffer(x: np.ndarray, sample: CoordinateSample, delta: float) -> np.n
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     probe = np.array(x, dtype=float)
+    if probe.ndim != 1:
+        raise ValueError(f"the point must be a 1-D vector, got shape {probe.shape}")
     if sample[-1] >= len(probe):  # the sample is sorted: its last index is its largest
         raise ValueError(
             f"coordinate index {sample[-1]} is out of range for dimension p = {len(probe)}"
         )
     return probe
+
+
+def _unreadable(exc: Exception, coordinate: int | None) -> OracleEvaluationError:
+    """The error for an oracle value that ``float()`` rejected with ``exc``."""
+    where = "at the base point" if coordinate is None else f"probing coordinate {coordinate}"
+    return OracleEvaluationError(
+        f"oracle returned a value that is not a real number {where} ({exc})",
+        coordinate=coordinate,
+    )
 
 
 def forward_estimate(
@@ -149,10 +160,17 @@ def forward_estimate(
     oracle evaluations; the base value is shared across coordinates.  ``x`` is
     copied once, into a probe buffer that is shifted and restored exactly for
     each probe, so the oracle must not keep a reference to its argument.  An
-    index at or beyond ``p`` is a ``ValueError``.
+    index at or beyond ``p``, or an ``x`` that is not 1-D, is a ``ValueError``.
+    An oracle value that is non-finite or that ``float()`` rejects is an
+    :class:`OracleEvaluationError`; an exception the oracle raises itself
+    passes through as it is.
     """
     probe = _probe_buffer(x, sample, delta)
-    base = float(oracle(probe))
+    base = oracle(probe)
+    try:
+        base = float(base)
+    except (TypeError, ValueError) as exc:
+        raise _unreadable(exc, None) from exc
     if not math.isfinite(base):
         raise OracleEvaluationError("oracle returned a non-finite value at the base point")
     scale = len(probe) / len(sample)
@@ -164,8 +182,12 @@ def forward_estimate(
     for j in sample:
         xj = probe_entries[j]
         probe_entries[j] = xj + delta
-        value = float(oracle(probe))
+        value = oracle(probe)
         probe_entries[j] = xj
+        try:
+            value = float(value)
+        except (TypeError, ValueError) as exc:
+            raise _unreadable(exc, j) from exc
         if not math.isfinite(value):
             raise OracleEvaluationError(
                 f"oracle returned a non-finite value probing coordinate {j}", coordinate=j
@@ -183,7 +205,8 @@ def central_estimate(
     / (2 delta) * e_j``.  Costs exactly ``2 n_c`` oracle evaluations and is
     exact on quadratics up to the ``p / n_c`` subsampling scale.  Like
     :func:`forward_estimate` it probes through one copy of ``x``, so the
-    oracle must not keep a reference to its argument.
+    oracle must not keep a reference to its argument, and it raises the
+    same errors.
     """
     probe = _probe_buffer(x, sample, delta)
     scale = len(probe) / len(sample)
@@ -192,10 +215,14 @@ def central_estimate(
     for j in sample:
         xj = probe_entries[j]
         probe_entries[j] = xj + delta
-        hi = float(oracle(probe))
+        hi = oracle(probe)
         probe_entries[j] = xj - delta
-        lo = float(oracle(probe))
+        lo = oracle(probe)
         probe_entries[j] = xj
+        try:
+            hi, lo = float(hi), float(lo)
+        except (TypeError, ValueError) as exc:
+            raise _unreadable(exc, j) from exc
         if not (math.isfinite(hi) and math.isfinite(lo)):
             raise OracleEvaluationError(
                 f"oracle returned a non-finite value probing coordinate {j}", coordinate=j

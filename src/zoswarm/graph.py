@@ -4,11 +4,13 @@ Agents exchange iterates over an undirected weighted graph.  The admissible
 consensus step size for the swarm update is governed by two spectral
 quantities of the graph Laplacian ``L``: its smallest positive eigenvalue
 ``rho2`` and the spectral radius of ``L^2``.  A topology keeps the
-Laplacian's rows as a padded neighbour table.  ``laplacian_spectrum`` bounds
-both quantities by a Lanczos iteration over that table, certifies the step
-bound ``alpha_max`` on a 40-bit grid, and keeps the profile on the
-topology, so every run on one graph shares a single solve.  No n x n array
-is built and no LAPACK routine runs.
+Laplacian's rows as a padded neighbour table, which no other zoswarm
+module reads: ``laplacian_product`` applies ``L`` from it a block of rows
+at a time, for the consensus step and the spectral solve alike.
+``laplacian_spectrum`` bounds both quantities by a Lanczos iteration over
+that table, certifies the step bound ``alpha_max`` on a 40-bit grid, and
+keeps the profile on the topology, so every run on one graph shares a
+single solve.  No n x n array is built and no LAPACK routine runs.
 """
 
 from __future__ import annotations
@@ -26,14 +28,16 @@ __all__ = [
     "EigenSolveError",
     "erdos_renyi",
     "laplacian_spectrum",
+    "laplacian_product",
     "is_connected",
 ]
 
 # Disconnected Erdos-Renyi draws retried before giving up.
 MAX_ATTEMPTS = 100
 
-# Edge draws made at a time: an Erdos-Renyi draw holds this many doubles,
-# not one per pair of agents.
+# Doubles held at a time by a block of work: an Erdos-Renyi draw holds this
+# many uniforms, not one per pair of agents, and a Laplacian product this
+# many gathered neighbour entries, not n * width * p.
 DRAW_CHUNK = 2**16
 
 # Lanczos steps the spectral solve may take to certify alpha_max.
@@ -117,6 +121,11 @@ class Topology:
         for name, table in (("neighbours", neighbours), ("coefficients", coefficients)):
             table.flags.writeable = False
             object.__setattr__(self, name, table)
+
+    @property
+    def edge_count(self) -> int:
+        """How many undirected edges the graph has: its table's ``-w_ij`` entries, halved."""
+        return int((self.coefficients[:, 1:] < 0.0).sum()) // 2
 
 
 @dataclass(frozen=True)
@@ -242,6 +251,33 @@ def laplacian_spectrum(topo: Topology) -> SpectralProfile:
     return topo._spectrum
 
 
+def laplacian_product(topo: Topology, x: np.ndarray) -> np.ndarray:
+    """``L @ x`` for a vector or an ``(n, p)`` matrix ``x``, from the neighbour table.
+
+    Row ``i`` is ``coefficients[i] @ x[neighbours[i]]``, summed over the
+    table's slots in a fixed order by ``np.einsum``, without BLAS, so the
+    result does not depend on the BLAS thread count.  Neighbour rows are
+    gathered with ``np.take`` a block of agents at a time, each block
+    holding at most :data:`DRAW_CHUNK` doubles (or one agent's row, if that
+    is larger), so no ``(n, width, p)`` array is built.  A row's sum does
+    not depend on the block it falls in: each block goes through the same
+    ``einsum``, written into its rows of one preallocated output.
+    """
+    neighbours, coefficients = topo.neighbours, topo.coefficients
+    rows = max(1, DRAW_CHUNK // (coefficients.shape[1] * math.prod(x.shape[1:])))
+    product = np.empty((topo.n, *x.shape[1:]))
+    for start in range(0, topo.n, rows):
+        block = slice(start, start + rows)
+        # a temporary, so each gathered block is freed before the next is taken
+        np.einsum(
+            "ij,ij...->i...",
+            coefficients[block],
+            x.take(neighbours[block], axis=0),
+            out=product[block],
+        )
+    return product
+
+
 def _component_labels(topo: Topology) -> np.ndarray:
     """The connected component of each agent, numbered from 0 in order of first agent.
 
@@ -309,7 +345,7 @@ def _solve_spectrum(topo: Topology) -> SpectralProfile:
             grown[: m - 1] = basis[: m - 1]
             basis = grown
         basis[m - 1] = v
-        w = np.einsum("ij,ij->i", topo.coefficients, v[topo.neighbours])
+        w = laplacian_product(topo, v)
         a = float(np.einsum("i,i->", v, w))
         earlier = basis[:m]
         for _ in range(2):

@@ -201,6 +201,19 @@ def test_no_test_builds_a_spectral_profile():
     assert built == []
 
 
+def test_only_graph_reads_the_neighbour_table():
+    # the table's layout has one home: other modules ask graph for L @ x or
+    # the edge count instead of reading the padded rows themselves
+    readers = []
+    for name, path in SOURCES.items():
+        if name == "graph" or name.startswith("tests/"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in ("neighbours", "coefficients"):
+                readers.append(f"{name}:{node.lineno}")
+    assert readers == []
+
+
 def test_every_config_row_is_set_by_a_bundled_config_or_a_workload(monkeypatch):
     # a row that no shipped config and no benchmark workload sets is a second
     # home for a value that something else already sets

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zoswarm import graph
 from zoswarm.dynamics import (
     DivergenceError,
     HyperParams,
@@ -21,7 +23,7 @@ from zoswarm.estimator import (
     forward_estimate,
     sample_coordinates,
 )
-from zoswarm.graph import Topology, erdos_renyi, laplacian_spectrum
+from zoswarm.graph import Topology, erdos_renyi, laplacian_product, laplacian_spectrum
 from zoswarm.problems import make_quadratic_toy
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -30,8 +32,11 @@ GAMMAS = st.floats(0.05, 1.0)
 
 
 def mixing_row(topo, iterates, i):
-    """Row i of ``L @ X`` as ``step`` sums it: agent i's table entries, in slot order."""
-    return np.einsum("j,jk->k", topo.coefficients[i], iterates[topo.neighbours[i]])
+    """Row i of ``L @ X`` as ``step`` sums it: agent i's table entries, in slot order.
+
+    ``iterates`` may also be a vector, as in the spectral solve's products.
+    """
+    return np.einsum("j,j...->...", topo.coefficients[i], iterates[topo.neighbours[i]])
 
 
 def path3():
@@ -109,6 +114,70 @@ class TestConsensusTerm:
             table_sum += c[:, j, None] * iterates[nb[:, j]]
         # alpha = 1 leaves every bit of the sum in the update; eta = 0 adds a zero
         assert np.array_equal(self.mix(topo, iterates, 1.0), iterates - table_sum)
+
+
+class TestLaplacianProduct:
+    """``laplacian_product`` gathers a block of rows at a time; no row may notice."""
+
+    @staticmethod
+    def weighted_with_isolated_agent():
+        rng = np.random.default_rng(4)
+        w = np.triu(rng.uniform(0.5, 2.0, (8, 8)) * (rng.random((8, 8)) < 0.5), 1)
+        w[:, 7] = 0.0  # agent 7 talks to no one: its row is all padding
+        return Topology(8, w + w.T)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("shape", [(8,), (8, 1), (8, 5)], ids=["vector", "column", "matrix"])
+    def test_blocks_sum_each_row_in_slot_order(self, monkeypatch, rows, shape):
+        topo = self.weighted_with_isolated_agent()
+        assert topo.coefficients[7].tolist() == [0.0] * topo.coefficients.shape[1]
+        x = np.random.default_rng(6).standard_normal(shape)
+        # blocks of `rows` agents: 8 rows split 1 by 1, or 3, 3 and a partial 2
+        width = topo.coefficients.shape[1]
+        monkeypatch.setattr(graph, "DRAW_CHUNK", rows * width * math.prod(shape[1:]))
+        got = laplacian_product(topo, x)
+        rows_one_at_a_time = np.array([mixing_row(topo, x, i) for i in range(topo.n)])
+        assert got.tobytes() == rows_one_at_a_time.tobytes()
+        assert got.shape == x.shape
+        assert np.all(got[7] == 0.0)  # the all-padding row adds nothing
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(2, 60),
+        st.integers(0, 12),
+        st.integers(1, 400),
+        st.integers(0, 2**31 - 1),
+    )
+    def test_any_block_size_keeps_every_bit(self, n, p, chunk, seed):
+        topo = erdos_renyi(n, 0.6, seed=seed % 1000)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, p) if p else n)
+        whole = laplacian_product(topo, x)
+        original = graph.DRAW_CHUNK
+        try:
+            graph.DRAW_CHUNK = chunk  # hypothesis runs examples without fixture resets
+            blocked = laplacian_product(topo, x)
+        finally:
+            graph.DRAW_CHUNK = original
+        assert blocked.tobytes() == whole.tobytes()
+
+    def test_a_step_keeps_no_gathered_table(self):
+        # a whole-table gather iterates[neighbours] alone is 8 n width p bytes
+        n, p = 1000, 10
+        topo = erdos_renyi(n, 0.0207, seed=2)  # the toy_swarm_1k topology
+        width = topo.neighbours.shape[1]
+        problem = make_quadratic_toy(n, p, seed=0, zeta=0.5)
+        alpha = 0.5 * laplacian_spectrum(topo).alpha_max
+        params = HyperParams(alpha=alpha, eta=0.02, T=2, estimator="central")
+        streams = RunStreams.from_seed(0)
+        state = step(SwarmState(np.zeros((n, p)), 0), topo, params, problem, streams)
+        tracemalloc.start()
+        try:
+            step(state, topo, params, problem, streams)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * 8 * n * width * p
 
 
 class TestHyperParams:
@@ -333,7 +402,19 @@ class TestSteps:
         assert info.value.agent == 0
 
     @pytest.mark.parametrize(("estimator", "coordinate"), [("forward", None), ("central", 0)])
-    def test_oracle_failure_names_agent_and_round(self, estimator, coordinate):
+    @pytest.mark.parametrize(
+        ("value", "failure"),
+        [
+            (math.nan, "a non-finite value"),
+            # values float() rejects
+            (None, "a value that is not a real number"),
+            ("abc", "a value that is not a real number"),
+            (np.zeros(2), "a value that is not a real number"),
+            (1j, "a value that is not a real number"),
+        ],
+        ids=["nan", "None", "str", "array", "complex"],
+    )
+    def test_oracle_failure_names_agent_and_round(self, estimator, coordinate, value, failure):
         class FailsOnAgentTwo:
             dimension = 2
             local_count = 3
@@ -342,7 +423,7 @@ class TestSteps:
                 return [None] * self.local_count
 
             def evaluate(self, agent, x, xi):
-                return math.nan if agent == 2 else float(x @ x)
+                return value if agent == 2 else float(x @ x)
 
         topo = Topology(3, np.ones((3, 3)) - np.eye(3))
         params = HyperParams(alpha=0.1, eta=0.1, T=5, n_c=2, estimator=estimator)
@@ -351,7 +432,7 @@ class TestSteps:
             step(state, topo, params, FailsOnAgentTwo(), RunStreams.from_seed(0))
         error = info.value
         assert (error.agent, error.k, error.coordinate) == (2, 4, coordinate)
-        assert str(error).startswith("oracle returned a non-finite value")
+        assert str(error).startswith(f"oracle returned {failure}")
         assert str(error).endswith("at iteration 4 on agent 2")
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -130,6 +131,42 @@ def test_an_index_beyond_the_dimension_is_named(estimate):
         estimate(oracle, np.zeros(3), CoordinateSample((1, 5)), 0.1)
     assert oracle.calls == 0
     estimate(oracle, np.zeros(3), CoordinateSample((2,)), 0.1)  # the last index is in range
+
+
+@pytest.mark.parametrize("estimate", [forward_estimate, central_estimate])
+@pytest.mark.parametrize("x", [np.zeros((2, 2)), np.array(1.0)], ids=["matrix", "scalar"])
+def test_a_point_that_is_not_a_vector_is_named_by_shape(estimate, x):
+    # the probe's memoryview would otherwise end this in a bare
+    # NotImplementedError or TypeError
+    oracle = CountingOracle(sphere)
+    message = rf"^the point must be a 1-D vector, got shape {re.escape(str(x.shape))}$"
+    with pytest.raises(ValueError, match=message):
+        estimate(oracle, x, CoordinateSample((0,)), 0.1)
+    assert oracle.calls == 0
+
+
+@pytest.mark.parametrize("estimate", [forward_estimate, central_estimate])
+@pytest.mark.parametrize("value", [None, "abc", np.zeros(2), 1j], ids=["None", "str", "array", "complex"])
+def test_a_value_float_rejects_is_named_with_its_coordinate(estimate, value):
+    def bad(z):
+        return value if z[2] != 0.0 else float(z @ z)
+
+    with pytest.raises(OracleEvaluationError, match="is not a real number probing coordinate 2"):
+        estimate(bad, np.zeros(4), CoordinateSample((1, 2)), 0.1)
+    with pytest.raises(OracleEvaluationError) as info:
+        estimate(lambda z: value, np.zeros(4), CoordinateSample((1, 2)), 0.1)
+    # the forward estimate reads the base point first
+    assert info.value.coordinate == (None if estimate is forward_estimate else 1)
+    assert isinstance(info.value.__cause__, (TypeError, ValueError))
+
+
+@pytest.mark.parametrize("estimate", [forward_estimate, central_estimate])
+def test_an_error_the_oracle_raises_itself_is_not_relabelled(estimate):
+    def raises(z):
+        raise TypeError("the oracle's own failure")
+
+    with pytest.raises(TypeError, match="^the oracle's own failure$"):
+        estimate(raises, np.zeros(3), CoordinateSample((0,)), 0.1)
 
 
 class TestCentralEstimate:
