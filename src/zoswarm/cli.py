@@ -79,17 +79,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_spectra(args) -> int:
-    given = {
-        name: getattr(args, name)
-        for name in ("n", "prob", "seed")
-        if getattr(args, name) is not None
-    }
+    flags = {name: getattr(args, name) for name in ("n", "prob", "seed")}
+    given = {name: value for name, value in flags.items() if value is not None}
     if args.config is not None:
         if given:
             named = ", ".join(f"--{name}" for name in given)
-            raise ConfigError(
-                f"spectra takes --config or graph flags, not both; got {named}"
-            )
+            raise ConfigError(f"spectra takes --config or graph flags, not both; got {named}")
         config = load_config(args.config)
     elif args.n is not None and args.prob is not None:
         # an unset --seed is left to erdos_renyi's own default
@@ -114,12 +109,7 @@ def _cmd_check(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "run": _cmd_run,
-        "sweep": _cmd_sweep,
-        "spectra": _cmd_spectra,
-        "check": _cmd_check,
-    }
+    handlers = {"run": _cmd_run, "sweep": _cmd_sweep, "spectra": _cmd_spectra, "check": _cmd_check}
     try:
         return handlers[args.command](args)
     except ConfigError as exc:

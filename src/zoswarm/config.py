@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import dynamics, estimator, graph, problems
+from ._checks import is_integer
 
 __all__ = [
     "ConfigError",
@@ -154,7 +155,7 @@ def _check_kind(key: str, value, read, expected: str) -> None:
         except ValueError:
             fits = False
     elif read is int:
-        fits = isinstance(value, numbers.Integral)
+        fits = is_integer(value)
     else:
         fits = read in (float, _eta) and isinstance(value, numbers.Real)
     if not fits or isinstance(value, bool):  # nothing is converted, and no text reads as a bool
@@ -333,19 +334,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
         except OSError as exc:
             raise ConfigError(f"config file {str(path)!r} cannot be read: {exc}") from None
         return parse_config(text)
-    resource = _bundled_resource(str(path))
+    name = f"{str(path).removesuffix('.cfg')}.cfg"
+    resource = importlib.resources.files("zoswarm").joinpath("configs", name)
     if not resource.is_file():
         raise ConfigError(
             f"neither a config file {str(path)!r} nor a bundled config named "
             f"{resource.name!r} exists"
         )
     return parse_config(resource.read_text(encoding="utf-8"))
-
-
-def _bundled_resource(name: str):
-    if not name.endswith(".cfg"):
-        name = name + ".cfg"
-    return importlib.resources.files("zoswarm").joinpath("configs", name)
 
 
 @contextmanager

@@ -14,13 +14,13 @@ from one master seed, so results depend only on the seed and agent order.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import check_integer
 from .estimator import (
     OracleEvaluationError,
     SmoothingSchedule,
@@ -96,14 +96,11 @@ class HyperParams:
         for name in ("alpha", "eta", "gamma"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.alpha < 0.0:
-            raise ValueError("alpha must be nonnegative")
-        if self.eta < 0.0:
-            raise ValueError("eta must be nonnegative")
-        if not isinstance(self.T, numbers.Integral) or self.T < 0:
-            raise ValueError(f"horizon T must be a nonnegative integer, got {self.T!r}")
-        if not isinstance(self.n_c, numbers.Integral) or self.n_c < 1:
-            raise ValueError(f"n_c must be an integer of at least 1, got {self.n_c!r}")
+        for name in ("alpha", "eta"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be nonnegative")
+        check_integer("T", self.T, 0)
+        check_integer("n_c", self.n_c, 1)
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
         if self.gamma <= 0.0:
@@ -191,7 +188,10 @@ def step(
     once on the whole steps matrix.  Replaying the coordinate block, then
     the agents' data draws in index order, from a second ``RunStreams``
     reproduces the round.  A ``sample_round`` block that does not hold one
-    realization per agent is a ``ValueError`` naming the round.
+    realization per agent is a ``ValueError`` naming the round.  An oracle
+    value the estimator rejects, or an exception ``evaluate`` raises itself,
+    is an :class:`~zoswarm.estimator.OracleEvaluationError` naming the agent
+    and the round, chained from the first failure.
     """
     iterates = state.iterates
     n, p = iterates.shape
@@ -213,19 +213,19 @@ def step(
     steps = np.empty_like(iterates)
     try:
         for i, (x, realization, sample) in enumerate(zip(iterates, draws, coords)):
-            steps[i] = estimate(
-                lambda z, agent=i, realization=realization: evaluate(agent, z, realization),
-                x,
-                sample,
-                delta,
-            )
-    except OracleEvaluationError as exc:
+            def oracle(z, agent=i, realization=realization):
+                try:  # costs nothing until it raises
+                    return evaluate(agent, z, realization)
+                except Exception as exc:  # the problem's own failure; its type is not kept
+                    raise OracleEvaluationError(f"oracle raised {exc!r}") from exc
+            steps[i] = estimate(oracle, x, sample, delta)
+    except OracleEvaluationError as exc:  # chained from the first failure
         raise OracleEvaluationError(
             f"{exc} at iteration {state.k} on agent {i}",
             coordinate=exc.coordinate,
             agent=i,
             k=state.k,
-        ) from exc
+        ) from exc.__cause__ or exc
     if params.algorithm == "zoom_pb":
         steps = powerball(steps, params.gamma)  # elementwise: the same bits as row by row
     nxt = iterates - params.alpha * mixed - params.eta * steps
@@ -243,8 +243,8 @@ def theorem_schedule(n_agents: int, p: int, T: int) -> float:
     (without rejecting) when the horizon falls below ``n^3 / p``, the premise
     the prescribed rates assume.
     """
-    if min(n_agents, p, T) < 1:
-        raise ValueError("n_agents, p and T must all be positive")
+    for name, value in (("n_agents", n_agents), ("p", p), ("T", T)):
+        check_integer(name, value, 1)
     if T < n_agents**3 / p:
         warnings.warn(
             f"horizon T={T} is below n^3/p = {n_agents ** 3 / p:g}; "
@@ -277,20 +277,18 @@ def run(
         params: the algorithm and its hyperparameters; ``alpha`` must lie
             in the open interval ``(0, alpha_max)`` of this topology's
             spectrum.
-        seed: master seed for the run.
+        seed: master seed for the run, an integer of at least 0.
         record_every: metric recording cadence (iterations).
 
     Returns:
         A :class:`Trajectory` of records plus the final swarm state.
     """
-    if not isinstance(record_every, numbers.Integral) or record_every < 1:
-        raise ValueError(f"record_every must be an integer of at least 1, got {record_every!r}")
+    check_integer("record_every", record_every, 1)
+    check_integer("seed", seed, 0)
     if not is_connected(topo):
         raise ValueError("communication graph must be connected")
     for name in ("dimension", "local_count"):
-        value = getattr(problem, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-            raise ValueError(f"problem.{name} must be a positive integer, got {value!r}")
+        check_integer(f"problem.{name}", getattr(problem, name), 1)
     if problem.local_count != topo.n:
         raise ValueError(
             f"problem carries {problem.local_count} agents but the topology has {topo.n}"
@@ -303,10 +301,7 @@ def run(
     n, p = topo.n, problem.dimension
     streams = RunStreams.from_seed(seed)
 
-    if params.estimator == "forward":
-        calls_per_round = n * (params.n_c + 1)
-    else:
-        calls_per_round = n * 2 * params.n_c
+    calls_per_round = n * (params.n_c + 1 if params.estimator == "forward" else 2 * params.n_c)
 
     started = time.perf_counter()
     state = SwarmState(np.zeros((n, p)), 0)
@@ -322,10 +317,4 @@ def run(
                 )
             )
     final_accuracy = problem.test_accuracy(state.mean_iterate)
-    return Trajectory(
-        records=tuple(records),
-        final_state=state,
-        params=params,
-        seed=seed,
-        final_accuracy=final_accuracy,
-    )
+    return Trajectory(tuple(records), state, params, seed, final_accuracy)

@@ -6,16 +6,20 @@ scaled by ``p / n_c`` to compensate the subsampling; the subset is a
 :class:`CoordinateSample`, a sorted tuple of indices.  All evaluations inside
 one estimate share the same realization ``xi``; the caller fixes it by
 binding the oracle before calling in here.  Each estimate copies ``x`` once.
+
+An estimator checks ``delta``, the point and the sample before its first
+oracle call, and reads every oracle value as a finite float.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
+
+from ._checks import check_integer
 
 __all__ = [
     "CoordinateSample",
@@ -34,8 +38,10 @@ SMOOTHING_MODES = ("theorem_decay", "fixed")
 class OracleEvaluationError(RuntimeError):
     """The black-box oracle returned a non-finite value, or one ``float()`` rejects.
 
-    ``coordinate`` is the basis direction being probed, or ``None`` when the
-    failure happened at the unshifted base point.  ``agent`` and ``k`` name
+    In a run it also stands for an exception the oracle raised, which is
+    its ``__cause__``; that exception's type is not kept.  ``coordinate`` is
+    the basis direction being probed, or ``None`` at the unshifted base
+    point and for an exception the oracle raised.  ``agent`` and ``k`` name
     the agent and the round when :func:`zoswarm.dynamics.step` raised it,
     and are ``None`` from a bare estimator call.
     """
@@ -61,15 +67,12 @@ class CoordinateSample(tuple):
     def __new__(cls, indices: Iterable[int]) -> CoordinateSample:
         idx = []
         for i in indices:
-            if isinstance(i, bool) or not isinstance(i, numbers.Integral):
-                raise ValueError(f"coordinate indices must be integers, got {i!r}")
+            check_integer("coordinate index", i, 0)
             idx.append(int(i))
         if len(idx) < 1:
             raise ValueError("a coordinate sample cannot be empty")
         if len(set(idx)) != len(idx):
             raise ValueError(f"coordinate indices must be distinct, got {tuple(idx)}")
-        if min(idx) < 0:
-            raise ValueError("coordinate indices must be nonnegative")
         return super().__new__(cls, sorted(idx))
 
     @property
@@ -129,8 +132,8 @@ def sample_coordinates(
 
 def _probe_buffer(x: np.ndarray, sample: CoordinateSample, delta: float) -> np.ndarray:
     """The one copy of ``x`` that an estimate shifts, after checking its inputs."""
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    if not 0.0 < delta < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
     probe = np.array(x, dtype=float)
     if probe.ndim != 1:
         raise ValueError(f"the point must be a 1-D vector, got shape {probe.shape}")
@@ -159,9 +162,10 @@ def forward_estimate(
     zero outside the sampled coordinates ``S``.  Costs exactly ``n_c + 1``
     oracle evaluations; the base value is shared across coordinates.  ``x`` is
     copied once, into a probe buffer that is shifted and restored exactly for
-    each probe, so the oracle must not keep a reference to its argument.  An
-    index at or beyond ``p``, or an ``x`` that is not 1-D, is a ``ValueError``.
-    An oracle value that is non-finite or that ``float()`` rejects is an
+    each probe, so the oracle must not keep a reference to its argument.  A
+    ``delta`` outside ``(0, inf)``, an index at or beyond ``p``, or an ``x``
+    that is not 1-D is a ``ValueError`` raised before any oracle call.  An
+    oracle value that is non-finite or that ``float()`` rejects is an
     :class:`OracleEvaluationError`; an exception the oracle raises itself
     passes through as it is.
     """

@@ -16,10 +16,11 @@ single solve.  No n x n array is built and no LAPACK routine runs.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from ._checks import check_integer
 
 __all__ = [
     "Topology",
@@ -84,8 +85,7 @@ class Topology:
     _spectrum: SpectralProfile | None = field(default=None, repr=False)
 
     def __init__(self, n: int, weights: np.ndarray) -> None:
-        if not isinstance(n, numbers.Integral) or n < 1:  # numpy integers pass
-            raise ValueError(f"agent count must be a positive integer, got {n!r}")
+        check_integer("n", n, 1)
         w = np.asarray(weights, dtype=float)
         if w.shape != (n, n):
             raise ValueError(f"weights must be {n}x{n}, got {w.shape}")
@@ -100,14 +100,8 @@ class Topology:
         rows, columns = np.nonzero(w)
         self._assign(n, rows, columns, w[rows, columns], w.sum(axis=1))
 
-    @classmethod
-    def _from_entries(cls, n, rows, columns, values, degrees) -> Topology:
-        """A topology from stored entries sorted by row, then column, without a dense pass."""
-        topo = cls.__new__(cls)
-        topo._assign(n, rows, columns, values, degrees)
-        return topo
-
     def _assign(self, n, rows, columns, values, degrees) -> None:
+        """Keep the table of stored entries sorted by row, then column."""
         starts = np.searchsorted(rows, np.arange(n + 1))
         # slot 0 is the agent itself; its stored entries follow in column order
         slots = np.arange(columns.size) - starts[rows] + 1
@@ -173,12 +167,10 @@ def erdos_renyi(n: int, prob: float, seed: int = 0) -> Topology:
     Raises:
         GraphSamplingError: if every attempt in the budget is disconnected.
     """
-    if not isinstance(n, numbers.Integral) or n < 2:
-        raise ValueError(f"agent count must be an integer of at least 2, got {n!r}")
+    check_integer("n", n, 2)
     if not 0.0 < prob <= 1.0:
         raise ValueError(f"edge probability must lie in (0, 1], got {prob}")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    check_integer("seed", seed, 0)
     # position in the draw block of the first pair (i, i + 1) of each row i
     row = np.arange(n - 1)
     offsets = row * (2 * n - 1 - row) // 2
@@ -206,11 +198,14 @@ def _draw_topology(n: int, hits: np.ndarray, offsets: np.ndarray) -> Topology:
     i = np.searchsorted(offsets, hits, side="right") - 1
     j = hits - offsets[i] + i + 1
     rows, columns = np.concatenate([i, j]), np.concatenate([j, i])
-    order = np.lexsort((columns, rows))
+    # each (row, column) pair occurs once, so one key sorts as lexsort's two do
+    order = np.argsort(rows * n + columns)
     rows, columns = rows[order], columns[order]
     # exact neighbour counts: the row sums of a 0/1 matrix, bit for bit
     degrees = np.bincount(rows, minlength=n).astype(float)
-    return Topology._from_entries(n, rows, columns, np.ones(rows.size), degrees)
+    topo = Topology.__new__(Topology)  # no dense matrix to check or pass over
+    topo._assign(n, rows, columns, np.ones(rows.size), degrees)
+    return topo
 
 
 def is_connected(topo: Topology) -> bool:
@@ -387,11 +382,7 @@ def _solve_spectrum(topo: Topology) -> SpectralProfile:
 
 def _profile(rho2: float, rho_l2: float) -> SpectralProfile:
     """The profile of two bounds, its ``alpha_max`` snapped; ValueError if any is non-finite."""
-    bounds = {
-        "rho2": rho2,
-        "rho_l2": rho_l2,
-        "alpha_max": _ratio(rho2, rho_l2),
-    }
+    bounds = {"rho2": rho2, "rho_l2": rho_l2, "alpha_max": _ratio(rho2, rho_l2)}
     for name, value in bounds.items():
         if not math.isfinite(value):
             raise ValueError(

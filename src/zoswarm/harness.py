@@ -87,9 +87,7 @@ class BatteryResult:
 
 def _median_or_none(values) -> float | None:
     values = [v for v in values if v is not None]
-    if not values:
-        return None
-    return float(statistics.median(values))
+    return float(statistics.median(values)) if values else None
 
 
 def _output_dir(path: str | Path | None) -> Path | None:
@@ -126,9 +124,7 @@ def run_battery(
     problem = build_problem(config)
     topo = build_topology(config)
     if problem.local_count != topo.n:
-        raise ConfigError(
-            f"problem has {problem.local_count} agents but topology.n = {topo.n}"
-        )
+        raise ConfigError(f"problem has {problem.local_count} agents but topology.n = {topo.n}")
     profile = graph.laplacian_spectrum(topo)
 
     resolved = [

@@ -2,7 +2,8 @@
 
 The gradients reported here are the problems' analytic full-batch gradients,
 a simulator privilege the algorithms never see: the convergence statements
-are phrased in true gradients while the dynamics stay zeroth-order.
+are phrased in true gradients while the dynamics stay zeroth-order.  Each
+record checks them once, so a bad one ends the run, named with its round.
 """
 
 from __future__ import annotations
@@ -83,6 +84,19 @@ def consensus_error(iterates: np.ndarray, mean_iterate: np.ndarray | None = None
     return float(np.add.reduce(np.add.reduce(deviation, axis=1)) / len(deviation))
 
 
+def _checked(method: str, k: int, shape: tuple, value) -> np.ndarray:
+    """``value`` as an array if it is finite and real of ``shape``, else a ValueError."""
+    array = np.asarray(value)
+    # the dtype first: isfinite raises a TypeError on text and objects
+    if not (array.shape == shape and array.dtype.kind in "fiu" and np.isfinite(array).all()):
+        shown = " ".join(repr(value).split())  # an array's repr on one line
+        raise ValueError(
+            f"{method} returned {shown:.80} at iteration {k}; "
+            f"it must be finite and real, of shape {shape}"
+        )
+    return array
+
+
 def capture_record(
     problem,
     iterates: np.ndarray,
@@ -93,14 +107,17 @@ def capture_record(
 ) -> IterationRecord:
     """Evaluate all diagnostics at the current swarm mean.
 
-    Calls the problem's ``true_global_gradient`` and ``full_loss`` once each.
+    Calls the problem's ``true_global_gradient`` and ``full_loss`` once each;
+    a value that is not finite, real and of the right shape is a ValueError.
     """
     mean_iterate = np.add.reduce(iterates, axis=0)
     mean_iterate /= len(iterates)
-    grad = problem.true_global_gradient(mean_iterate)
+    width = mean_iterate.shape
+    grad = _checked("true_global_gradient", k, width, problem.true_global_gradient(mean_iterate))
+    loss = _checked("full_loss", k, (), problem.full_loss(mean_iterate))
     return IterationRecord(
         k=int(k),
-        mean_train_loss=float(problem.full_loss(mean_iterate)),
+        mean_train_loss=float(loss),
         grad_norm_sq=float(grad @ grad),
         grad_norm_1pg_sq=holder_norm_sq(grad, 1.0 + gamma),
         consensus_err=consensus_error(iterates, mean_iterate),

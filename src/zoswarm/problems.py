@@ -13,6 +13,8 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
+from ._checks import check_integer
+
 __all__ = [
     "StochasticProblem",
     "ClassificationProblem",
@@ -140,8 +142,8 @@ class ClassificationProblem(StochasticProblem):
             raise ValueError("a dataset needs at least one shard")
         expected = 0
         for agent, (start, stop) in enumerate(shard_bounds):
-            if not all(isinstance(bound, (int, np.integer)) for bound in (start, stop)):
-                raise ValueError(f"shard {agent} is ({start}, {stop}); bounds must be integers")
+            for side, bound in enumerate((start, stop)):
+                check_integer(f"shard_bounds[{agent}][{side}]", bound, 0)
             if start != expected:
                 raise ValueError(
                     f"shard {agent} is ({start}, {stop}) but must start at {expected}: "
@@ -263,12 +265,11 @@ def make_synthetic_classification(
     into ``n_agents`` contiguous shards of equal size, any remainder going
     to the last agent.  Deterministic per seed.
     """
-    if min(n_train, n_test, d, n_agents) < 1:
-        raise ValueError("all dataset sizes must be positive")
+    for name, value in (("n_train", n_train), ("n_test", n_test), ("d", d), ("n_agents", n_agents)):
+        check_integer(name, value, 1)
+    check_integer("seed", seed, 0)
     if n_agents > n_train:
         raise ValueError("cannot shard fewer training samples than agents")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     train = rng.standard_normal((n_train, d))
     test = rng.standard_normal((n_test, d))
@@ -351,9 +352,8 @@ def make_quadratic_toy(
     n_agents: int = 5, p: int = 10, seed: int = 0, zeta: float = 0.0
 ) -> QuadraticToyProblem:
     """Build a quadratic toy whose centers are seeded standard normals."""
-    if p < 1 or n_agents < 1:
-        raise ValueError("n_agents and p must be positive")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    check_integer("n_agents", n_agents, 1)
+    check_integer("p", p, 1)
+    check_integer("seed", seed, 0)
     centers = np.random.default_rng(seed).standard_normal((n_agents, p))
     return QuadraticToyProblem(centers, zeta=zeta)

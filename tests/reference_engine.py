@@ -16,9 +16,14 @@ holds the fast paths in ``src/`` to, bit for bit: ``nlls_evaluate`` for
 classification loss and gradient, the estimators, ``powerball``,
 ``holder_norm_sq``, ``consensus_error`` and ``coordinate_rows``.  ``weights``
 gives a topology's dense matrix back from its neighbour table.
+
+``ExactSpectrum`` is the exact reference for ``laplacian_spectrum``: the
+positive Laplacian eigenvalues as the roots of one rational polynomial,
+bracketed by Sturm counts, with no floating point anywhere.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -211,3 +216,159 @@ def run(weights, problem, params, seed, record_every):
         if (k + 1) % record_every == 0 or k + 1 == params.T:
             records.append(record(problem, iterates, k + 1, params.gamma, (k + 1) * n * probes))
     return records
+
+
+def _trimmed(poly):
+    """``poly`` (coefficients highest first) without its leading zeros."""
+    start = 0
+    while start < len(poly) and poly[start] == 0:
+        start += 1
+    return poly[start:]
+
+
+def _divmod(a, b):
+    """Quotient and remainder of polynomial ``a`` by ``b``, exactly."""
+    rem, quotient = list(a), []
+    while len(rem) >= len(b):
+        factor = rem[0] / b[0]
+        quotient.append(factor)
+        rem = [r - factor * c for r, c in zip(rem[1:], [*b[1:], *[0] * (len(rem) - len(b))])]
+    return quotient, _trimmed(rem)
+
+
+def _derivative(poly):
+    degree = len(poly) - 1
+    return [c * (degree - i) for i, c in enumerate(poly[:-1])]
+
+
+def _integral(poly):
+    """``poly`` times the positive common denominator of its coefficients: the same signs."""
+    scale = math.lcm(*(Fraction(c).denominator for c in poly))
+    return [int(Fraction(c) * scale) for c in poly]
+
+
+def charpoly(matrix):
+    """``det(t I - A)`` of a square matrix of Fractions, highest power first (Faddeev-LeVerrier).
+
+    ``M_k = A M_{k-1} + c_{n-k+1} I`` from ``M_0 = 0``, and
+    ``c_{n-k} = -tr(A M_k) / k``.
+    """
+    n = len(matrix)
+    coefficients = [Fraction(1)]
+    product = [[Fraction(0)] * n for _ in range(n)]  # A M_0
+    for k in range(1, n + 1):
+        m = [row[:] for row in product]
+        for i in range(n):
+            m[i][i] += coefficients[-1]
+        product = [
+            [sum(matrix[i][l] * m[l][j] for l in range(n)) for j in range(n)] for i in range(n)
+        ]
+        coefficients.append(-sum(product[i][i] for i in range(n)) / k)
+    return coefficients
+
+
+def _binade(value):
+    """The ``e`` with ``2^(e - 1) <= value < 2^e`` for a positive Fraction, as ``math.frexp``."""
+    e = value.numerator.bit_length() - value.denominator.bit_length()
+    return e + 1 if value >= Fraction(2) ** e else e
+
+
+def snap_down(value, bits=40):
+    """A positive Fraction rounded down onto the grid of ``bits``-bit mantissas, exactly."""
+    step = grid_step(value, bits)
+    return math.floor(value / step) * step
+
+
+def grid_step(value, bits=40):
+    """The spacing of the ``bits``-bit mantissa grid around a positive Fraction ``value``."""
+    return Fraction(2) ** (_binade(value) - bits)
+
+
+class ExactSpectrum:
+    """The positive eigenvalues of the Laplacian of dense ``weights``, exactly.
+
+    The characteristic polynomial of ``L = Deg - W`` is taken over Fractions
+    (every float is one) and its zero roots, one per connected component,
+    are divided out.  So is ``gcd(q, q')``, so the chain is square free: a
+    chain that is not miscounts when a point lands on a repeated
+    eigenvalue.  ``at_most(x)`` counts the distinct positive eigenvalues up
+    to ``x`` from the Sturm chain's sign changes, and the bisection of
+    :meth:`alpha_max_snap` recognises a dyadic eigenvalue exactly when a
+    midpoint lands on it, so no float rounding enters anywhere.
+    """
+
+    MAX_HALVINGS = 4000
+
+    def __init__(self, weights):
+        w = [[Fraction(float(v)) for v in row] for row in np.asarray(weights)]
+        n = len(w)
+        laplacian = [[(sum(w[i]) if i == j else -w[i][j]) for j in range(n)] for i in range(n)]
+        q = charpoly(laplacian)
+        while q[-1] == 0:  # the zero eigenvalues
+            q.pop()
+        assert len(q) > 1, "the graph has no edge"
+        gcd = q
+        rest = _derivative(q)
+        while rest:
+            gcd, rest = rest, _divmod(gcd, rest)[1]
+        square_free, remainder = _divmod(q, gcd)
+        assert remainder == []
+        chain = [square_free, _derivative(square_free)]
+        while len(chain[-1]) > 1:
+            chain.append([-c for c in _divmod(chain[-2], chain[-1])[1]])
+        self.chain = [_integral(poly) for poly in chain]
+        self.count = len(square_free) - 1  # distinct positive eigenvalues
+        self._at_zero = self._changes(Fraction(0))
+        # a power of two above twice the largest degree, which by Gershgorin
+        # bounds every eigenvalue: a dyadic eigenvalue is a midpoint some time
+        self.bound = Fraction(1)
+        while self.bound <= 2 * max(laplacian[i][i] for i in range(n)):
+            self.bound *= 2
+
+    def _changes(self, x):
+        """Sign changes along the chain at ``x``, zeros skipped."""
+        a, b = x.numerator, x.denominator
+        signs = []
+        for poly in self.chain:
+            acc, power = poly[0], 1
+            for c in poly[1:]:
+                power *= b
+                acc = acc * a + c * power  # the value times b^degree
+            if acc:
+                signs.append(acc > 0)
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    def at_most(self, x):
+        """How many distinct positive eigenvalues are at most ``x``."""
+        return self._at_zero - self._changes(Fraction(x))
+
+    def is_eigenvalue(self, x):
+        x = Fraction(x)
+        return sum(c * x ** (len(self.chain[0]) - 1 - i) for i, c in enumerate(self.chain[0])) == 0
+
+    def _halve(self, bracket, j):
+        """Halve ``(lo, hi]`` around the ``j``-th eigenvalue from 1; ``(e, e)`` once it is found."""
+        lo, hi = bracket
+        if lo == hi:
+            return bracket
+        mid = (lo + hi) / 2
+        below = self.at_most(mid)
+        if below < j:
+            return mid, hi
+        if below == j and self.is_eigenvalue(mid):
+            return mid, mid
+        return lo, mid
+
+    def alpha_max_snap(self):
+        """The exact 40-bit snap of ``rho2 / (2 lambda_max^2)`` and ``kappa = lambda_max / rho2``.
+
+        Both brackets are halved until the ratio's two ends snap to one grid point.
+        """
+        low = top = (Fraction(0), self.bound)
+        for _ in range(self.MAX_HALVINGS):
+            if low[0] > 0 and top[0] > 0:
+                least = snap_down(low[0] / (2 * top[1] ** 2))
+                if least == snap_down(low[1] / (2 * top[0] ** 2)):
+                    return least, float(top[1] / low[0])
+            low, top = self._halve(low, 1), self._halve(top, self.count)
+        raise AssertionError("the exact snap did not settle")

@@ -214,6 +214,20 @@ def test_only_graph_reads_the_neighbour_table():
     assert readers == []
 
 
+def test_only_the_integer_rule_tests_for_integers():
+    # what counts as an integer has one home: other modules call zoswarm._checks
+    testers = []
+    for name, path in SOURCES.items():
+        if name == "_checks" or name.startswith("tests/"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in ("Integral", "integer"):
+                testers.append(f"{name}:{node.lineno}")
+            elif isinstance(node, ast.alias) and node.name in ("Integral", "integer"):
+                testers.append(f"{name}:{node.lineno}")
+    assert testers == []
+
+
 def test_every_config_row_is_set_by_a_bundled_config_or_a_workload(monkeypatch):
     # a row that no shipped config and no benchmark workload sets is a second
     # home for a value that something else already sets

@@ -243,7 +243,12 @@ def test_run_rejects_duplicate_seeds_and_malformed_values(tmp_path, capsys):
     [
         ("run.seeds = 1,2", "run.seeds = -1", [], "master seed -1 is negative"),
         ("run.seeds = 1,2", "run.seeds = 1,2", ["--seed", "-1"], "master seed -1 is negative"),
-        ("problem.n_agents = 3", "problem.n_agents = 0", [], "problem: n_agents and p must"),
+        (
+            "problem.n_agents = 3",
+            "problem.n_agents = 0",
+            [],
+            "problem: n_agents must be an integer of at least 1, got 0",
+        ),
         ("topology.prob = 1.0", "topology.prob = 1.5", [], "topology: edge probability"),
         ("run.T = 60", "run.T = 60\ndefaults.gamma = -1", [], "algorithm 'zoom': gamma must"),
         ("run.T = 60", "run.T = 60\ndefaults.eta = -0.1", [], "algorithm 'zoom': eta must"),
@@ -274,8 +279,18 @@ def test_run_rejects_duplicate_seeds_and_malformed_values(tmp_path, capsys):
             [],
             "line 11: defaults.smoothing = 'fixed:abc' is not",
         ),
-        ("problem.seed = 2", "problem.seed = -1", [], "problem: seed must be nonnegative, got -1"),
-        ("topology.seed = 0", "topology.seed = -1", [], "topology: seed must be nonnegative, got -1"),
+        (
+            "problem.seed = 2",
+            "problem.seed = -1",
+            [],
+            "problem: seed must be an integer of at least 0, got -1",
+        ),
+        (
+            "topology.seed = 0",
+            "topology.seed = -1",
+            [],
+            "topology: seed must be an integer of at least 0, got -1",
+        ),
         ("topology.n = 3\n", "", [], "topology: missing Erdos-Renyi settings: ['n']"),
         ("run.T = 60", "run.T = 0", [], "run.T must be at least 1, got 0"),
         # keys that set what another input already sets are gone
@@ -397,11 +412,14 @@ def test_spectra_without_seed_draws_the_graph_of_its_default_seed(capsys):
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (["--n", "1", "--prob", "0.5"], "topology: agent count must be an integer of at least 2, got 1"),
+        (["--n", "1", "--prob", "0.5"], "topology: n must be an integer of at least 2, got 1"),
         (["--n", "5", "--prob", "0"], "topology: edge probability must lie in (0, 1], got 0.0"),
         (["--n", "5", "--prob", "1.5"], "topology: edge probability must lie in (0, 1], got 1.5"),
         (["--n", "5", "--prob", "nan"], "topology: edge probability must lie in (0, 1], got nan"),
-        (["--n", "5", "--prob", "0.5", "--seed", "-1"], "topology: seed must be nonnegative, got -1"),
+        (
+            ["--n", "5", "--prob", "0.5", "--seed", "-1"],
+            "topology: seed must be an integer of at least 0, got -1",
+        ),
     ],
 )
 def test_spectra_rejects_out_of_range_flags(capsys, flags, message):

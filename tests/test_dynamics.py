@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zoswarm import graph
+from zoswarm import dynamics, graph
 from zoswarm.dynamics import (
     DivergenceError,
     HyperParams,
@@ -24,7 +25,7 @@ from zoswarm.estimator import (
     sample_coordinates,
 )
 from zoswarm.graph import Topology, erdos_renyi, laplacian_product, laplacian_spectrum
-from zoswarm.problems import make_quadratic_toy
+from zoswarm.problems import QuadraticToyProblem, make_quadratic_toy
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 VECTORS = st.lists(FINITE, min_size=1, max_size=40).map(np.array)
@@ -435,6 +436,41 @@ class TestSteps:
         assert str(error).startswith(f"oracle returned {failure}")
         assert str(error).endswith("at iteration 4 on agent 2")
 
+    @pytest.mark.parametrize("estimator", ["forward", "central"])
+    def test_only_the_oracles_own_exceptions_are_named_with_agent_and_round(
+        self, monkeypatch, estimator
+    ):
+        class RaisesOnAgentTwo:
+            dimension = 2
+            local_count = 3
+
+            def sample_round(self, rng):
+                return [None] * self.local_count
+
+            def evaluate(self, agent, x, xi):
+                if agent == 2:
+                    raise KeyError("missing")
+                return float(x @ x)
+
+        topo = Topology(3, np.ones((3, 3)) - np.eye(3))
+        params = HyperParams(alpha=0.1, eta=0.1, T=5, n_c=2, estimator=estimator)
+        state = SwarmState(np.zeros((3, 2)), 4)
+        with pytest.raises(OracleEvaluationError) as info:
+            step(state, topo, params, RaisesOnAgentTwo(), RunStreams.from_seed(0))
+        error = info.value
+        assert (error.agent, error.k, error.coordinate) == (2, 4, None)
+        assert str(error) == "oracle raised KeyError('missing') at iteration 4 on agent 2"
+        assert type(error.__cause__) is KeyError
+        # an estimator's own ValueError about its inputs passes through as it is
+        own = dynamics.forward_estimate if estimator == "forward" else dynamics.central_estimate
+        monkeypatch.setattr(
+            dynamics,
+            f"{estimator}_estimate",
+            lambda oracle, x, sample, delta: own(oracle, x, sample, -delta),
+        )
+        with pytest.raises(ValueError, match="^delta must be positive and finite, got -"):
+            step(state, topo, params, RaisesOnAgentTwo(), RunStreams.from_seed(0))
+
 
 class TestRunStreams:
     @pytest.mark.parametrize("n_agents", [2, 4, 9])
@@ -530,7 +566,7 @@ class TestRun:
         setattr(problem, name, value)
         params = HyperParams(alpha=0.5 * profile.alpha_max, eta=0.01, T=5)
         with pytest.raises(
-            ValueError, match=rf"^problem\.{name} must be a positive integer, got {value!r}$"
+            ValueError, match=rf"^problem\.{name} must be an integer of at least 1, got {value!r}$"
         ):
             run(topo, problem, params)
 
@@ -597,3 +633,99 @@ class TestRun:
             )
             trajectory = run(topo, problem, params, seed=1)
             assert trajectory.records[-1].oracle_calls == 30 * per_round
+
+
+# (fault, what it ends in, whether it strikes a round rather than a record)
+FAULTS = {
+    "evaluate raises": (OracleEvaluationError, True),
+    "evaluate returns nan": (OracleEvaluationError, True),
+    "evaluate returns text": (OracleEvaluationError, True),
+    "short sample_round": (ValueError, True),
+    "gradient of the wrong shape": (ValueError, False),
+    "non-finite gradient": (ValueError, False),
+    "non-finite loss": (ValueError, False),
+    "loss that is text": (ValueError, False),
+}
+
+
+class Misbehaving(QuadraticToyProblem):
+    """A toy with one fault, at round or record ``when`` and, in ``evaluate``, on ``agent``.
+
+    With ``record_every = 1`` record ``j`` is taken at iteration ``j``.
+    """
+
+    def __init__(self, centers, fault, when, agent):
+        super().__init__(centers, zeta=0.1)
+        self.fault, self.when, self.agent = fault, when, agent
+        self.round = self.record = -1
+
+    def sample_round(self, rng):
+        self.round += 1
+        block = super().sample_round(rng)
+        if self.fault == "short sample_round" and self.round == self.when:
+            return block[1:]
+        return block
+
+    def evaluate(self, agent, x, z):
+        value = super().evaluate(agent, x, z)
+        if (self.round, agent) != (self.when, self.agent):
+            return value
+        if self.fault == "evaluate raises":
+            raise KeyError(agent)
+        return {"evaluate returns nan": math.nan, "evaluate returns text": "abc"}.get(
+            self.fault, value
+        )
+
+    def true_global_gradient(self, x):
+        self.record += 1
+        grad = super().true_global_gradient(x)
+        if self.record == self.when and self.fault == "gradient of the wrong shape":
+            return np.append(grad, 0.0)
+        if self.record == self.when and self.fault == "non-finite gradient":
+            return np.full_like(grad, math.inf)
+        return grad
+
+    def full_loss(self, x):
+        loss = super().full_loss(x)
+        if self.record == self.when and self.fault == "non-finite loss":
+            return math.nan
+        return "abc" if self.record == self.when and self.fault == "loss that is text" else loss
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    fault=st.sampled_from(sorted(FAULTS)),
+    n=st.integers(2, 5),
+    p=st.integers(1, 4),
+    T=st.integers(1, 4),
+    estimator=st.sampled_from(["forward", "central"]),
+    data=st.data(),
+)
+def test_a_misbehaving_problem_ends_in_a_typed_error_naming_its_round(
+    fault, n, p, T, estimator, data
+):
+    error_type, in_a_round = FAULTS[fault]
+    when = data.draw(st.integers(0, T - 1 if in_a_round else T), label="when")
+    agent = data.draw(st.integers(0, n - 1), label="agent")
+    centers = np.random.default_rng(n * 10 + p).standard_normal((n, p))
+    problem = Misbehaving(centers, fault, when, agent)
+    topo = erdos_renyi(n, 1.0)
+    n_c = data.draw(st.integers(1, p), label="n_c")
+    params = HyperParams(
+        alpha=0.5 * laplacian_spectrum(topo).alpha_max,
+        eta=0.05,
+        T=T,
+        n_c=n_c,
+        estimator=estimator,
+    )
+    with pytest.raises(error_type) as info:
+        run(topo, problem, params, seed=1, record_every=1)
+    error = info.value
+    assert type(error) is error_type
+    assert re.search(rf"\bat iteration {when}\b", str(error))
+    if error_type is OracleEvaluationError:
+        assert (error.agent, error.k) == (agent, when)
+        assert str(error).endswith(f"at iteration {when} on agent {agent}")
+    elif not in_a_round:
+        method = "full_loss" if "loss" in fault else "true_global_gradient"
+        assert str(error).startswith(f"{method} returned ")

@@ -58,7 +58,7 @@ class TestCoordinateSample:
     @pytest.mark.parametrize("bad", [0.5, 1.7, 2.0, True, False, "1", None])
     def test_rejects_a_non_integer_index_by_value(self, bad):
         # int() would truncate 0.5 and 1.7 to 0 and 1, and read True as 1
-        message = rf"^coordinate indices must be integers, got {bad!r}$"
+        message = rf"^coordinate index must be an integer of at least 0, got {bad!r}$"
         with pytest.raises(ValueError, match=message):
             CoordinateSample((3, bad))
 
@@ -131,6 +131,17 @@ def test_an_index_beyond_the_dimension_is_named(estimate):
         estimate(oracle, np.zeros(3), CoordinateSample((1, 5)), 0.1)
     assert oracle.calls == 0
     estimate(oracle, np.zeros(3), CoordinateSample((2,)), 0.1)  # the last index is in range
+
+
+@pytest.mark.parametrize("estimate", [forward_estimate, central_estimate])
+@pytest.mark.parametrize("delta", [math.nan, math.inf, 0.0, -1.0])
+def test_a_delta_outside_zero_to_infinity_is_rejected_before_any_probe(estimate, delta):
+    # a NaN radius would otherwise probe at NaN and blame the oracle
+    oracle = CountingOracle(sphere)
+    message = rf"^delta must be positive and finite, got {re.escape(repr(delta))}$"
+    with pytest.raises(ValueError, match=message):
+        estimate(oracle, np.zeros(3), CoordinateSample((0, 2)), delta)
+    assert oracle.calls == 0
 
 
 @pytest.mark.parametrize("estimate", [forward_estimate, central_estimate])

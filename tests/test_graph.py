@@ -1,10 +1,11 @@
 import math
 import tracemalloc
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_engine
@@ -66,7 +67,7 @@ class TestTopology:
             Topology(2, np.zeros((3, 3)))
 
     def test_rejects_non_integer_agent_count(self):
-        with pytest.raises(ValueError, match=r"^agent count must be .*integer.*, got 3\.0$"):
+        with pytest.raises(ValueError, match=r"^n must be an integer of at least 1, got 3\.0$"):
             Topology(3.0, np.zeros((3, 3)))
         assert Topology(np.int64(3), np.zeros((3, 3))).n == 3
 
@@ -142,7 +143,7 @@ class TestErdosRenyi:
             assert np.all(w >= 0.0)
 
     def test_rejects_non_integer_agent_count(self):
-        with pytest.raises(ValueError, match=r"^agent count must be .*integer.*, got 3\.0$"):
+        with pytest.raises(ValueError, match=r"^n must be an integer of at least 2, got 3\.0$"):
             erdos_renyi(3.0, 1.0)
         assert erdos_renyi(np.int64(3), 1.0).n == 3
 
@@ -405,3 +406,94 @@ def test_table_gives_back_the_dense_weights(w):
 def test_is_connected_on_one_and_two_agents(weights, connected):
     topo = Topology(len(weights), np.array(weights))
     assert is_connected(topo) is connected is queue_bfs_connected(reference_engine.weights(topo))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(2, 40).flatmap(
+        lambda n: st.tuples(st.just(n), st.sets(st.integers(0, n * (n - 1) // 2 - 1)))
+    )
+)
+def test_a_drawn_topology_orders_its_entries_by_one_key_as_lexsort_does(case):
+    # each (row, column) pair occurs once, so sorting row * n + column gives
+    # lexsort's (row, then column) order, and the table keeps its bits
+    n, hits = case
+    hits = np.array(sorted(hits), dtype=np.int64)  # a draw yields its hits in order
+    row = np.arange(n - 1)
+    offsets = row * (2 * n - 1 - row) // 2
+    i = np.searchsorted(offsets, hits, side="right") - 1
+    j = hits - offsets[i] + i + 1
+    rows, columns = np.concatenate([i, j]), np.concatenate([j, i])
+    assert np.array_equal(np.argsort(rows * n + columns), np.lexsort((columns, rows)))
+    drawn = graph._draw_topology(n, hits, offsets)
+    upper = np.triu_indices(n, k=1)
+    w = np.zeros((n, n))
+    w[upper[0][hits], upper[1][hits]] = 1.0
+    dense = Topology(n, w + w.T)
+    assert drawn.neighbours.tobytes() == dense.neighbours.tobytes()
+    assert drawn.coefficients.tobytes() == dense.coefficients.tobytes()
+
+
+def symmetric(n, edges):
+    """The dense weights of ``n`` agents with the undirected ``(i, j, w)`` edges."""
+    w = np.zeros((n, n))
+    for i, j, weight in edges:
+        w[i, j] = w[j, i] = weight
+    return w
+
+
+@st.composite
+def small_weighted_graphs(draw):
+    """2 to 7 agents with at least one edge, often disconnected; unit, uniform or log-uniform weights."""
+    n = draw(st.integers(2, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    upper = np.triu(rng.random((n, n)) < draw(st.sampled_from([0.3, 0.6, 1.0])), k=1)
+    upper[0, 1] = True
+    kind = draw(st.sampled_from(["unit", "uniform", "log-uniform"]))
+    weights = {
+        "unit": lambda: np.ones((n, n)),
+        "uniform": lambda: rng.uniform(0.01, 10.0, (n, n)),
+        "log-uniform": lambda: 10.0 ** rng.uniform(-3.0, 3.0, (n, n)),
+    }[kind]()
+    w = np.where(upper, weights, 0.0)
+    return w + w.T
+
+
+# eigenvalues 4, 6 and 7 twice each: a Sturm chain that is not square free miscounts
+REPEATED = symmetric(
+    7,
+    [(i, j, 1.0) for i in range(7) for j in range(i + 1, 7)
+     if (i, j) not in ((0, 1), (1, 2), (3, 4), (4, 5))],
+)
+# weights over six decades, kappa = 1.1e6: alpha_max sits 916 grid points below the snap
+WIDE = symmetric(
+    6,
+    [
+        (0, 1, 467.6581403261049), (0, 3, 942.0612981954358), (0, 4, 0.002308745765845746),
+        (0, 5, 3.7084099019013634), (1, 2, 0.0017118062745283091), (1, 5, 0.11292909633925799),
+        (3, 4, 6.285813367763839), (4, 5, 13.303327901111944),
+    ],
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_weighted_graphs())
+@example(REPEATED)
+@example(WIDE)
+@example(symmetric(4, [(0, 1, 1e-3), (2, 3, 1e3)]))  # two components, kappa = 1e6
+@example(symmetric(2, [(0, 1, 1.0)]))  # the exact bound 1/4 is itself a grid point
+def test_alpha_max_is_never_above_the_exact_snap(w):
+    # The solve floors its widening at 4 eps lambda_max, at the bottom edge
+    # too, so its rho2 may sit 4 eps kappa below rho2: with 2^40 grid points
+    # per binade that is kappa / 1024 grid points, plus one for where the
+    # snap falls.  The test allows twice that, 2 + kappa / 512, for
+    # kappa = lambda_max / rho2 (1.1e6 and 916 grid points on WIDE).
+    profile = laplacian_spectrum(Topology(len(w), w))
+    exact = reference_engine.ExactSpectrum(w)
+    snap, kappa = exact.alpha_max_snap()
+    alpha_max = Fraction(profile.alpha_max)
+    assert alpha_max <= snap
+    assert (snap - alpha_max) / reference_engine.grid_step(snap) <= 2 + kappa / 512
+    # rho2 is a lower bound: no positive eigenvalue lies below it
+    rho2 = Fraction(profile.rho2)
+    assert exact.at_most(rho2) == 0 or (exact.at_most(rho2) == 1 and exact.is_eigenvalue(rho2))

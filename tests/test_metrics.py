@@ -1,4 +1,6 @@
+import math
 import os
+import re
 import stat
 
 import numpy as np
@@ -213,3 +215,54 @@ class TestRecordContents:
         assert trajectory.final_accuracy is not None
         assert 0.0 <= trajectory.final_accuracy <= 1.0
         assert summarize(trajectory).final_accuracy == trajectory.final_accuracy
+
+
+class FixedDiagnostics:
+    """Hands back the given gradient and loss, and logs each call."""
+
+    def __init__(self, gradient, loss):
+        self.gradient, self.loss = gradient, loss
+        self.calls = []
+
+    def true_global_gradient(self, x):
+        self.calls.append("true_global_gradient")
+        return self.gradient
+
+    def full_loss(self, x):
+        self.calls.append("full_loss")
+        return self.loss
+
+
+class TestDiagnosticsChecks:
+    def test_each_method_is_called_once_per_record(self):
+        problem = FixedDiagnostics([1.0, 2.0, 2.0], np.float64(0.5))
+        record = capture_record(problem, np.zeros((2, 3)), 7, 1.0, 0, 0.0)
+        assert problem.calls == ["true_global_gradient", "full_loss"]
+        assert (record.grad_norm_sq, record.mean_train_loss) == (9.0, 0.5)
+
+    @pytest.mark.parametrize(
+        ("gradient", "loss", "method"),
+        [
+            (np.ones(2), 0.5, "true_global_gradient"),  # 2 entries for p = 3
+            (np.ones((3, 1)), 0.5, "true_global_gradient"),
+            (np.array([1.0, np.nan, 0.0]), 0.5, "true_global_gradient"),
+            (np.array([1.0, -np.inf, 0.0]), 0.5, "true_global_gradient"),
+            (np.ones(3) * 1j, 0.5, "true_global_gradient"),
+            (["a", "b", "c"], 0.5, "true_global_gradient"),
+            (None, 0.5, "true_global_gradient"),
+            (np.ones(3), math.nan, "full_loss"),
+            (np.ones(3), math.inf, "full_loss"),
+            (np.ones(3), "abc", "full_loss"),
+            (np.ones(3), np.ones(2), "full_loss"),
+            (np.ones(3), None, "full_loss"),
+        ],
+    )
+    def test_a_bad_diagnostic_is_named_with_its_method_and_round(self, gradient, loss, method):
+        # before, a short gradient recorded a norm of the wrong vector and a
+        # NaN loss went into the CSV
+        problem = FixedDiagnostics(gradient, loss)
+        shape = "(3,)" if method == "true_global_gradient" else "()"
+        message = rf"^{method} returned .* at iteration 7; it must be finite and real, of shape "
+        with pytest.raises(ValueError, match=message + re.escape(shape) + "$"):
+            capture_record(problem, np.zeros((2, 3)), 7, 1.0, 0, 0.0)
+        assert problem.calls.count(method) == 1

@@ -106,7 +106,7 @@ class TestSyntheticDataset:
             ({"test_labels": np.array([0.0, 1.0, 0.5, 1.0])}, "test_labels must be 0 or 1, got 0.5"),
             (
                 {"shard_bounds": ((0, 3.0), (3.0, 6))},
-                r"shard 0 is \(0, 3.0\); bounds must be integers",
+                r"^shard_bounds\[0\]\[1\] must be an integer of at least 0, got 3\.0$",
             ),
         ],
         ids=[
