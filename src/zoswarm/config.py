@@ -9,13 +9,12 @@ from __future__ import annotations
 import importlib.resources
 import inspect
 import math
-import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import dynamics, estimator, graph, problems
-from ._checks import is_integer
+from ._checks import check_number, is_integer, is_number
 
 __all__ = [
     "ConfigError",
@@ -157,8 +156,8 @@ def _check_kind(key: str, value, read, expected: str) -> None:
     elif read is int:
         fits = is_integer(value)
     else:
-        fits = read in (float, _eta) and isinstance(value, numbers.Real)
-    if not fits or isinstance(value, bool):  # nothing is converted, and no text reads as a bool
+        fits = read in (float, _eta) and is_number(value)
+    if not fits:  # nothing is converted: text reads as itself, and a bool is no number
         raise ConfigError(f"{key} = {value!r} is not {expected}")
 
 
@@ -196,8 +195,7 @@ def _smoothing_terms(token: str) -> tuple[str, float | None]:
     if head == "theorem_decay" and not arg:
         return head, None
     value = float(arg)
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(token)
+    check_number(head, value, "(0, inf)")
     return head, value
 
 
@@ -409,13 +407,12 @@ def resolve_hyperparams(
         chosen = {"gamma": spec.gamma, "n_c": spec.n_c, "estimator": spec.estimator}
         if spec.smoothing is not None:
             chosen["smoothing"] = _parse_smoothing(spec.smoothing, p, T)
-        if spec.eta == "theorem":
+        eta = spec.eta  # a number HyperParams checks, unconverted
+        if eta == "theorem":
             eta = dynamics.theorem_schedule(n_agents, p, T)
-        else:
-            eta = float(spec.eta)
-        alpha = spec.alpha_frac * profile.alpha_max
-        if not 0.0 < alpha < profile.alpha_max:
-            raise ValueError(f"alpha = {alpha:g} must lie in (0, {profile.alpha_max:g})")
+        check_number("alpha_frac", spec.alpha_frac, "(0, 1)")
+        alpha = spec.alpha_frac * profile.alpha_max  # a tiny alpha_frac underflows to 0
+        check_number("alpha", alpha, f"(0, {profile.alpha_max!r})")
         params = dynamics.HyperParams(
             alpha=alpha,
             eta=eta,

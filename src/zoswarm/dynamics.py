@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import check_integer
+from ._checks import check_integer, check_number
 from .estimator import (
     OracleEvaluationError,
     SmoothingSchedule,
@@ -48,7 +48,9 @@ __all__ = [
 ALGORITHMS = ("zoom", "zoom_pb")
 ESTIMATORS = ("forward", "central")
 
-# The powerball exponents, low to high, that the convergence guarantees cover.
+# The powerball exponents a run takes, and the part, low to high, that the
+# convergence guarantees cover.
+GAMMA_RANGE = "(0, inf)"
 GAMMA_GUARANTEE = (0.5, 1.0)
 
 # Rounds between metric records when a run does not say.
@@ -93,18 +95,12 @@ class HyperParams:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
         if self.gamma is None:
             object.__setattr__(self, "gamma", 0.7 if self.algorithm == "zoom_pb" else 1.0)
-        for name in ("alpha", "eta", "gamma"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        for name in ("alpha", "eta"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
+        for name, interval in (("alpha", "[0, inf)"), ("eta", "[0, inf)"), ("gamma", GAMMA_RANGE)):
+            check_number(name, getattr(self, name), interval)
         check_integer("T", self.T, 0)
         check_integer("n_c", self.n_c, 1)
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
-        if self.gamma <= 0.0:
-            raise ValueError("gamma must be positive")
         low, high = GAMMA_GUARANTEE
         if not low <= self.gamma <= high:
             warnings.warn(
@@ -293,11 +289,8 @@ def run(
         raise ValueError(
             f"problem carries {problem.local_count} agents but the topology has {topo.n}"
         )
-    profile = laplacian_spectrum(topo)
-    if not 0.0 < params.alpha < profile.alpha_max:
-        raise ValueError(
-            f"alpha={params.alpha} must lie in (0, {profile.alpha_max:g}) for this topology"
-        )
+    # repr keeps every digit, so the interval's end is this topology's alpha_max exactly
+    check_number("alpha", params.alpha, f"(0, {laplacian_spectrum(topo).alpha_max!r})")
     n, p = topo.n, problem.dimension
     streams = RunStreams.from_seed(seed)
 

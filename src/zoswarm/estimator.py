@@ -19,7 +19,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from ._checks import check_integer
+from ._checks import check_integer, check_number
 
 __all__ = [
     "CoordinateSample",
@@ -103,14 +103,13 @@ class SmoothingSchedule:
             if self.mode == "fixed":
                 raise ValueError("fixed mode needs a radius value")
             object.__setattr__(self, "value", 1.0)
-        if not (math.isfinite(self.value) and self.value > 0.0):
-            raise ValueError(f"value must be positive and finite, got {self.value!r}")
+        check_number("value", self.value, "(0, inf)")
 
     def delta(self, p: int, n_agents: int, k: int) -> float:
-        """Smoothing radius at iteration ``k`` (zero-based)."""
+        """Smoothing radius at iteration ``k`` (zero-based), a Python float."""
         if self.mode == "fixed":
             return float(self.value)
-        return self.value / float(p * n_agents * (k + 1)) ** 0.25
+        return float(self.value) / float(p * n_agents * (k + 1)) ** 0.25
 
 
 def sample_coordinates(
@@ -132,8 +131,9 @@ def sample_coordinates(
 
 def _probe_buffer(x: np.ndarray, sample: CoordinateSample, delta: float) -> np.ndarray:
     """The one copy of ``x`` that an estimate shifts, after checking its inputs."""
-    if not 0.0 < delta < math.inf:  # NaN fails both comparisons
-        raise ValueError(f"delta must be positive and finite, got {delta!r}")
+    # a Python float in range passes at the cost of one comparison, not the rule's
+    if not (type(delta) is float and 0.0 < delta < math.inf):
+        check_number("delta", delta, "(0, inf)")
     probe = np.array(x, dtype=float)
     if probe.ndim != 1:
         raise ValueError(f"the point must be a 1-D vector, got shape {probe.shape}")
@@ -163,11 +163,11 @@ def forward_estimate(
     oracle evaluations; the base value is shared across coordinates.  ``x`` is
     copied once, into a probe buffer that is shifted and restored exactly for
     each probe, so the oracle must not keep a reference to its argument.  A
-    ``delta`` outside ``(0, inf)``, an index at or beyond ``p``, or an ``x``
-    that is not 1-D is a ``ValueError`` raised before any oracle call.  An
-    oracle value that is non-finite or that ``float()`` rejects is an
-    :class:`OracleEvaluationError`; an exception the oracle raises itself
-    passes through as it is.
+    ``delta`` that is not a finite number in ``(0, inf)``, an index at or
+    beyond ``p``, or an ``x`` that is not 1-D is a ``ValueError`` raised
+    before any oracle call.  An oracle value that is non-finite or that
+    ``float()`` rejects is an :class:`OracleEvaluationError`; an exception
+    the oracle raises itself passes through as it is.
     """
     probe = _probe_buffer(x, sample, delta)
     base = oracle(probe)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import check_integer
+from ._checks import check_integer, check_number
 
 __all__ = [
     "Topology",
@@ -168,8 +168,7 @@ def erdos_renyi(n: int, prob: float, seed: int = 0) -> Topology:
         GraphSamplingError: if every attempt in the budget is disconnected.
     """
     check_integer("n", n, 2)
-    if not 0.0 < prob <= 1.0:
-        raise ValueError(f"edge probability must lie in (0, 1], got {prob}")
+    check_number("prob", prob, "(0, 1]")
     check_integer("seed", seed, 0)
     # position in the draw block of the first pair (i, i + 1) of each row i
     row = np.arange(n - 1)
@@ -230,7 +229,8 @@ def laplacian_spectrum(topo: Topology) -> SpectralProfile:
     the iteration runs until that grid point is also the snap of the
     Ritz values' ratio, an upper bound, so it is the snap of the exact
     bound.  If the Krylov space runs dry first, as it does on small graphs,
-    the lower bound's snap is kept, which can sit a grid point or two below.
+    the lower bound's snap is kept, at most ``2 + kappa / 512`` grid points
+    below, for ``kappa = lambda_max / rho2``.
 
     Raises:
         EigenSolveError: if the bounds do not settle onto one grid point

@@ -15,7 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics, estimator, graph, metrics, problems
+from ._checks import check_number
 from .config import AlgorithmSpec, ConfigError, ExperimentConfig, resolve_hyperparams
+from .config import _config_errors
 # re-exported for benchmarks/, whose tracer patches the builders run_battery looks up here
 from .config import build_problem, build_topology, load_config
 
@@ -208,7 +210,10 @@ def gamma_sweep(
     ``within_guarantee_range``, false for a gamma outside
     ``dynamics.GAMMA_GUARANTEE``: it still runs, uncovered by the guarantees.
     """
-    gammas = [float(g) for g in gammas]
+    with _config_errors("gamma sweep"):  # before any run, so nothing is built or written
+        for gamma in (gammas := list(gammas)):
+            check_number("gamma", gamma, dynamics.GAMMA_RANGE)
+    gammas = [float(g) for g in gammas]  # a label spells the Python float's repr
     if not gammas:
         raise ConfigError("gamma sweep needs at least one gamma value")
     base = config.algorithms[0] if config.algorithms else AlgorithmSpec(label="zoom_pb", kind="zoom_pb")
@@ -245,12 +250,8 @@ def record_csv_fingerprint(path: str | Path) -> str:
     Wall time is the only nondeterministic quantity a record CSV carries;
     everything else must reproduce byte for byte across reruns.
     """
-    kept = []
-    for line in Path(path).read_text().splitlines():
-        if line.startswith("#"):
-            continue
-        kept.append(line.rsplit(",", 1)[0])
-    return "\n".join(kept)
+    lines = Path(path).read_text().splitlines()
+    return "\n".join(line.rsplit(",", 1)[0] for line in lines if not line.startswith("#"))
 
 
 # Invariant checks behind ``zoswarm check`` and acceptance criteria 03 and
@@ -325,11 +326,7 @@ def _check_reduction() -> tuple[bool, str]:
         eta = dynamics.theorem_schedule(topo.n, problem.dimension, horizon)
         for est in dynamics.ESTIMATORS:
             params = dynamics.HyperParams(
-                alpha=0.9 * profile.alpha_max,
-                eta=eta,
-                T=horizon,
-                gamma=1.0,
-                estimator=est,
+                alpha=0.9 * profile.alpha_max, eta=eta, T=horizon, gamma=1.0, estimator=est
             )
             plain = dynamics.run(topo, problem, params, seed=9)
             transformed = dynamics.run(topo, problem, replace(params, algorithm="zoom_pb"), seed=9)

@@ -8,13 +8,14 @@ record checks them once, so a bad one ends the run, named with its round.
 
 from __future__ import annotations
 
-import math
 import os
 import secrets
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
+
+from ._checks import check_number
 
 __all__ = [
     "IterationRecord",
@@ -65,8 +66,7 @@ class RunSummary:
 
 def holder_norm_sq(v: np.ndarray, q: float) -> float:
     """Squared q-norm ``(sum |v_j|^q)^(2/q)``, for a finite order ``q > 0``."""
-    if not (math.isfinite(q) and q > 0.0):
-        raise ValueError(f"norm order must be finite and positive, got {q}")
+    check_number("q", q, "(0, inf)")
     v = np.asarray(v, dtype=float)
     if q == 2.0:
         return float(v @ v)  # keep the gamma = 1 case bit-identical to the plain squared norm
@@ -98,12 +98,7 @@ def _checked(method: str, k: int, shape: tuple, value) -> np.ndarray:
 
 
 def capture_record(
-    problem,
-    iterates: np.ndarray,
-    k: int,
-    gamma: float,
-    oracle_calls: int,
-    wall_ms: float,
+    problem, iterates: np.ndarray, k: int, gamma: float, oracle_calls: int, wall_ms: float
 ) -> IterationRecord:
     """Evaluate all diagnostics at the current swarm mean.
 

@@ -13,7 +13,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from ._checks import check_integer
+from ._checks import check_integer, check_number
 
 __all__ = [
     "StochasticProblem",
@@ -101,7 +101,8 @@ class ClassificationProblem(StochasticProblem):
     non-empty, each starting where the one before stops, the first at 0 and
     the last stopping at ``n_train``.  A realization ``xi`` is a uniformly
     drawn training index from the agent's own shard (with replacement
-    across iterations).
+    across iterations).  The problem keeps read-only copies of the four
+    arrays, so a later write to the caller's arrays changes nothing here.
     """
 
     def __init__(
@@ -112,14 +113,16 @@ class ClassificationProblem(StochasticProblem):
         test_labels: np.ndarray,
         shard_bounds: tuple[tuple[int, int], ...],
     ):
-        train_features = np.asarray(train_features, dtype=float)
-        test_features = np.asarray(test_features, dtype=float)
-        train_labels, test_labels = np.asarray(train_labels), np.asarray(test_labels)
+        self._keep(
+            np.array(train_features, dtype=float), np.array(train_labels),
+            np.array(test_features, dtype=float), np.array(test_labels), shard_bounds,
+        )
+
+    def _keep(self, train_features, train_labels, test_features, test_labels, shard_bounds):
+        """Check the data and keep its arrays, which nobody else may hold, read-only."""
         shard_bounds = tuple(shard_bounds)
-        for name, features in (
-            ("train_features", train_features),
-            ("test_features", test_features),
-        ):
+        named = (("train_features", train_features), ("test_features", test_features))
+        for name, features in named:
             if features.ndim != 2:
                 raise ValueError(f"{name} must be 2-D, got shape {features.shape}")
         n_train, d = train_features.shape
@@ -156,17 +159,11 @@ class ClassificationProblem(StochasticProblem):
             raise ValueError(
                 f"shard {len(shard_bounds) - 1} stops at {expected}, not at n_train = {n_train}"
             )
-        # read-only views: the full-batch cache and the row memo below assume the
-        # data never changes, and the caller's own arrays stay writable
-        for name, array in (
-            ("train_features", train_features),
-            ("train_labels", train_labels),
-            ("test_features", test_features),
-            ("test_labels", test_labels),
-        ):
-            view = array.view()
-            view.flags.writeable = False
-            setattr(self, name, view)
+        # the full-batch cache and the row memo below assume the data never changes
+        for array in (train_features, train_labels, test_features, test_labels):
+            array.flags.writeable = False
+        self.train_features, self.train_labels = train_features, train_labels
+        self.test_features, self.test_labels = test_features, test_labels
         self.shard_bounds = shard_bounds
         self.dimension = d
         self.local_count = len(shard_bounds)
@@ -280,7 +277,11 @@ def make_synthetic_classification(
     bounds = tuple(
         (i * base, (i + 1) * base if i < n_agents - 1 else n_train) for i in range(n_agents)
     )
-    return ClassificationProblem(train, train_labels, test, test_labels, bounds)
+    # nobody else holds these arrays, so the problem keeps them without the
+    # constructor's copy, which would hold the data twice during set-up
+    problem = ClassificationProblem.__new__(ClassificationProblem)
+    problem._keep(train, train_labels, test, test_labels, bounds)
+    return problem
 
 
 class QuadraticToyProblem(StochasticProblem):
@@ -299,6 +300,8 @@ class QuadraticToyProblem(StochasticProblem):
     is checked once, at construction.
     """
 
+    ZETAS = "[0, inf)"  # the noise levels it takes; at 0 the oracle is noiseless
+
     def __init__(self, centers: np.ndarray, zeta: float = 0.0):
         centers = np.asarray(centers, dtype=float)
         if centers.ndim != 2:
@@ -312,8 +315,7 @@ class QuadraticToyProblem(StochasticProblem):
                 f"agent {agent}'s center is {float(centers[agent, j])} at coordinate {j}; "
                 "centers must be finite"
             )
-        if not (math.isfinite(zeta) and zeta >= 0.0):
-            raise ValueError(f"noise level zeta must be finite and nonnegative, got {zeta}")
+        check_number("zeta", zeta, self.ZETAS)
         self.centers = centers
         self.zeta = float(zeta)
         self.local_count, self.dimension = centers.shape
@@ -355,5 +357,6 @@ def make_quadratic_toy(
     check_integer("n_agents", n_agents, 1)
     check_integer("p", p, 1)
     check_integer("seed", seed, 0)
+    check_number("zeta", zeta, QuadraticToyProblem.ZETAS)  # before the centers are drawn
     centers = np.random.default_rng(seed).standard_normal((n_agents, p))
     return QuadraticToyProblem(centers, zeta=zeta)

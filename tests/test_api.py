@@ -214,16 +214,18 @@ def test_only_graph_reads_the_neighbour_table():
     assert readers == []
 
 
-def test_only_the_integer_rule_tests_for_integers():
-    # what counts as an integer has one home: other modules call zoswarm._checks
+def test_only_the_input_rule_tests_for_integers_and_numbers():
+    # what counts as an integer or a real number has one home: other modules
+    # call zoswarm._checks
+    kinds = ("Integral", "integer", "Real", "floating")
     testers = []
     for name, path in SOURCES.items():
         if name == "_checks" or name.startswith("tests/"):
             continue
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Attribute) and node.attr in ("Integral", "integer"):
+            if isinstance(node, ast.Attribute) and node.attr in kinds:
                 testers.append(f"{name}:{node.lineno}")
-            elif isinstance(node, ast.alias) and node.name in ("Integral", "integer"):
+            elif isinstance(node, ast.alias) and node.name in kinds:
                 testers.append(f"{name}:{node.lineno}")
     assert testers == []
 

@@ -1,28 +1,60 @@
-"""The one integer rule, at every entry point that takes a count, size, index or seed.
+"""The input rule, at every entry point that takes a count, size, index or seed,
+and at every entry point that takes a real-valued parameter.
 
-Each entry point rejects ``True``, ``2.0``, ``"3"`` and the value just below
-its minimum with ``ValueError: <name> must be an integer of at least
-<least>, got <value!r>`` before it draws, writes or runs a round, and it
-takes a numpy integer at the minimum.
+Each integer entry point rejects ``True``, ``2.0``, ``"3"`` and the value
+just below its minimum with ``ValueError: <name> must be an integer of at
+least <least>, got <value!r>``, and it takes a numpy integer at the minimum.
+Each number entry point rejects a ``bool``, text, ``None`` (where ``None``
+does not mean a default), NaN, an infinity, a complex number and values
+just outside its interval with ``ValueError: <name> must be a finite number
+in <interval>, got <value!r>``, and it takes a numpy float inside the
+interval.  On a config path the error is a ``ConfigError`` that puts the
+section or the label in front.  Every error comes before the entry point
+draws, writes or runs a round.
 """
 
+import math
 import re
+import warnings
+from dataclasses import replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from zoswarm.config import (
+    AlgorithmSpec,
+    ConfigError,
+    ExperimentConfig,
+    build_problem,
+    build_topology,
+    load_config,
+    resolve_hyperparams,
+)
 from zoswarm.dynamics import HyperParams, run, theorem_schedule
-from zoswarm.estimator import CoordinateSample
+from zoswarm.estimator import (
+    CoordinateSample,
+    SmoothingSchedule,
+    central_estimate,
+    forward_estimate,
+)
 from zoswarm.graph import Topology, erdos_renyi, laplacian_spectrum
+from zoswarm.harness import gamma_sweep
+from zoswarm.metrics import holder_norm_sq
 from zoswarm.problems import (
     ClassificationProblem,
+    QuadraticToyProblem,
     StochasticProblem,
     make_quadratic_toy,
     make_synthetic_classification,
 )
 
 TOPO = erdos_renyi(4, 1.0)
-PARAMS = HyperParams(alpha=0.5 * laplacian_spectrum(TOPO).alpha_max, eta=0.01, T=3)
+PROFILE = laplacian_spectrum(TOPO)
+PARAMS = HyperParams(alpha=0.5 * PROFILE.alpha_max, eta=0.01, T=3)
+TOY = load_config("toy_quadratic")
 
 
 class Untouchable(StochasticProblem):
@@ -123,3 +155,146 @@ def test_every_integer_is_checked_by_the_one_rule(entry, no_draws):
         call(np.int64(least))
     except Exception as exc:
         assert not str(exc).startswith(f"{name} must be an integer")
+
+
+def untouched_oracle(z):
+    raise AssertionError("the oracle was called")
+
+
+def estimate_with(estimate):
+    return lambda v: estimate(untouched_oracle, np.zeros(3), CoordinateSample((0, 2)), v)
+
+
+def spec(name):
+    """A call that resolves a ``zoom_pb`` spec whose ``name`` field is the value."""
+    return lambda v: resolve_hyperparams(
+        AlgorithmSpec(label="z", kind="zoom_pb", **{"eta": 0.1, name: v}), PROFILE, 4, 3, 5
+    )
+
+
+class Number(NamedTuple):
+    """A number entry point: the name its error gives, its interval and a call with the value."""
+
+    name: str
+    interval: str
+    call: Callable
+    prefix: str = ""  # what a config path puts in front of the rule's message
+    none_is_a_default: bool = False
+
+
+NUMBER_ENTRY_POINTS = {
+    "HyperParams.alpha": Number("alpha", "[0, inf)", lambda v: HyperParams(alpha=v, eta=0.1, T=3)),
+    "HyperParams.eta": Number("eta", "[0, inf)", lambda v: HyperParams(alpha=0.1, eta=v, T=3)),
+    "HyperParams.gamma": Number(
+        "gamma",
+        "(0, inf)",
+        lambda v: HyperParams(alpha=0.1, eta=0.1, T=3, gamma=v),
+        none_is_a_default=True,
+    ),
+    "SmoothingSchedule.value fixed": Number(
+        "value", "(0, inf)", lambda v: SmoothingSchedule("fixed", v), none_is_a_default=True
+    ),
+    "SmoothingSchedule.value theorem_decay": Number(
+        "value", "(0, inf)", lambda v: SmoothingSchedule("theorem_decay", v), none_is_a_default=True
+    ),
+    "erdos_renyi.prob": Number("prob", "(0, 1]", lambda v: erdos_renyi(5, v)),
+    "QuadraticToyProblem.zeta": Number(
+        "zeta", "[0, inf)", lambda v: QuadraticToyProblem(np.zeros((2, 3)), v)
+    ),
+    "make_quadratic_toy.zeta": Number(
+        "zeta", "[0, inf)", lambda v: make_quadratic_toy(2, 3, zeta=v)
+    ),
+    "forward_estimate.delta": Number("delta", "(0, inf)", estimate_with(forward_estimate)),
+    "central_estimate.delta": Number("delta", "(0, inf)", estimate_with(central_estimate)),
+    "holder_norm_sq.q": Number("q", "(0, inf)", lambda v: holder_norm_sq(np.ones(3), v)),
+    # a sweep that got past its gammas would build the problem: a forbidden draw
+    "gamma_sweep.gammas": Number(
+        "gamma", "(0, inf)", lambda v: gamma_sweep(TOY, [0.5, v], quiet=True), "gamma sweep: "
+    ),
+    "build_topology.prob": Number(
+        "prob",
+        "(0, 1]",
+        lambda v: build_topology(ExperimentConfig(topology={"n": 5, "prob": v})),
+        "topology: ",
+    ),
+    "build_problem.zeta": Number(
+        "zeta",
+        "[0, inf)",
+        lambda v: build_problem(ExperimentConfig(problem={"name": "quadratic_toy", "zeta": v})),
+        "problem: ",
+    ),
+    "resolve_hyperparams.eta": Number("eta", "[0, inf)", spec("eta"), "algorithm 'z': "),
+    "resolve_hyperparams.gamma": Number(
+        "gamma", "(0, inf)", spec("gamma"), "algorithm 'z': ", none_is_a_default=True
+    ),
+    "resolve_hyperparams.alpha_frac": Number(
+        "alpha_frac", "(0, 1)", spec("alpha_frac"), "algorithm 'z': "
+    ),
+}
+
+# interval -> values just outside it, and values inside it
+INTERVALS = {
+    "[0, inf)": (st.floats(max_value=-5e-324), st.floats(0.0, 1e300)),
+    "(0, inf)": (st.floats(max_value=0.0), st.floats(5e-324, 1e300)),
+    "(0, 1]": (
+        st.floats(max_value=0.0) | st.floats(min_value=math.nextafter(1.0, 2.0)),
+        st.floats(5e-324, 1.0),
+    ),
+    "(0, 1)": (
+        st.floats(max_value=0.0) | st.floats(min_value=1.0),
+        st.floats(5e-324, math.nextafter(1.0, 0.0)),
+    ),
+}
+
+
+def bad_numbers(interval, none_is_a_default):
+    """``True`` or ``False``, text, ``None``, NaN, an infinity, a complex number
+    or a value just outside ``interval``."""
+    kinds = [
+        st.booleans(),
+        st.sampled_from(["0.5", "1", "nan", ""]),
+        st.just(math.nan),
+        st.sampled_from([math.inf, -math.inf]),
+        st.complex_numbers(allow_nan=False, allow_infinity=False),
+        INTERVALS[interval][0],
+    ]
+    if not none_is_a_default:
+        kinds.append(st.none())
+    return st.one_of(kinds)
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(st.sampled_from(sorted(NUMBER_ENTRY_POINTS)), st.data())
+def test_every_number_is_checked_by_the_one_rule(no_draws, entry, data):
+    name, interval, call, prefix, none_is_a_default = NUMBER_ENTRY_POINTS[entry]
+    bad = data.draw(bad_numbers(interval, none_is_a_default), label="bad")
+    with pytest.raises(ValueError) as info:
+        call(bad)
+    assert type(info.value) is (ConfigError if prefix else ValueError)
+    assert str(info.value) == f"{prefix}{name} must be a finite number in {interval}, got {bad!r}"
+    # a numpy float inside the interval passes the rule; the call may then fail
+    # on something else, such as the forbidden draw or the untouchable oracle
+    good = np.float64(data.draw(INTERVALS[interval][1], label="good"))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # gammas outside the guarantees, overflow
+            call(good)
+    except Exception as exc:
+        assert not str(exc).startswith(f"{prefix}{name} must be a finite number")
+
+
+@pytest.mark.parametrize("factor", [0.0, 1.0, 2.0])
+def test_a_run_takes_alpha_only_inside_its_topologys_bound(no_draws, factor):
+    alpha = factor * PROFILE.alpha_max
+    message = f"alpha must be a finite number in (0, {PROFILE.alpha_max!r}), got {alpha!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run(TOPO, Untouchable(), replace(PARAMS, alpha=alpha))
+
+
+def test_a_config_alpha_that_underflows_is_named(no_draws):
+    # alpha_frac passes its own rule, but the product alpha_frac * alpha_max is 0.0
+    message = f"algorithm 'z': alpha must be a finite number in (0, {PROFILE.alpha_max!r}), got 0.0"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        spec("alpha_frac")(5e-324)

@@ -249,24 +249,44 @@ def test_run_rejects_duplicate_seeds_and_malformed_values(tmp_path, capsys):
             [],
             "problem: n_agents must be an integer of at least 1, got 0",
         ),
-        ("topology.prob = 1.0", "topology.prob = 1.5", [], "topology: edge probability"),
+        (
+            "topology.prob = 1.0",
+            "topology.prob = 1.5",
+            [],
+            "topology: prob must be a finite number in (0, 1], got 1.5",
+        ),
         ("run.T = 60", "run.T = 60\ndefaults.gamma = -1", [], "algorithm 'zoom': gamma must"),
         ("run.T = 60", "run.T = 60\ndefaults.eta = -0.1", [], "algorithm 'zoom': eta must"),
-        ("run.T = 60", "run.T = 60\ndefaults.eta = nan", [], "algorithm 'zoom': eta must be finite"),
-        ("run.T = 60", "run.T = 60\ndefaults.eta = inf", [], "algorithm 'zoom': eta must be finite"),
+        (
+            "run.T = 60",
+            "run.T = 60\ndefaults.eta = nan",
+            [],
+            "algorithm 'zoom': eta must be a finite number in [0, inf), got nan",
+        ),
+        (
+            "run.T = 60",
+            "run.T = 60\ndefaults.eta = inf",
+            [],
+            "algorithm 'zoom': eta must be a finite number in [0, inf), got inf",
+        ),
         (
             "run.T = 60",
             "run.T = 60\ndefaults.gamma = nan",
             [],
-            "algorithm 'zoom': gamma must be finite",
+            "algorithm 'zoom': gamma must be a finite number in (0, inf), got nan",
         ),
         (
             "algorithm.zoom_pb.gamma = 0.7",
             "algorithm.zoom_pb.gamma = nan",
             [],
-            "algorithm 'zoom_pb': gamma must be finite, got nan",
+            "algorithm 'zoom_pb': gamma must be a finite number in (0, inf), got nan",
         ),
-        ("run.T = 60", "run.T = 60\ndefaults.alpha_frac = 2", [], "algorithm 'zoom': alpha = "),
+        (
+            "run.T = 60",
+            "run.T = 60\ndefaults.alpha_frac = 2",
+            [],
+            "algorithm 'zoom': alpha_frac must be a finite number in (0, 1), got 2.0",
+        ),
         (
             "run.T = 60",
             "run.T = 60\ndefaults.n_c = 9",
@@ -336,7 +356,7 @@ def test_sweep_rejects_non_finite_gammas(tmp_path, capsys, gamma):
     out = tmp_path / "sw"
     assert main(["sweep", "--config", str(cfg), "--gammas", gamma, "--out", str(out), "--quiet"]) == 2
     assert capsys.readouterr().err.startswith(
-        f"config error: algorithm 'zoom_pb_g{gamma}_forward': gamma must be finite, got {gamma}"
+        f"config error: gamma sweep: gamma must be a finite number in (0, inf), got {gamma}"
     )
     assert not out.exists()  # set-up failed before the sweep wrote anything
 
@@ -413,9 +433,9 @@ def test_spectra_without_seed_draws_the_graph_of_its_default_seed(capsys):
     "flags, message",
     [
         (["--n", "1", "--prob", "0.5"], "topology: n must be an integer of at least 2, got 1"),
-        (["--n", "5", "--prob", "0"], "topology: edge probability must lie in (0, 1], got 0.0"),
-        (["--n", "5", "--prob", "1.5"], "topology: edge probability must lie in (0, 1], got 1.5"),
-        (["--n", "5", "--prob", "nan"], "topology: edge probability must lie in (0, 1], got nan"),
+        (["--n", "5", "--prob", "0"], "topology: prob must be a finite number in (0, 1], got 0.0"),
+        (["--n", "5", "--prob", "1.5"], "topology: prob must be a finite number in (0, 1], got 1.5"),
+        (["--n", "5", "--prob", "nan"], "topology: prob must be a finite number in (0, 1], got nan"),
         (
             ["--n", "5", "--prob", "0.5", "--seed", "-1"],
             "topology: seed must be an integer of at least 0, got -1",

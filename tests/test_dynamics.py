@@ -211,7 +211,9 @@ class TestHyperParams:
     @pytest.mark.parametrize("name", ["alpha", "eta", "gamma"])
     def test_non_finite_step_sizes_rejected_by_name(self, name, value):
         kwargs = {"alpha": 0.1, "eta": 0.1, "gamma": 0.7, name: value}
-        with pytest.raises(ValueError, match=rf"^{name} must be finite, got {value!r}$"):
+        interval = "(0, inf)" if name == "gamma" else "[0, inf)"
+        message = f"{name} must be a finite number in {interval}, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             HyperParams(T=10, **kwargs)
 
     def test_gamma_outside_guarantee_range_warns_but_runs(self):
@@ -468,7 +470,7 @@ class TestSteps:
             f"{estimator}_estimate",
             lambda oracle, x, sample, delta: own(oracle, x, sample, -delta),
         )
-        with pytest.raises(ValueError, match="^delta must be positive and finite, got -"):
+        with pytest.raises(ValueError, match=r"^delta must be a finite number in \(0, inf\), got -"):
             step(state, topo, params, RaisesOnAgentTwo(), RunStreams.from_seed(0))
 
 

@@ -138,7 +138,7 @@ def test_an_index_beyond_the_dimension_is_named(estimate):
 def test_a_delta_outside_zero_to_infinity_is_rejected_before_any_probe(estimate, delta):
     # a NaN radius would otherwise probe at NaN and blame the oracle
     oracle = CountingOracle(sphere)
-    message = rf"^delta must be positive and finite, got {re.escape(repr(delta))}$"
+    message = rf"^delta must be a finite number in \(0, inf\), got {re.escape(repr(delta))}$"
     with pytest.raises(ValueError, match=message):
         estimate(oracle, np.zeros(3), CoordinateSample((0, 2)), delta)
     assert oracle.calls == 0
@@ -250,13 +250,25 @@ class TestSmoothingSchedule:
         assert schedule.delta(100, 10, 0) == 0.01
         assert schedule.delta(100, 10, 9999) == 0.01
 
+    @pytest.mark.parametrize("mode", ["theorem_decay", "fixed"])
+    def test_a_numpy_value_gives_the_python_float_radius(self, mode):
+        # an estimate checks a Python float radius with one comparison and
+        # any other with the full number rule, once per agent and round
+        plain, numpy = SmoothingSchedule(mode, 0.3), SmoothingSchedule(mode, np.float64(0.3))
+        for k in (0, 7):
+            assert type(numpy.delta(5, 4, k)) is float
+            assert numpy.delta(5, 4, k) == plain.delta(5, 4, k)
+
     @pytest.mark.parametrize(
         "kwargs, message",
         [
             ({"mode": "fixed"}, "^fixed mode needs a radius value$"),
             ({"mode": "nope"}, "^mode must be one of"),
             *(
-                ({"mode": mode, "value": bad}, f"^value must be positive and finite, got {bad!r}$")
+                (
+                    {"mode": mode, "value": bad},
+                    rf"^value must be a finite number in \(0, inf\), got {bad!r}$",
+                )
                 for mode in ("theorem_decay", "fixed")
                 # a non-finite radius would otherwise surface as an oracle failure mid-run
                 for bad in (0.0, -0.5, math.nan, math.inf)

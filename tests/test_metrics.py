@@ -59,7 +59,8 @@ class TestNorms:
     # at q = inf the formula would read (3^inf + 4^inf)^0 = 1.0, not 16
     @pytest.mark.parametrize("q", [0.0, -1.5, np.inf, np.nan])
     def test_holder_rejects_orders_that_are_not_finite_and_positive(self, q):
-        with pytest.raises(ValueError, match=f"norm order must be finite and positive, got {q}"):
+        message = rf"^q must be a finite number in \(0, inf\), got {q!r}$"
+        with pytest.raises(ValueError, match=message):
             holder_norm_sq(np.array([3.0, 4.0]), q)
 
 

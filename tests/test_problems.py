@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -221,6 +223,10 @@ class TestAccuracy:
         assert synthetic.test_accuracy(np.zeros(100)) == expected
 
 
+# the four data arrays a ClassificationProblem keeps
+ARRAY_NAMES = ("train_features", "train_labels", "test_features", "test_labels")
+
+
 class TestClassificationProblem:
     def test_samples_stay_in_shard(self, synthetic):
         rng = np.random.default_rng(0)
@@ -230,24 +236,55 @@ class TestClassificationProblem:
                 xi = synthetic.sample(agent, rng)
                 assert start <= xi < stop
 
-    def test_stored_arrays_are_read_only_views(self):
+    def test_stored_arrays_are_read_only_copies(self):
         # the full-batch cache and evaluate's row memo would go stale after an
-        # in-place write, so the stored arrays refuse one; the caller's stay writable
+        # in-place write, so the stored arrays refuse one; the caller's stay
+        # writable, and a write to them reaches nothing the problem computes
         rng = np.random.default_rng(4)
         features, labels = rng.standard_normal((40, 3)), rng.integers(0, 2, 40)
         test_features, test_labels = features[:5].copy(), labels[:5].copy()
-        problem = ClassificationProblem(
-            features, labels, test_features, test_labels, ((0, 20), (20, 40))
-        )
+        caller_arrays = (features, labels, test_features, test_labels)
+        bounds = ((0, 20), (20, 40))
+        problem = ClassificationProblem(*caller_arrays, bounds)
+        pristine = ClassificationProblem(*(a.copy() for a in caller_arrays), bounds)
         x = rng.standard_normal(3)
-        before = problem.full_loss(x)
-        for name in ("train_features", "train_labels", "test_features", "test_labels"):
+
+        def computed(problem, x):
+            return (
+                [problem.evaluate(agent, x, xi) for agent, xi in ((0, 3), (1, 27))],
+                problem.full_loss(x),
+                problem.true_global_gradient(x).tolist(),
+                problem.test_accuracy(x),
+            )
+
+        computed(problem, x)  # fills the row memo and the full-batch cache
+        stored = [getattr(problem, name) for name in ARRAY_NAMES]
+        for array in stored:
             with pytest.raises(ValueError, match="read-only"):
-                getattr(problem, name)[:] *= -1
-        assert problem.full_loss(x) == before
-        assert np.shares_memory(problem.train_features, features)
-        for array in (features, labels, test_features, test_labels):
+                array[:] *= -1
+        for array in caller_arrays:
             assert array.flags.writeable
+        features *= 10.0
+        test_features *= -1.0
+        labels ^= 1
+        test_labels ^= 1
+        # at a point the caches hold and at a fresh one
+        for point in (x, rng.standard_normal(3)):
+            assert computed(problem, point) == computed(pristine, point)
+        assert not any(np.shares_memory(a, b) for a in stored for b in caller_arrays)
+
+    def test_the_factory_hands_its_arrays_over_without_a_copy(self):
+        # the constructor's copy would hold the training features twice during set-up
+        tracemalloc.start()
+        try:
+            problem = make_synthetic_classification(n_train=2000, n_test=10, d=100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * problem.train_features.nbytes
+        for name in ARRAY_NAMES:
+            array = getattr(problem, name)
+            assert array.flags.owndata and not array.flags.writeable
 
 
 class TestQuadraticToy:
