@@ -1,10 +1,14 @@
 """The input rule, checked before anything is drawn, written or run: every count,
-size, index and seed is an integer, and every real-valued parameter a finite
-number inside its interval.  A ``bool`` is neither, and nothing is converted."""
+size, index and seed is an integer, every real-valued parameter a finite number
+inside its interval, and every array a finite real array of its expected shape.
+A ``bool`` is neither, and nothing but an array's dtype is converted."""
 
+import math
 import numbers
 
-__all__ = ["is_integer", "check_integer", "is_number", "check_number"]
+import numpy as np
+
+__all__ = ["is_integer", "check_integer", "is_number", "check_number", "check_array"]
 
 
 def is_integer(value) -> bool:
@@ -30,3 +34,34 @@ def check_number(name: str, value, interval: str) -> None:
     above = is_number(value) and (low <= value if interval[0] == "[" else low < value)
     if not (above and (value <= high if interval[-1] == "]" else value < high)):
         raise ValueError(f"{name} must be a finite number in {interval}, got {value!r}")
+
+
+def _read_array(value, shape: tuple) -> tuple[np.ndarray | None, str]:
+    """``value`` as float64 and ``""``, or ``None`` and what keeps it from passing."""
+    try:
+        array = np.asarray(value)
+    except ValueError:  # numpy reads no array from a ragged nesting
+        return None, "a ragged sequence"
+    if array.dtype.kind not in "iuf":  # bool, complex, text, bytes, object, dates
+        return None, f"dtype {array.dtype}"
+    fitted = tuple(got if isinstance(want, str) else want for got, want in zip(array.shape, shape))
+    if array.ndim != len(shape) or array.shape != fitted or not array.size:
+        return None, f"shape {array.shape}"
+    array = np.asarray(array, dtype=np.float64)
+    # min and max see any NaN or infinity without a temporary of the array's size
+    if not (math.isfinite(array.min()) and math.isfinite(array.max())):
+        index = tuple(np.argwhere(~np.isfinite(array))[0].tolist())
+        return None, f"{array[index]} at index {index}"
+    return array, ""
+
+
+def check_array(name: str, value, shape: tuple) -> np.ndarray:
+    """``value`` as float64, or a ``ValueError`` naming ``name`` unless numpy reads it as
+    an integer or real-float array of finite entries and ``shape``: an exact size per
+    axis, or a name such as ``"d"`` for any size of at least one.  A non-finite entry
+    is named by the index of the first one."""
+    array, fault = _read_array(value, shape)
+    if fault:
+        spelled = ", ".join(map(str, shape)) + ("," if len(shape) == 1 else "")
+        raise ValueError(f"{name} must be a finite real array of shape ({spelled}), got {fault}")
+    return array

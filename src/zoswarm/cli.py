@@ -29,7 +29,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="execute one experiment battery from a config")
     _add_config_arg(run_p)
-    run_p.add_argument("--out", default=None, help="output directory for CSVs")
+    run_p.add_argument("--out", default=None, help="a new or empty output directory for CSVs")
     run_p.add_argument("--seed", type=int, default=None, help="override the config seed list")
     run_p.add_argument("--quiet", action="store_true")
 

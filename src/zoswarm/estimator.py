@@ -19,7 +19,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from ._checks import check_integer, check_number
+from ._checks import check_array, check_integer, check_number
 
 __all__ = [
     "CoordinateSample",
@@ -33,6 +33,7 @@ __all__ = [
 Oracle = Callable[[np.ndarray], float]
 
 SMOOTHING_MODES = ("theorem_decay", "fixed")
+_FLOAT64 = np.dtype(np.float64)
 
 
 class OracleEvaluationError(RuntimeError):
@@ -134,9 +135,10 @@ def _probe_buffer(x: np.ndarray, sample: CoordinateSample, delta: float) -> np.n
     # a Python float in range passes at the cost of one comparison, not the rule's
     if not (type(delta) is float and 0.0 < delta < math.inf):
         check_number("delta", delta, "(0, inf)")
-    probe = np.array(x, dtype=float)
-    if probe.ndim != 1:
-        raise ValueError(f"the point must be a 1-D vector, got shape {probe.shape}")
+    # a run's point, a 1-D float64 array, passes on its dtype's identity, unscanned
+    if not (type(x) is np.ndarray and x.dtype is _FLOAT64 and x.ndim == 1 and len(x)):
+        x = check_array("x", x, ("p",))
+    probe = x.copy()
     if sample[-1] >= len(probe):  # the sample is sorted: its last index is its largest
         raise ValueError(
             f"coordinate index {sample[-1]} is out of range for dimension p = {len(probe)}"
@@ -164,10 +166,11 @@ def forward_estimate(
     copied once, into a probe buffer that is shifted and restored exactly for
     each probe, so the oracle must not keep a reference to its argument.  A
     ``delta`` that is not a finite number in ``(0, inf)``, an index at or
-    beyond ``p``, or an ``x`` that is not 1-D is a ``ValueError`` raised
-    before any oracle call.  An oracle value that is non-finite or that
-    ``float()`` rejects is an :class:`OracleEvaluationError`; an exception
-    the oracle raises itself passes through as it is.
+    beyond ``p``, or an ``x`` that is not a finite real vector (a float64 one
+    is not scanned) is a ``ValueError`` raised before any oracle call.  An
+    oracle value that is non-finite or that ``float()`` rejects is an
+    :class:`OracleEvaluationError`; an exception the oracle raises itself
+    passes through as it is.
     """
     probe = _probe_buffer(x, sample, delta)
     base = oracle(probe)

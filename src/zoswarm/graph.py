@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import check_integer, check_number
+from ._checks import check_array, check_integer, check_number
 
 __all__ = [
     "Topology",
@@ -62,9 +62,9 @@ class EigenSolveError(RuntimeError):
 class Topology:
     """Undirected weighted communication graph over agents ``0..n-1``.
 
-    ``Topology(n, weights)`` takes a dense matrix with ``weights[i, j] > 0``
+    ``Topology(n, weights)`` takes an ``(n, n)`` array with ``weights[i, j] > 0``
     exactly when agents ``i`` and ``j`` can talk to each other; it must be
-    finite, symmetric and nonnegative with a zero diagonal (no self loops).
+    finite, real, symmetric and nonnegative with a zero diagonal (no self loops).
     Weights are dimensionless mixing coefficients, not distances.
 
     The graph is kept as the rows of its Laplacian ``L = Deg - W``, in a
@@ -86,11 +86,7 @@ class Topology:
 
     def __init__(self, n: int, weights: np.ndarray) -> None:
         check_integer("n", n, 1)
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (n, n):
-            raise ValueError(f"weights must be {n}x{n}, got {w.shape}")
-        if not np.isfinite(w).all():
-            raise ValueError("weights must be finite")
+        w = check_array("weights", weights, (n, n))
         if not np.array_equal(w, w.T):
             raise ValueError("weights must be symmetric")
         if np.any(np.diag(w) != 0.0):

@@ -92,11 +92,16 @@ def _median_or_none(values) -> float | None:
     return float(statistics.median(values)) if values else None
 
 
-def _output_dir(path: str | Path | None) -> Path | None:
-    """Create the output directory, or say which path cannot be used."""
+def _output_dir(path: str | Path | None, make: bool = True) -> Path | None:
+    """The output directory, made if ``make``, or a ConfigError naming an unusable path."""
     if path is None:
         return None
     target = Path(path)
+    if target.is_dir() and any(target.iterdir()):
+        # files of an earlier battery would sit beside the new ones, told apart by nothing
+        raise ConfigError(f"cannot use {str(target)!r} as output directory: it is not empty")
+    if not make:
+        return target
     try:
         target.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -114,10 +119,10 @@ def run_battery(
 ) -> BatteryResult:
     """Run every configured (algorithm, seed) pair and aggregate medians.
 
-    Writes one record CSV per run plus ``summary.csv`` into ``out_dir``
-    when one is given; runs purely in memory otherwise.  Rerunning with
-    identical config and seeds reproduces byte-identical outputs apart from
-    the wall-clock column.
+    Writes one record CSV per run, then ``summary.csv``, the mark of a
+    finished battery, into ``out_dir`` when one is given, which must be new
+    or empty; runs purely in memory otherwise.  Reruns with identical config
+    and seeds give byte-identical outputs apart from the wall-clock column.
     """
     # only jobs=1 callers remain; ROADMAP item 1 removes the keyword
     if jobs not in (None, 1):
@@ -209,7 +214,9 @@ def gamma_sweep(
     medians over the config's seeds, plus ``median_initial_loss`` and
     ``within_guarantee_range``, false for a gamma outside
     ``dynamics.GAMMA_GUARANTEE``: it still runs, uncovered by the guarantees.
+    ``out_dir``, if given, must be new or empty, and ``sweep.csv`` is all it gets.
     """
+    _output_dir(out_dir, make=False)
     with _config_errors("gamma sweep"):  # before any run, so nothing is built or written
         for gamma in (gammas := list(gammas)):
             check_number("gamma", gamma, dynamics.GAMMA_RANGE)
@@ -348,11 +355,10 @@ def _check_gradient_vs_differences() -> tuple[bool, str]:
     worst = 0.0
     for dataset_seed in (0, 1, 2):
         problem = problems.make_synthetic_classification(seed=dataset_seed)
-        labels = problem.train_labels.astype(float)
 
         def loss(z):
             # the mean over agents of each shard's mean squared residual
-            residual_sq = (labels - problems.sigmoid(problem.train_features @ z)) ** 2
+            residual_sq = (problem.train_labels - problems.sigmoid(problem.train_features @ z)) ** 2
             return float(np.mean([residual_sq[a:b].mean() for a, b in problem.shard_bounds]))
 
         rng = np.random.default_rng(100 + dataset_seed)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._checks import check_number
+from ._checks import check_array, check_number
 
 __all__ = [
     "IterationRecord",
@@ -84,32 +84,19 @@ def consensus_error(iterates: np.ndarray, mean_iterate: np.ndarray | None = None
     return float(np.add.reduce(np.add.reduce(deviation, axis=1)) / len(deviation))
 
 
-def _checked(method: str, k: int, shape: tuple, value) -> np.ndarray:
-    """``value`` as an array if it is finite and real of ``shape``, else a ValueError."""
-    array = np.asarray(value)
-    # the dtype first: isfinite raises a TypeError on text and objects
-    if not (array.shape == shape and array.dtype.kind in "fiu" and np.isfinite(array).all()):
-        shown = " ".join(repr(value).split())  # an array's repr on one line
-        raise ValueError(
-            f"{method} returned {shown:.80} at iteration {k}; "
-            f"it must be finite and real, of shape {shape}"
-        )
-    return array
-
-
 def capture_record(
     problem, iterates: np.ndarray, k: int, gamma: float, oracle_calls: int, wall_ms: float
 ) -> IterationRecord:
     """Evaluate all diagnostics at the current swarm mean.
 
     Calls the problem's ``true_global_gradient`` and ``full_loss`` once each;
-    a value that is not finite, real and of the right shape is a ValueError.
+    a value the array rule rejects is a ValueError naming the method and ``k``.
     """
     mean_iterate = np.add.reduce(iterates, axis=0)
     mean_iterate /= len(iterates)
-    width = mean_iterate.shape
-    grad = _checked("true_global_gradient", k, width, problem.true_global_gradient(mean_iterate))
-    loss = _checked("full_loss", k, (), problem.full_loss(mean_iterate))
+    gradient = problem.true_global_gradient(mean_iterate)
+    grad = check_array(f"true_global_gradient at iteration {k}", gradient, mean_iterate.shape)
+    loss = check_array(f"full_loss at iteration {k}", problem.full_loss(mean_iterate), ())
     return IterationRecord(
         k=int(k),
         mean_train_loss=float(loss),

@@ -13,7 +13,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from ._checks import check_integer, check_number
+from ._checks import check_array, check_integer, check_number
 
 __all__ = [
     "StochasticProblem",
@@ -101,44 +101,27 @@ class ClassificationProblem(StochasticProblem):
     non-empty, each starting where the one before stops, the first at 0 and
     the last stopping at ``n_train``.  A realization ``xi`` is a uniformly
     drawn training index from the agent's own shard (with replacement
-    across iterations).  The problem keeps read-only copies of the four
-    arrays, so a later write to the caller's arrays changes nothing here.
+    across iterations).  The features are finite real arrays, the labels 1-D
+    arrays of 0s and 1s, one per row.  The problem keeps read-only float64
+    copies of the four, so a later write to the caller's arrays changes nothing.
     """
 
-    def __init__(
-        self,
-        train_features: np.ndarray,
-        train_labels: np.ndarray,
-        test_features: np.ndarray,
-        test_labels: np.ndarray,
-        shard_bounds: tuple[tuple[int, int], ...],
-    ):
-        self._keep(
-            np.array(train_features, dtype=float), np.array(train_labels),
-            np.array(test_features, dtype=float), np.array(test_labels), shard_bounds,
-        )
+    def __init__(self, train_features, train_labels, test_features, test_labels, shard_bounds):
+        arrays = (train_features, train_labels, test_features, test_labels)
+        self._keep(*arrays, shard_bounds, copy=True)
 
-    def _keep(self, train_features, train_labels, test_features, test_labels, shard_bounds):
-        """Check the data and keep its arrays, which nobody else may hold, read-only."""
-        shard_bounds = tuple(shard_bounds)
-        named = (("train_features", train_features), ("test_features", test_features))
-        for name, features in named:
-            if features.ndim != 2:
-                raise ValueError(f"{name} must be 2-D, got shape {features.shape}")
+    def _keep(self, train_features, train_labels, test_features, test_labels, shard_bounds, copy):
+        """Check the data and keep it read-only: copies, or the arrays if nobody else holds them."""
+        train_features = check_array("train_features", train_features, ("n_train", "d"))
         n_train, d = train_features.shape
-        if test_features.shape[1] != d:
-            raise ValueError(f"test_features has {test_features.shape[1]} columns, not d = {d}")
-        if test_features.shape[0] == 0:
-            raise ValueError("test_features holds no rows; test accuracy needs at least one")
-        for name, labels, rows in (
-            ("train_labels", train_labels, n_train),
-            ("test_labels", test_labels, test_features.shape[0]),
-        ):
-            if len(labels) != rows:
-                raise ValueError(f"{name} holds {len(labels)} labels for {rows} feature rows")
-            outside = labels[~np.isin(labels, (0, 1))]
+        test_features = check_array("test_features", test_features, ("n_test", d))
+        train_labels = check_array("train_labels", train_labels, (n_train,))
+        test_labels = check_array("test_labels", test_labels, (len(test_features),))
+        for name, labels in (("train_labels", train_labels), ("test_labels", test_labels)):
+            outside = labels[(labels != 0.0) & (labels != 1.0)]
             if outside.size:
                 raise ValueError(f"{name} must be 0 or 1, got {outside[0].item()!r}")
+        shard_bounds = tuple(shard_bounds)
         # the full-batch diagnostics sum each shard from its start to the next
         # shard's, which miscounts silently unless the shards tile the set
         if not shard_bounds:
@@ -160,14 +143,14 @@ class ClassificationProblem(StochasticProblem):
                 f"shard {len(shard_bounds) - 1} stops at {expected}, not at n_train = {n_train}"
             )
         # the full-batch cache and the row memo below assume the data never changes
-        for array in (train_features, train_labels, test_features, test_labels):
+        arrays = (train_features, train_labels, test_features, test_labels)
+        arrays = [array.copy() if copy else array for array in arrays]
+        for array in arrays:
             array.flags.writeable = False
-        self.train_features, self.train_labels = train_features, train_labels
-        self.test_features, self.test_labels = test_features, test_labels
+        self.train_features, self.train_labels, self.test_features, self.test_labels = arrays
         self.shard_bounds = shard_bounds
         self.dimension = d
         self.local_count = len(shard_bounds)
-        self._labels = train_labels.astype(float)
         # the labels as the two Python floats 0.0 and 1.0, shared by every row:
         # evaluate does float arithmetic, and no float object is made per row
         self._label_values = [1.0 if label else 0.0 for label in train_labels.tolist()]
@@ -219,7 +202,7 @@ class ClassificationProblem(StochasticProblem):
         if last is not None and last[0] == key:
             return last[1], last[2]
         phi = sigmoid(self.train_features @ x)
-        residual = self._labels - phi
+        residual = self.train_labels - phi
         self._last_pass = (key, phi, residual)
         return phi, residual
 
@@ -271,8 +254,8 @@ def make_synthetic_classification(
     train = rng.standard_normal((n_train, d))
     test = rng.standard_normal((n_test, d))
     reference = np.ones(d)
-    train_labels = (sigmoid(train @ reference) >= 0.5).astype(np.int64)
-    test_labels = (sigmoid(test @ reference) >= 0.5).astype(np.int64)
+    train_labels = (sigmoid(train @ reference) >= 0.5).astype(float)
+    test_labels = (sigmoid(test @ reference) >= 0.5).astype(float)
     base = n_train // n_agents
     bounds = tuple(
         (i * base, (i + 1) * base if i < n_agents - 1 else n_train) for i in range(n_agents)
@@ -280,7 +263,7 @@ def make_synthetic_classification(
     # nobody else holds these arrays, so the problem keeps them without the
     # constructor's copy, which would hold the data twice during set-up
     problem = ClassificationProblem.__new__(ClassificationProblem)
-    problem._keep(train, train_labels, test, test_labels, bounds)
+    problem._keep(train, train_labels, test, test_labels, bounds, copy=False)
     return problem
 
 
@@ -295,30 +278,18 @@ class QuadraticToyProblem(StochasticProblem):
     variance knob is for.
     The global minimizer is the centroid of the centers.
 
-    ``centers`` is not copied: the oracle and the diagnostics read it live.
-    It must be a non-empty ``(n_agents, p)`` matrix of finite entries, which
-    is checked once, at construction.
+    A float64 ``centers`` array is not copied: the oracle and the diagnostics
+    read it live.  It must be a finite real ``(n_agents, p)`` array, which is
+    checked once, at construction.
     """
 
     ZETAS = "[0, inf)"  # the noise levels it takes; at 0 the oracle is noiseless
 
     def __init__(self, centers: np.ndarray, zeta: float = 0.0):
-        centers = np.asarray(centers, dtype=float)
-        if centers.ndim != 2:
-            raise ValueError("centers must be an (n_agents, p) matrix")
-        if centers.size == 0:
-            raise ValueError(f"centers of shape {centers.shape} hold no agent or no coordinate")
-        bad = np.argwhere(~np.isfinite(centers))
-        if bad.size:
-            agent, j = bad[0].tolist()
-            raise ValueError(
-                f"agent {agent}'s center is {float(centers[agent, j])} at coordinate {j}; "
-                "centers must be finite"
-            )
+        self.centers = check_array("centers", centers, ("n_agents", "p"))
         check_number("zeta", zeta, self.ZETAS)
-        self.centers = centers
         self.zeta = float(zeta)
-        self.local_count, self.dimension = centers.shape
+        self.local_count, self.dimension = self.centers.shape
 
     def sample(self, agent: int, rng: np.random.Generator) -> np.ndarray:
         return rng.standard_normal(self.dimension) * self.zeta

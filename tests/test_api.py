@@ -230,6 +230,20 @@ def test_only_the_input_rule_tests_for_integers_and_numbers():
     assert testers == []
 
 
+def test_only_the_input_rule_reads_a_dtype_kind():
+    # what counts as a real array has one home: other modules call
+    # zoswarm._checks.check_array
+    readers = set()
+    for name, path in SOURCES.items():
+        if name.startswith("tests/"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "kind":
+                if isinstance(node.value, ast.Attribute) and node.value.attr == "dtype":
+                    readers.add(name)
+    assert readers == {"_checks"}
+
+
 def test_every_config_row_is_set_by_a_bundled_config_or_a_workload(monkeypatch):
     # a row that no shipped config and no benchmark workload sets is a second
     # home for a value that something else already sets

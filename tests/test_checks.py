@@ -11,6 +11,13 @@ in <interval>, got <value!r>``, and it takes a numpy float inside the
 interval.  On a config path the error is a ``ConfigError`` that puts the
 section or the label in front.  Every error comes before the entry point
 draws, writes or runs a round.
+
+Each array entry point rejects ``bool``, complex, numeric text, object and
+ragged arrays, ``None``, a wrong shape or number of dimensions, an empty
+array and a NaN or infinite entry with ``ValueError: <name> must be a finite
+real array of shape <shape>, got <what>``, where ``<what>`` names the first
+non-finite entry's index, and it takes integer and float32 arrays as the
+float64 arrays of the same values.
 """
 
 import math
@@ -42,7 +49,7 @@ from zoswarm.estimator import (
 )
 from zoswarm.graph import Topology, erdos_renyi, laplacian_spectrum
 from zoswarm.harness import gamma_sweep
-from zoswarm.metrics import holder_norm_sq
+from zoswarm.metrics import capture_record, holder_norm_sq
 from zoswarm.problems import (
     ClassificationProblem,
     QuadraticToyProblem,
@@ -298,3 +305,198 @@ def test_a_config_alpha_that_underflows_is_named(no_draws):
     message = f"algorithm 'z': alpha must be a finite number in (0, {PROFILE.alpha_max!r}), got 0.0"
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         spec("alpha_frac")(5e-324)
+
+
+CLASSIFICATION = {
+    "train_features": np.array([[1, 0], [0, 1], [1, 1], [2, -1], [0, 0], [-1, 2]], float),
+    "train_labels": np.array([1.0, 0.0, 1.0, 1.0, 0.0, 0.0]),
+    "test_features": np.array([[1.0, 2.0], [-1.0, 0.0], [0.0, 3.0]]),
+    "test_labels": np.array([1.0, 0.0, 1.0]),
+}
+
+
+def classification(**changed):
+    """What a two-agent classification problem computes, with ``changed`` arrays."""
+    problem = ClassificationProblem(**(CLASSIFICATION | changed), shard_bounds=((0, 3), (3, 6)))
+    x = np.array([0.5, -0.25])
+    return (
+        problem.full_loss(x),
+        problem.true_global_gradient(x).tolist(),
+        problem.test_accuracy(x),
+        problem.evaluate(1, x, 3),
+    )
+
+
+def toy(centers):
+    problem = QuadraticToyProblem(centers, 0.5)
+    x = np.ones(3)
+    return (
+        problem.full_loss(x),
+        problem.true_global_gradient(x).tolist(),
+        problem.evaluate(1, x, np.ones(3)),
+        problem.optimal_value(),
+    )
+
+
+def topology(weights):
+    topo = Topology(3, weights)
+    return topo.neighbours.tolist(), topo.coefficients.tolist(), laplacian_spectrum(topo).alpha_max
+
+
+def estimate_at(estimate):
+    def call(x):
+        calls = []
+
+        def oracle(z):
+            calls.append(z.copy())
+            return float(z @ z)
+
+        try:
+            return estimate(oracle, x, CoordinateSample((0, 2)), 0.5).tolist()
+        except ValueError:
+            assert calls == []  # raised before any oracle call
+            raise
+
+    return call
+
+
+class Diagnostics:
+    """Hands back the given gradient and loss and logs each call."""
+
+    def __init__(self, gradient, loss):
+        self.gradient, self.loss, self.calls = gradient, loss, []
+
+    def true_global_gradient(self, x):
+        self.calls.append("true_global_gradient")
+        return self.gradient
+
+    def full_loss(self, x):
+        self.calls.append("full_loss")
+        return self.loss
+
+
+def record_with(gradient=np.array([1.0, 2.0, 3.0]), loss=np.array(2.0)):
+    problem = Diagnostics(gradient, loss)
+    try:
+        return capture_record(problem, np.zeros((2, 3)), 7, 0.5, 0, 0.0)
+    finally:
+        # each method once, and no loss after a rejected gradient
+        assert problem.calls in (["true_global_gradient"], ["true_global_gradient", "full_loss"])
+
+
+class ArraySite(NamedTuple):
+    """An array entry point: the name its error gives, an integer-valued float64
+    array it takes, a call with the array, shapes it rejects and whether a
+    float64 array skips the scan for non-finite entries."""
+
+    name: str
+    good: np.ndarray
+    call: Callable
+    wrong_shapes: tuple
+    unscanned: bool = False
+
+
+ARRAY_SITES = {
+    "Topology.weights": ArraySite(
+        "weights",
+        np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 2.0], [0.0, 2.0, 0.0]]),
+        topology,
+        ((3,), (3, 4), (4, 3), (2, 2), (3, 3, 1)),
+    ),
+    "QuadraticToyProblem.centers": ArraySite(
+        "centers", np.array([[0.0, 1.0, 2.0], [3.0, -1.0, 2.0]]), toy, ((3,), (2, 3, 1))
+    ),
+    **{
+        f"ClassificationProblem.{name}": ArraySite(
+            name, CLASSIFICATION[name], lambda v, name=name: classification(**{name: v}), wrong
+        )
+        for name, wrong in (
+            ("train_features", ((6,), (6, 2, 1))),
+            ("train_labels", ((6, 1), (1, 6), (5,), (7,), ())),
+            ("test_features", ((3,), (3, 3), (3, 1), (3, 2, 1))),
+            ("test_labels", ((3, 1), (2,), (4,))),
+        )
+    },
+    "forward_estimate.x": ArraySite(
+        "x", np.array([1.0, -2.0, 3.0]), estimate_at(forward_estimate), ((3, 1), (1, 3), ()), True
+    ),
+    "central_estimate.x": ArraySite(
+        "x", np.array([1.0, -2.0, 3.0]), estimate_at(central_estimate), ((3, 1), (1, 3), ()), True
+    ),
+    "capture_record.gradient": ArraySite(
+        "true_global_gradient at iteration 7",
+        np.array([1.0, 2.0, 3.0]),
+        lambda v: record_with(gradient=v),
+        ((2,), (4,), (3, 1), ()),
+    ),
+    "capture_record.loss": ArraySite(
+        "full_loss at iteration 7",
+        np.array(2.0),
+        lambda v: record_with(loss=v),
+        ((1,), (2,), (1, 1)),
+    ),
+}
+
+RAGGED = ([[0.0, 1.0], [2.0]], [1.0, [2.0, 3.0]], [[[0.0]], [1.0, 2.0]])
+
+
+@st.composite
+def bad_arrays(draw, site):
+    """A drawn bad array for ``site``, its kind and, for a non-finite entry, the
+    message's ending."""
+    good, shape = site.good, site.good.shape
+    kind = draw(
+        st.sampled_from(
+            ["bool", "complex", "text", "object", "ragged", "shape", "empty", "non-finite"]
+        )
+    )
+    if kind == "non-finite":
+        index = tuple(draw(st.integers(0, size - 1)) for size in shape)
+        entry = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        array = good.copy()
+        array[index] = entry
+        # a float64 point is not scanned, so it reaches the estimators as a list or float32
+        containers = ["float32", "list"] + ([] if site.unscanned else ["float64"])
+        container = draw(st.sampled_from(containers))
+        value = {"float64": array, "float32": array.astype(np.float32), "list": array.tolist()}
+        return value[container], kind, f", got {entry} at index {index}"
+    if kind == "empty":
+        axis = draw(st.integers(0, len(shape) - 1)) if shape else None
+        return np.ones(0 if axis is None else shape[:axis] + (0,) + shape[axis + 1 :]), kind, None
+    choices = {
+        "bool": [good != 0.0, good.astype(bool).tolist()],
+        "complex": [good + 1j, good.astype(complex)],
+        "text": [good.astype(str), good.astype(str).tolist()],
+        "object": [good.astype(object), None],
+        "ragged": list(RAGGED),
+        "shape": [np.ones(wrong) for wrong in site.wrong_shapes],
+    }[kind]
+    return draw(st.sampled_from(choices)), kind, None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(ARRAY_SITES)), st.data())
+def test_every_array_is_checked_by_the_one_rule(entry, data):
+    site = ARRAY_SITES[entry]
+    bad, kind, ending = data.draw(bad_arrays(site), label="bad")
+    with pytest.raises(ValueError) as info:
+        site.call(bad)
+    message = str(info.value)
+    assert type(info.value) is ValueError
+    assert message.startswith(f"{site.name} must be a finite real array of shape ("), message
+    if ending is not None:
+        assert message.endswith(ending)
+    elif kind in ("shape", "empty"):
+        assert message.endswith(f", got shape {np.shape(bad)}")
+    # an int64 or float32 array or a list of the same values gives the float64 results
+    same = data.draw(st.sampled_from(["int64", "float32", "list"]), label="same values")
+    value = site.good.tolist() if same == "list" else site.good.astype(same)
+    assert site.call(value) == site.call(site.good)
+
+
+def test_a_label_column_is_rejected_at_construction():
+    # before, an (n, 1) column passed: evaluate read every label as 1.0, full_loss
+    # ended in a broadcast error and the gradient came back as an (n, d) matrix
+    message = "train_labels must be a finite real array of shape (6,), got shape (6, 1)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        classification(train_labels=np.zeros((6, 1)))

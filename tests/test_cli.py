@@ -181,10 +181,32 @@ def test_run_rejects_the_first_order_kind(tmp_path, capsys, algorithms, message)
     assert not out.exists()
 
 
-def test_run_reports_a_record_file_it_cannot_write(tmp_path, capsys):
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--gammas", "0.7"]])
+def test_a_used_output_directory_exits_2_and_keeps_its_files(tmp_path, capsys, command):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "out"
-    (out / "zoom_seed1.csv").mkdir(parents=True)
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    written = {path.name: path.read_bytes() for path in out.iterdir()}
+    capsys.readouterr()
+    assert main([*command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: cannot use {str(out)!r} as output directory: it is not empty\n"
+    )
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == written
+
+
+def test_run_reports_a_record_file_it_cannot_write(tmp_path, capsys, monkeypatch):
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    run = harness.dynamics.run
+
+    def run_then_block_the_record_file(*args, **kwargs):
+        # the battery refuses a directory that already holds an entry, so the
+        # directory in the record file's place appears during the first run
+        (out / "zoom_seed1.csv").mkdir(exist_ok=True)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(harness.dynamics, "run", run_then_block_the_record_file)
     assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "zoom_seed1.csv" in err

@@ -730,4 +730,4 @@ def test_a_misbehaving_problem_ends_in_a_typed_error_naming_its_round(
         assert str(error).endswith(f"at iteration {when} on agent {agent}")
     elif not in_a_round:
         method = "full_loss" if "loss" in fault else "true_global_gradient"
-        assert str(error).startswith(f"{method} returned ")
+        assert str(error).startswith(f"{method} at iteration {when} must be a finite real array")

@@ -150,7 +150,8 @@ def test_a_point_that_is_not_a_vector_is_named_by_shape(estimate, x):
     # the probe's memoryview would otherwise end this in a bare
     # NotImplementedError or TypeError
     oracle = CountingOracle(sphere)
-    message = rf"^the point must be a 1-D vector, got shape {re.escape(str(x.shape))}$"
+    shape = re.escape(str(x.shape))
+    message = rf"^x must be a finite real array of shape \(p,\), got shape {shape}$"
     with pytest.raises(ValueError, match=message):
         estimate(oracle, x, CoordinateSample((0,)), 0.1)
     assert oracle.calls == 0

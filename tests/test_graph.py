@@ -59,11 +59,12 @@ class TestTopology:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_weights(self, bad):
-        with pytest.raises(ValueError, match="weights must be finite"):
+        message = rf"^weights must be a .* of shape \(2, 2\), got {bad} at index \(0, 1\)$"
+        with pytest.raises(ValueError, match=message):
             Topology(2, np.array([[0.0, bad], [bad, 0.0]]))
 
     def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError, match="2x2"):
+        with pytest.raises(ValueError, match=r"of shape \(2, 2\), got shape \(3, 3\)$"):
             Topology(2, np.zeros((3, 3)))
 
     def test_rejects_non_integer_agent_count(self):

@@ -1,5 +1,6 @@
 import inspect
 import math
+import re
 import tempfile
 import warnings
 from dataclasses import fields, replace
@@ -607,6 +608,33 @@ class TestBattery:
             assert record_csv_fingerprint(path) == record_csv_fingerprint(
                 tmp_path / "alone" / path.name
             )
+
+    def test_a_used_output_directory_is_refused_before_any_run(self, tmp_path, monkeypatch):
+        # the stale-output probe: a 1-label, 1-seed battery written over a 6-run
+        # directory left 5 stale record CSVs beside a summary.csv naming 1 run
+        run_battery(toy_config(), out_dir=tmp_path, quiet=True)
+        written = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        assert len(written) == 7
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(dynamics, "run", no_run)
+        smaller = replace(toy_config(), algorithms=toy_config().algorithms[:1], seeds=[1])
+        message = f"cannot use {str(tmp_path)!r} as output directory: it is not empty"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            run_battery(smaller, out_dir=tmp_path, quiet=True)
+        # a sweep makes its directory only at the end, but checks it first
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            gamma_sweep(smaller, [0.5], out_dir=tmp_path, quiet=True)
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == written
+        # any entry counts, a hidden one or a directory too
+        (tmp_path / "a").mkdir()
+        (tmp_path / "a" / ".keep").touch()
+        (tmp_path / "b" / "nested").mkdir(parents=True)
+        for used in ("a", "b"):
+            with pytest.raises(ConfigError, match="it is not empty$"):
+                run_battery(smaller, out_dir=tmp_path / used, quiet=True)
 
     def test_without_out_dir_nothing_is_written(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -263,7 +263,7 @@ class TestDiagnosticsChecks:
         # NaN loss went into the CSV
         problem = FixedDiagnostics(gradient, loss)
         shape = "(3,)" if method == "true_global_gradient" else "()"
-        message = rf"^{method} returned .* at iteration 7; it must be finite and real, of shape "
-        with pytest.raises(ValueError, match=message + re.escape(shape) + "$"):
+        message = rf"^{method} at iteration 7 must be a finite real array of shape "
+        with pytest.raises(ValueError, match=message + re.escape(shape) + ", got "):
             capture_record(problem, np.zeros((2, 3)), 7, 1.0, 0, 0.0)
         assert problem.calls.count(method) == 1

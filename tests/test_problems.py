@@ -95,14 +95,22 @@ class TestSyntheticDataset:
             ({"shard_bounds": ((3, 6), (0, 3))}, r"shard 0 is \(3, 6\) but must start at 0"),
             ({"shard_bounds": ((0, 3), (3, 5))}, r"shard 1 stops at 5, not at n_train = 6"),
             ({"shard_bounds": ()}, "at least one shard"),
-            ({"train_features": np.zeros(6)}, r"train_features must be 2-D, got shape \(6,\)"),
-            ({"test_features": np.zeros((4, 2, 1))}, "test_features must be 2-D"),
-            ({"test_features": np.zeros((4, 3))}, "test_features has 3 columns, not d = 2"),
-            ({"train_labels": np.zeros(5)}, "train_labels holds 5 labels for 6 feature rows"),
-            ({"test_labels": np.zeros(6)}, "test_labels holds 6 labels for 4 feature rows"),
+            (
+                {"train_features": np.zeros(6)},
+                r"^train_features must be a finite real array of shape \(n_train, d\), "
+                r"got shape \(6,\)$",
+            ),
+            (
+                {"test_features": np.zeros((4, 2, 1))},
+                r"^test_features must be a finite real array of shape \(n_test, 2\), "
+                r"got shape \(4, 2, 1\)$",
+            ),
+            ({"test_features": np.zeros((4, 3))}, r"of shape \(n_test, 2\), got shape \(4, 3\)$"),
+            ({"train_labels": np.zeros(5)}, r"^train_labels must .* \(6,\), got shape \(5,\)$"),
+            ({"test_labels": np.zeros(6)}, r"^test_labels must .* \(4,\), got shape \(6,\)$"),
             (
                 {"test_features": np.zeros((0, 2)), "test_labels": np.zeros(0, dtype=np.int64)},
-                "test_features holds no rows",
+                r"^test_features must be .* of shape \(n_test, 2\), got shape \(0, 2\)$",
             ),
             ({"train_labels": np.array([0, 1, 2, 0, 1, 0])}, "train_labels must be 0 or 1, got 2"),
             ({"test_labels": np.array([0.0, 1.0, 0.5, 1.0])}, "test_labels must be 0 or 1, got 0.5"),
@@ -307,11 +315,11 @@ class TestQuadraticToy:
     @pytest.mark.parametrize(
         "entry, match",
         [
-            (float("nan"), "agent 2's center is nan at coordinate 1"),
-            (float("inf"), "agent 2's center is inf at coordinate 1"),
-            (float("-inf"), "agent 2's center is -inf at coordinate 1"),
-            ((4, 0), r"shape \(4, 0\)"),
-            ((0, 3), r"shape \(0, 3\)"),
+            (float("nan"), r"got nan at index \(2, 1\)$"),
+            (float("inf"), r"got inf at index \(2, 1\)$"),
+            (float("-inf"), r"got -inf at index \(2, 1\)$"),
+            ((4, 0), r"^centers must be a .* of shape \(n_agents, p\), got shape \(4, 0\)$"),
+            ((0, 3), r"got shape \(0, 3\)$"),
         ],
     )
     def test_rejects_invalid_centers(self, entry, match):
