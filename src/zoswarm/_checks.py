@@ -1,14 +1,20 @@
 """The input rule, checked before anything is drawn, written or run: every count,
-size, index and seed is an integer, every real-valued parameter a finite number
-inside its interval, and every array a finite real array of its expected shape.
-A ``bool`` is neither, and nothing but an array's dtype is converted."""
+size, index and seed is an integer, every real-valued parameter and every number a
+problem returns a number finite as a float, and every array a finite real array of
+its expected shape.  A ``bool`` is neither, and nothing but an array's dtype is converted."""
 
 import math
 import numbers
 
 import numpy as np
 
-__all__ = ["is_integer", "check_integer", "is_number", "check_number", "check_array"]
+__all__ = [
+    "is_integer", "check_integer", "is_number", "is_finite", "check_number",
+    "check_array", "check_point",
+]
+
+# one global lookup each on check_point's fast path, which every estimate takes
+_NDARRAY, _FLOAT64 = np.ndarray, np.dtype(np.float64)
 
 
 def is_integer(value) -> bool:
@@ -27,11 +33,19 @@ def is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def is_finite(value) -> bool:
+    """True for a number by :func:`is_number` that is finite as a float."""
+    try:
+        return is_number(value) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def check_number(name: str, value, interval: str) -> None:
     """A ``ValueError`` naming ``name`` unless ``value`` is a finite number in ``interval``,
     spelled as the message shows it, such as ``"(0, 1]"``, with any end at ``inf`` open."""
     low, high = (float(end) for end in interval[1:-1].split(","))
-    above = is_number(value) and (low <= value if interval[0] == "[" else low < value)
+    above = is_finite(value) and (low <= value if interval[0] == "[" else low < value)
     if not (above and (value <= high if interval[-1] == "]" else value < high)):
         raise ValueError(f"{name} must be a finite number in {interval}, got {value!r}")
 
@@ -65,3 +79,13 @@ def check_array(name: str, value, shape: tuple) -> np.ndarray:
         spelled = ", ".join(map(str, shape)) + ("," if len(shape) == 1 else "")
         raise ValueError(f"{name} must be a finite real array of shape ({spelled}), got {fault}")
     return array
+
+
+def check_point(x, size: int | None = None) -> np.ndarray:
+    """``x`` by the array rule as a vector of ``size`` entries or, without ``size``,
+    of any size ``"p"`` of at least one.  A 1-D float64 ``ndarray`` of that size,
+    which is what a run passes, is returned on its dtype's identity, unscanned."""
+    if type(x) is _NDARRAY and x.dtype is _FLOAT64 and x.ndim == 1:
+        if len(x) == (size or len(x) or -1):  # the size asked for, or any but 0
+            return x
+    return check_array("x", x, ("p",) if size is None else (size,))

@@ -277,7 +277,7 @@ def run(
         record_every: metric recording cadence (iterations).
 
     Returns:
-        A :class:`Trajectory` of records plus the final swarm state.
+        A :class:`Trajectory` of records, the final state and its test accuracy.
     """
     check_integer("record_every", record_every, 1)
     check_integer("seed", seed, 0)
@@ -310,4 +310,7 @@ def run(
                 )
             )
     final_accuracy = problem.test_accuracy(state.mean_iterate)
+    if final_accuracy is not None:
+        check_number(f"test_accuracy at iteration {params.T}", final_accuracy, "[0, 1]")
+        final_accuracy = float(final_accuracy)
     return Trajectory(tuple(records), state, params, seed, final_accuracy)

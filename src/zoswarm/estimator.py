@@ -8,7 +8,7 @@ one estimate share the same realization ``xi``; the caller fixes it by
 binding the oracle before calling in here.  Each estimate copies ``x`` once.
 
 An estimator checks ``delta``, the point and the sample before its first
-oracle call, and reads every oracle value as a finite float.
+oracle call, and reads every oracle value by the number rule as a float.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from ._checks import check_array, check_integer, check_number
+from ._checks import check_integer, check_number, check_point, is_finite
 
 __all__ = [
     "CoordinateSample",
@@ -33,11 +33,10 @@ __all__ = [
 Oracle = Callable[[np.ndarray], float]
 
 SMOOTHING_MODES = ("theorem_decay", "fixed")
-_FLOAT64 = np.dtype(np.float64)
 
 
 class OracleEvaluationError(RuntimeError):
-    """The black-box oracle returned a non-finite value, or one ``float()`` rejects.
+    """The black-box oracle returned a value that is not a finite number.
 
     In a run it also stands for an exception the oracle raised, which is
     its ``__cause__``; that exception's type is not kept.  ``coordinate`` is
@@ -135,10 +134,7 @@ def _probe_buffer(x: np.ndarray, sample: CoordinateSample, delta: float) -> np.n
     # a Python float in range passes at the cost of one comparison, not the rule's
     if not (type(delta) is float and 0.0 < delta < math.inf):
         check_number("delta", delta, "(0, inf)")
-    # a run's point, a 1-D float64 array, passes on its dtype's identity, unscanned
-    if not (type(x) is np.ndarray and x.dtype is _FLOAT64 and x.ndim == 1 and len(x)):
-        x = check_array("x", x, ("p",))
-    probe = x.copy()
+    probe = check_point(x).copy()
     if sample[-1] >= len(probe):  # the sample is sorted: its last index is its largest
         raise ValueError(
             f"coordinate index {sample[-1]} is out of range for dimension p = {len(probe)}"
@@ -146,12 +142,13 @@ def _probe_buffer(x: np.ndarray, sample: CoordinateSample, delta: float) -> np.n
     return probe
 
 
-def _unreadable(exc: Exception, coordinate: int | None) -> OracleEvaluationError:
-    """The error for an oracle value that ``float()`` rejected with ``exc``."""
+def _value(value, coordinate: int | None) -> float:
+    """An oracle value that is not a finite Python float, read by the number rule."""
+    if is_finite(value):
+        return float(value)
     where = "at the base point" if coordinate is None else f"probing coordinate {coordinate}"
-    return OracleEvaluationError(
-        f"oracle returned a value that is not a real number {where} ({exc})",
-        coordinate=coordinate,
+    raise OracleEvaluationError(
+        f"oracle returned {value!r}, not a finite number, {where}", coordinate=coordinate
     )
 
 
@@ -168,18 +165,14 @@ def forward_estimate(
     ``delta`` that is not a finite number in ``(0, inf)``, an index at or
     beyond ``p``, or an ``x`` that is not a finite real vector (a float64 one
     is not scanned) is a ``ValueError`` raised before any oracle call.  An
-    oracle value that is non-finite or that ``float()`` rejects is an
-    :class:`OracleEvaluationError`; an exception the oracle raises itself
-    passes through as it is.
+    oracle value that is not a finite number is an :class:`OracleEvaluationError`,
+    and a number is read as its ``float()``; an exception the oracle raises
+    itself passes through as it is.
     """
     probe = _probe_buffer(x, sample, delta)
     base = oracle(probe)
-    try:
-        base = float(base)
-    except (TypeError, ValueError) as exc:
-        raise _unreadable(exc, None) from exc
-    if not math.isfinite(base):
-        raise OracleEvaluationError("oracle returned a non-finite value at the base point")
+    if type(base) is not float or not math.isfinite(base):
+        base = _value(base, None)
     scale = len(probe) / len(sample)
     estimate = np.zeros(len(probe))
     # the probe's memoryview gets and sets the same float64 bytes as numpy scalar
@@ -191,14 +184,8 @@ def forward_estimate(
         probe_entries[j] = xj + delta
         value = oracle(probe)
         probe_entries[j] = xj
-        try:
-            value = float(value)
-        except (TypeError, ValueError) as exc:
-            raise _unreadable(exc, j) from exc
-        if not math.isfinite(value):
-            raise OracleEvaluationError(
-                f"oracle returned a non-finite value probing coordinate {j}", coordinate=j
-            )
+        if type(value) is not float or not math.isfinite(value):
+            value = _value(value, j)
         estimate[j] = scale * (value - base) / delta
     return estimate
 
@@ -226,13 +213,9 @@ def central_estimate(
         probe_entries[j] = xj - delta
         lo = oracle(probe)
         probe_entries[j] = xj
-        try:
-            hi, lo = float(hi), float(lo)
-        except (TypeError, ValueError) as exc:
-            raise _unreadable(exc, j) from exc
-        if not (math.isfinite(hi) and math.isfinite(lo)):
-            raise OracleEvaluationError(
-                f"oracle returned a non-finite value probing coordinate {j}", coordinate=j
-            )
+        if type(hi) is not float or not math.isfinite(hi):
+            hi = _value(hi, j)
+        if type(lo) is not float or not math.isfinite(lo):
+            lo = _value(lo, j)
         estimate[j] = scale * (hi - lo) / (2.0 * delta)
     return estimate

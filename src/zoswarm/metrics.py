@@ -89,14 +89,15 @@ def capture_record(
 ) -> IterationRecord:
     """Evaluate all diagnostics at the current swarm mean.
 
-    Calls the problem's ``true_global_gradient`` and ``full_loss`` once each;
-    a value the array rule rejects is a ValueError naming the method and ``k``.
+    Calls the problem's ``true_global_gradient`` and ``full_loss`` once each; a bad
+    gradient (array rule) or loss (number rule) is a ValueError naming the method and ``k``.
     """
     mean_iterate = np.add.reduce(iterates, axis=0)
     mean_iterate /= len(iterates)
     gradient = problem.true_global_gradient(mean_iterate)
     grad = check_array(f"true_global_gradient at iteration {k}", gradient, mean_iterate.shape)
-    loss = check_array(f"full_loss at iteration {k}", problem.full_loss(mean_iterate), ())
+    loss = problem.full_loss(mean_iterate)
+    check_number(f"full_loss at iteration {k}", loss, "(-inf, inf)")
     return IterationRecord(
         k=int(k),
         mean_train_loss=float(loss),

@@ -3,7 +3,9 @@
 Two problem families live here: the synthetic non-linear least-squares
 binary classification benchmark, and a quadratic toy with a known minimizer
 used as a test oracle.  Both expose full-batch gradients and losses for the
-diagnostics; the algorithms only ever see function values.
+diagnostics; the algorithms only ever see function values.  Their full-batch
+methods check the point ``x`` by the array rule as a vector of ``dimension``
+entries; a 1-D float64 one, which is what a run passes, is not scanned.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from ._checks import check_array, check_integer, check_number
+from ._checks import check_array, check_integer, check_number, check_point
 
 __all__ = [
     "StochasticProblem",
@@ -67,7 +69,7 @@ class StochasticProblem(ABC):
 
     @abstractmethod
     def evaluate(self, agent: int, x: np.ndarray, xi) -> float:
-        """Single-sample value ``F_agent(x, xi)``.
+        """Single-sample value ``F_agent(x, xi)``, a finite number.
 
         The estimators call this once per probe and may pass a buffer they
         reuse for the next probe, so do not keep a reference to ``x``.
@@ -79,10 +81,10 @@ class StochasticProblem(ABC):
 
     @abstractmethod
     def full_loss(self, x: np.ndarray) -> float:
-        """Full-batch value of ``f`` at ``x``."""
+        """Full-batch value of ``f`` at ``x``, a finite number."""
 
     def test_accuracy(self, x: np.ndarray) -> float | None:
-        """Held-out accuracy at ``x``, or ``None`` when there is no test set."""
+        """Held-out accuracy at ``x``, a number in ``[0, 1]``, or ``None`` without a test set."""
         return None
 
     def optimal_value(self) -> float | None:
@@ -196,7 +198,7 @@ class ClassificationProblem(StochasticProblem):
 
     def _responses(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Responses ``phi`` and residuals ``y - phi`` at ``x``, shared: do not write to them."""
-        x = np.asarray(x, dtype=float)
+        x = check_point(x, self.dimension)
         key = x.tobytes()
         last = self._last_pass
         if last is not None and last[0] == key:
@@ -227,7 +229,7 @@ class ClassificationProblem(StochasticProblem):
         Responses exactly at one half classify as positive, matching the
         generation rule.
         """
-        predicted = sigmoid(self.test_features @ x) >= 0.5
+        predicted = sigmoid(self.test_features @ check_point(x, self.dimension)) >= 0.5
         return float(np.mean(predicted == (self.test_labels == 1)))
 
 
@@ -308,10 +310,10 @@ class QuadraticToyProblem(StochasticProblem):
     # ``0.5 ||x - c_i||^2``, each row product and the mean in agent order.
 
     def true_global_gradient(self, x: np.ndarray) -> np.ndarray:
-        return np.mean(x - self.centers, axis=0)
+        return np.mean(check_point(x, self.dimension) - self.centers, axis=0)
 
     def full_loss(self, x: np.ndarray) -> float:
-        diffs = x - self.centers
+        diffs = check_point(x, self.dimension) - self.centers
         return float(np.mean(np.vecdot(0.5 * diffs, diffs)))
 
     def centroid(self) -> np.ndarray:

@@ -1,23 +1,30 @@
 """The input rule, at every entry point that takes a count, size, index or seed,
-and at every entry point that takes a real-valued parameter.
+at every entry point that takes a real-valued parameter or an array, and at
+every site that reads a number a problem returns.
 
 Each integer entry point rejects ``True``, ``2.0``, ``"3"`` and the value
 just below its minimum with ``ValueError: <name> must be an integer of at
 least <least>, got <value!r>``, and it takes a numpy integer at the minimum.
 Each number entry point rejects a ``bool``, text, ``None`` (where ``None``
-does not mean a default), NaN, an infinity, a complex number and values
-just outside its interval with ``ValueError: <name> must be a finite number
-in <interval>, got <value!r>``, and it takes a numpy float inside the
-interval.  On a config path the error is a ``ConfigError`` that puts the
-section or the label in front.  Every error comes before the entry point
-draws, writes or runs a round.
+does not mean a default), NaN, an infinity, an integer beyond the float
+range, a complex number and values just outside its interval with
+``ValueError: <name> must be a finite number in <interval>, got <value!r>``,
+and it takes a numpy float inside the interval.  On a config path the
+error is a ``ConfigError`` that puts the section or the label in front.
+Every error comes before the entry point draws, writes or runs a round.
 
 Each array entry point rejects ``bool``, complex, numeric text, object and
 ragged arrays, ``None``, a wrong shape or number of dimensions, an empty
 array and a NaN or infinite entry with ``ValueError: <name> must be a finite
 real array of shape <shape>, got <what>``, where ``<what>`` names the first
 non-finite entry's index, and it takes integer and float32 arrays as the
-float64 arrays of the same values.
+float64 arrays of the same values.  The shipped problems' full-batch methods
+check their point ``x`` so too.
+
+Each value a problem returns, from ``evaluate``, ``full_loss`` or
+``test_accuracy``, is read by the same number rule: the bad values above,
+bytes and 0-d or 1-element arrays end in the error each site raises, and an
+``int``, numpy integer or float, or ``Fraction`` is read as its ``float()``.
 """
 
 import math
@@ -43,6 +50,7 @@ from zoswarm.config import (
 from zoswarm.dynamics import HyperParams, run, theorem_schedule
 from zoswarm.estimator import (
     CoordinateSample,
+    OracleEvaluationError,
     SmoothingSchedule,
     central_estimate,
     forward_estimate,
@@ -262,6 +270,7 @@ def bad_numbers(interval, none_is_a_default):
         st.sampled_from(["0.5", "1", "nan", ""]),
         st.just(math.nan),
         st.sampled_from([math.inf, -math.inf]),
+        st.just(10**400),  # finite as an int, beyond the float range
         st.complex_numbers(allow_nan=False, allow_infinity=False),
         INTERVALS[interval][0],
     ]
@@ -375,13 +384,31 @@ class Diagnostics:
         return self.loss
 
 
-def record_with(gradient=np.array([1.0, 2.0, 3.0]), loss=np.array(2.0)):
+def record_with(gradient=np.array([1.0, 2.0, 3.0]), loss=2.0):
     problem = Diagnostics(gradient, loss)
     try:
         return capture_record(problem, np.zeros((2, 3)), 7, 0.5, 0, 0.0)
     finally:
         # each method once, and no loss after a rejected gradient
         assert problem.calls in (["true_global_gradient"], ["true_global_gradient", "full_loss"])
+
+
+# a problem, an integer-valued point it takes, shapes of point it rejects and
+# the full-batch methods that check their point
+FULL_BATCH = (
+    (
+        ClassificationProblem(**CLASSIFICATION, shard_bounds=((0, 3), (3, 6))),
+        np.array([1.0, -2.0]),
+        ((3,), (1,), (2, 1), ()),
+        ("full_loss", "true_global_gradient", "test_accuracy"),
+    ),
+    (
+        QuadraticToyProblem(np.array([[0.0, 1.0, 2.0], [3.0, -1.0, 2.0]]), 0.5),
+        np.array([1.0, -2.0, 3.0]),
+        ((2,), (4,), (3, 1), ()),
+        ("full_loss", "true_global_gradient"),
+    ),
+)
 
 
 class ArraySite(NamedTuple):
@@ -429,12 +456,13 @@ ARRAY_SITES = {
         lambda v: record_with(gradient=v),
         ((2,), (4,), (3, 1), ()),
     ),
-    "capture_record.loss": ArraySite(
-        "full_loss at iteration 7",
-        np.array(2.0),
-        lambda v: record_with(loss=v),
-        ((1,), (2,), (1, 1)),
-    ),
+    **{
+        f"{type(problem).__name__}.{method}.x": ArraySite(
+            "x", good, lambda v, m=getattr(problem, method): np.asarray(m(v)).tolist(), wrong, True
+        )
+        for problem, good, wrong, methods in FULL_BATCH
+        for method in methods
+    },
 }
 
 RAGGED = ([[0.0, 1.0], [2.0]], [1.0, [2.0, 3.0]], [[[0.0]], [1.0, 2.0]])
@@ -500,3 +528,171 @@ def test_a_label_column_is_rejected_at_construction():
     message = "train_labels must be a finite real array of shape (6,), got shape (6, 1)"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         classification(train_labels=np.zeros((6, 1)))
+
+
+class ReturnsAt(StochasticProblem):
+    """Two agents on one coordinate with oracle ``F(x) = x . x``, except that agent
+    1's oracle returns ``value`` where ``x[0]`` has the sign ``where``: 0 at the
+    unshifted base point of round 0, 1 and -1 at the probes above and below it.
+    The diagnostics return ``loss`` and ``accuracy``."""
+
+    dimension, local_count = 1, 2
+
+    def __init__(self, where=None, value=None, loss=0.25, accuracy=None):
+        self.where, self.value, self.loss, self.accuracy = where, value, loss, accuracy
+
+    def sample(self, agent, rng):
+        return None
+
+    def evaluate(self, agent, x, xi):
+        return self.value if agent == 1 and np.sign(x[0]) == self.where else float(x @ x)
+
+    def true_global_gradient(self, x):
+        return 2.0 * x
+
+    def full_loss(self, x):
+        return self.loss
+
+    def test_accuracy(self, x):
+        return self.accuracy
+
+
+PAIR = Topology(2, np.ones((2, 2)) - np.eye(2))
+
+
+def one_round(estimator, **returns):
+    """The trajectory of one round on :data:`PAIR` with a :class:`ReturnsAt` problem."""
+    params = HyperParams(
+        alpha=0.5 * laplacian_spectrum(PAIR).alpha_max,
+        eta=0.01,
+        T=1,
+        estimator=estimator,
+        smoothing=SmoothingSchedule("fixed", 0.5),
+    )
+    return run(PAIR, ReturnsAt(**returns), params)
+
+
+class ScalarSite(NamedTuple):
+    """A site that reads a number a problem returns: a call with the value, which
+    gives what was read from it, the error for a bad one, its message, the
+    ``(coordinate, agent, k)`` an oracle error names, the interval of numbers
+    the site takes and whether it takes ``None`` too."""
+
+    call: Callable
+    error: type
+    message: Callable
+    names: tuple | None = None
+    interval: str = "(-inf, inf)"
+    none_means_no_value: bool = False
+
+
+def oracle_site(estimator, side, in_run):
+    """The oracle value read at the base point (side 0) or at the probe above or below it."""
+    where = "at the base point" if side == 0 else "probing coordinate 0"
+    coordinate = None if side == 0 else 0
+    if in_run:
+
+        def call(v):
+            trajectory = one_round(estimator, where=side, value=v)
+            return trajectory.records, trajectory.final_state.iterates.tobytes()
+
+        return ScalarSite(
+            call,
+            OracleEvaluationError,
+            lambda bad: f"oracle returned {bad!r}, not a finite number, {where} "
+            "at iteration 0 on agent 1",
+            (coordinate, 1, 0),
+        )
+    estimate = forward_estimate if estimator == "forward" else central_estimate
+    return ScalarSite(
+        lambda v: estimate(
+            lambda z: ReturnsAt(side, v).evaluate(1, z, None),
+            np.zeros(1),
+            CoordinateSample((0,)),
+            0.5,
+        ).tobytes(),
+        OracleEvaluationError,
+        lambda bad: f"oracle returned {bad!r}, not a finite number, {where}",
+        (coordinate, None, None),
+    )
+
+
+SCALAR_SITES = {
+    **{
+        f"{estimator}_estimate.{name}{' in run' if in_run else ''}": oracle_site(
+            estimator, side, in_run
+        )
+        for estimator, sides in (
+            ("forward", (("base", 0), ("probe", 1))),
+            ("central", (("hi", 1), ("lo", -1))),
+        )
+        for name, side in sides
+        for in_run in (False, True)
+    },
+    "capture_record.full_loss": ScalarSite(
+        lambda v: repr(record_with(loss=v).mean_train_loss),  # exact, and names the type
+        ValueError,
+        lambda bad: f"full_loss at iteration 7 must be a finite number in (-inf, inf), got {bad!r}",
+    ),
+    "run.test_accuracy": ScalarSite(
+        lambda v: repr(one_round("forward", accuracy=v).final_accuracy),
+        ValueError,
+        lambda bad: f"test_accuracy at iteration 1 must be a finite number in [0, 1], got {bad!r}",
+        interval="[0, 1]",
+        none_means_no_value=True,
+    ),
+}
+
+# interval -> (its ends for drawn good values, values just outside it)
+SCALAR_INTERVALS = {
+    "(-inf, inf)": ((-1000, 1000), st.nothing()),
+    "[0, 1]": (
+        (0, 1),
+        st.floats(max_value=-5e-324) | st.floats(min_value=math.nextafter(1.0, 2.0)),
+    ),
+}
+
+
+def bad_values(interval, none_means_no_value):
+    """A value the number rule rejects, as a problem might return it."""
+    return st.one_of(
+        st.booleans() | st.sampled_from([np.True_, np.False_]),
+        st.sampled_from(["0.25", "1", "nan"]),
+        st.sampled_from([b"0.25", b"1"]),
+        st.nothing() if none_means_no_value else st.none(),
+        st.complex_numbers(allow_nan=False, allow_infinity=False),
+        st.floats(0.0, 1.0).map(np.array),  # 0-d
+        st.floats(0.0, 1.0).map(lambda v: np.array([v])),
+        st.sampled_from([math.nan, math.inf, -math.inf, np.float64(math.nan)]),
+        st.just(10**400),
+        SCALAR_INTERVALS[interval][1],
+    )
+
+
+def good_values(interval):
+    """An int, numpy integer or float, or Fraction inside ``interval``."""
+    low, high = SCALAR_INTERVALS[interval][0]
+    return st.one_of(
+        st.integers(low, high),
+        st.integers(low, high).map(np.int64),
+        st.floats(low, high, width=32).map(np.float32),
+        st.floats(low, high).map(np.float64),
+        st.fractions(low, high, max_denominator=10**6),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(SCALAR_SITES)), st.data())
+def test_every_number_a_problem_returns_is_read_by_the_one_rule(entry, data):
+    site = SCALAR_SITES[entry]
+    bad = data.draw(bad_values(site.interval, site.none_means_no_value), label="bad")
+    with pytest.raises(site.error) as info:
+        site.call(bad)
+    error = info.value
+    assert type(error) is site.error
+    assert str(error) == site.message(bad)
+    if site.names is not None:
+        assert (error.coordinate, error.agent, error.k) == site.names
+    # a good value is read as its float(), bit for bit
+    good = data.draw(good_values(site.interval), label="good")
+    assert site.call(good) == site.call(float(good))

@@ -228,7 +228,7 @@ def test_run_reports_non_finite_oracle(tmp_path, capsys, monkeypatch):
     cfg = write_cfg(tmp_path)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: oracle returned a non-finite value")
+    assert err.startswith("error: oracle returned nan, not a finite number, at the base point")
     assert "at iteration 0 on agent 0" in err
 
 

@@ -408,14 +408,17 @@ class TestSteps:
     @pytest.mark.parametrize(
         ("value", "failure"),
         [
-            (math.nan, "a non-finite value"),
-            # values float() rejects
-            (None, "a value that is not a real number"),
-            ("abc", "a value that is not a real number"),
-            (np.zeros(2), "a value that is not a real number"),
-            (1j, "a value that is not a real number"),
+            (math.nan, "nan"),
+            (None, "None"),
+            ("abc", "'abc'"),
+            (np.zeros(2), "array([0., 0.])"),
+            (1j, "1j"),
+            # values float() reads, which the number rule rejects
+            (True, "True"),
+            ("0.25", "'0.25'"),
+            (10**400, str(10**400)),
         ],
-        ids=["nan", "None", "str", "array", "complex"],
+        ids=["nan", "None", "str", "array", "complex", "bool", "numeric-str", "huge-int"],
     )
     def test_oracle_failure_names_agent_and_round(self, estimator, coordinate, value, failure):
         class FailsOnAgentTwo:
@@ -435,8 +438,10 @@ class TestSteps:
             step(state, topo, params, FailsOnAgentTwo(), RunStreams.from_seed(0))
         error = info.value
         assert (error.agent, error.k, error.coordinate) == (2, 4, coordinate)
-        assert str(error).startswith(f"oracle returned {failure}")
-        assert str(error).endswith("at iteration 4 on agent 2")
+        where = "at the base point" if coordinate is None else f"probing coordinate {coordinate}"
+        assert str(error) == (
+            f"oracle returned {failure}, not a finite number, {where} at iteration 4 on agent 2"
+        )
 
     @pytest.mark.parametrize("estimator", ["forward", "central"])
     def test_only_the_oracles_own_exceptions_are_named_with_agent_and_round(
@@ -729,5 +734,9 @@ def test_a_misbehaving_problem_ends_in_a_typed_error_naming_its_round(
         assert (error.agent, error.k) == (agent, when)
         assert str(error).endswith(f"at iteration {when} on agent {agent}")
     elif not in_a_round:
-        method = "full_loss" if "loss" in fault else "true_global_gradient"
-        assert str(error).startswith(f"{method} at iteration {when} must be a finite real array")
+        method, rule = (
+            ("full_loss", "number in (-inf, inf)")
+            if "loss" in fault
+            else ("true_global_gradient", "real array")
+        )
+        assert str(error).startswith(f"{method} at iteration {when} must be a finite {rule}")

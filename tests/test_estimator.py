@@ -163,13 +163,14 @@ def test_a_value_float_rejects_is_named_with_its_coordinate(estimate, value):
     def bad(z):
         return value if z[2] != 0.0 else float(z @ z)
 
-    with pytest.raises(OracleEvaluationError, match="is not a real number probing coordinate 2"):
+    message = f"oracle returned {value!r}, not a finite number, probing coordinate 2"
+    with pytest.raises(OracleEvaluationError, match=f"^{re.escape(message)}$"):
         estimate(bad, np.zeros(4), CoordinateSample((1, 2)), 0.1)
     with pytest.raises(OracleEvaluationError) as info:
         estimate(lambda z: value, np.zeros(4), CoordinateSample((1, 2)), 0.1)
     # the forward estimate reads the base point first
     assert info.value.coordinate == (None if estimate is forward_estimate else 1)
-    assert isinstance(info.value.__cause__, (TypeError, ValueError))
+    assert info.value.__cause__ is None
 
 
 @pytest.mark.parametrize("estimate", [forward_estimate, central_estimate])

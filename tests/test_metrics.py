@@ -262,8 +262,8 @@ class TestDiagnosticsChecks:
         # before, a short gradient recorded a norm of the wrong vector and a
         # NaN loss went into the CSV
         problem = FixedDiagnostics(gradient, loss)
-        shape = "(3,)" if method == "true_global_gradient" else "()"
-        message = rf"^{method} at iteration 7 must be a finite real array of shape "
-        with pytest.raises(ValueError, match=message + re.escape(shape) + ", got "):
+        rule = {"true_global_gradient": "real array of shape (3,)", "full_loss": "number in (-inf, inf)"}
+        message = f"{method} at iteration 7 must be a finite {rule[method]}, got "
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
             capture_record(problem, np.zeros((2, 3)), 7, 1.0, 0, 0.0)
         assert problem.calls.count(method) == 1

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -369,6 +370,29 @@ class TestQuadraticToy:
             analytic = problem.true_global_gradient(x)
             fd = central_differences(problem.full_loss, x)
             assert np.linalg.norm(fd - analytic) <= 1e-5 * max(1.0, np.linalg.norm(analytic))
+
+
+@pytest.mark.parametrize(
+    ("problem", "method", "x", "got"),
+    [
+        ("classification", "full_loss", np.array([1j, 0, 0]), "dtype complex128"),
+        ("classification", "true_global_gradient", np.array(["1", "0", "0"]), "dtype <U1"),
+        ("classification", "test_accuracy", np.zeros(4), "shape (4,)"),
+        ("toy", "true_global_gradient", np.array([True, False, True]), "dtype bool"),
+    ],
+    ids=["complex", "text", "length", "bool"],
+)
+def test_the_full_batch_methods_check_their_point(problem, method, x, got):
+    # before, the complex point read as its real part, the text point got a
+    # gradient, the length-4 point ended in a bare matmul error and the bool
+    # point read as 0/1
+    problem = {
+        "classification": make_synthetic_classification(20, 4, 3, 2),
+        "toy": make_quadratic_toy(2, 3),
+    }[problem]
+    message = f"x must be a finite real array of shape (3,), got {got}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        getattr(problem, method)(x)
 
 
 def test_black_box_problem_needs_only_function_values():
