@@ -1,7 +1,8 @@
 """The input rule, checked before anything is drawn, written or run: every count,
 size, index and seed is an integer, every real-valued parameter and every number a
-problem returns a number finite as a float, and every array a finite real array of
-its expected shape.  A ``bool`` is neither, and nothing but an array's dtype is converted."""
+problem returns a number finite as a float, every array a finite real array of its
+expected shape, and every named option text equal to one of its choices.  A ``bool``
+is neither an integer nor a number, and nothing but an array's dtype is converted."""
 
 import math
 import numbers
@@ -10,7 +11,7 @@ import numpy as np
 
 __all__ = [
     "is_integer", "check_integer", "is_number", "is_finite", "check_number",
-    "check_array", "check_point",
+    "check_array", "check_point", "check_choice",
 ]
 
 # one global lookup each on check_point's fast path, which every estimate takes
@@ -89,3 +90,9 @@ def check_point(x, size: int | None = None) -> np.ndarray:
         if len(x) == (size or len(x) or -1):  # the size asked for, or any but 0
             return x
     return check_array("x", x, ("p",) if size is None else (size,))
+
+
+def check_choice(name: str, value, choices: tuple[str, ...]) -> None:
+    """A ``ValueError`` naming ``name`` unless ``value`` is text equal to one of ``choices``."""
+    if not (isinstance(value, str) and value in choices):
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}")

@@ -1,7 +1,11 @@
 """Experiment configs: flat ``key = value`` lines whose keys are the rows of
 ``CONFIG_SCHEMA`` (``#`` starts a comment).  ``parse_config`` only types the
-text; ``ExperimentConfig.validate`` is the one gate that a parsed config and
-one built in code both meet before anything is built or written.
+text.  ``ExperimentConfig.validate`` checks what no library function does: the
+run section, the config's shape and the labels that name its record files.
+Every problem, topology and algorithm value is checked once, by the library
+rule of the factory, :func:`resolve_hyperparams` or ``HyperParams`` it is
+handed to.  A parsed config and one built in code meet the same checks, all
+before anything is written, and each failure is a :class:`ConfigError`.
 """
 
 from __future__ import annotations
@@ -10,11 +14,11 @@ import importlib.resources
 import inspect
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import dynamics, estimator, graph, problems
-from ._checks import check_number, is_integer, is_number
+from ._checks import check_integer, check_number
 
 __all__ = [
     "ConfigError",
@@ -23,6 +27,7 @@ __all__ = [
     "CONFIG_SCHEMA",
     "parse_config",
     "load_config",
+    "record_file_name",
     "build_problem",
     "build_topology",
     "resolve_hyperparams",
@@ -73,40 +78,31 @@ class ExperimentConfig:
     record_every: int = dynamics.RECORD_EVERY
 
     def validate(self) -> None:
-        """Check each value against its schema row, then the rules across fields."""
-        for name, row in CONFIG_SCHEMA["run"].items():
-            _check_kind(f"run.{name}", getattr(self, name), *row)
+        """Check the run section, the config's shape and its labels; every other
+        value meets the rule of the function it reaches, before anything is written."""
         for section in ("problem", "topology"):
             settings = getattr(self, section)
             if not isinstance(settings, dict):
                 raise ConfigError(f"{section} = {settings!r} is not a dict of settings")
-            for name, value in settings.items():
-                if name in CONFIG_SCHEMA[section]:  # its builder names a setting without a row
-                    _check_kind(f"{section}.{name}", value, *CONFIG_SCHEMA[section][name])
         if not isinstance(self.algorithms, list):
             raise ConfigError(f"algorithms = {self.algorithms!r} is not a list")
-        unset = {f.name for f in fields(AlgorithmSpec) if f.default is None}
         for position, spec in enumerate(self.algorithms):
             if not isinstance(spec, AlgorithmSpec):
                 raise ConfigError(f"algorithms[{position}] = {spec!r} is not an AlgorithmSpec")
             if not isinstance(spec.label, str):
                 raise ConfigError(f"algorithm label {spec.label!r} is not text")
-            for name, row in CONFIG_SCHEMA["algorithm"].items():
-                value = getattr(spec, name)
-                if not (value is None and name in unset):
-                    _check_kind(f"algorithm.{spec.label}.{name}", value, *row)
+        if not isinstance(self.seeds, list):
+            raise ConfigError(f"run.seeds = {self.seeds!r} is not a list")
         if not self.algorithms:
             raise ConfigError("at least one algorithm must be configured")
         if not self.seeds:
             raise ConfigError("at least one master seed must be configured")
-        if self.T < 1:
+        with _config_errors("run"):
             # a run without rounds reports only the origin, record 0 of every run
-            raise ConfigError(f"run.T must be at least 1, got {self.T}")
-        if self.record_every < 1:
-            raise ConfigError("run.record_every must be at least 1")
-        for seed in self.seeds:
-            if seed < 0:
-                raise ConfigError(f"master seed {seed} is negative (run.seeds or --seed)")
+            check_integer("T", self.T, 1)
+            check_integer("record_every", self.record_every, 1)
+            for seed in self.seeds:
+                check_integer("master seed (run.seeds or --seed)", seed, 0)
         _reject_duplicates("master seed", self.seeds)
         _reject_duplicates("algorithm label", [spec.label for spec in self.algorithms])
         for spec in self.algorithms:
@@ -123,12 +119,17 @@ class ExperimentConfig:
                         f"algorithm label {spec.label!r} contains {char!r}, "
                         "which a CSV cell cannot hold unquoted"
                     )
-            longest = max(len(f"{spec.label}_seed{seed}.csv".encode()) for seed in self.seeds)
+            longest = max(len(record_file_name(spec.label, seed).encode()) for seed in self.seeds)
             if longest > MAX_FILE_NAME_BYTES:
                 raise ConfigError(
                     f"algorithm label {spec.label!r} makes a record file name of {longest} "
                     f"bytes, longer than the {MAX_FILE_NAME_BYTES} a file name may hold"
                 )
+
+
+def record_file_name(label: str, seed: int) -> str:
+    """The name of the record CSV of one (algorithm, master seed) run of a battery."""
+    return f"{label}_seed{seed}.csv"
 
 
 def _reject_duplicates(what: str, items) -> None:
@@ -138,27 +139,6 @@ def _reject_duplicates(what: str, items) -> None:
         if item in seen:
             raise ConfigError(f"duplicate {what} {item!r}")
         seen.add(item)
-
-
-def _check_kind(key: str, value, read, expected: str) -> None:
-    """Raise a ConfigError unless ``value`` is of the kind ``read`` makes from text."""
-    if isinstance(read, list):
-        if not isinstance(value, list):
-            raise ConfigError(f"{key} = {value!r} is not a list")
-        for item in value:
-            _check_kind(key, item, read[0], expected)
-        return
-    if isinstance(value, str):  # text must be what its reader returns unchanged
-        try:
-            fits = read(value) == value
-        except ValueError:
-            fits = False
-    elif read is int:
-        fits = is_integer(value)
-    else:
-        fits = read in (float, _eta) and is_number(value)
-    if not fits:  # nothing is converted: text reads as itself, and a bool is no number
-        raise ConfigError(f"{key} = {value!r} is not {expected}")
 
 
 # problem.name -> the factory that builds it; the factory's parameters are
@@ -189,6 +169,8 @@ def _smoothing_terms(token: str) -> tuple[str, float | None]:
     ``scaled_fixed:<c>``, each number positive; a bare ``theorem_decay``
     has no number and keeps the schedule's default kappa.
     """
+    if not isinstance(token, str):  # a config built in code may hold anything
+        raise ValueError(token)
     head, _, arg = token.partition(":")
     if head not in ("theorem_decay", "fixed", "scaled_fixed"):
         raise ValueError(token)
@@ -277,48 +259,39 @@ def parse_config(text: str) -> ExperimentConfig:
             )
         pairs[key] = lineno, value
 
-    cfg = ExperimentConfig()
-    # algorithm field -> the key that set it, per label and as a default
-    defaults: dict[str, str] = {}
-    per_algorithm: dict[str, dict[str, str]] = {}
+    # section -> its settings as typed; "defaults" holds the algorithm fields of every label
+    settings: dict[str, dict] = {"problem": {}, "topology": {}, "run": {}, "defaults": {}}
+    per_algorithm: dict[str, dict] = {}  # label -> its own algorithm fields
     labels: list[str] = []
 
     for key, (_, value) in pairs.items():
         section, dot, name = key.partition(".")
         if key == "algorithms":
             labels = typed(key, value, [str], "text")
-        elif dot and section == "defaults":
-            defaults[name] = key
-        elif dot and section == "algorithm":
+            continue
+        if dot and section == "algorithm":
             # a label may contain a dot; a setting name never does
             label, dot, name = name.rpartition(".")
             if not dot:
                 raise ConfigError(f"algorithm key {key!r} needs a '<label>.<field>' suffix")
-            per_algorithm.setdefault(label, {})[name] = key
-        elif section in ("problem", "topology") and name in CONFIG_SCHEMA[section]:
-            getattr(cfg, section)[name] = typed(key, value, *CONFIG_SCHEMA[section][name])
-        elif section == "run" and name in CONFIG_SCHEMA["run"]:
-            setattr(cfg, name, typed(key, value, *CONFIG_SCHEMA["run"][name]))
+            values = per_algorithm.setdefault(label, {})
         else:
+            values = settings.get(section)
+        row = CONFIG_SCHEMA.get("algorithm" if section == "defaults" else section, {}).get(name)
+        if values is None or row is None:
             raise ConfigError(f"unknown config key {key!r}")
-
-    for label in labels:
-        fields = {}
-        for name, key in {**defaults, **per_algorithm.get(label, {})}.items():
-            if name not in CONFIG_SCHEMA["algorithm"]:
-                raise ConfigError(f"unknown algorithm field {name!r} for {label!r}")
-            fields[name] = typed(key, pairs[key][1], *CONFIG_SCHEMA["algorithm"][name])
-        cfg.algorithms.append(AlgorithmSpec(label=label, kind=fields.pop("kind", label), **fields))
+        values[name] = typed(key, value, *row)
 
     stray = set(per_algorithm) - set(labels)
     if stray:
         raise ConfigError(f"algorithm settings for unlisted labels: {sorted(stray)}")
-    # a default that every label overrides, or that no label exists to use, is still checked
-    for name, key in defaults.items():
-        if name not in CONFIG_SCHEMA["algorithm"]:
-            raise ConfigError(f"unknown config key {key!r}")
-        typed(key, pairs[key][1], *CONFIG_SCHEMA["algorithm"][name])
-    return cfg
+    algorithms = []
+    for label in labels:
+        fields = {**settings["defaults"], **per_algorithm.get(label, {})}
+        algorithms.append(AlgorithmSpec(label=label, kind=fields.pop("kind", label), **fields))
+    return ExperimentConfig(
+        settings["problem"], settings["topology"], algorithms, **settings["run"]
+    )
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -369,7 +342,7 @@ def build_problem(cfg: ExperimentConfig) -> problems.StochasticProblem:
     """Instantiate the configured problem."""
     spec = dict(cfg.problem)
     name = spec.pop("name", None)
-    if name not in _PROBLEMS:
+    if not (isinstance(name, str) and name in _PROBLEMS):  # a name built in code may be unhashable
         raise ConfigError(f"unknown problem name {name!r}")
     return _build("problem", name, _PROBLEMS[name], spec)
 
@@ -407,8 +380,8 @@ def resolve_hyperparams(
         chosen = {"gamma": spec.gamma, "n_c": spec.n_c, "estimator": spec.estimator}
         if spec.smoothing is not None:
             chosen["smoothing"] = _parse_smoothing(spec.smoothing, p, T)
-        eta = spec.eta  # a number HyperParams checks, unconverted
-        if eta == "theorem":
+        eta = spec.eta  # unless it is "theorem", a number HyperParams checks
+        if isinstance(eta, str) and eta == "theorem":
             eta = dynamics.theorem_schedule(n_agents, p, T)
         check_number("alpha_frac", spec.alpha_frac, "(0, 1)")
         alpha = spec.alpha_frac * profile.alpha_max  # a tiny alpha_frac underflows to 0

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import check_integer, check_number
+from ._checks import check_choice, check_integer, check_number
 from .estimator import (
     OracleEvaluationError,
     SmoothingSchedule,
@@ -79,6 +79,8 @@ class HyperParams:
     :func:`run` where the spectral profile is known.  Values of ``gamma``
     outside :data:`GAMMA_GUARANTEE` are accepted for robustness experiments
     but flagged, since the convergence guarantees do not cover them.
+    Once checked, ``alpha``, ``eta`` and ``gamma`` are kept as Python floats,
+    ``T`` and ``n_c`` as Python ints.
     """
 
     alpha: float
@@ -91,16 +93,20 @@ class HyperParams:
     smoothing: SmoothingSchedule = field(default_factory=SmoothingSchedule)
 
     def __post_init__(self) -> None:
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
+        check_choice("algorithm", self.algorithm, ALGORITHMS)
         if self.gamma is None:
             object.__setattr__(self, "gamma", 0.7 if self.algorithm == "zoom_pb" else 1.0)
         for name, interval in (("alpha", "[0, inf)"), ("eta", "[0, inf)"), ("gamma", GAMMA_RANGE)):
-            check_number(name, getattr(self, name), interval)
-        check_integer("T", self.T, 0)
-        check_integer("n_c", self.n_c, 1)
-        if self.estimator not in ESTIMATORS:
-            raise ValueError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
+            value = getattr(self, name)
+            check_number(name, value, interval)
+            # as a float, a Fraction cannot turn the iterates into an object array
+            object.__setattr__(self, name, float(value))
+        for name, least in (("T", 0), ("n_c", 1)):
+            value = getattr(self, name)
+            check_integer(name, value, least)
+            # as an int, an np.int8 cannot wrap the oracle-call count
+            object.__setattr__(self, name, int(value))
+        check_choice("estimator", self.estimator, ESTIMATORS)
         low, high = GAMMA_GUARANTEE
         if not low <= self.gamma <= high:
             warnings.warn(

@@ -19,7 +19,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from ._checks import check_integer, check_number, check_point, is_finite
+from ._checks import check_choice, check_integer, check_number, check_point, is_finite
 
 __all__ = [
     "CoordinateSample",
@@ -97,8 +97,7 @@ class SmoothingSchedule:
     value: float | None = None
 
     def __post_init__(self) -> None:
-        if self.mode not in SMOOTHING_MODES:
-            raise ValueError(f"mode must be one of {SMOOTHING_MODES}, got {self.mode!r}")
+        check_choice("mode", self.mode, SMOOTHING_MODES)
         if self.value is None:
             if self.mode == "fixed":
                 raise ValueError("fixed mode needs a radius value")

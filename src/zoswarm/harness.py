@@ -16,8 +16,8 @@ import numpy as np
 
 from . import dynamics, estimator, graph, metrics, problems
 from ._checks import check_number
-from .config import AlgorithmSpec, ConfigError, ExperimentConfig, resolve_hyperparams
-from .config import _config_errors
+from .config import AlgorithmSpec, ConfigError, ExperimentConfig, record_file_name
+from .config import _config_errors, resolve_hyperparams
 # re-exported for benchmarks/, whose tracer patches the builders run_battery looks up here
 from .config import build_problem, build_topology, load_config
 
@@ -149,7 +149,7 @@ def run_battery(
             )
             csv_path = None
             if target is not None:
-                csv_path = target / f"{spec.label}_seed{seed}.csv"
+                csv_path = target / record_file_name(spec.label, seed)
                 metrics.write_csv(trajectory.records, csv_path)
             runs.append(
                 RunResult(

@@ -2,7 +2,7 @@ import pytest
 
 from zoswarm.dynamics import run
 from zoswarm.graph import laplacian_spectrum
-from zoswarm.config import build_problem, build_topology, resolve_hyperparams
+from zoswarm.config import build_problem, build_topology, record_file_name, resolve_hyperparams
 from zoswarm.metrics import write_csv
 
 
@@ -21,7 +21,7 @@ def _standalone_runs(config, out_dir):
         params = resolve_hyperparams(spec, profile, topo.n, problem.dimension, config.T)
         for seed in reversed(config.seeds):
             trajectory = run(topo, problem, params, seed=seed, record_every=config.record_every)
-            write_csv(trajectory.records, out_dir / f"{spec.label}_seed{seed}.csv")
+            write_csv(trajectory.records, out_dir / record_file_name(spec.label, seed))
 
 
 @pytest.fixture

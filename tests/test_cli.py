@@ -165,8 +165,11 @@ def test_run_rejects_config_that_cannot_be_read(tmp_path, capsys, monkeypatch):
             "algorithms = x\nalgorithm.x.kind = dsgd",
             "line 14: algorithm.x.kind = 'dsgd' is not zoom or zoom_pb",
         ),
-        # a kind taken from its label is caught by the gate
-        ("algorithms = dsgd", "algorithm.dsgd.kind = 'dsgd' is not zoom or zoom_pb"),
+        # a kind taken from its label is caught by HyperParams
+        (
+            "algorithms = dsgd",
+            "algorithm 'dsgd': algorithm must be one of ('zoom', 'zoom_pb'), got 'dsgd'",
+        ),
     ],
     ids=["kind", "label"],
 )
@@ -263,8 +266,18 @@ def test_run_rejects_duplicate_seeds_and_malformed_values(tmp_path, capsys):
 @pytest.mark.parametrize(
     "old, new, flags, message",
     [
-        ("run.seeds = 1,2", "run.seeds = -1", [], "master seed -1 is negative"),
-        ("run.seeds = 1,2", "run.seeds = 1,2", ["--seed", "-1"], "master seed -1 is negative"),
+        (
+            "run.seeds = 1,2",
+            "run.seeds = -1",
+            [],
+            "run: master seed (run.seeds or --seed) must be an integer of at least 0, got -1",
+        ),
+        (
+            "run.seeds = 1,2",
+            "run.seeds = 1,2",
+            ["--seed", "-1"],
+            "run: master seed (run.seeds or --seed) must be an integer of at least 0, got -1",
+        ),
         (
             "problem.n_agents = 3",
             "problem.n_agents = 0",
@@ -334,20 +347,20 @@ def test_run_rejects_duplicate_seeds_and_malformed_values(tmp_path, capsys):
             "topology: seed must be an integer of at least 0, got -1",
         ),
         ("topology.n = 3\n", "", [], "topology: missing Erdos-Renyi settings: ['n']"),
-        ("run.T = 60", "run.T = 0", [], "run.T must be at least 1, got 0"),
+        ("run.T = 60", "run.T = 0", [], "run: T must be an integer of at least 1, got 0"),
         # keys that set what another input already sets are gone
         ("run.T = 60", "run.T = 60\nrun.out = from_config", [], "unknown config key 'run.out'"),
         (
             "run.T = 60",
             "run.T = 60\ndefaults.alpha = 0.01",
             [],
-            "unknown algorithm field 'alpha' for 'zoom'",
+            "unknown config key 'defaults.alpha'",
         ),
         (
             "algorithm.zoom_pb.gamma = 0.7",
             "algorithm.zoom_pb.gamma = 0.7\nalgorithm.zoom_pb.alpha = 0.01",
             [],
-            "unknown algorithm field 'alpha' for 'zoom_pb'",
+            "unknown config key 'algorithm.zoom_pb.alpha'",
         ),
     ],
 )

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -221,6 +222,33 @@ class TestHyperParams:
             params = HyperParams(alpha=0.1, eta=0.1, T=10, gamma=0.3)
         assert params.gamma == 0.3
         assert caught[0].filename == __file__  # names the caller, not the generated __init__
+
+    @pytest.mark.parametrize(
+        "name, choices", [("algorithm", dynamics.ALGORITHMS), ("estimator", dynamics.ESTIMATORS)]
+    )
+    def test_a_choice_must_be_text(self, name, choices):
+        # an array holding a valid choice would pass a bare `in` test and be stored
+        value = np.array([choices[-1]])
+        message = f"{name} must be one of {choices}, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            HyperParams(alpha=0.1, eta=0.1, T=10, **{name: value})
+
+    def test_numbers_are_kept_as_python_numbers(self):
+        # a Fraction made the iterates an object array, which numpy's einsum refuses,
+        # and an np.int8 n_c wrapped the oracle-call count past 127
+        exact = HyperParams(
+            alpha=Fraction(1, 20), eta=Fraction(1, 10), T=np.int64(10), algorithm="zoom_pb",
+            gamma=Fraction(7, 10), n_c=np.int8(2), estimator="central",
+        )
+        plain = HyperParams(
+            alpha=0.05, eta=0.1, T=10, algorithm="zoom_pb", gamma=0.7, n_c=2, estimator="central"
+        )
+        assert exact == plain
+        assert [type(getattr(exact, name)) for name in ("alpha", "eta", "gamma", "T", "n_c")] == [
+            float, float, float, int, int
+        ]
+        topo, problem = erdos_renyi(4, 1.0), make_quadratic_toy(4, 3)
+        assert run(topo, problem, exact, seed=5).records == run(topo, problem, plain, seed=5).records
 
 
 class TestTheoremSchedule:

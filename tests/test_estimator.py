@@ -266,6 +266,11 @@ class TestSmoothingSchedule:
         [
             ({"mode": "fixed"}, "^fixed mode needs a radius value$"),
             ({"mode": "nope"}, "^mode must be one of"),
+            # an array holding a mode would pass a bare `in` test and be stored
+            (
+                {"mode": np.array(["fixed"]), "value": 0.1},
+                r"^mode must be one of \('theorem_decay', 'fixed'\), got array\(\['fixed'\]",
+            ),
             *(
                 (
                     {"mode": mode, "value": bad},

@@ -4,6 +4,7 @@ import re
 import tempfile
 import warnings
 from dataclasses import fields, replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -133,16 +134,26 @@ class TestConfigParsing:
         assert cfg.algorithms[0].estimator == "central"
         assert cfg.algorithms[1].estimator == "forward"
 
-    def test_unknown_keys_rejected(self):
-        with pytest.raises(ConfigError, match="unknown config key"):
-            parse_config("runt.T = 5\n")
-        with pytest.raises(ConfigError, match="unknown algorithm field"):
-            parse_config("algorithms = zoom\nalgorithm.zoom.step = 5\n")
-        # a kind taken from a label is left to the gate
-        with pytest.raises(
-            ConfigError, match=r"^algorithm\.sneaky\.kind = 'sneaky' is not zoom or zoom_pb$"
-        ):
-            parse_config("algorithms = sneaky\n").validate()
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("runt.T = 5\n", "runt.T"),
+            ("algorithms = zoom\nalgorithm.zoom.step = 5\n", "algorithm.zoom.step"),
+            # one message, whether or not a label exists to take the default
+            ("algorithms = zoom\ndefaults.alpha = 0.01\n", "defaults.alpha"),
+            ("defaults.alpha = 0.01\n", "defaults.alpha"),
+        ],
+    )
+    def test_unknown_keys_rejected(self, text, key):
+        with pytest.raises(ConfigError, match=rf"^unknown config key '{re.escape(key)}'$"):
+            parse_config(text)
+
+    def test_a_kind_taken_from_a_label_is_left_to_hyperparams(self):
+        (spec,) = parse_config("algorithms = sneaky\n").algorithms
+        profile = laplacian_spectrum(build_topology(toy_config()))
+        message = "algorithm 'sneaky': algorithm must be one of ('zoom', 'zoom_pb'), got 'sneaky'"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            resolve_hyperparams(spec, profile, 4, 6, 120)
 
     def test_label_may_contain_a_dot(self):
         cfg = parse_config("algorithms = zoom.v2\nalgorithm.zoom.v2.kind = zoom\n")
@@ -275,9 +286,15 @@ OUT_OF_RANGE = {
 }
 
 
+# a text each text row reads
+TEXTS = {
+    "name": "quadratic_toy", "kind": "zoom_pb", "estimator": "forward", "smoothing": "fixed:0.1"
+}
+
+
 def _wrong_kinds(section, name):
     """Values no text of the row reads as: a bool, a float in an int row,
-    numeric text, ``None`` where it does not mean unset, a list."""
+    numeric text, ``None`` where it does not mean unset, a list, an array."""
     if name == "label":
         return [5, None, ["z"]]
     read, _ = CONFIG_SCHEMA[section][name]
@@ -286,9 +303,9 @@ def _wrong_kinds(section, name):
     if read is int:
         kinds = [True, 2.5, 3.0, "3", [1]]
     elif read is float or name == "eta":
-        kinds = [True, False, "0.5", [0.5]]
-    else:
-        kinds = [5, 0.5, True, ["x"]]
+        kinds = [True, False, "0.5", [0.5], np.array([0.5, 0.5])]
+    else:  # an array holding a text the row reads is no text either
+        kinds = [5, 0.5, True, ["x"], np.array([TEXTS[name]])]
     return kinds if section == "algorithm" and name in UNSET else kinds + [None]
 
 
@@ -330,6 +347,8 @@ class TestGate:
     @example(("toy_quadratic", 5, "run", "T", "5"))
     @example(("toy_quadratic", 5, "algorithm", "gamma", "x"))
     @example(("toy_quadratic", 5, "problem", "name", ["x"]))
+    @example(("toy_quadratic", 5, "algorithm", "kind", np.array(["zoom_pb"])))
+    @example(("toy_quadratic", 5, "algorithm", "estimator", np.array(["forward"])))
     def test_a_config_built_in_code_fails_before_anything_is_written(self, case):
         cfg = _with_field(*case)
         with tempfile.TemporaryDirectory() as scratch:
@@ -343,32 +362,76 @@ class TestGate:
     @pytest.mark.parametrize(
         "case, message",
         [
-            (("run", "record_every", 2.5), "run.record_every = 2.5 is not an integer"),
-            (("run", "T", True), "run.T = True is not an integer"),
-            (("run", "seeds", [1, "2"]), "run.seeds = '2' is not an integer"),
+            (
+                ("run", "record_every", 2.5),
+                "run: record_every must be an integer of at least 1, got 2.5",
+            ),
+            (("run", "T", True), "run: T must be an integer of at least 1, got True"),
+            (
+                ("run", "seeds", [1, "2"]),
+                "run: master seed (run.seeds or --seed) must be an integer of at least 0, got '2'",
+            ),
             (("run", "seeds", 1), "run.seeds = 1 is not a list"),
-            (("problem", "name", ["x"]), "problem.name = ['x'] is not text"),
-            (("topology", "prob", "0.5"), "topology.prob = '0.5' is not a number"),
+            (("problem", "name", ["x"]), "unknown problem name ['x']"),
+            (
+                ("topology", "prob", "0.5"),
+                "topology: prob must be a finite number in (0, 1], got '0.5'",
+            ),
             (("algorithm", "label", 5), "algorithm label 5 is not text"),
-            (("algorithm", "eta", None), "algorithm.zoom.eta = None is not 'theorem' or a number"),
-            (("algorithm", "estimator", "fd"), "algorithm.zoom.estimator = 'fd' is not forward or central"),
+            (
+                ("algorithm", "eta", None),
+                "algorithm 'zoom': eta must be a finite number in [0, inf), got None",
+            ),
+            (
+                ("algorithm", "eta", np.array([0.1, 0.1])),
+                "algorithm 'zoom': eta must be a finite number in [0, inf), got array([0.1, 0.1])",
+            ),
+            (
+                ("algorithm", "estimator", "fd"),
+                "algorithm 'zoom': estimator must be one of ('forward', 'central'), got 'fd'",
+            ),
+            (
+                ("algorithm", "kind", np.array(["zoom"])),
+                "algorithm 'zoom': algorithm must be one of ('zoom', 'zoom_pb'), "
+                "got array(['zoom'], dtype='<U4')",
+            ),
+            (
+                ("algorithm", "smoothing", 5),
+                "algorithm 'zoom': smoothing 5 is not theorem_decay[:<kappa>], fixed:<delta> "
+                "or scaled_fixed:<c> with a positive number",
+            ),
             (("config", "problem", None), "problem = None is not a dict of settings"),
             (("config", "topology", None), "topology = None is not a dict of settings"),
             (("config", "algorithms", ["zoom"]), "algorithms[0] = 'zoom' is not an AlgorithmSpec"),
             (("config", "algorithms", None), "algorithms = None is not a list"),
         ],
     )
-    def test_a_value_of_the_wrong_kind_is_named_with_its_row(self, case, message):
-        with pytest.raises(ConfigError) as info:
-            _with_field("toy_quadratic", 5, *case).validate()
+    def test_a_value_of_the_wrong_kind_is_named_by_its_rule(self, tmp_path, case, message):
+        cfg = _with_field("toy_quadratic", 5, *case)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # T = 5 is a short horizon
+            with pytest.raises(ConfigError) as info:
+                run_battery(cfg, out_dir=tmp_path / "out", quiet=True)
         assert str(info.value) == message
+        assert not (tmp_path / "out").exists()
 
     def test_numpy_scalars_and_unset_fields_pass(self):
-        cfg = _with_field("toy_quadratic", np.int64(5), "run", "seeds", [np.int64(1)])
-        cfg.topology["prob"] = np.float32(0.9)
-        cfg.algorithms[1] = replace(cfg.algorithms[1], gamma=np.float32(0.7), n_c=np.int8(2))
+        # each number runs as its float: the records equal those of the float config
+        def toy(horizon, seed, prob, eta, gamma, n_c):
+            cfg = _with_field("toy_quadratic", horizon, "run", "seeds", [seed])
+            cfg.topology["prob"] = prob
+            cfg.algorithms[0] = replace(cfg.algorithms[0], eta=eta[0])
+            cfg.algorithms[1] = replace(cfg.algorithms[1], eta=eta[1], gamma=gamma, n_c=n_c)
+            return cfg
+
+        cfg = toy(
+            np.int64(20), np.int64(1), np.float32(0.9),
+            (np.float32(0.25), Fraction(1, 10)), Fraction(7, 10), np.int8(2),
+        )
         assert cfg.algorithms[0].gamma is None
-        cfg.validate()
+        floats = toy(20, 1, float(np.float32(0.9)), (0.25, 0.1), 0.7, 2)
+        runs = [run_battery(config, quiet=True).runs for config in (cfg, floats)]
+        assert [r.trajectory.records for r in runs[0]] == [r.trajectory.records for r in runs[1]]
 
 
 class TestBundledConfigs:
@@ -461,7 +524,8 @@ class TestBuilders:
         for name in ("toy_quadratic", "paper_iv_a"):
             cfg = load_config(name)
             cfg.T = horizon
-            with pytest.raises(ConfigError, match=rf"^run\.T must be at least 1, got {horizon}$"):
+            message = rf"^run: T must be an integer of at least 1, got {horizon}$"
+            with pytest.raises(ConfigError, match=message):
                 run_battery(cfg, out_dir=tmp_path / "out", quiet=True)
         assert not (tmp_path / "out").exists()
 
