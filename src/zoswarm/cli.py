@@ -55,14 +55,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _finished(result: harness.BatteryResult, args) -> int:
+    """Exit status 0 for a finished battery or sweep, naming its summary unless quiet."""
+    if result.summary_path is not None and not args.quiet:
+        print(f"[battery] summary written to {result.summary_path}")
+    return 0
+
+
 def _cmd_run(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
         config = replace(config, seeds=[args.seed])
-    result = harness.run_battery(config, out_dir=args.out, quiet=args.quiet)
-    if result.summary_path is not None and not args.quiet:
-        print(f"[battery] summary written to {result.summary_path}")
-    return 0
+    return _finished(harness.run_battery(config, out_dir=args.out, quiet=args.quiet), args)
 
 
 def _cmd_sweep(args) -> int:
@@ -74,8 +78,7 @@ def _cmd_sweep(args) -> int:
                 gammas.append(float(token))
             except ValueError:
                 raise ConfigError(f"--gammas: {token!r} is not a number") from None
-    harness.gamma_sweep(config, gammas, out_dir=args.out, quiet=args.quiet)
-    return 0
+    return _finished(harness.gamma_sweep(config, gammas, out_dir=args.out, quiet=args.quiet), args)
 
 
 def _cmd_spectra(args) -> int:
@@ -126,6 +129,9 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@
 A battery runs every configured algorithm over every master seed, writes one
 record CSV per (algorithm, seed) plus a ``summary.csv`` of per-algorithm
 medians, and is reproducible byte for byte apart from the wall-clock column.
+A gamma sweep is a battery over labels it generates, with the same outputs.
 """
 
 from __future__ import annotations
@@ -36,16 +37,6 @@ __all__ = [
 
 SUMMARY_FIELDS = (
     "algorithm",
-    "gamma",
-    "estimator",
-    "seed_count",
-    "median_final_loss",
-    "median_avg_grad_norm_sq",
-    "median_avg_consensus_err",
-    "median_accuracy",
-)
-
-SWEEP_FIELDS = (
     "gamma",
     "estimator",
     "within_guarantee_range",
@@ -92,16 +83,14 @@ def _median_or_none(values) -> float | None:
     return float(statistics.median(values)) if values else None
 
 
-def _output_dir(path: str | Path | None, make: bool = True) -> Path | None:
-    """The output directory, made if ``make``, or a ConfigError naming an unusable path."""
+def _output_dir(path: str | Path | None) -> Path | None:
+    """The output directory, made, or a ConfigError naming an unusable path."""
     if path is None:
         return None
     target = Path(path)
     if target.is_dir() and any(target.iterdir()):
         # files of an earlier battery would sit beside the new ones, told apart by nothing
         raise ConfigError(f"cannot use {str(target)!r} as output directory: it is not empty")
-    if not make:
-        return target
     try:
         target.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -165,14 +154,20 @@ def run_battery(
 
     summary_rows = []
     comments = [_SUMMARY_NOTE]
+    low, high = dynamics.GAMMA_GUARANTEE
     for spec, params in resolved:
-        own = [r.summary for r in runs if r.label == spec.label]
+        own_runs = [r for r in runs if r.label == spec.label]
+        own = [r.summary for r in own_runs]
         summary_rows.append(
             {
                 "algorithm": spec.label,
                 "gamma": params.gamma,
                 "estimator": params.estimator,
+                "within_guarantee_range": low <= params.gamma <= high,
                 "seed_count": len(own),
+                "median_initial_loss": _median_or_none(
+                    r.trajectory.records[0].mean_train_loss for r in own_runs
+                ),
                 "median_final_loss": _median_or_none(s.final_loss for s in own),
                 "median_avg_grad_norm_sq": _median_or_none(s.avg_grad_norm_sq for s in own),
                 "median_avg_consensus_err": _median_or_none(s.avg_consensus_err for s in own),
@@ -207,16 +202,15 @@ def gamma_sweep(
     gammas,
     out_dir: str | Path | None = None,
     quiet: bool = False,
-) -> list[dict]:
+) -> BatteryResult:
     """Run the powerball variant across ``gammas`` for both estimators.
 
-    One row per (gamma, estimator): the battery's summary row for that label,
-    medians over the config's seeds, plus ``median_initial_loss`` and
-    ``within_guarantee_range``, false for a gamma outside
-    ``dynamics.GAMMA_GUARANTEE``: it still runs, uncovered by the guarantees.
-    ``out_dir``, if given, must be new or empty, and ``sweep.csv`` is all it gets.
+    A battery over one label ``zoom_pb_g<gamma>_<estimator>`` per (gamma,
+    estimator), medians over the config's seeds, written into ``out_dir`` as
+    :func:`run_battery` writes.  A gamma outside ``dynamics.GAMMA_GUARANTEE``
+    still runs, uncovered by the guarantees, and its rows read
+    ``within_guarantee_range`` false.
     """
-    _output_dir(out_dir, make=False)
     with _config_errors("gamma sweep"):  # before any run, so nothing is built or written
         for gamma in (gammas := list(gammas)):
             check_number("gamma", gamma, dynamics.GAMMA_RANGE)
@@ -230,25 +224,7 @@ def gamma_sweep(
         for g in gammas
         for est in dynamics.ESTIMATORS
     ]
-    battery = run_battery(replace(config, algorithms=specs), quiet=True)
-
-    rows = battery.summary_rows
-    low, high = dynamics.GAMMA_GUARANTEE
-    for row in rows:
-        row["within_guarantee_range"] = low <= row["gamma"] <= high
-        row["median_initial_loss"] = _median_or_none(
-            r.trajectory.records[0].mean_train_loss for r in battery.runs_for(row["algorithm"])
-        )
-        if not quiet:
-            print(
-                f"[sweep] gamma={row['gamma']:g} {row['estimator']}: median final loss "
-                f"{row['median_final_loss']:.6g}"
-            )
-    # created only now, so a sweep whose set-up or runs fail leaves no directory
-    out = _output_dir(out_dir)
-    if out is not None:
-        metrics.write_table(out / "sweep.csv", SWEEP_FIELDS, rows, [_SUMMARY_NOTE])
-    return rows
+    return run_battery(replace(config, algorithms=specs), out_dir=out_dir, quiet=quiet)
 
 
 def record_csv_fingerprint(path: str | Path) -> str:

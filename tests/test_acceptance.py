@@ -135,7 +135,7 @@ def test_criterion_09_gradient_vs_finite_differences():
 def test_criterion_10_gamma_robustness():
     config = load_config("paper_iv_a")
     config.seeds = [1]
-    rows = gamma_sweep(config, [0.5, 0.7, 0.9, 1.0], quiet=True)
+    rows = gamma_sweep(config, [0.5, 0.7, 0.9, 1.0], quiet=True).summary_rows
     passed = True
     finals = []
     for row in rows:

@@ -396,14 +396,51 @@ def test_sweep_rejects_non_finite_gammas(tmp_path, capsys, gamma):
     assert not out.exists()  # set-up failed before the sweep wrote anything
 
 
-def test_sweep_subcommand(tmp_path, capsys):
+def test_sweep_subcommand_writes_a_battery_directory(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
-    code = main(
-        ["sweep", "--config", str(cfg), "--gammas", "0.7,1.0", "--out", str(tmp_path / "sw")]
-    )
+    out = tmp_path / "sw"
+    code = main(["sweep", "--config", str(cfg), "--gammas", "0.7,1.0", "--out", str(out)])
     assert code == 0
-    body = (tmp_path / "sw" / "sweep.csv").read_text()
-    assert "gamma,estimator," in body
+    labels = [f"zoom_pb_g{g}_{est}" for g in ("0.7", "1.0") for est in ("forward", "central")]
+    records = {f"{label}_seed{seed}.csv" for label in labels for seed in (1, 2)}
+    assert {p.name for p in out.iterdir()} == records | {"summary.csv"}
+    lines = (out / "summary.csv").read_text().splitlines()
+    rows = [l for l in lines if not l.startswith("#")]
+    assert rows[0] == ",".join(harness.SUMMARY_FIELDS)
+    assert [row.split(",")[0] for row in rows[1:]] == labels
+    assert f"[battery] summary written to {out / 'summary.csv'}" in capsys.readouterr().out
+
+
+def test_a_failed_sweep_keeps_the_finished_records_and_writes_no_summary(
+    tmp_path, capsys, monkeypatch
+):
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "sw"
+    run = harness.dynamics.run
+    started = []
+
+    def diverge_on_the_third_run(*args, **kwargs):
+        started.append(kwargs["seed"])
+        if len(started) == 3:
+            raise harness.dynamics.DivergenceError(3, 0)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(harness.dynamics, "run", diverge_on_the_third_run)
+    args = ["sweep", "--config", str(cfg), "--gammas", "0.7,1.0", "--out", str(out), "--quiet"]
+    assert main(args) == 1
+    assert capsys.readouterr().err == "error: iterate diverged at iteration 3 on agent 0\n"
+    assert len(started) == 3  # no later run starts
+    names = sorted(p.name for p in out.iterdir())
+    assert names == ["zoom_pb_g0.7_forward_seed1.csv", "zoom_pb_g0.7_forward_seed2.csv"]
+
+
+def test_an_interrupt_exits_130_with_one_line(tmp_path, capsys, monkeypatch):
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(harness, "run_battery", interrupt)
+    assert main(["run", "--config", str(write_cfg(tmp_path))]) == 130
+    assert capsys.readouterr().err == "interrupted\n"
 
 
 def test_spectra_from_flags(capsys):

@@ -595,12 +595,13 @@ class TestBattery:
         lines = (tmp_path / "summary.csv").read_text().splitlines()
         header = next(l for l in lines if not l.startswith("#"))
         assert header == (
-            "algorithm,gamma,estimator,seed_count,median_final_loss,"
-            "median_avg_grad_norm_sq,median_avg_consensus_err,median_accuracy"
+            "algorithm,gamma,estimator,within_guarantee_range,seed_count,median_initial_loss,"
+            "median_final_loss,median_avg_grad_norm_sq,median_avg_consensus_err,median_accuracy"
         )
         rows = [l for l in lines if not l.startswith("#")][1:]
         assert len(rows) == 2
-        assert rows[0].startswith("zoom,1.0,forward,3,")
+        assert rows[0].startswith("zoom,1.0,forward,yes,3,")
+        assert rows[1].startswith("zoom_pb,0.7,forward,yes,3,")
         assert rows[0].endswith(",")  # toy problem has no test set
 
     @pytest.mark.parametrize(
@@ -688,7 +689,7 @@ class TestBattery:
         message = f"cannot use {str(tmp_path)!r} as output directory: it is not empty"
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             run_battery(smaller, out_dir=tmp_path, quiet=True)
-        # a sweep makes its directory only at the end, but checks it first
+        # a sweep is a battery, so it refuses the directory before any run too
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             gamma_sweep(smaller, [0.5], out_dir=tmp_path, quiet=True)
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == written
@@ -767,7 +768,7 @@ class TestGammaSweep:
         # six significant digits would print both as g0.5 and share one label
         cfg = toy_config()
         cfg.T, cfg.seeds = 20, [1]
-        rows = gamma_sweep(cfg, [0.5, 0.5000001], quiet=True)
+        rows = gamma_sweep(cfg, [0.5, 0.5000001], quiet=True).summary_rows
         assert [(r["algorithm"], r["gamma"]) for r in rows] == [
             ("zoom_pb_g0.5_forward", 0.5),
             ("zoom_pb_g0.5_central", 0.5),
@@ -778,7 +779,7 @@ class TestGammaSweep:
     def test_gamma_one_matches_plain_run_summary(self):
         cfg = toy_config()
         cfg.seeds = [2]
-        rows = gamma_sweep(cfg, [1.0], quiet=True)
+        rows = gamma_sweep(cfg, [1.0], quiet=True).summary_rows
         plain_text = TOY_CFG.replace("algorithms = zoom,zoom_pb", "algorithms = zoom").replace(
             "algorithm.zoom_pb.gamma = 0.7", ""
         )
@@ -793,24 +794,24 @@ class TestGammaSweep:
         cfg.seeds = [1]
         cfg.T = 40
         with pytest.warns(RuntimeWarning):
-            rows = gamma_sweep(cfg, [0.3, 0.7], out_dir=tmp_path, quiet=True)
+            rows = gamma_sweep(cfg, [0.3, 0.7], out_dir=tmp_path, quiet=True).summary_rows
         flagged = {r["gamma"]: r["within_guarantee_range"] for r in rows}
         assert flagged == {0.3: False, 0.7: True}
-        sweep_lines = (tmp_path / "sweep.csv").read_text().splitlines()
-        header = next(l for l in sweep_lines if not l.startswith("#"))
-        assert header.startswith("gamma,estimator,within_guarantee_range,seed_count,")
+        lines = (tmp_path / "summary.csv").read_text().splitlines()
+        flags = [l.split(",")[3] for l in lines if l.startswith("zoom_pb_g")]
+        assert flags == ["no", "no", "yes", "yes"]
 
     def test_without_out_dir_nothing_is_written(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = replace(toy_config(), seeds=[1], T=20)
-        assert len(gamma_sweep(cfg, [0.7], quiet=True)) == 2
+        assert len(gamma_sweep(cfg, [0.7], quiet=True).summary_rows) == 2
         assert list(tmp_path.iterdir()) == []
 
     def test_one_row_per_gamma_per_estimator(self):
         cfg = toy_config()
         cfg.seeds = [1]
         cfg.T = 40
-        rows = gamma_sweep(cfg, [0.5, 1.0], quiet=True)
+        rows = gamma_sweep(cfg, [0.5, 1.0], quiet=True).summary_rows
         assert len(rows) == 4
         assert {(r["gamma"], r["estimator"]) for r in rows} == {
             (0.5, "forward"),
