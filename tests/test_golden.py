@@ -1,12 +1,13 @@
 """Pinned outputs of two short batteries and a short gamma sweep.
 
-Each battery digest is the SHA-256 over every run's record-CSV fingerprint
-(wall clock stripped) plus the bytes of ``summary.csv``; the sweep digest is
-the SHA-256 of ``sweep.csv``.  All three were taken when consensus mixing
-moved to the Laplacian's neighbour table and ``alpha_max`` to a 40-bit
-mantissa grid; they guard the promise that an optimisation changes no
-record bit.  A deliberate numerical change must pass
-``test_reference_engine.py``, update them and say so in CHANGES.md.  The
+Each digest is the SHA-256 over every run's record-CSV fingerprint (wall
+clock stripped) plus the bytes of ``summary.csv``; a sweep is a battery, so
+its digest is taken the same way.  All three were re-pinned when
+``summary.csv`` gained the ``within_guarantee_range`` and
+``median_initial_loss`` columns, every run's fingerprint unchanged; they
+guard the promise that an optimisation changes no record bit.  A
+deliberate numerical change must pass ``test_reference_engine.py``, update
+them and say so in CHANGES.md.  The
 parse digests pin ``repr(parse_config(text))`` of the bundled configs and
 of the benchmark workloads' generated configs, so a refactor of the config
 layer reads every one of them as before.  The last two tests run a
@@ -25,9 +26,9 @@ import zoswarm
 from zoswarm.config import load_config, parse_config
 from zoswarm.harness import gamma_sweep, record_csv_fingerprint, run_battery
 
-PAPER_IV_A_T30_SEED1 = "a2c13c877567e111a2c942005775c98f3a2fb1b32754ec752199102aee4f5666"
-TOY_QUADRATIC = "1c204008870ede1ee1f3a0246592774ca6e2c3b77c67164671e68ed15a67f621"
-TOY_SWEEP_T200 = "7a2334c5f8cbd049ee43750b41810dbfcb88cd95c167ea4d09aa78e100a8a9c4"
+PAPER_IV_A_T30_SEED1 = "db913a9c5ee91896039b3d7dfa4db85dc72deb04432389aae3c0b554bcca0757"
+TOY_QUADRATIC = "94fe164cda1970f5bd08aae51a9f2dc93a2eb256a41126c0aa0f517b17c06e7b"
+TOY_SWEEP_T200 = "287bc101922fe25774bb0329cbf3ef3a417ef86d91ee6aef1207d7f4f3b20bf2"
 # sha256 of the output of _SWARM_FINGERPRINTS below
 TOY_SWARM_T3 = "6b26b7ab6a6b175f0d3a54b7cdfc39ee3c2b7bf13187d8eb4d45edb23b5a4da1"
 
@@ -45,8 +46,7 @@ PARSE_DIGESTS = {
 }
 
 
-def battery_digest(config, out_dir) -> str:
-    battery = run_battery(config, out_dir=out_dir, quiet=True)
+def battery_digest(battery) -> str:
     digest = hashlib.sha256()
     for run in battery.runs:
         digest.update(f"{run.label} seed{run.seed}\n".encode())
@@ -76,18 +76,20 @@ def test_paper_iv_a_short_battery_is_pinned(tmp_path):
     config = load_config("paper_iv_a")
     config.T = 30
     config.seeds = [1]
-    assert battery_digest(config, tmp_path) == PAPER_IV_A_T30_SEED1
+    battery = run_battery(config, out_dir=tmp_path, quiet=True)
+    assert battery_digest(battery) == PAPER_IV_A_T30_SEED1
 
 
 def test_toy_quadratic_battery_is_pinned(tmp_path):
-    assert battery_digest(load_config("toy_quadratic"), tmp_path) == TOY_QUADRATIC
+    battery = run_battery(load_config("toy_quadratic"), out_dir=tmp_path, quiet=True)
+    assert battery_digest(battery) == TOY_QUADRATIC
 
 
 def test_toy_quadratic_gamma_sweep_is_pinned(tmp_path):
     config = load_config("toy_quadratic")
     config.T = 200
-    gamma_sweep(config, [0.5, 0.7, 1.0], out_dir=tmp_path, quiet=True)
-    assert hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest() == TOY_SWEEP_T200
+    sweep = gamma_sweep(config, [0.5, 0.7, 1.0], out_dir=tmp_path, quiet=True)
+    assert battery_digest(sweep) == TOY_SWEEP_T200
 
 
 # prints one line per run of a short paper_iv_a battery: label and fingerprint digest
