@@ -629,7 +629,7 @@ class TestBattery:
         cfg.algorithms[1].gamma = np.float64(0.7)
         cfg.seeds = [1]
         run_battery(cfg, out_dir=tmp_path, quiet=True)
-        assert "\nzoom_pb,0.7,forward,1," in (tmp_path / "summary.csv").read_text()
+        assert "\nzoom_pb,0.7,forward,yes,1," in (tmp_path / "summary.csv").read_text()
 
     def test_gamma_one_powerball_writes_identical_record_csv(self, tmp_path):
         cfg = parse_config(
