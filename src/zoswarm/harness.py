@@ -84,7 +84,7 @@ def _median_or_none(values) -> float | None:
 
 
 def _output_dir(path: str | Path | None) -> Path | None:
-    """The output directory, made, or a ConfigError naming an unusable path."""
+    """The output directory, made if missing, or a ConfigError naming an unusable path."""
     if path is None:
         return None
     target = Path(path)
