@@ -31,7 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_arg(run_p)
     run_p.add_argument("--out", default=None, help="a new or empty output directory for CSVs")
     run_p.add_argument("--seed", type=int, default=None, help="override the config seed list")
-    run_p.add_argument("--quiet", action="store_true")
+    run_p.add_argument("--quiet", action="store_true", help="print no progress lines")
 
     sweep_p = sub.add_parser("sweep", help="sweep the powerball exponent on a config")
     _add_config_arg(sweep_p)
@@ -40,8 +40,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="0.5,0.7,0.9,1.0",
         help="comma separated gamma values (default: 0.5,0.7,0.9,1.0)",
     )
-    sweep_p.add_argument("--out", default=None)
-    sweep_p.add_argument("--quiet", action="store_true")
+    sweep_p.add_argument("--out", default=None, help="a new or empty output directory for CSVs")
+    sweep_p.add_argument("--quiet", action="store_true", help="print no progress lines")
 
     spectra_p = sub.add_parser("spectra", help="print the spectral profile of a topology")
     spectra_p.add_argument("--config", default=None, help="take the topology from this config")
@@ -50,7 +50,9 @@ def build_parser() -> argparse.ArgumentParser:
     spectra_p.add_argument("--seed", type=int, default=None, help="graph seed")
 
     check_p = sub.add_parser("check", help="run the invariant self-test battery")
-    check_p.add_argument("--quiet", action="store_true")
+    check_p.add_argument(
+        "--quiet", action="store_true", help="print nothing; the exit status gives the verdict"
+    )
 
     return parser
 

@@ -235,7 +235,8 @@ def laplacian_spectrum(topo: Topology) -> SpectralProfile:
         ValueError: if the graph has no positive Laplacian eigenvalue
             (i.e. no edges at all), in which case no consensus step bound
             exists, or if ``rho2``, ``rho_l2`` or ``alpha_max`` comes out
-            non-finite (weights too large or too small for floats).
+            non-finite or ``rho_l2`` below the normal floats (weights too
+            large or too small for floats).
     """
     if topo._spectrum is None:
         object.__setattr__(topo, "_spectrum", _solve_spectrum(topo))
@@ -354,7 +355,10 @@ def _solve_spectrum(topo: Topology) -> SpectralProfile:
                 edge.lo, edge.hi = _bisect(edge.diag, off2, 0, edge.lo, edge.hi, 0.0, pivmin)
             edge.widen(off, off2, beta, floor, pivmin)
         rho2 = bottom.lo - bottom.widening
-        rho_l2 = (top.widening - top.lo) ** 2
+        try:
+            rho_l2 = (top.widening - top.lo) ** 2
+        except OverflowError:  # lambda_max can reach twice the degree the guard bounds
+            rho_l2 = math.inf
         if rho2 > 0.0:
             profile = _profile(rho2, rho_l2)
             ritz = _ratio(bottom.hi, top.hi**2)
@@ -377,10 +381,12 @@ def _solve_spectrum(topo: Topology) -> SpectralProfile:
 
 
 def _profile(rho2: float, rho_l2: float) -> SpectralProfile:
-    """The profile of two bounds, its ``alpha_max`` snapped; ValueError if any is non-finite."""
+    """The profile of two bounds, its ``alpha_max`` snapped; ValueError if any is
+    non-finite or ``rho_l2`` is below the normal floats, where it has lost the bits
+    the ratio needs."""
     bounds = {"rho2": rho2, "rho_l2": rho_l2, "alpha_max": _ratio(rho2, rho_l2)}
     for name, value in bounds.items():
-        if not math.isfinite(value):
+        if not math.isfinite(value) or (name == "rho_l2" and value < _NORMAL_FLOOR):
             raise ValueError(
                 f"Laplacian spectrum has {name} = {value}; the weights are out of range "
                 "for a float solve"
@@ -395,9 +401,10 @@ def _ratio(rho2: float, rho_l2: float) -> float:
 
 
 _EPS = float(np.finfo(float).eps)
+_NORMAL_FLOOR = float(np.finfo(float).tiny)  # the smallest normal float
 # Sturm pivots smaller than this times the largest squared coupling are
 # replaced by minus itself, so a pivot is never zero (as LAPACK's dstebz)
-_PIVOT_FLOOR = float(np.finfo(float).tiny)
+_PIVOT_FLOOR = _NORMAL_FLOOR
 
 
 class _RitzEdge:

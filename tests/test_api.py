@@ -188,6 +188,49 @@ def test_readme_config_format_names_every_key():
     assert missing == []
 
 
+def _message_pattern(rule, rules, bound=None):
+    """A regex of the f-string ``rule`` raises, each ``{...}`` read as any text but
+    the names ``bound`` to a constant; a rule that raises through another one,
+    as ``check_point`` through ``check_array``, binds that rule's constant arguments."""
+    bound = bound or {}
+    raised = [node.exc.args[0] for node in ast.walk(rule) if isinstance(node, ast.Raise)]
+    if not raised:
+        (call,) = [
+            node for node in ast.walk(rule)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in rules
+        ]
+        inner = rules[call.func.id]
+        constants = {
+            param.arg: arg.value
+            for param, arg in zip(inner.args.args, call.args)
+            if isinstance(arg, ast.Constant)
+        }
+        return _message_pattern(inner, rules, constants)
+    (fstring,) = raised
+    return "".join(
+        re.escape(part.value) if isinstance(part, ast.Constant)
+        else re.escape(bound[part.value.id]) if getattr(part.value, "id", None) in bound
+        else ".+"
+        for part in fstring.values
+    )
+
+
+def test_readme_input_rules_table_has_one_row_per_rule_with_its_message():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("### Input rules", 1)[1].split("\n#", 1)[0]
+    # | <rule>: `check_<rule>` | what passes | `message shape` | example |
+    rows = re.findall(r"^\| (\w+): `check_\1` \|[^|]*\| `([^`]*)` \|", section, re.M)
+    tree = ast.parse(SOURCES["_checks"].read_text())
+    rules = {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("check_")
+    }
+    assert sorted(f"check_{rule}" for rule, _ in rows) == sorted(rules)
+    for rule, shape in rows:
+        assert re.fullmatch(_message_pattern(rules[f"check_{rule}"], rules), shape), rule
+
+
 def test_no_test_builds_a_spectral_profile():
     # a profile is what laplacian_spectrum derives from a topology, and a
     # step reads the topology itself, so no test needs made-up bounds

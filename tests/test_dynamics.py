@@ -197,25 +197,10 @@ class TestHyperParams:
         with pytest.raises(ValueError, match="algorithm must be one of"):
             HyperParams(alpha=0.1, eta=0.1, T=10, algorithm="sgd")
 
-    @pytest.mark.parametrize(("name", "value"), [("T", 3.5), ("n_c", 2.5), ("n_c", 1.0)])
-    def test_non_integer_counts_rejected_by_name(self, name, value):
-        # a float count would otherwise fail mid-run in range() or in indexing
-        with pytest.raises(ValueError, match=rf"\b{name} must be .*integer.*, got {value!r}$"):
-            HyperParams(alpha=0.1, eta=0.1, **{"T": 10, name: value})
-
     @pytest.mark.parametrize(("algorithm", "gamma"), [("zoom", 1.0), ("zoom_pb", 0.7)])
     def test_unset_gamma_resolves_by_algorithm(self, algorithm, gamma):
         assert HyperParams(alpha=0.1, eta=0.1, T=10, algorithm=algorithm).gamma == gamma
         assert HyperParams(alpha=0.1, eta=0.1, T=10, algorithm=algorithm, gamma=0.5).gamma == 0.5
-
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-    @pytest.mark.parametrize("name", ["alpha", "eta", "gamma"])
-    def test_non_finite_step_sizes_rejected_by_name(self, name, value):
-        kwargs = {"alpha": 0.1, "eta": 0.1, "gamma": 0.7, name: value}
-        interval = "(0, inf)" if name == "gamma" else "[0, inf)"
-        message = f"{name} must be a finite number in {interval}, got {value!r}"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            HyperParams(T=10, **kwargs)
 
     def test_gamma_outside_guarantee_range_warns_but_runs(self):
         with pytest.warns(RuntimeWarning, match="outside") as caught:
@@ -575,34 +560,11 @@ class TestRun:
         with pytest.raises(ValueError, match="connected"):
             run(broken, problem, params)
 
-    def test_rejects_alpha_outside_admissible_interval(self, toy_setup):
-        topo, profile, problem = toy_setup
-        params = HyperParams(alpha=2.0 * profile.alpha_max, eta=0.01, T=5)
-        with pytest.raises(ValueError, match="alpha"):
-            run(topo, problem, params)
-        with pytest.raises(ValueError, match="alpha"):
-            run(topo, problem, HyperParams(alpha=0.0, eta=0.01, T=5))
-
     def test_rejects_agent_count_mismatch(self, toy_setup):
         topo, profile, _ = toy_setup
         problem = make_quadratic_toy(5, 6, seed=0)
         params = HyperParams(alpha=0.5 * profile.alpha_max, eta=0.01, T=5)
-        with pytest.raises(ValueError, match="agents"):
-            run(topo, problem, params)
-
-    @pytest.mark.parametrize(
-        ("name", "value"),
-        [("dimension", 5.0), ("dimension", 0), ("local_count", 4.0), ("local_count", True)],
-    )
-    def test_rejects_problem_sizes_that_are_not_positive_integers(self, toy_setup, name, value):
-        # dimension = 5.0 would otherwise end in a TypeError from np.zeros
-        topo, profile, _ = toy_setup
-        problem = make_quadratic_toy(4, 6, seed=3)
-        setattr(problem, name, value)
-        params = HyperParams(alpha=0.5 * profile.alpha_max, eta=0.01, T=5)
-        with pytest.raises(
-            ValueError, match=rf"^problem\.{name} must be an integer of at least 1, got {value!r}$"
-        ):
+        with pytest.raises(ValueError, match="^problem carries 5 agents but the topology has 4$"):
             run(topo, problem, params)
 
     @pytest.mark.parametrize("size", [3, 5])
@@ -632,13 +594,6 @@ class TestRun:
         params = HyperParams(alpha=0.5 * profile.alpha_max, eta=eta, T=25)
         trajectory = run(topo, problem, params, seed=0, record_every=10)
         assert [r.k for r in trajectory.records] == [0, 10, 20, 25]
-
-    @pytest.mark.parametrize("record_every", [2.5, 10.0, 0])
-    def test_rejects_a_cadence_that_is_not_a_positive_integer(self, toy_setup, record_every):
-        topo, profile, problem = toy_setup
-        params = HyperParams(alpha=0.5 * profile.alpha_max, eta=0.01, T=5)
-        with pytest.raises(ValueError, match=rf"^record_every must be .*, got {record_every!r}$"):
-            run(topo, problem, params, record_every=record_every)
 
     def test_draws_one_data_block_per_round(self, toy_setup):
         topo, profile, _ = toy_setup

@@ -51,16 +51,12 @@ class TestCoordinateSample:
         with pytest.raises(ValueError):
             sample_coordinates(1, 5, 0, rng)
 
-    def test_rejects_duplicates(self):
-        with pytest.raises(ValueError, match="distinct"):
-            CoordinateSample((1, 1))
-
-    @pytest.mark.parametrize("bad", [0.5, 1.7, 2.0, True, False, "1", None])
-    def test_rejects_a_non_integer_index_by_value(self, bad):
-        # int() would truncate 0.5 and 1.7 to 0 and 1, and read True as 1
-        message = rf"^coordinate index must be an integer of at least 0, got {bad!r}$"
-        with pytest.raises(ValueError, match=message):
-            CoordinateSample((3, bad))
+    @pytest.mark.parametrize(
+        "indices, message", [((1, 1), "distinct, got (1, 1)"), ((), "cannot be empty")]
+    )
+    def test_rejects_repeated_or_no_indices(self, indices, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CoordinateSample(indices)
 
     def test_uniform_coverage(self):
         rng = np.random.default_rng(1)
@@ -117,10 +113,6 @@ class TestForwardEstimate:
             forward_estimate(lambda z: math.nan, np.zeros(3), CoordinateSample((0,)), 0.1)
         assert info.value.coordinate is None
 
-    def test_rejects_nonpositive_delta(self):
-        with pytest.raises(ValueError):
-            forward_estimate(sphere, np.zeros(2), CoordinateSample((0,)), 0.0)
-
 
 @pytest.mark.parametrize("estimate", [forward_estimate, central_estimate])
 def test_an_index_beyond_the_dimension_is_named(estimate):
@@ -131,30 +123,6 @@ def test_an_index_beyond_the_dimension_is_named(estimate):
         estimate(oracle, np.zeros(3), CoordinateSample((1, 5)), 0.1)
     assert oracle.calls == 0
     estimate(oracle, np.zeros(3), CoordinateSample((2,)), 0.1)  # the last index is in range
-
-
-@pytest.mark.parametrize("estimate", [forward_estimate, central_estimate])
-@pytest.mark.parametrize("delta", [math.nan, math.inf, 0.0, -1.0])
-def test_a_delta_outside_zero_to_infinity_is_rejected_before_any_probe(estimate, delta):
-    # a NaN radius would otherwise probe at NaN and blame the oracle
-    oracle = CountingOracle(sphere)
-    message = rf"^delta must be a finite number in \(0, inf\), got {re.escape(repr(delta))}$"
-    with pytest.raises(ValueError, match=message):
-        estimate(oracle, np.zeros(3), CoordinateSample((0, 2)), delta)
-    assert oracle.calls == 0
-
-
-@pytest.mark.parametrize("estimate", [forward_estimate, central_estimate])
-@pytest.mark.parametrize("x", [np.zeros((2, 2)), np.array(1.0)], ids=["matrix", "scalar"])
-def test_a_point_that_is_not_a_vector_is_named_by_shape(estimate, x):
-    # the probe's memoryview would otherwise end this in a bare
-    # NotImplementedError or TypeError
-    oracle = CountingOracle(sphere)
-    shape = re.escape(str(x.shape))
-    message = rf"^x must be a finite real array of shape \(p,\), got shape {shape}$"
-    with pytest.raises(ValueError, match=message):
-        estimate(oracle, x, CoordinateSample((0,)), 0.1)
-    assert oracle.calls == 0
 
 
 @pytest.mark.parametrize("estimate", [forward_estimate, central_estimate])

@@ -57,21 +57,6 @@ class TestTopology:
         with pytest.raises(ValueError, match="nonnegative"):
             Topology(2, np.array([[0.0, -1.0], [-1.0, 0.0]]))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_rejects_non_finite_weights(self, bad):
-        message = rf"^weights must be a .* of shape \(2, 2\), got {bad} at index \(0, 1\)$"
-        with pytest.raises(ValueError, match=message):
-            Topology(2, np.array([[0.0, bad], [bad, 0.0]]))
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError, match=r"of shape \(2, 2\), got shape \(3, 3\)$"):
-            Topology(2, np.zeros((3, 3)))
-
-    def test_rejects_non_integer_agent_count(self):
-        with pytest.raises(ValueError, match=r"^n must be an integer of at least 1, got 3\.0$"):
-            Topology(3.0, np.zeros((3, 3)))
-        assert Topology(np.int64(3), np.zeros((3, 3))).n == 3
-
     def test_degrees_and_edges(self):
         topo = path3()
         assert np.array_equal(np.diag(laplacian(topo)), [1.0, 2.0, 1.0])
@@ -143,19 +128,6 @@ class TestErdosRenyi:
             assert np.all(np.diag(w) == 0.0)
             assert np.all(w >= 0.0)
 
-    def test_rejects_non_integer_agent_count(self):
-        with pytest.raises(ValueError, match=r"^n must be an integer of at least 2, got 3\.0$"):
-            erdos_renyi(3.0, 1.0)
-        assert erdos_renyi(np.int64(3), 1.0).n == 3
-
-    def test_rejects_tiny_and_bad_probability(self):
-        with pytest.raises(ValueError):
-            erdos_renyi(1, 0.5)
-        with pytest.raises(ValueError):
-            erdos_renyi(5, 0.0)
-        with pytest.raises(ValueError):
-            erdos_renyi(5, 1.5)
-
     def test_keeps_no_dense_matrix(self):
         n = 1000
         erdos_renyi(10, 0.5, seed=0)  # lazy imports stay out of the trace
@@ -211,11 +183,6 @@ class TestLaplacianSpectrum:
         assert abs(profile.rho2 - 2.0) < 1e-12
         assert abs(profile.rho_l2 - 4.0) < 1e-12
         assert abs(profile.alpha_max - 0.25) < 1e-12
-
-    def test_rejects_weights_too_large_for_the_spectrum(self):
-        huge = np.array([[0.0, 1e308], [1e308, 0.0]])
-        with pytest.raises(ValueError, match=r"(rho2|rho_l2|alpha_max) = (inf|nan)"):
-            laplacian_spectrum(Topology(2, huge))
 
     def test_rejects_edgeless_graph(self):
         with pytest.raises(ValueError, match="no edges"):
@@ -498,3 +465,18 @@ def test_alpha_max_is_never_above_the_exact_snap(w):
     # rho2 is a lower bound: no positive eigenvalue lies below it
     rho2 = Fraction(profile.rho2)
     assert exact.at_most(rho2) == 0 or (exact.at_most(rho2) == 1 and exact.is_eigenvalue(rho2))
+
+
+@pytest.mark.parametrize("exponent", [*range(-170, -150), *range(150, 160), 308])
+@pytest.mark.parametrize("edges", [[(0, 1)], [(0, 1), (1, 2)]], ids=["K2", "P3"])
+def test_an_edge_weight_out_of_float_range_is_a_value_error(edges, exponent):
+    # about 1e154 squares past the float range, and below about 1e-154 rho_l2
+    # is subnormal, with too few bits left for an alpha_max below the exact snap
+    w = symmetric(len(edges) + 1, [(i, j, 10.0**exponent) for i, j in edges])
+    try:
+        with np.errstate(over="ignore"):  # the degrees of P3 at 1e308
+            profile = laplacian_spectrum(Topology(len(w), w))
+    except ValueError as exc:
+        assert str(exc).endswith("for a float solve")
+    else:
+        assert Fraction(profile.alpha_max) <= reference_engine.ExactSpectrum(w).alpha_max_snap()[0]

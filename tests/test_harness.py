@@ -235,7 +235,7 @@ class TestConfigParsing:
                     f"line 2: defaults.smoothing = {spec!r} is not theorem_decay[:<kappa>], "
                     "fixed:<delta> or scaled_fixed:<c> with a positive number",
                 )
-                for spec in ("fixed:abc", "fixed:-1", "theorem_decay:x")
+                for spec in ("fixed:abc", "fixed:-1", "fixed:0", "linear:1", "theorem_decay:x")
             ),
             *MALFORMED_ROW_CASES,
         ],

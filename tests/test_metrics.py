@@ -1,7 +1,6 @@
-import math
 import os
-import re
 import stat
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -56,13 +55,6 @@ class TestNorms:
             v = rng.standard_normal(17)
             assert holder_norm_sq(v, 2.0) == float(v @ v)
 
-    # at q = inf the formula would read (3^inf + 4^inf)^0 = 1.0, not 16
-    @pytest.mark.parametrize("q", [0.0, -1.5, np.inf, np.nan])
-    def test_holder_rejects_orders_that_are_not_finite_and_positive(self, q):
-        message = rf"^q must be a finite number in \(0, inf\), got {q!r}$"
-        with pytest.raises(ValueError, match=message):
-            holder_norm_sq(np.array([3.0, 4.0]), q)
-
 
 @pytest.fixture(scope="module")
 def toy_run():
@@ -88,6 +80,10 @@ class TestSummarize:
         assert summary.avg_grad_norm_sq == trajectory.records[0].grad_norm_sq
         assert summary.avg_consensus_err == trajectory.records[0].consensus_err
         assert summary.final_loss == trajectory.records[0].mean_train_loss
+
+    def test_an_empty_trajectory_is_an_error(self, toy_run):
+        with pytest.raises(ValueError, match="^cannot summarize an empty trajectory$"):
+            summarize(replace(toy_run[0], records=()))
 
     def test_constant_trajectory_from_consensus_start(self):
         # eta = 0 from a shared start never moves: zero consensus error,
@@ -240,30 +236,3 @@ class TestDiagnosticsChecks:
         record = capture_record(problem, np.zeros((2, 3)), 7, 1.0, 0, 0.0)
         assert problem.calls == ["true_global_gradient", "full_loss"]
         assert (record.grad_norm_sq, record.mean_train_loss) == (9.0, 0.5)
-
-    @pytest.mark.parametrize(
-        ("gradient", "loss", "method"),
-        [
-            (np.ones(2), 0.5, "true_global_gradient"),  # 2 entries for p = 3
-            (np.ones((3, 1)), 0.5, "true_global_gradient"),
-            (np.array([1.0, np.nan, 0.0]), 0.5, "true_global_gradient"),
-            (np.array([1.0, -np.inf, 0.0]), 0.5, "true_global_gradient"),
-            (np.ones(3) * 1j, 0.5, "true_global_gradient"),
-            (["a", "b", "c"], 0.5, "true_global_gradient"),
-            (None, 0.5, "true_global_gradient"),
-            (np.ones(3), math.nan, "full_loss"),
-            (np.ones(3), math.inf, "full_loss"),
-            (np.ones(3), "abc", "full_loss"),
-            (np.ones(3), np.ones(2), "full_loss"),
-            (np.ones(3), None, "full_loss"),
-        ],
-    )
-    def test_a_bad_diagnostic_is_named_with_its_method_and_round(self, gradient, loss, method):
-        # before, a short gradient recorded a norm of the wrong vector and a
-        # NaN loss went into the CSV
-        problem = FixedDiagnostics(gradient, loss)
-        rule = {"true_global_gradient": "real array of shape (3,)", "full_loss": "number in (-inf, inf)"}
-        message = f"{method} at iteration 7 must be a finite {rule[method]}, got "
-        with pytest.raises(ValueError, match="^" + re.escape(message)):
-            capture_record(problem, np.zeros((2, 3)), 7, 1.0, 0, 0.0)
-        assert problem.calls.count(method) == 1
