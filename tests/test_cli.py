@@ -392,6 +392,17 @@ def test_sweep_rejects_malformed_gammas(tmp_path, capsys):
     assert "config error: --gammas: 'abc' is not a number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gamma", ["nan", "inf"])
+def test_sweep_rejects_non_finite_gammas(tmp_path, capsys, gamma):
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", str(cfg), "--gammas", gamma, "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: gamma sweep: gamma must be a finite number in (0, inf), got {gamma}"
+    )
+    assert not out.exists()  # set-up failed before the sweep wrote anything
+
+
 def test_sweep_subcommand_writes_a_battery_directory(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "sw"

@@ -126,6 +126,30 @@ def test_an_index_beyond_the_dimension_is_named(estimate):
 
 
 @pytest.mark.parametrize("estimate", [forward_estimate, central_estimate])
+@pytest.mark.parametrize("delta", [math.nan, math.inf, 0.0, -1.0])
+def test_a_delta_outside_zero_to_infinity_is_rejected_before_any_probe(estimate, delta):
+    # a NaN radius would otherwise probe at NaN and blame the oracle
+    oracle = CountingOracle(sphere)
+    message = rf"^delta must be a finite number in \(0, inf\), got {re.escape(repr(delta))}$"
+    with pytest.raises(ValueError, match=message):
+        estimate(oracle, np.zeros(3), CoordinateSample((0, 2)), delta)
+    assert oracle.calls == 0
+
+
+@pytest.mark.parametrize("estimate", [forward_estimate, central_estimate])
+@pytest.mark.parametrize("x", [np.zeros((2, 2)), np.array(1.0)], ids=["matrix", "scalar"])
+def test_a_point_that_is_not_a_vector_is_named_by_shape(estimate, x):
+    # the probe's memoryview would otherwise end this in a bare
+    # NotImplementedError or TypeError
+    oracle = CountingOracle(sphere)
+    shape = re.escape(str(x.shape))
+    message = rf"^x must be a finite real array of shape \(p,\), got shape {shape}$"
+    with pytest.raises(ValueError, match=message):
+        estimate(oracle, x, CoordinateSample((0,)), 0.1)
+    assert oracle.calls == 0
+
+
+@pytest.mark.parametrize("estimate", [forward_estimate, central_estimate])
 @pytest.mark.parametrize("value", [None, "abc", np.zeros(2), 1j], ids=["None", "str", "array", "complex"])
 def test_a_value_float_rejects_is_named_with_its_coordinate(estimate, value):
     def bad(z):
