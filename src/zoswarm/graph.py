@@ -64,7 +64,7 @@ class Topology:
 
     ``Topology(n, weights)`` takes an ``(n, n)`` array with ``weights[i, j] > 0``
     exactly when agents ``i`` and ``j`` can talk to each other; it must be
-    finite, real, symmetric and nonnegative with a zero diagonal (no self loops).
+    finite, real, symmetric and nonnegative, with finite row sums and no self loops.
     Weights are dimensionless mixing coefficients, not distances.
 
     The graph is kept as the rows of its Laplacian ``L = Deg - W``, in a
@@ -93,8 +93,12 @@ class Topology:
             raise ValueError("self weights must be zero")
         if np.any(w < 0.0):
             raise ValueError("weights must be nonnegative")
+        with np.errstate(over="ignore"):  # a degree past the float range is named below
+            degrees = w.sum(axis=1)
+        if np.isinf(degrees).any():  # inf is the largest degree: argmax names the first such agent
+            raise ValueError(f"the weights of agent {degrees.argmax()} sum past the float range")
         rows, columns = np.nonzero(w)
-        self._assign(n, rows, columns, w[rows, columns], w.sum(axis=1))
+        self._assign(n, rows, columns, w[rows, columns], degrees)
 
     def _assign(self, n, rows, columns, values, degrees) -> None:
         """Keep the table of stored entries sorted by row, then column."""
