@@ -15,7 +15,9 @@ holds the fast paths in ``src/`` to, bit for bit: ``nlls_evaluate`` for
 ``QuadraticToyProblem.evaluate``, the two-branch ``sigmoid``, the one-pass
 classification loss and gradient, the estimators, ``powerball``,
 ``holder_norm_sq``, ``consensus_error`` and ``coordinate_rows``.  ``weights``
-gives a topology's dense matrix back from its neighbour table.
+gives a topology's dense matrix back from its neighbour table.  A run also
+gives its final test accuracy, and ``summary_row`` the medians over seeds
+that a battery's ``summary.csv`` row holds.
 
 ``ExactSpectrum`` is the exact reference for ``laplacian_spectrum``: the
 positive Laplacian eigenvalues as the roots of one rational polynomial,
@@ -177,6 +179,34 @@ def record(problem, iterates, k, gamma, oracle_calls):
     )
 
 
+def test_accuracy(problem, x):
+    """Share of test rows whose response at ``x``, positive from one half up, matches
+    the label; ``None`` on the toy, which has no test set."""
+    if isinstance(problem, QuadraticToyProblem):
+        return None
+    predicted = sigmoid(problem.test_features @ x) >= 0.5
+    return float(np.mean(predicted == (problem.test_labels == 1)))
+
+
+def summary_row(runs, horizon, gamma):
+    """The ``summary.csv`` row of one label's ``(records, accuracy)`` runs at ``gamma``.
+
+    The medians are over the runs; the two averages are means over the
+    records before ``horizon``.  The guarantees cover ``gamma`` in [0.5, 1].
+    """
+    before = [[r for r in records if r[0] < horizon] for records, _ in runs]
+    accuracies = [accuracy for _, accuracy in runs]
+    return {
+        "within_guarantee_range": 0.5 <= gamma <= 1.0,
+        "seed_count": len(runs),
+        "median_initial_loss": np.median([records[0][1] for records, _ in runs]),
+        "median_final_loss": np.median([records[-1][1] for records, _ in runs]),
+        "median_avg_grad_norm_sq": np.median([np.mean([r[2] for r in rs]) for rs in before]),
+        "median_avg_consensus_err": np.median([np.mean([r[4] for r in rs]) for rs in before]),
+        "median_accuracy": None if None in accuracies else np.median(accuracies),
+    }
+
+
 def weights(topo):
     """The dense symmetric weight matrix of a topology, from its neighbour table.
 
@@ -190,7 +220,8 @@ def weights(topo):
 
 
 def run(weights, problem, params, seed, record_every):
-    """The records of one run of ``params`` (a ``zoswarm.HyperParams``) from the origin."""
+    """The records of one run of ``params`` (a ``zoswarm.HyperParams``) from the origin,
+    and the test accuracy at its final mean iterate."""
     laplacian = np.diag(weights.sum(axis=1)) - weights
     n, p = laplacian.shape[0], problem.dimension
     data, coords = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
@@ -215,7 +246,7 @@ def run(weights, problem, params, seed, record_every):
         iterates = iterates - params.alpha * (laplacian @ iterates) - params.eta * steps
         if (k + 1) % record_every == 0 or k + 1 == params.T:
             records.append(record(problem, iterates, k + 1, params.gamma, (k + 1) * n * probes))
-    return records
+    return records, test_accuracy(problem, iterates.mean(axis=0))
 
 
 def _trimmed(poly):

@@ -235,18 +235,11 @@ def test_run_reports_non_finite_oracle(tmp_path, capsys, monkeypatch):
     assert "at iteration 0 on agent 0" in err
 
 
-def test_run_rejects_unusable_out(tmp_path, capsys):
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--gammas", "0.7"]])
+def test_run_rejects_unusable_out(tmp_path, capsys, command):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "toy.cfg" / "x"  # below a file, so it cannot be created
-    assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: cannot use") and str(out) in err
-
-
-def test_sweep_rejects_unusable_out(tmp_path, capsys):
-    cfg = write_cfg(tmp_path)
-    out = tmp_path / "toy.cfg" / "x"
-    assert main(["sweep", "--config", str(cfg), "--gammas", "0.7", "--out", str(out)]) == 2
+    assert main([*command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: cannot use") and str(out) in err
 

@@ -192,6 +192,18 @@ def test_classification_diagnostics_keep_the_one_pass_bits(case):
         assert loss_gap <= 1e-12 * float(residual_sq @ weight)
 
 
+# one row, training and test alike, labelled positive: at x = 0 its response is one half
+HALF = ClassificationProblem(np.ones((1, 2)), np.ones(1), np.ones((1, 2)), np.ones(1), ((0, 1),))
+
+
+@settings(max_examples=60, deadline=None)
+@given(with_points(classification_problems(), count=1))
+@example((HALF, [np.zeros(2)]))
+def test_classification_accuracy_keeps_the_plain_threshold(case):
+    problem, (x,) = case
+    assert problem.test_accuracy(x) == reference_engine.test_accuracy(problem, x)
+
+
 @settings(max_examples=80, deadline=None)
 @given(with_points(toy_problems(max_agents=40, max_dimension=30)))
 def test_toy_diagnostics_keep_the_per_agent_bits(case):

@@ -641,18 +641,6 @@ class TestBattery:
         transformed = record_csv_fingerprint(tmp_path / "zoom_pb_seed5.csv")
         assert plain == transformed
 
-    def test_rerun_reproduces_bodies_byte_for_byte(self, tmp_path):
-        cfg = toy_config()
-        run_battery(cfg, out_dir=tmp_path / "a", quiet=True)
-        run_battery(cfg, out_dir=tmp_path / "b", quiet=True)
-        for name in ("zoom_seed1.csv", "zoom_pb_seed3.csv"):
-            assert record_csv_fingerprint(tmp_path / "a" / name) == record_csv_fingerprint(
-                tmp_path / "b" / name
-            )
-        assert (tmp_path / "a" / "summary.csv").read_bytes() == (
-            tmp_path / "b" / "summary.csv"
-        ).read_bytes()
-
     def test_battery_matches_standalone_runs(self, tmp_path, standalone_runs):
         # classification, so a record reads the problem's full-batch response cache
         cfg = parse_config(
@@ -701,9 +689,12 @@ class TestBattery:
             with pytest.raises(ConfigError, match="it is not empty$"):
                 run_battery(smaller, out_dir=tmp_path / used, quiet=True)
 
-    def test_without_out_dir_nothing_is_written(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "battery", [run_battery, lambda cfg: gamma_sweep(cfg, [0.7])], ids=["run", "sweep"]
+    )
+    def test_without_out_dir_nothing_is_written(self, tmp_path, monkeypatch, battery):
         monkeypatch.chdir(tmp_path)
-        result = run_battery(toy_config(), quiet=True)
+        result = battery(replace(toy_config(), seeds=[1], T=20))
         assert result.summary_path is None
         assert all(run.csv_path is None for run in result.runs)
         assert list(tmp_path.iterdir()) == []
@@ -725,22 +716,6 @@ class TestBattery:
         assert {r.seed for r in result.runs} == {9}
         with pytest.raises(ConfigError, match="duplicate master seed 9"):
             run_battery(replace(toy_config(), seeds=[9, 9]), quiet=True)
-
-    def test_standalone_zoom_run_records_what_the_battery_records(self):
-        # one gamma default: a zoom run left without gamma reports plain squared norms
-        cfg = replace(toy_config(), seeds=[1])
-        (battery_run,) = run_battery(cfg, quiet=True).runs_for("zoom")
-        resolved = battery_run.params
-        params = HyperParams(
-            alpha=resolved.alpha,
-            eta=resolved.eta,
-            T=cfg.T,
-            algorithm="zoom",
-            smoothing=resolved.smoothing,
-        )
-        trajectory = run(build_topology(cfg), build_problem(cfg), params, seed=1)
-        assert all(r.grad_norm_1pg_sq == r.grad_norm_sq for r in trajectory.records)
-        assert trajectory.records == battery_run.trajectory.records
 
     def test_agent_count_mismatch_rejected(self):
         cfg = toy_config()
@@ -800,12 +775,6 @@ class TestGammaSweep:
         lines = (tmp_path / "summary.csv").read_text().splitlines()
         flags = [l.split(",")[3] for l in lines if l.startswith("zoom_pb_g")]
         assert flags == ["no", "no", "yes", "yes"]
-
-    def test_without_out_dir_nothing_is_written(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        cfg = replace(toy_config(), seeds=[1], T=20)
-        assert len(gamma_sweep(cfg, [0.7], quiet=True).summary_rows) == 2
-        assert list(tmp_path.iterdir()) == []
 
     def test_one_row_per_gamma_per_estimator(self):
         cfg = toy_config()

@@ -1,11 +1,12 @@
 """zoswarm against the frozen per-probe engine in ``reference_engine.py``.
 
-Short batteries of both bundled configs run through ``dynamics.run`` and
+Short batteries of both bundled configs run through ``run_battery`` and
 through the reference: both algorithm kinds, both estimators, two seeds,
 T = 200.  A property does the same for small drawn runs: weighted graphs,
 both problems, any ``n_c``, both smoothing modes and odd record cadences.
 ``k`` and ``oracle_calls`` must be equal and every other record field must
-agree within a relative 1e-10.  A change of summation order moves records
+agree within a relative 1e-10; so must a battery's summary rows and the
+final test accuracy.  A change of summation order moves records
 by about 1e-14 over thousands of rounds, so this gate lets a deliberate
 rounding change through and stops a change in the algorithm (a wrong
 ``p / n_c`` scale or a dropped probe moves records by far more).
@@ -20,10 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_engine
-from zoswarm.config import build_problem, build_topology, load_config, resolve_hyperparams
+from zoswarm.config import build_problem, build_topology, load_config
 from zoswarm.dynamics import HyperParams, run
 from zoswarm.estimator import SmoothingSchedule
 from zoswarm.graph import Topology, laplacian_spectrum
+from zoswarm.harness import run_battery
 from zoswarm.problems import make_quadratic_toy, make_synthetic_classification
 
 T = 200
@@ -35,30 +37,38 @@ def battery(name):
     config.T = T
     config.seeds = config.seeds[:2]
     if name == "toy_quadratic":  # bundled with the central estimator only
+        # powerball at 0.5, the low end of the gammas the guarantees cover
         config.algorithms = [
             replace(spec, label=f"{spec.label}_{est}", estimator=est)
+            if spec.kind == "zoom"
+            else replace(spec, label=f"{spec.label}_{est}", estimator=est, gamma=0.5)
             for spec in config.algorithms
             for est in ("forward", "central")
         ]
+        config.record_every = 1  # record T - 1 is the last one a summary averages
     return config
 
 
 @pytest.mark.parametrize("name", ["paper_iv_a", "toy_quadratic"])
 def test_records_match_the_reference_engine(name):
     config = battery(name)
+    result = run_battery(config)
     problem = build_problem(config)
-    topo = build_topology(config)
-    profile = laplacian_spectrum(topo)
+    weights = reference_engine.weights(build_topology(config))
     covered = set()
-    for spec in config.algorithms:
-        params = resolve_hyperparams(spec, profile, topo.n, problem.dimension, config.T)
+    for spec, row in zip(config.algorithms, result.summary_rows, strict=True):
+        own = [r for r in result.runs if r.label == spec.label]
+        params = own[0].params
         covered.add((params.algorithm, params.estimator))
-        for seed in config.seeds:
-            got = run(topo, problem, params, seed=seed, record_every=config.record_every).records
-            expected = reference_engine.run(
-                reference_engine.weights(topo), problem, params, seed, config.record_every
+        references = []
+        for battery_run in own:
+            got = battery_run.trajectory.records
+            expected, accuracy = reference_engine.run(
+                weights, problem, params, battery_run.seed, config.record_every
             )
-            where = f"{spec.label} seed {seed}"
+            references.append((expected, accuracy))
+            where = f"{spec.label} seed {battery_run.seed}"
+            assert battery_run.trajectory.final_accuracy == pytest.approx(accuracy, rel=RTOL)
             assert [(r.k, r.oracle_calls) for r in got] == [(e[0], e[5]) for e in expected], where
             np.testing.assert_allclose(
                 [
@@ -70,6 +80,8 @@ def test_records_match_the_reference_engine(name):
                 atol=0.0,
                 err_msg=where,
             )
+        summary = reference_engine.summary_row(references, config.T, params.gamma)
+        assert {key: row[key] for key in summary} == pytest.approx(summary, rel=RTOL), spec.label
     assert covered == {(kind, est) for kind in ("zoom", "zoom_pb") for est in ("forward", "central")}
     assert len(config.seeds) == 2
 
@@ -133,7 +145,7 @@ def test_drawn_runs_match_the_reference_engine(drawn):
     # the rule of the bundled-config gate above
     topo, problem, params, seed, record_every = drawn
     got = run(topo, problem, params, seed=seed, record_every=record_every).records
-    expected = reference_engine.run(
+    expected, _ = reference_engine.run(
         reference_engine.weights(topo), problem, params, seed, record_every
     )
     assert [(r.k, r.oracle_calls) for r in got] == [(e[0], e[5]) for e in expected]
