@@ -58,9 +58,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _finished(result: harness.BatteryResult, args) -> int:
-    """Exit status 0 for a finished battery or sweep, naming its summary unless quiet."""
-    if result.summary_path is not None and not args.quiet:
-        print(f"[battery] summary written to {result.summary_path}")
+    """Exit status 0 for a finished battery or sweep, printing its medians unless quiet."""
+    if not args.quiet:
+        for row in result.summary_rows:
+            acc = row["median_accuracy"]
+            acc_text = f" accuracy={acc:.4f}" if acc is not None else ""
+            print(
+                f"[battery] {row['algorithm']}: median final loss "
+                f"{row['median_final_loss']:.6g} over {row['seed_count']} seed(s){acc_text}"
+            )
+        if result.summary_path is not None:
+            print(f"[battery] summary written to {result.summary_path}")
     return 0
 
 
@@ -68,7 +76,7 @@ def _cmd_run(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
         config = replace(config, seeds=[args.seed])
-    return _finished(harness.run_battery(config, out_dir=args.out, quiet=args.quiet), args)
+    return _finished(harness.run_battery(config, out_dir=args.out), args)
 
 
 def _cmd_sweep(args) -> int:
@@ -80,7 +88,7 @@ def _cmd_sweep(args) -> int:
                 gammas.append(float(token))
             except ValueError:
                 raise ConfigError(f"--gammas: {token!r} is not a number") from None
-    return _finished(harness.gamma_sweep(config, gammas, out_dir=args.out, quiet=args.quiet), args)
+    return _finished(harness.gamma_sweep(config, gammas, out_dir=args.out), args)
 
 
 def _cmd_spectra(args) -> int:
@@ -109,7 +117,11 @@ def _cmd_spectra(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    return 0 if harness.self_check(quiet=args.quiet) else 1
+    results = harness.self_check()
+    if not args.quiet:
+        for name, (passed, detail) in results.items():
+            print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
+    return 0 if all(passed for passed, _ in results.values()) else 1
 
 
 def main(argv=None) -> int:

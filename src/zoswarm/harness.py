@@ -74,9 +74,6 @@ class BatteryResult:
     summary_rows: list[dict]
     summary_path: Path | None = None
 
-    def runs_for(self, label: str) -> list[RunResult]:
-        return [r for r in self.runs if r.label == label]
-
 
 def _median_or_none(values) -> float | None:
     values = [v for v in values if v is not None]
@@ -113,7 +110,7 @@ def run_battery(
     or empty; runs purely in memory otherwise.  Reruns with identical config
     and seeds give byte-identical outputs apart from the wall-clock column.
     """
-    # only jobs=1 callers remain; ROADMAP item 1 removes the keyword
+    # quiet is ignored, and only jobs=1 callers remain; ROADMAP item 1 removes both
     if jobs not in (None, 1):
         raise ValueError(f"run_battery runs serially; jobs must be None or 1, got {jobs!r}")
     config.validate()
@@ -181,14 +178,6 @@ def run_battery(
             f"# {spec.label}: kind={spec.kind} eta={params.eta!r} "
             f"delta_mode={params.smoothing.mode} schedule={schedule}-faithful"
         )
-        if not quiet:
-            row = summary_rows[-1]
-            acc = row["median_accuracy"]
-            acc_text = f" accuracy={acc:.4f}" if acc is not None else ""
-            print(
-                f"[battery] {spec.label}: median final loss "
-                f"{row['median_final_loss']:.6g} over {len(own)} seed(s){acc_text}"
-            )
 
     summary_path = None
     if target is not None:
@@ -198,10 +187,7 @@ def run_battery(
 
 
 def gamma_sweep(
-    config: ExperimentConfig,
-    gammas,
-    out_dir: str | Path | None = None,
-    quiet: bool = False,
+    config: ExperimentConfig, gammas, out_dir: str | Path | None = None
 ) -> BatteryResult:
     """Run the powerball variant across ``gammas`` for both estimators.
 
@@ -224,7 +210,7 @@ def gamma_sweep(
         for g in gammas
         for est in dynamics.ESTIMATORS
     ]
-    return run_battery(replace(config, algorithms=specs), out_dir=out_dir, quiet=quiet)
+    return run_battery(replace(config, algorithms=specs), out_dir=out_dir)
 
 
 def record_csv_fingerprint(path: str | Path) -> str:
@@ -409,15 +395,12 @@ SELF_CHECKS = {
 }
 
 
-def self_check(quiet: bool = False) -> bool:
-    """Run every check in ``SELF_CHECKS``; True iff all of them pass."""
-    all_passed = True
+def self_check() -> dict[str, tuple[bool, str]]:
+    """``{name: (passed, detail)}`` for every check in ``SELF_CHECKS``; one that raises fails."""
+    results = {}
     for name, check in SELF_CHECKS.items():
         try:
-            passed, detail = check()
+            results[name] = check()
         except Exception as exc:  # report and keep going; the CLI surfaces the verdict
-            passed, detail = False, repr(exc)
-        all_passed = all_passed and passed
-        if not quiet:
-            print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
-    return all_passed
+            results[name] = (False, repr(exc))
+    return results

@@ -78,10 +78,10 @@ def test_criterion_02_acceleration_ordering(benchmark_battery):
     details = []
     for estimator, plain_label, pb_label in pairs:
         plain_final = float(
-            np.median([r.summary.final_loss for r in battery.runs_for(plain_label)])
+            np.median([r.summary.final_loss for r in battery.runs if r.label == plain_label])
         )
         crossings = []
-        for pb_run in battery.runs_for(pb_label):
+        for pb_run in (r for r in battery.runs if r.label == pb_label):
             hits = [rec.k for rec in pb_run.trajectory.records if rec.mean_train_loss <= plain_final]
             crossings.append(min(hits) if hits else math.inf)
         median_crossing = float(np.median(crossings))
@@ -135,7 +135,7 @@ def test_criterion_09_gradient_vs_finite_differences():
 def test_criterion_10_gamma_robustness():
     config = load_config("paper_iv_a")
     config.seeds = [1]
-    rows = gamma_sweep(config, [0.5, 0.7, 0.9, 1.0], quiet=True).summary_rows
+    rows = gamma_sweep(config, [0.5, 0.7, 0.9, 1.0]).summary_rows
     passed = True
     finals = []
     for row in rows:

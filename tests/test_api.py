@@ -143,6 +143,10 @@ def test_option_surface_is_pinned():
     assert list(inspect.signature(harness.run_battery).parameters) == [
         "config", "out_dir", "jobs", "quiet"
     ]
+    assert list(inspect.signature(harness.gamma_sweep).parameters) == [
+        "config", "gammas", "out_dir"
+    ]
+    assert list(inspect.signature(harness.self_check).parameters) == []
     # a graph is drawn from its topology.* rows alone, and the analysis's
     # schedule from the swarm's size and horizon alone
     assert list(inspect.signature(graph.erdos_renyi).parameters) == ["n", "prob", "seed"]
@@ -255,6 +259,18 @@ def test_only_graph_reads_the_neighbour_table():
             if isinstance(node, ast.Attribute) and node.attr in ("neighbours", "coefficients"):
                 readers.append(f"{name}:{node.lineno}")
     assert readers == []
+
+
+def test_only_the_cli_prints():
+    # the library returns its results; what reaches stdout or stderr is the CLI's
+    printers = []
+    for name, path in SOURCES.items():
+        if name == "cli" or name.startswith("tests/"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print":
+                printers.append(f"{name}:{node.lineno}")
+    assert printers == []
 
 
 def test_only_the_input_rule_tests_for_integers_and_numbers():

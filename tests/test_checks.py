@@ -224,7 +224,7 @@ NUMBER_ENTRY_POINTS = {
     "holder_norm_sq.q": Number("q", "(0, inf)", lambda v: holder_norm_sq(np.ones(3), v)),
     # a sweep that got past its gammas would build the problem: a forbidden draw
     "gamma_sweep.gammas": Number(
-        "gamma", "(0, inf)", lambda v: gamma_sweep(TOY, [0.5, v], quiet=True), "gamma sweep: "
+        "gamma", "(0, inf)", lambda v: gamma_sweep(TOY, [0.5, v]), "gamma sweep: "
     ),
     "build_topology.prob": Number(
         "prob",

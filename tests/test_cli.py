@@ -56,15 +56,22 @@ def test_run_subcommand_writes_outputs(tmp_path, capsys):
     assert "summary.csv" in names
     assert "zoom_seed1.csv" in names
     assert "zoom_pb_seed2.csv" in names
-    assert "summary written" in capsys.readouterr().out
+    # one median line per label, no accuracy on the toy, then the summary's path
+    *medians, written = capsys.readouterr().out.splitlines()
+    assert [line.split(" median final loss ")[0] for line in medians] == [
+        "[battery] zoom:", "[battery] zoom_pb:"
+    ]
+    assert all(line.endswith(" over 2 seed(s)") for line in medians)
+    assert written == f"[battery] summary written to {tmp_path / 'out' / 'summary.csv'}"
 
 
-def test_run_seed_override(tmp_path):
+def test_run_seed_override(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--seed", "7", "--quiet"])
     assert code == 0
     names = sorted(p.name for p in (tmp_path / "out").iterdir())
     assert names == ["summary.csv", "zoom_pb_seed7.csv", "zoom_seed7.csv"]
+    assert capsys.readouterr() == ("", "")  # quiet
 
 
 def test_run_rejects_bad_config(tmp_path, capsys):
@@ -521,8 +528,9 @@ def test_problem_too_large_for_memory_is_an_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: Unable to allocate")
 
 
-def test_check_subcommand_quiet():
+def test_check_subcommand_quiet(capsys):
     assert main(["check", "--quiet"]) == 0
+    assert capsys.readouterr() == ("", "")
 
 
 def test_check_prints_one_line_per_check_and_keeps_going(monkeypatch, capsys):

@@ -88,7 +88,7 @@ def test_toy_quadratic_battery_is_pinned(tmp_path):
 def test_toy_quadratic_gamma_sweep_is_pinned(tmp_path):
     config = load_config("toy_quadratic")
     config.T = 200
-    sweep = gamma_sweep(config, [0.5, 0.7, 1.0], out_dir=tmp_path, quiet=True)
+    sweep = gamma_sweep(config, [0.5, 0.7, 1.0], out_dir=tmp_path)
     assert battery_digest(sweep) == TOY_SWEEP_T200
 
 

@@ -679,7 +679,7 @@ class TestBattery:
             run_battery(smaller, out_dir=tmp_path, quiet=True)
         # a sweep is a battery, so it refuses the directory before any run too
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-            gamma_sweep(smaller, [0.5], out_dir=tmp_path, quiet=True)
+            gamma_sweep(smaller, [0.5], out_dir=tmp_path)
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == written
         # any entry counts, a hidden one or a directory too
         (tmp_path / "a").mkdir()
@@ -737,13 +737,13 @@ class TestGammaSweep:
 
     def test_repeated_gamma_rejected(self):
         with pytest.raises(ConfigError, match="duplicate algorithm label 'zoom_pb_g0.5_forward'"):
-            gamma_sweep(toy_config(), [0.5, 0.5], quiet=True)
+            gamma_sweep(toy_config(), [0.5, 0.5])
 
     def test_close_gammas_keep_distinct_labels(self):
         # six significant digits would print both as g0.5 and share one label
         cfg = toy_config()
         cfg.T, cfg.seeds = 20, [1]
-        rows = gamma_sweep(cfg, [0.5, 0.5000001], quiet=True).summary_rows
+        rows = gamma_sweep(cfg, [0.5, 0.5000001]).summary_rows
         assert [(r["algorithm"], r["gamma"]) for r in rows] == [
             ("zoom_pb_g0.5_forward", 0.5),
             ("zoom_pb_g0.5_central", 0.5),
@@ -754,7 +754,7 @@ class TestGammaSweep:
     def test_gamma_one_matches_plain_run_summary(self):
         cfg = toy_config()
         cfg.seeds = [2]
-        rows = gamma_sweep(cfg, [1.0], quiet=True).summary_rows
+        rows = gamma_sweep(cfg, [1.0]).summary_rows
         plain_text = TOY_CFG.replace("algorithms = zoom,zoom_pb", "algorithms = zoom").replace(
             "algorithm.zoom_pb.gamma = 0.7", ""
         )
@@ -769,7 +769,7 @@ class TestGammaSweep:
         cfg.seeds = [1]
         cfg.T = 40
         with pytest.warns(RuntimeWarning):
-            rows = gamma_sweep(cfg, [0.3, 0.7], out_dir=tmp_path, quiet=True).summary_rows
+            rows = gamma_sweep(cfg, [0.3, 0.7], out_dir=tmp_path).summary_rows
         flagged = {r["gamma"]: r["within_guarantee_range"] for r in rows}
         assert flagged == {0.3: False, 0.7: True}
         lines = (tmp_path / "summary.csv").read_text().splitlines()
@@ -780,7 +780,7 @@ class TestGammaSweep:
         cfg = toy_config()
         cfg.seeds = [1]
         cfg.T = 40
-        rows = gamma_sweep(cfg, [0.5, 1.0], quiet=True).summary_rows
+        rows = gamma_sweep(cfg, [0.5, 1.0]).summary_rows
         assert len(rows) == 4
         assert {(r["gamma"], r["estimator"]) for r in rows} == {
             (0.5, "forward"),
