@@ -20,9 +20,18 @@ from zoswarm.dynamics import (
     step,
     theorem_schedule,
 )
-from zoswarm.estimator import OracleEvaluationError, SmoothingSchedule
+from zoswarm.estimator import (
+    OracleEvaluationError,
+    SmoothingSchedule,
+    forward_estimate,
+    sample_coordinates,
+)
 from zoswarm.graph import Topology, erdos_renyi, laplacian_product, laplacian_spectrum
 from zoswarm.problems import QuadraticToyProblem, make_quadratic_toy
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+VECTORS = st.lists(FINITE, min_size=1, max_size=40).map(np.array)
+GAMMAS = st.floats(0.05, 1.0)
 
 
 def mixing_row(topo, iterates, i):
@@ -38,6 +47,11 @@ def path3():
 
 
 class TestPowerball:
+    def test_square_roots_with_sign(self):
+        assert np.array_equal(powerball(np.array([4.0, -4.0, 0.0]), 0.5), [2.0, -2.0, 0.0])
+        # a scalar or 0-d input too, zero included
+        assert [float(powerball(v, 0.5)) for v in (4.0, np.array(-4.0), 0.0)] == [2.0, -2.0, 0.0]
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(), min_size=1, max_size=40).map(np.array))
     def test_gamma_one_is_identity(self, v):
@@ -46,6 +60,17 @@ class TestPowerball:
         out = powerball(v, 1.0)
         assert out.tobytes() == v.tobytes()
         assert out is not v  # no aliasing of the input buffer
+
+    def test_unit_entries_are_fixed_points(self):
+        for gamma in (0.5, 0.7, 0.9, 1.0):
+            assert np.array_equal(powerball(np.array([1.0, -1.0]), gamma), [1.0, -1.0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(VECTORS, GAMMAS)
+    def test_odd_and_monotone(self, v, gamma):
+        assert np.array_equal(powerball(-v, gamma), -powerball(v, gamma))
+        x = np.sort(v)
+        assert np.all(np.diff(powerball(x, gamma)) >= 0.0)
 
 
 class TestConsensusTerm:
@@ -62,6 +87,11 @@ class TestConsensusTerm:
     def test_identical_rows_annihilated(self):
         rows = np.tile([2.0, -1.0], (3, 1))
         assert np.allclose(self.mix(path3(), rows, 0.05), rows, atol=1e-12)
+
+    def test_two_agent_hand_value(self):
+        topo = Topology(2, np.array([[0.0, 1.0], [1.0, 0.0]]))
+        mixed = self.mix(topo, np.array([[1.0], [0.0]]), 0.25)
+        assert np.array_equal(mixed, [[0.75], [0.25]])
 
     def test_isolated_agent_contributes_nothing(self):
         # disconnected in weights; unit-testable even though runs reject it
@@ -227,6 +257,146 @@ class TestTheoremSchedule:
 
 
 class TestSteps:
+    def test_alpha_zero_single_agent_is_coordinate_descent(self):
+        # with one agent and no mixing the update is exactly x - eta * g
+        from zoswarm.estimator import central_estimate
+
+        problem = make_quadratic_toy(1, 3, seed=2, zeta=0.0)
+        params = HyperParams(alpha=0.0, eta=0.1, T=1, estimator="central")
+        streams = RunStreams.from_seed(7)
+        shadow = RunStreams.from_seed(7)
+        state = SwarmState(np.array([[1.0, -2.0, 0.5]]), 0)
+        nxt = step(state, Topology(1, np.zeros((1, 1))), params, problem, streams)
+        (coords,) = sample_coordinates(1, 3, 1, shadow.coords)
+        xi = problem.sample(0, shadow.data)
+        delta = params.smoothing.delta(3, 1, 0)
+        g = central_estimate(
+            lambda z: problem.evaluate(0, z, xi), state.iterates[0], coords, delta
+        )
+        assert np.array_equal(nxt.iterates[0], state.iterates[0] - 0.1 * g)
+
+    def test_two_agent_step_matches_scripted_replay(self):
+        topo = Topology(2, np.array([[0.0, 1.0], [1.0, 0.0]]))
+        profile = laplacian_spectrum(topo)
+        problem = make_quadratic_toy(2, 2, seed=3, zeta=0.4)
+        eta = theorem_schedule(2, 2, 50)
+        params = HyperParams(alpha=0.8 * profile.alpha_max, eta=eta, T=50)
+        streams = RunStreams.from_seed(21)
+        shadow = RunStreams.from_seed(21)
+        state = SwarmState(np.array([[1.0, 0.0], [0.0, 1.0]]), 0)
+        nxt = step(state, topo, params, problem, streams)
+        delta = params.smoothing.delta(2, 2, 0)
+        expected = np.empty((2, 2))
+        coords = sample_coordinates(2, 2, 1, shadow.coords)  # one block per round
+        for i in range(2):
+            xi = problem.sample(i, shadow.data)  # agents draw data in index order
+            g = forward_estimate(
+                lambda z, a=i, r=xi: problem.evaluate(a, z, r),
+                state.iterates[i],
+                coords[i],
+                delta,
+            )
+            expected[i] = (
+                state.iterates[i]
+                - params.alpha * mixing_row(topo, state.iterates, i)
+                - params.eta * g
+            )
+        assert np.array_equal(nxt.iterates, expected)
+        assert nxt.k == 1
+
+    def test_update_order_does_not_matter(self):
+        # with the round's draws taken in index order, computing the agent
+        # updates in reversed order reproduces the step exactly: every agent
+        # reads only round-k iterates and its own draws
+        topo = erdos_renyi(5, 0.7, seed=1)
+        profile = laplacian_spectrum(topo)
+        problem = make_quadratic_toy(5, 4, seed=4, zeta=0.3)
+        eta = theorem_schedule(5, 4, 100)
+        params = HyperParams(alpha=0.5 * profile.alpha_max, eta=eta, T=100)
+        streams = RunStreams.from_seed(9)
+        shadow = RunStreams.from_seed(9)
+        state = SwarmState(np.random.default_rng(8).standard_normal((5, 4)), 0)
+        nxt = step(state, topo, params, problem, streams)
+        delta = params.smoothing.delta(4, 5, 0)
+        coords = sample_coordinates(5, 4, 1, shadow.coords)
+        draws = [problem.sample(i, shadow.data) for i in range(5)]
+        permuted = np.empty((5, 4))
+        for i in reversed(range(5)):
+            g = forward_estimate(
+                lambda z, a=i, r=draws[i]: problem.evaluate(a, z, r),
+                state.iterates[i],
+                coords[i],
+                delta,
+            )
+            permuted[i] = (
+                state.iterates[i]
+                - params.alpha * mixing_row(topo, state.iterates, i)
+                - params.eta * g
+            )
+        assert np.array_equal(nxt.iterates, permuted)
+
+    def test_powerball_step_fixed_points(self):
+        # estimates with entries in {-1, 0, 1} update identically for any gamma
+        class SignProblem:
+            dimension = 2
+            local_count = 2
+
+            def sample(self, agent, rng):
+                return rng.integers(10)
+
+            def sample_round(self, rng):
+                return [self.sample(i, rng) for i in range(self.local_count)]
+
+            def evaluate(self, agent, x, xi):
+                return float(np.sum(x))  # linear: slope 1 on every coordinate
+
+        topo = Topology(2, np.array([[0.0, 1.0], [1.0, 0.0]]))
+        profile = laplacian_spectrum(topo)
+        smoothing = SmoothingSchedule(mode="fixed", value=0.5)
+        state = SwarmState(np.zeros((2, 2)), 0)
+        outputs = []
+        for gamma in (0.5, 0.8, 1.0):
+            params = HyperParams(
+                alpha=0.1 * profile.alpha_max,
+                eta=0.3,
+                T=1,
+                algorithm="zoom_pb",
+                gamma=gamma,
+                n_c=2,
+                smoothing=smoothing,
+            )
+            nxt = step(state, topo, params, SignProblem(), RunStreams.from_seed(0))
+            outputs.append(nxt.iterates)
+        assert np.array_equal(outputs[0], outputs[1])
+        assert np.array_equal(outputs[0], outputs[2])
+
+    def test_single_agent_powerball_halves_a_four(self):
+        class FlatSlope:
+            dimension = 1
+            local_count = 1
+
+            def sample(self, agent, rng):
+                return rng.integers(10)
+
+            def sample_round(self, rng):
+                return [self.sample(i, rng) for i in range(self.local_count)]
+
+            def evaluate(self, agent, x, xi):
+                return 4.0 * float(x[0])  # gradient estimate is exactly (4,)
+
+        params = HyperParams(
+            alpha=0.0,
+            eta=1.0,
+            T=1,
+            algorithm="zoom_pb",
+            gamma=0.5,
+            smoothing=SmoothingSchedule(mode="fixed", value=0.25),
+        )
+        state = SwarmState(np.array([[10.0]]), 0)
+        lone = Topology(1, np.zeros((1, 1)))
+        nxt = step(state, lone, params, FlatSlope(), RunStreams.from_seed(1))
+        assert np.allclose(nxt.iterates, [[8.0]], atol=1e-12)  # sigma(4, 0.5) = 2
+
     def test_divergence_guard_reports_iteration_and_agent(self):
         # from the origin an agent steps to exactly its slope: an entry of 1e12
         # is kept, and the next float up is divergence, named on its agent
@@ -329,6 +499,33 @@ class TestSteps:
             step(state, topo, params, RaisesOnAgentTwo(), RunStreams.from_seed(0))
 
 
+class TestRunStreams:
+    @pytest.mark.parametrize("n_agents", [2, 4, 9])
+    def test_from_seed_draws_the_spawned_children(self, n_agents):
+        # data is SeedSequence(seed).spawn(2)[0], spawn key (0,); coords is the
+        # second child, spawn key (1,); a round draws from exactly these two
+        seed = 31
+        children = np.random.SeedSequence(seed).spawn(2)
+        keyed = [np.random.SeedSequence(seed, spawn_key=(key,)) for key in range(2)]
+        for child, same in zip(children, keyed):
+            assert np.array_equal(
+                np.random.default_rng(child).random(6), np.random.default_rng(same).random(6)
+            )
+        topo = erdos_renyi(n_agents, 1.0)
+        profile = laplacian_spectrum(topo)
+        problem = make_quadratic_toy(n_agents, 5, seed=2, zeta=0.3)
+        params = HyperParams(alpha=0.5 * profile.alpha_max, eta=0.1, T=3, n_c=2)
+        spawned = RunStreams(*(np.random.default_rng(child) for child in children))
+        ours = RunStreams.from_seed(seed)
+        a = b = SwarmState(np.random.default_rng(3).standard_normal((n_agents, 5)), 0)
+        for _ in range(3):
+            a = step(a, topo, params, problem, ours)
+            b = step(b, topo, params, problem, spawned)
+        assert np.array_equal(a.iterates, b.iterates)
+        assert ours.data.random() == spawned.data.random()
+        assert ours.coords.random() == spawned.coords.random()
+
+
 @pytest.fixture(scope="module")
 def toy_setup():
     topo = erdos_renyi(4, 0.8, seed=1)
@@ -398,6 +595,13 @@ class TestRun:
         ):
             run(topo, problem, params)
 
+    def test_record_cadence_and_final_record(self, toy_setup):
+        topo, profile, problem = toy_setup
+        eta = theorem_schedule(4, 6, 25)
+        params = HyperParams(alpha=0.5 * profile.alpha_max, eta=eta, T=25)
+        trajectory = run(topo, problem, params, seed=0, record_every=10)
+        assert [r.k for r in trajectory.records] == [0, 10, 20, 25]
+
     def test_draws_one_data_block_per_round(self, toy_setup):
         topo, profile, _ = toy_setup
         problem = make_quadratic_toy(4, 6, seed=3, zeta=0.3)
@@ -412,6 +616,21 @@ class TestRun:
         params = HyperParams(alpha=0.5 * profile.alpha_max, eta=0.01, T=30, n_c=3)
         run(topo, problem, params, seed=4)
         assert len(blocks) == 30
+
+    def test_oracle_call_accounting(self, toy_setup):
+        topo, profile, problem = toy_setup
+        eta = theorem_schedule(4, 6, 30)
+        for estimator, per_round in (("forward", 4 * 3), ("central", 4 * 4)):
+            params = HyperParams(
+                alpha=0.5 * profile.alpha_max,
+                eta=eta,
+                T=30,
+                n_c=2,
+                estimator=estimator,
+            )
+            trajectory = run(topo, problem, params, seed=1)
+            assert trajectory.records[-1].oracle_calls == 30 * per_round
+
 
 # (fault, what it ends in, whether it strikes a round rather than a record)
 FAULTS = {

@@ -29,6 +29,14 @@ class CountingOracle:
 
 
 class TestCoordinateSample:
+    def test_full_set(self):
+        rng = np.random.default_rng(0)
+        assert sample_coordinates(1, 5, 5, rng)[0] == (0, 1, 2, 3, 4)
+
+    def test_single_dimension(self):
+        rng = np.random.default_rng(0)
+        assert sample_coordinates(1, 1, 1, rng)[0] == (0,)
+
     def test_seeded_replay(self):
         first = sample_coordinates(3, 100, 10, np.random.default_rng(42))
         second = sample_coordinates(3, 100, 10, np.random.default_rng(42))
@@ -61,6 +69,25 @@ class TestCoordinateSample:
 
 
 class TestForwardEstimate:
+    def test_hand_value_first_coordinate(self):
+        got = forward_estimate(sphere, np.array([1.0, 0.0]), CoordinateSample((0,)), 0.1)
+        assert np.allclose(got, [4.2, 0.0], atol=1e-12)
+
+    def test_hand_value_second_coordinate(self):
+        got = forward_estimate(sphere, np.array([1.0, 0.0]), CoordinateSample((1,)), 0.1)
+        assert np.allclose(got, [0.0, 0.2], atol=1e-12)
+
+    def test_exact_on_linear_functions(self):
+        rng = np.random.default_rng(2)
+        c = rng.standard_normal(6)
+        oracle = lambda z: float(c @ z)
+        for delta in (1.0, 0.1, 1e-4):
+            sample = sample_coordinates(1, 6, 3, rng)[0]
+            got = forward_estimate(oracle, rng.standard_normal(6), sample, delta)
+            expected = np.zeros(6)
+            expected[list(sample)] = (6 / 3) * c[list(sample)]
+            assert np.allclose(got, expected, atol=1e-9)
+
     def test_zero_outside_sampled_support(self):
         rng = np.random.default_rng(3)
         sample = sample_coordinates(1, 10, 3, rng)[0]
@@ -148,11 +175,25 @@ def test_an_error_the_oracle_raises_itself_is_not_relabelled(estimate):
 
 
 class TestCentralEstimate:
+    def test_hand_value_quadratic(self):
+        got = central_estimate(sphere, np.array([1.0, 0.0]), CoordinateSample((0,)), 0.1)
+        assert np.allclose(got, [4.0, 0.0], atol=1e-12)
+
     def test_constant_function_gives_zero(self):
         rng = np.random.default_rng(4)
         sample = sample_coordinates(1, 7, 4, rng)[0]
         got = central_estimate(lambda z: 3.25, rng.standard_normal(7), sample, 0.2)
         assert np.all(got == 0.0)
+
+    def test_exact_on_linear_functions(self):
+        rng = np.random.default_rng(5)
+        c = rng.standard_normal(5)
+        sample = sample_coordinates(1, 5, 2, rng)[0]
+        x = rng.standard_normal(5)
+        got = central_estimate(lambda z: float(c @ z), x, sample, 0.3)
+        expected = np.zeros(5)
+        expected[list(sample)] = (5 / 2) * c[list(sample)]
+        assert np.allclose(got, expected, atol=1e-10)
 
     def test_evaluation_count(self):
         oracle = CountingOracle(sphere)
@@ -168,11 +209,35 @@ class TestCentralEstimate:
         assert info.value.coordinate == 1
 
 
+class TestSmoothingOrder:
+    def test_forward_error_is_first_order_central_second_order(self):
+        # on ||x||^4 halving delta halves the forward error and quarters the
+        # central error
+        x = np.full(3, 0.8)
+        quartic = lambda z: float(np.sum(z**2) ** 2)
+        grad = 4.0 * np.sum(x**2) * x
+        sample = CoordinateSample((0, 1, 2))
+
+        def errors(estimate, delta):
+            return np.linalg.norm(estimate(quartic, x, sample, delta) - grad)
+
+        fw_ratio = errors(forward_estimate, 0.1) / errors(forward_estimate, 0.05)
+        ct_ratio = errors(central_estimate, 0.1) / errors(central_estimate, 0.05)
+        assert 1.5 < fw_ratio < 3.0
+        assert 3.0 < ct_ratio < 6.0
+
+
 class TestSmoothingSchedule:
     def test_decay_example_values(self):
         schedule = SmoothingSchedule()
         assert schedule == SmoothingSchedule("theorem_decay", 1.0)  # kappa defaults to 1
         assert abs(schedule.delta(100, 10, 0) - 0.17782794100389226) < 1e-12
+
+    def test_decay_meets_cap_with_equality(self):
+        schedule = SmoothingSchedule(value=2.5)
+        for k in (0, 3, 999):
+            cap = 2.5 / (7**0.25 * 4**0.25 * (k + 1) ** 0.25)
+            assert abs(schedule.delta(7, 4, k) - cap) < 1e-12
 
     def test_fixed_mode(self):
         schedule = SmoothingSchedule(mode="fixed", value=0.01)

@@ -717,6 +717,22 @@ class TestBattery:
         with pytest.raises(ConfigError, match="duplicate master seed 9"):
             run_battery(replace(toy_config(), seeds=[9, 9]), quiet=True)
 
+    def test_standalone_zoom_run_records_what_the_battery_records(self):
+        # one gamma default: a zoom run left without gamma reports plain squared norms
+        cfg = replace(toy_config(), seeds=[1])
+        (battery_run,) = [r for r in run_battery(cfg).runs if r.label == "zoom"]
+        resolved = battery_run.params
+        params = HyperParams(
+            alpha=resolved.alpha,
+            eta=resolved.eta,
+            T=cfg.T,
+            algorithm="zoom",
+            smoothing=resolved.smoothing,
+        )
+        trajectory = run(build_topology(cfg), build_problem(cfg), params, seed=1)
+        assert all(r.grad_norm_1pg_sq == r.grad_norm_sq for r in trajectory.records)
+        assert trajectory.records == battery_run.trajectory.records
+
     def test_agent_count_mismatch_rejected(self):
         cfg = toy_config()
         cfg.topology["n"] = 5

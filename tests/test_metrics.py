@@ -11,6 +11,7 @@ from zoswarm.metrics import (
     CSV_FIELDS,
     IterationRecord,
     capture_record,
+    holder_norm_sq,
     summarize,
     write_csv,
     write_table,
@@ -47,6 +48,14 @@ class CountingProblem:
         return self.inner.test_accuracy(x)
 
 
+class TestNorms:
+    def test_holder_with_gamma_one_equals_squared_norm_exactly(self):
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            v = rng.standard_normal(17)
+            assert holder_norm_sq(v, 2.0) == float(v @ v)
+
+
 @pytest.fixture(scope="module")
 def toy_run():
     topo = erdos_renyi(4, 0.9, seed=0)
@@ -58,9 +67,41 @@ def toy_run():
 
 
 class TestSummarize:
+    def test_single_record_averages_equal_that_record(self, toy_run):
+        trajectory, _ = toy_run
+        only = type(trajectory)(
+            records=trajectory.records[:1],
+            final_state=trajectory.final_state,
+            params=trajectory.params,
+            seed=trajectory.seed,
+            final_accuracy=None,
+        )
+        summary = summarize(only)
+        assert summary.avg_grad_norm_sq == trajectory.records[0].grad_norm_sq
+        assert summary.avg_consensus_err == trajectory.records[0].consensus_err
+        assert summary.final_loss == trajectory.records[0].mean_train_loss
+
     def test_an_empty_trajectory_is_an_error(self, toy_run):
         with pytest.raises(ValueError, match="^cannot summarize an empty trajectory$"):
             summarize(replace(toy_run[0], records=()))
+
+    def test_constant_trajectory_from_consensus_start(self):
+        # eta = 0 from a shared start never moves: zero consensus error,
+        # averages equal the initial values
+        topo = erdos_renyi(3, 1.0, seed=0)
+        profile = laplacian_spectrum(topo)
+        problem = make_quadratic_toy(3, 4, seed=5)
+        params = HyperParams(alpha=0.9 * profile.alpha_max, eta=0.0, T=40)
+        trajectory = run(topo, problem, params, seed=0)
+        summary = summarize(trajectory)
+        assert summary.avg_consensus_err == 0.0
+        grad = problem.true_global_gradient(np.zeros(4))
+        assert abs(summary.avg_grad_norm_sq - float(grad @ grad)) < 1e-12
+
+    def test_final_loss_approaches_known_optimum(self, toy_run):
+        trajectory, problem = toy_run
+        gap = summarize(trajectory).final_loss - problem.optimal_value()
+        assert 0.0 <= gap < 0.15
 
     def test_averages_exclude_the_horizon_record(self, toy_run):
         trajectory, _ = toy_run
@@ -88,6 +129,11 @@ class TestOracleAccounting:
             trajectory = run(topo, counted, params, seed=3)
             assert counted.evaluations == expected
             assert trajectory.records[-1].oracle_calls == expected
+
+    def test_oracle_calls_non_decreasing(self, toy_run):
+        trajectory, _ = toy_run
+        calls = [r.oracle_calls for r in trajectory.records]
+        assert all(b >= a for a, b in zip(calls, calls[1:]))
 
     def test_diagnostics_do_not_touch_the_oracle(self):
         counted = CountingProblem(make_quadratic_toy(2, 3, seed=0))
@@ -151,6 +197,11 @@ class TestCsv:
 
 
 class TestRecordContents:
+    def test_gamma_one_norms_agree_along_a_run(self, toy_run):
+        trajectory, _ = toy_run
+        for record in trajectory.records:
+            assert record.grad_norm_1pg_sq == record.grad_norm_sq
+
     def test_benchmark_run_records_accuracy(self):
         problem = make_synthetic_classification(60, 20, 5, 3, seed=4)
         topo = erdos_renyi(3, 1.0, seed=0)

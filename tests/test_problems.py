@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_engine
+import zoswarm as zs
 from reference_engine import nlls_evaluate
 from zoswarm.problems import (
     ClassificationProblem,
@@ -32,6 +34,11 @@ def central_differences(loss, x, h=1e-5):
 
 
 class TestSigmoid:
+    def test_midpoint_and_symmetry(self):
+        assert sigmoid(0.0) == 0.5
+        t = np.linspace(-30, 30, 101)
+        assert np.allclose(sigmoid(t) + sigmoid(-t), 1.0, atol=1e-12)
+
     def test_no_overflow_at_extreme_arguments(self):
         assert sigmoid(1e4) == 1.0
         assert sigmoid(-1e4) == 0.0
@@ -192,6 +199,29 @@ class TestNllsGradient:
         )
         assert np.linalg.norm(problem.true_global_gradient(x)) < 1e-8
 
+    def test_closed_form_at_zero(self, synthetic):
+        # at x = 0 every per-sample gradient is -(y - 1/2) a / 2; the shards are equal,
+        # so the mean over agents of the shard means is the mean over all samples
+        labels = synthetic.train_labels.astype(float)
+        expected = np.mean(-(labels - 0.5)[:, None] * synthetic.train_features / 2.0, axis=0)
+        got = synthetic.true_global_gradient(np.zeros(100))
+        assert np.allclose(got, expected, atol=1e-12)
+
+    def test_single_sample_matches_central_differences(self):
+        problem = make_synthetic_classification(1, 1, 8, 1, seed=5)
+        x = np.random.default_rng(1).standard_normal(8)
+        analytic = problem.true_global_gradient(x)
+        fd = central_differences(lambda z: reference_engine.full_loss(problem, z), x)
+        assert np.linalg.norm(fd - analytic) <= 1e-6 * max(1.0, np.linalg.norm(analytic))
+
+    def test_full_batch_matches_central_differences(self, synthetic):
+        rng = np.random.default_rng(2)
+        for _ in range(5):
+            x = rng.standard_normal(100)
+            analytic = synthetic.true_global_gradient(x)
+            fd = central_differences(lambda z: reference_engine.full_loss(synthetic, z), x)
+            assert np.linalg.norm(fd - analytic) <= 1e-5 * np.linalg.norm(analytic)
+
 
 class TestAccuracy:
     def test_reference_vector_is_perfect(self, synthetic):
@@ -278,6 +308,20 @@ class TestQuadraticToy:
         assert np.array_equal(problem.centroid(), [1.0, 1.0])
         assert problem.optimal_value() == 0.0
 
+    def test_two_agent_closed_form(self):
+        problem = QuadraticToyProblem(np.array([[0.0], [2.0]]))
+        assert problem.centroid() == np.array([1.0])
+        assert problem.optimal_value() == 0.5
+        assert problem.full_loss(np.array([1.0])) == 0.5
+
+    def test_zero_noise_oracle_is_deterministic_loss(self):
+        problem = make_quadratic_toy(2, 3, seed=1, zeta=0.0)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal(3)
+        z = problem.sample(0, rng)
+        assert np.all(z == 0.0)
+        assert problem.evaluate(0, x, z) == reference_engine.local_loss(problem, 0, x)
+
     def test_noise_is_zero_mean_with_std_zeta(self):
         # central differences of the quadratic oracle are exact: (x - c_i)_j + z_j
         problem = make_quadratic_toy(1, 4, seed=2, zeta=0.5)
@@ -305,6 +349,36 @@ class TestQuadraticToy:
             analytic = problem.true_global_gradient(x)
             fd = central_differences(problem.full_loss, x)
             assert np.linalg.norm(fd - analytic) <= 1e-5 * max(1.0, np.linalg.norm(analytic))
+
+
+def test_black_box_problem_needs_only_function_values():
+    # a problem supplies no per-sample gradient: the dynamics only query evaluate
+    class NoisyTargets(StochasticProblem):
+        dimension = 3
+        local_count = 2
+
+        def sample(self, agent, rng):
+            return rng.standard_normal()
+
+        def evaluate(self, agent, x, xi):
+            return float(np.sum((x - agent - xi) ** 2))
+
+        def true_global_gradient(self, x):
+            return np.mean([2.0 * (x - agent) for agent in range(2)], axis=0)
+
+        def full_loss(self, x):
+            # E[xi^2] = 1 per coordinate
+            return float(np.mean([np.sum((x - agent) ** 2) for agent in range(2)])) + 3.0
+
+    topo = zs.erdos_renyi(2, 1.0, seed=0)
+    params = zs.HyperParams(
+        alpha=0.5 * zs.laplacian_spectrum(topo).alpha_max, eta=0.05, T=200, n_c=2
+    )
+    trajectory = zs.run(topo, NoisyTargets(), params, seed=1)
+    assert trajectory.final_state.k == 200
+    assert trajectory.records[-1].oracle_calls == 200 * 2 * 3
+    # from 4.5 at the origin toward f* = 3.75 at the mean target (0.5, 0.5, 0.5)
+    assert trajectory.records[-1].mean_train_loss < 3.9
 
 
 @st.composite
